@@ -1,10 +1,12 @@
 // Micro-benchmarks (google-benchmark): the wire-format and transport
 // building blocks — CDR marshaling, GIOP framing/inspection, Any state
-// values, Eternal envelopes, and Totem multicast throughput/latency across
-// the 1518-byte fragmentation knee.
+// values, Eternal envelopes, the per-op event/frame/placement primitives,
+// and Totem multicast throughput/latency across the 1518-byte
+// fragmentation knee.
 #include <benchmark/benchmark.h>
 
 #include "core/envelope.hpp"
+#include "core/placement.hpp"
 #include "giop/giop.hpp"
 #include "sim/ethernet.hpp"
 #include "sim/simulator.hpp"
@@ -96,6 +98,83 @@ void BM_EnvelopeRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EnvelopeRoundTrip);
+
+/// One event scheduled and fired, with the small capture every hot-path
+/// event carries (a pointer and a couple of ids).
+void BM_SimulatorScheduleFire(benchmark::State& state) {
+  sim::Simulator sim;
+  std::uint64_t sum = 0;
+  for (auto _ : state) {
+    const std::uint64_t a = 1, b = 2;
+    sim.schedule(util::Duration(10), [&sum, a, b] { sum += a + b; });
+    sim.step();
+  }
+  benchmark::DoNotOptimize(sum);
+}
+BENCHMARK(BM_SimulatorScheduleFire);
+
+/// Token-timer pattern: every received frame cancels the pending timeout
+/// and arms a new one; the stale queue entries drain as time advances.
+void BM_SimulatorCancelRearm(benchmark::State& state) {
+  sim::Simulator sim;
+  int timeouts = 0;
+  sim::EventId timer = sim.schedule(util::Duration(5'000'000), [&] { ++timeouts; });
+  for (auto _ : state) {
+    sim.cancel(timer);
+    timer = sim.schedule(util::Duration(5'000'000), [&] { ++timeouts; });
+    sim.run_for(util::Duration(1'000));
+  }
+  benchmark::DoNotOptimize(timeouts);
+}
+BENCHMARK(BM_SimulatorCancelRearm);
+
+/// One frame broadcast on a 4-station segment and delivered to the 3 others.
+void BM_EthernetBroadcast(benchmark::State& state) {
+  struct Sink : sim::Station {
+    std::uint64_t bytes = 0;
+    void on_frame(util::NodeId, util::BytesView payload) override { bytes += payload.size(); }
+  };
+  sim::Simulator sim;
+  sim::Ethernet ether(sim, sim::EthernetConfig{});
+  Sink stations[4];
+  for (std::uint32_t i = 0; i < 4; ++i) ether.attach(util::NodeId{i + 1}, &stations[i]);
+  const util::Bytes frame(200, 0x5A);
+  for (auto _ : state) {
+    ether.broadcast(util::NodeId{1}, frame);
+    sim.run();
+  }
+  benchmark::DoNotOptimize(stations[1].bytes);
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(frame.size()));
+}
+BENCHMARK(BM_EthernetBroadcast);
+
+void BM_TotemEncodeDataFrame(benchmark::State& state) {
+  totem::DataFrame f;
+  f.view = util::ViewId{3};
+  f.ring_id = 77;
+  f.origin = util::NodeId{2};
+  f.seq = 1234;
+  f.payload.assign(static_cast<std::size_t>(state.range(0)), 0xAB);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(totem::encode_frame(util::NodeId{2}, f).data());
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_TotemEncodeDataFrame)->Arg(200)->Arg(1400);
+
+/// Group → ring lookups over 16 groups on 2 rings (fleet_steady's layout).
+void BM_RingOf(benchmark::State& state) {
+  core::RingPlacementConfig cfg;
+  cfg.rings = 2;
+  const core::RingPlacement placement(cfg);
+  std::uint32_t sink = 0;
+  for (auto _ : state) {
+    for (std::uint32_t g = 1; g <= 16; ++g) sink += placement.ring_of(util::GroupId{g});
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations() * 16);
+}
+BENCHMARK(BM_RingOf);
 
 /// Totem agreed-delivery of one message of the given size across a 4-node
 /// ring: reports *virtual* latency per message (fragmentation knee at the

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Quick quality gate: the tier-1 test label (fast suites) plus an
-# AddressSanitizer/UBSan build of the observability and core suites.
+# AddressSanitizer/UBSan build of the observability, core, hot-path and
+# decoder suites.
 #
-#   scripts/check.sh           # tier1 ctest + sanitized obs/core suites
+#   scripts/check.sh           # tier1 ctest + sanitized suites
 #   scripts/check.sh --fast    # tier1 ctest only
 #
 # Tier layout (see tests/CMakeLists.txt):
@@ -64,16 +65,25 @@ if [[ "${1:-}" == "--fast" ]]; then
 fi
 
 echo
-echo "== ASan/UBSan: obs + core suites =="
+echo "== ASan/UBSan: obs, core, hot-path and decoder suites =="
 cmake -B build-asan -S . -DETERNAL_SANITIZE=ON >/dev/null
 cmake --build build-asan -j"$JOBS" --target \
   obs_test spans_test integration_smoke_test recovery_edge_test quiescence_test \
   batching_equivalence_test exec_conformance_test bulk_transfer_conformance_test \
-  chaos_script_test fleet_stats_test
+  chaos_script_test fleet_stats_test \
+  sim_test totem_test totem_protocol_test util_test giop_test placement_test \
+  decode_fuzz_test
+# sim_test: simulator slab + small-buffer callables, Ethernet in-flight slots;
+# totem_test/totem_protocol_test: frames and the seq-indexed frame store;
+# util_test/giop_test: CDR in-place readers and GIOP inspection;
+# placement_test: the memoised ring map.
 for t in obs_test spans_test integration_smoke_test recovery_edge_test quiescence_test \
-         chaos_script_test fleet_stats_test; do
+         chaos_script_test fleet_stats_test \
+         sim_test totem_test totem_protocol_test util_test giop_test placement_test; do
   "build-asan/tests/$t"
 done
+# Every decoder under the sanitizers, with the tier-1 fuzz budget.
+ETERNAL_FUZZ_ITERS=64 "build-asan/tests/decode_fuzz_test"
 # Batch packing/unpacking moves raw payload bytes on the hot path; run the
 # fast ordering-equivalence seeds under the sanitizers too.
 "build-asan/tests/batching_equivalence_test" --gtest_filter='BatchingEquivalenceFast.*'

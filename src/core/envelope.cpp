@@ -6,10 +6,23 @@ namespace eternal::core {
 
 namespace {
 constexpr std::uint16_t kMagic = 0xE7E4;
+
+/// Exact encoded size of `e`, so encode_envelope allocates once: 56 header
+/// bytes (80 plus the digests for bulk kinds), then four aligned octet
+/// sequences.
+std::size_t encoded_size(const Envelope& e) {
+  std::size_t n = e.kind >= EnvelopeKind::kStateBulkDescriptor
+                      ? 80 + 8 * e.extent_digests.size()
+                      : 56;
+  for (const Bytes* b : {&e.payload, &e.orb_state, &e.infra_state, &e.control_data}) {
+    n = ((n + 3) & ~std::size_t{3}) + 4 + b->size();
+  }
+  return n;
 }
+}  // namespace
 
 Bytes encode_envelope(const Envelope& e) {
-  util::CdrWriter w;
+  util::CdrWriter w(util::host_byte_order(), encoded_size(e));
   w.put_u8(static_cast<std::uint8_t>(w.order()));
   w.put_u8(static_cast<std::uint8_t>(e.kind));
   w.put_u16(kMagic);

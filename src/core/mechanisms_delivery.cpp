@@ -250,7 +250,7 @@ void Mechanisms::deliver_request(const Envelope& e) {
     }
     if (obs::SpanStore* spans = rec_.spans()) {
       if (auto dup = giop::inspect(e.payload)) {
-        if (const obs::TraceId t = giop::trace_context_of(dup->service_context)) {
+        if (const obs::TraceId t = dup->trace_context()) {
           spans->instant(t, node_, obs::Layer::kMech, "request-dup", sim_.now(),
                          "op_seq=" + std::to_string(e.op_seq));
         }
@@ -282,7 +282,7 @@ void Mechanisms::deliver_request(const Envelope& e) {
   // per-replica "deliver" span opens for the quiescence-gated queue wait.
   obs::SpanStore* const spans = rec_.spans();
   const obs::TraceId trace =
-      (spans != nullptr && info) ? giop::trace_context_of(info->service_context) : 0;
+      (spans != nullptr && info) ? info->trace_context() : 0;
   if (trace != 0) spans->end_named(trace, "order-wait", sim_.now());
 
   const bool passive = entry->desc.properties.style != ReplicationStyle::kActive;
@@ -379,7 +379,7 @@ void Mechanisms::deliver_reply(const Envelope& e) {
     }
     if (obs::SpanStore* spans = rec_.spans()) {
       if (auto dup = giop::inspect(e.payload)) {
-        if (const obs::TraceId t = giop::trace_context_of(dup->service_context)) {
+        if (const obs::TraceId t = dup->trace_context()) {
           spans->instant(t, node_, obs::Layer::kMech, "reply-dup", sim_.now(),
                          "op_seq=" + std::to_string(e.op_seq));
         }
@@ -431,7 +431,7 @@ void Mechanisms::deliver_reply(const Envelope& e) {
   // invocation's span tree (duplicates at other clients are suppressed above).
   if (obs::SpanStore* spans = rec_.spans()) {
     if (auto rinfo = giop::inspect(e.payload)) {
-      if (const obs::TraceId t = giop::trace_context_of(rinfo->service_context)) {
+      if (const obs::TraceId t = rinfo->trace_context()) {
         spans->end_named(t, "reply", sim_.now());
         spans->end_named(t, "invocation", sim_.now());
       }

@@ -1,10 +1,11 @@
 #include "core/placement.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 #include <stdexcept>
 
 #include "util/bytes.hpp"
-#include "util/cdr.hpp"
 
 namespace eternal::core {
 
@@ -24,19 +25,21 @@ std::uint64_t mix(std::uint64_t x) {
   return x;
 }
 
+/// FNV-1a over host-order u32s: the bytes CdrWriter::put_u32 would write for
+/// them, hashed in place.
+template <std::size_t N>
+std::uint64_t hash_words(const std::array<std::uint32_t, N>& words) {
+  std::uint8_t bytes[sizeof words];
+  std::memcpy(bytes, words.data(), sizeof bytes);
+  return util::fnv1a(bytes);
+}
+
 std::uint64_t point_hash(std::uint32_t ring, std::uint32_t vnode) {
-  util::CdrWriter w;
-  w.put_u32(0x52494E47u);  // "RING": domain-separate from group hashes
-  w.put_u32(ring);
-  w.put_u32(vnode);
-  return mix(util::fnv1a(w.bytes()));
+  return mix(hash_words(std::array{0x52494E47u, ring, vnode}));  // "RING": domain-separate from groups
 }
 
 std::uint64_t group_hash(util::GroupId group) {
-  util::CdrWriter w;
-  w.put_u32(0x47525550u);  // "GRUP"
-  w.put_u32(group.value);
-  return mix(util::fnv1a(w.bytes()));
+  return mix(hash_words(std::array{0x47525550u, group.value}));  // "GRUP"
 }
 
 }  // namespace
@@ -68,6 +71,19 @@ RingPlacement::RingPlacement(RingPlacementConfig config) : config_(std::move(con
 }
 
 std::uint32_t RingPlacement::ring_of(util::GroupId group) const {
+  const bool cacheable = group.value < kMemoLimit;
+  if (cacheable && group.value < memo_.size() && memo_[group.value] != kUnset) {
+    return memo_[group.value];
+  }
+  const std::uint32_t ring = place(group);
+  if (cacheable) {
+    if (group.value >= memo_.size()) memo_.resize(std::size_t{group.value} + 1, kUnset);
+    memo_[group.value] = ring;
+  }
+  return ring;
+}
+
+std::uint32_t RingPlacement::place(util::GroupId group) const {
   auto pin = config_.pins.find(group.value);
   if (pin != config_.pins.end()) return pin->second;
   if (config_.rings == 1) return 0;
@@ -87,6 +103,7 @@ void RingPlacement::pin(util::GroupId group, std::uint32_t ring) {
                             " — no replica joins that ring");
   }
   config_.pins[group.value] = ring;
+  memo_.clear();
 }
 
 }  // namespace eternal::core

@@ -54,20 +54,33 @@ class RingPlacement {
   std::size_t rings() const noexcept { return config_.rings; }
 
   /// The ring that orders every envelope about `group`. Deterministic pure
-  /// function of (config, group) — no state, identical on every node.
+  /// function of (config, group), identical on every node. Memoised: the
+  /// first lookup of a group walks the hash circle, later ones read a table.
   std::uint32_t ring_of(util::GroupId group) const;
 
   /// Post-construction pin (deployment-time override). Same validation as
-  /// config pins; takes effect for all subsequent lookups.
+  /// config pins; takes effect for all subsequent lookups (it drops the
+  /// memo table).
   void pin(util::GroupId group, std::uint32_t ring);
 
   const RingPlacementConfig& config() const noexcept { return config_; }
 
  private:
+  /// The uncached placement: pin, else the clockwise walk.
+  std::uint32_t place(util::GroupId group) const;
+
+  static constexpr std::uint32_t kUnset = ~std::uint32_t{0};
+  /// Group ids at or above this are placed on every lookup instead of
+  /// growing the memo table. Deployments allocate ids densely from 1, but
+  /// lookups also take ids from decoded envelopes, which may be corrupt.
+  static constexpr std::uint32_t kMemoLimit = 1u << 16;
+
   RingPlacementConfig config_;
   /// Sorted hash circle: (point, ring index). Lookup walks clockwise to the
   /// first point at or past the group's hash.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> circle_;
+  /// group id → ring, kUnset until first looked up. Grows on demand.
+  mutable std::vector<std::uint32_t> memo_;
 };
 
 }  // namespace eternal::core

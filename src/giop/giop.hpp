@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -142,20 +143,38 @@ Bytes encode(const MessageError& m, ByteOrder order = util::host_byte_order());
 /// Decodes a framed GIOP message; nullopt on malformed input.
 std::optional<Message> decode(BytesView data);
 
-/// Lightweight header-only inspection, used by Eternal's interceptor to
-/// discover ORB/POA-level state without fully decoding bodies.
+/// In-place view of a framed message's header fields, used by Eternal's
+/// interceptor to discover ORB/POA-level state without copying anything.
+/// The views (and the service contexts has_context/trace_context read) point
+/// into the inspected buffer and are valid only while it is alive and
+/// unchanged; the scalar fields are plain values.
 struct Inspection {
-  MsgType type;
-  std::uint32_t request_id = 0;  ///< 0 for types without one
-  Bytes object_key;              ///< Request / LocateRequest only
-  std::string operation;         ///< Request only
-  bool response_expected = true; ///< Request only
+  MsgType type = MsgType::kRequest;
+  ByteOrder order = ByteOrder::kLittle;
+  std::uint32_t request_id = 0;   ///< 0 for types without one
+  BytesView object_key;           ///< Request / LocateRequest only
+  std::string_view operation;     ///< Request only
+  bool response_expected = true;  ///< Request only
+  std::uint32_t status = 0;       ///< Reply: reply_status; LocateReply: locate_status
+  BytesView body;                 ///< Request / Reply: the bytes after the header
+
   bool has_context(std::uint32_t context_id) const noexcept;
-  ServiceContextList service_context;
+  /// The kTraceContextId trace id carried, or 0 when absent or malformed.
+  std::uint64_t trace_context() const noexcept;
+  /// Copies the service-context list out (Request / Reply only).
+  ServiceContextList service_contexts() const;
+
+ private:
+  friend std::optional<Inspection> inspect(BytesView data);
+  template <typename Fn>
+  void for_each_context(Fn&& fn) const;
+
+  BytesView message_;            ///< the whole framed message
+  std::size_t contexts_at_ = 0;  ///< offset of the context count, 0 = none
 };
 
-/// Parses just enough of a framed message for the interceptor. nullopt on
-/// malformed input.
+/// Parses a framed message's header in place; allocates nothing. nullopt on
+/// malformed input — exactly the inputs decode() rejects.
 std::optional<Inspection> inspect(BytesView data);
 
 /// Returns true when `data` starts with a well-formed GIOP header whose
@@ -167,8 +186,5 @@ bool is_giop(BytesView data) noexcept;
 /// Request and Reply messages carry service contexts; any other (or
 /// malformed) input is returned unchanged.
 Bytes with_trace_context(BytesView framed, std::uint64_t trace_id);
-
-/// The trace id carried in `contexts`, or 0 when absent or malformed.
-std::uint64_t trace_context_of(const ServiceContextList& contexts) noexcept;
 
 }  // namespace eternal::giop

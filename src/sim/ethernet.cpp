@@ -58,7 +58,14 @@ void Ethernet::broadcast(NodeId from, Bytes payload) {
   const int sender_component = component_of(from);
   // Snapshot recipients now; attachment changes before `arrival` are checked
   // again at delivery time (a station that crashed mid-flight gets nothing).
-  auto shared = std::make_shared<Bytes>(std::move(payload));
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
   for (const auto& [node, station] : stations_) {
     if (node == from) continue;
     if (component_of(node) != sender_component) continue;
@@ -69,12 +76,26 @@ void Ethernet::broadcast(NodeId from, Bytes payload) {
       stats_.frames_dropped += 1;
       continue;
     }
-    const NodeId to = node;
-    sim_.schedule_at(arrival, [this, from, to, shared] {
-      auto it = stations_.find(to);
-      if (it == stations_.end()) return;  // crashed before arrival
-      it->second->on_frame(from, *shared);
-    });
+    in_flight_[slot].receivers += 1;
+    sim_.schedule_at(arrival, [this, slot, from, to = node] { deliver(slot, from, to); });
+  }
+  if (in_flight_[slot].receivers == 0) {
+    free_slots_.push_back(slot);
+  } else {
+    in_flight_[slot].payload = std::move(payload);
+  }
+}
+
+void Ethernet::deliver(std::uint32_t slot, NodeId from, NodeId to) {
+  if (auto it = stations_.find(to); it != stations_.end()) {  // else crashed before arrival
+    it->second->on_frame(from, in_flight_[slot].payload);
+  }
+  // on_frame may broadcast and grow in_flight_: the lent bytes survive (a
+  // moved Bytes keeps its buffer), but the slot reference must be re-read.
+  InFlight& frame = in_flight_[slot];
+  if (--frame.receivers == 0) {
+    frame.payload = Bytes{};
+    free_slots_.push_back(slot);
   }
 }
 

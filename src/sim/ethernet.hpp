@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -114,6 +113,17 @@ class Ethernet {
 
  private:
   int component_of(NodeId node) const noexcept;
+  /// Hands the frame in `slot` to `to` (if still attached) and releases the
+  /// slot after its last receiver.
+  void deliver(std::uint32_t slot, NodeId from, NodeId to);
+
+  /// A frame on the wire: its bytes plus the arrival events still to fire.
+  /// Slots are reused once every receiver has had the frame, so the
+  /// per-receiver events carry only an index.
+  struct InFlight {
+    Bytes payload;
+    std::uint32_t receivers = 0;
+  };
 
   Simulator& sim_;
   EthernetConfig config_;
@@ -124,6 +134,8 @@ class Ethernet {
   std::uint64_t drop_next_ = 0;
   TimePoint medium_free_at_{};
   EthernetStats stats_;
+  std::vector<InFlight> in_flight_;        ///< grows on demand, then reused
+  std::vector<std::uint32_t> free_slots_;  ///< unoccupied in_flight_ indices
 };
 
 }  // namespace eternal::sim

@@ -9,8 +9,24 @@ constexpr std::uint16_t kMagic = 0x70CE;  // "TOtem CEll"
 using util::CdrReader;
 using util::CdrWriter;
 
-CdrWriter begin_frame(NodeId sender, FrameType type) {
-  CdrWriter w;
+// Encoded sizes, so every encoder allocates its buffer once. Data and Token
+// frames (the per-operation traffic) are sized exactly; the membership
+// frames get upper bounds (each u64 run may need 4 bytes of padding).
+constexpr std::size_t kFrameHeaderBytes = 8;    // order, type, magic, sender
+constexpr std::size_t kDataHeaderBytes = 68;    // through the payload length
+constexpr std::size_t kTokenFixedBytes = 72;    // through the rtr count
+constexpr std::size_t kMaxSeqsPad = 4;          // u32 count → u64 alignment
+
+std::size_t seqs_bound(const std::vector<std::uint64_t>& seqs) {
+  return 4 + kMaxSeqsPad + 8 * seqs.size();
+}
+
+std::size_t nodes_bound(const std::vector<NodeId>& nodes) {
+  return 4 + 4 * nodes.size() + kMaxSeqsPad;  // a u64 always follows
+}
+
+CdrWriter begin_frame(NodeId sender, FrameType type, std::size_t size) {
+  CdrWriter w(util::host_byte_order(), size);
   w.put_u8(static_cast<std::uint8_t>(w.order()));
   w.put_u8(static_cast<std::uint8_t>(type));
   w.put_u16(kMagic);
@@ -47,7 +63,7 @@ std::vector<std::uint64_t> get_seqs(CdrReader& r) {
 }  // namespace
 
 Bytes encode_frame(NodeId sender, const DataFrame& f) {
-  CdrWriter w = begin_frame(sender, FrameType::kData);
+  CdrWriter w = begin_frame(sender, FrameType::kData, kDataHeaderBytes + f.payload.size());
   w.put_u64(f.view.value);
   w.put_u64(f.ring_id);
   w.put_u32(f.origin.value);
@@ -63,7 +79,7 @@ Bytes encode_frame(NodeId sender, const DataFrame& f) {
 }
 
 Bytes encode_frame(NodeId sender, const TokenFrame& f) {
-  CdrWriter w = begin_frame(sender, FrameType::kToken);
+  CdrWriter w = begin_frame(sender, FrameType::kToken, kTokenFixedBytes + 8 * f.rtr.size());
   w.put_u64(f.view.value);
   w.put_u64(f.ring_id);
   w.put_u32(f.target.value);
@@ -78,7 +94,8 @@ Bytes encode_frame(NodeId sender, const TokenFrame& f) {
 }
 
 Bytes encode_frame(NodeId sender, const JoinFrame& f) {
-  CdrWriter w = begin_frame(sender, FrameType::kJoin);
+  CdrWriter w = begin_frame(sender, FrameType::kJoin,
+                            kFrameHeaderBytes + nodes_bound(f.alive) + 3 * 8);
   put_nodes(w, f.alive);
   w.put_u64(f.highest_seq);
   w.put_u64(f.highest_view);
@@ -87,7 +104,9 @@ Bytes encode_frame(NodeId sender, const JoinFrame& f) {
 }
 
 Bytes encode_frame(NodeId sender, const CommitFrame& f) {
-  CdrWriter w = begin_frame(sender, FrameType::kCommit);
+  CdrWriter w = begin_frame(sender, FrameType::kCommit,
+                            kFrameHeaderBytes + 8 + nodes_bound(f.members) + 2 * 8 +
+                                seqs_bound(f.surviving_ancestors));
   w.put_u64(f.new_view.value);
   put_nodes(w, f.members);
   w.put_u64(f.base_seq);
@@ -97,7 +116,9 @@ Bytes encode_frame(NodeId sender, const CommitFrame& f) {
 }
 
 Bytes encode_frame(NodeId sender, const ReadyFrame& f) {
-  CdrWriter w = begin_frame(sender, FrameType::kReady);
+  CdrWriter w = begin_frame(sender, FrameType::kReady,
+                            kFrameHeaderBytes + 8 + seqs_bound(f.missing) +
+                                seqs_bound(f.held_seqs) + seqs_bound(f.held_digests));
   w.put_u64(f.new_view.value);
   put_seqs(w, f.missing);
   put_seqs(w, f.held_seqs);
@@ -106,7 +127,8 @@ Bytes encode_frame(NodeId sender, const ReadyFrame& f) {
 }
 
 Bytes encode_frame(NodeId sender, const InstallFrame& f) {
-  CdrWriter w = begin_frame(sender, FrameType::kInstall);
+  CdrWriter w = begin_frame(sender, FrameType::kInstall,
+                            kFrameHeaderBytes + 8 + nodes_bound(f.members) + 8);
   w.put_u64(f.new_view.value);
   put_nodes(w, f.members);
   w.put_u64(f.next_seq);
@@ -114,7 +136,7 @@ Bytes encode_frame(NodeId sender, const InstallFrame& f) {
 }
 
 Bytes encode_frame(NodeId sender, const JoinRequestFrame&) {
-  CdrWriter w = begin_frame(sender, FrameType::kJoinRequest);
+  CdrWriter w = begin_frame(sender, FrameType::kJoinRequest, kFrameHeaderBytes);
   return std::move(w).take();
 }
 
@@ -205,10 +227,7 @@ std::optional<Frame> decode_frame(BytesView data) {
   }
 }
 
-std::size_t data_frame_overhead() {
-  static const std::size_t overhead = encode_frame(NodeId{0}, DataFrame{}).size();
-  return overhead;
-}
+std::size_t data_frame_overhead() { return kDataHeaderBytes; }
 
 // ------------------------------------------------------------ batch packing
 
@@ -216,20 +235,22 @@ std::size_t data_frame_overhead() {
 // little-endian, so the same bytes mean the same messages on every member
 // (and retransmitted copies stay byte-identical to the original).
 Bytes pack_batch(const std::vector<Bytes>& messages) {
-  CdrWriter w(util::ByteOrder::kLittle);
+  std::size_t size = 0;
+  for (const Bytes& m : messages) size = packed_batch_size(size, m.size());
+  CdrWriter w(util::ByteOrder::kLittle, size);
   for (const Bytes& m : messages) w.put_octets(m);
   return std::move(w).take();
 }
 
-std::optional<std::vector<Bytes>> unpack_batch(BytesView packed, std::uint32_t count) {
+std::optional<std::vector<BytesView>> unpack_batch(BytesView packed, std::uint32_t count) {
   try {
     // Each message costs at least its 4-byte length prefix; a count the blob
     // cannot hold is malformed (and must not drive the reserve below).
     if (count > packed.size() / 4) return std::nullopt;
     CdrReader r(packed, util::ByteOrder::kLittle);
-    std::vector<Bytes> out;
+    std::vector<BytesView> out;
     out.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) out.push_back(r.get_octets());
+    for (std::uint32_t i = 0; i < count; ++i) out.push_back(r.get_octets_view());
     if (!r.exhausted()) return std::nullopt;  // trailing garbage
     return out;
   } catch (const util::CdrError&) {

@@ -178,10 +178,11 @@ std::size_t data_frame_overhead();
 /// Packs complete messages (submission order) into one batch payload.
 Bytes pack_batch(const std::vector<Bytes>& messages);
 
-/// Unpacks a batch payload holding exactly `count` messages. Returns nullopt
-/// on malformed input (truncated blob, count/length mismatch, trailing
-/// garbage) — the caller drops the frame like any other corrupt frame.
-std::optional<std::vector<Bytes>> unpack_batch(BytesView packed, std::uint32_t count);
+/// Unpacks a batch payload holding exactly `count` messages, as views into
+/// `packed`. Returns nullopt on malformed input (truncated blob, count/length
+/// mismatch, trailing garbage) — the caller drops the frame like any other
+/// corrupt frame.
+std::optional<std::vector<BytesView>> unpack_batch(BytesView packed, std::uint32_t count);
 
 /// Packed size after appending a message of `message_bytes` to a batch blob
 /// currently `current_bytes` long (alignment + length prefix included).

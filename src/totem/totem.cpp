@@ -189,9 +189,9 @@ void TotemNode::on_frame(NodeId from, util::BytesView raw) {
       [&](auto&& body) {
         using T = std::decay_t<decltype(body)>;
         if constexpr (std::is_same_v<T, DataFrame>) {
-          handle_data(body);
+          handle_data(std::move(body));
         } else if constexpr (std::is_same_v<T, TokenFrame>) {
-          handle_token(from, body);
+          handle_token(from, std::move(body));
         } else if constexpr (std::is_same_v<T, JoinFrame>) {
           handle_join(from, body);
         } else if constexpr (std::is_same_v<T, CommitFrame>) {
@@ -209,7 +209,7 @@ void TotemNode::on_frame(NodeId from, util::BytesView raw) {
 
 // ---------------------------------------------------------------- data path
 
-void TotemNode::handle_data(const DataFrame& f) {
+void TotemNode::handle_data(DataFrame&& f) {
   if (state_ == State::kJoining) return;  // no history yet; state transfer covers us
   if (f.ring_id != view_.ring_id && !known_ancestor(f.ring_id)) {
     // Sequenced by a ring whose history we do not continue (a healed
@@ -221,26 +221,26 @@ void TotemNode::handle_data(const DataFrame& f) {
   if (f.seq == 0) return;
   highest_seen_seq_ = std::max(highest_seen_seq_, f.seq);
   if (f.seq <= delivered_up_to_) return;  // already delivered
-  if (auto held = store_.find(f.seq); held != store_.end()) {
+  if (DataFrame* held = store_.find(f.seq)) {
     // Duplicate — unless it exposes a stale entry: a retransmission from a
     // member that *delivered* this sequence number carries the agreed
     // message, so a differing copy we stored under a superseded lineage
     // (the merged ring reassigned that number while we were cut off) is
     // stale and must be replaced before delivery reaches it.
     if (f.retransmission && f.authoritative &&
-        util::fnv1a(held->second.payload) != util::fnv1a(f.payload)) {
+        util::fnv1a(held->payload) != util::fnv1a(f.payload)) {
       ETERNAL_LOG(kWarn, kTag,
                   util::to_string(node_) << " replacing stale held frame at seq " << f.seq);
-      held->second = f;
       stats_.stale_frames_replaced += 1;
       if (rec_.tracing()) {
         rec_.record(node_, obs::Layer::kTotem, "stale_replace", f.seq,
                     "ring=" + std::to_string(f.ring_id));
       }
+      *held = std::move(f);
     }
     return;
   }
-  store_.emplace(f.seq, f);
+  store_.insert(std::move(f));
   advance_delivery();
 
   // Recovery exchange: once the wave of sequence numbers we last asked for
@@ -248,7 +248,7 @@ void TotemNode::handle_data(const DataFrame& f) {
   if (state_ == State::kRecovery && commit_.has_value() && !requested_missing_check_.empty()) {
     bool wave_done = true;
     for (std::uint64_t s : requested_missing_check_) {
-      if (s > delivered_up_to_ && store_.count(s) == 0) {
+      if (s > delivered_up_to_ && !store_.contains(s)) {
         wave_done = false;
         break;
       }
@@ -258,11 +258,9 @@ void TotemNode::handle_data(const DataFrame& f) {
 }
 
 void TotemNode::advance_delivery() {
-  while (true) {
-    auto it = store_.find(delivered_up_to_ + 1);
-    if (it == store_.end()) break;
+  while (const DataFrame* next = store_.find(delivered_up_to_ + 1)) {
     delivered_up_to_ += 1;
-    deliver_frame(it->second);
+    deliver_frame(*next);
   }
 }
 
@@ -279,11 +277,13 @@ void TotemNode::deliver_frame(const DataFrame& f) {
                     " size=" + std::to_string(f.payload.size()) +
                     (f.batch_count >= 2 ? " batch=" + std::to_string(f.batch_count) : ""));
   }
+  // Deliveries lend the payload: `f` stays in the store (its slot never
+  // moves) until garbage collection, which never runs inside a callback.
   if (f.batch_count >= 2) {
     // A batched frame: unpack back into the individual messages, delivered in
     // the origin's submission order under the frame's one sequence number —
     // so per-sender FIFO and the agreed total order both survive batching.
-    std::optional<std::vector<util::Bytes>> msgs = unpack_batch(f.payload, f.batch_count);
+    std::optional<std::vector<util::BytesView>> msgs = unpack_batch(f.payload, f.batch_count);
     if (!msgs) {
       // The packed blob is the sequenced bytes themselves, so a malformed
       // batch decodes identically everywhere: every member drops it, like a
@@ -292,31 +292,27 @@ void TotemNode::deliver_frame(const DataFrame& f) {
                   util::to_string(node_) << " malformed batch at seq " << f.seq);
       return;
     }
-    for (util::Bytes& m : *msgs) {
-      Delivery d{f.origin, f.view, f.seq, std::move(m)};
-      stats_.deliveries += 1;
-      ctr_deliveries_.add();
-      listener_->on_deliver(d);
-    }
+    for (util::BytesView m : *msgs) deliver(Delivery{f.origin, f.view, f.seq, m});
+    return;
+  }
+  if (f.frag_count <= 1) {
+    deliver(Delivery{f.origin, f.view, f.seq, f.payload});
     return;
   }
   const auto key = std::make_pair(f.origin.value, f.msg_id);
-  if (f.frag_count <= 1) {
-    Delivery d{f.origin, f.view, f.seq, f.payload};
-    stats_.deliveries += 1;
-    ctr_deliveries_.add();
-    listener_->on_deliver(d);
-    return;
-  }
   util::Bytes& acc = partial_[key];
   util::append(acc, f.payload);
   if (f.frag_index + 1 == f.frag_count) {
-    Delivery d{f.origin, f.view, f.seq, std::move(acc)};
+    const util::Bytes whole = std::move(acc);
     partial_.erase(key);
-    stats_.deliveries += 1;
-    ctr_deliveries_.add();
-    listener_->on_deliver(d);
+    deliver(Delivery{f.origin, f.view, f.seq, whole});
   }
+}
+
+void TotemNode::deliver(const Delivery& d) {
+  stats_.deliveries += 1;
+  ctr_deliveries_.add();
+  listener_->on_deliver(d);
 }
 
 // ---------------------------------------------------------------- token path
@@ -369,9 +365,7 @@ void TotemNode::handle_token(NodeId /*from*/, TokenFrame token) {
   } else if (token.aru_setter == node_) {
     token.aru = delivered_up_to_;
   }
-  if (token.aru > config_.gc_margin) {
-    store_.erase(store_.begin(), store_.lower_bound(token.aru - config_.gc_margin));
-  }
+  if (token.aru > config_.gc_margin) store_.erase_below(token.aru - config_.gc_margin);
 
   // 5. Pass to the successor.
   pass_token(std::move(token), /*idle=*/!did_work && send_queue_.empty());
@@ -486,7 +480,7 @@ void TotemNode::originate(DataFrame f) {
   broadcast(encode_frame(node_, f));
   stats_.fragments_sent += 1;
   highest_seen_seq_ = std::max(highest_seen_seq_, f.seq);
-  store_.emplace(f.seq, std::move(f));  // self-delivery
+  store_.insert(std::move(f));  // self-delivery
 }
 
 std::size_t TotemNode::batch_window() const noexcept {
@@ -559,29 +553,34 @@ void TotemNode::serve_retransmissions(std::vector<std::uint64_t>& rtr) {
   std::vector<std::uint64_t> still_missing;
   still_missing.reserve(rtr.size());
   for (std::uint64_t seq : rtr) {
-    auto it = store_.find(seq);
-    if (it == store_.end()) {
+    DataFrame* held = store_.find(seq);
+    if (held == nullptr) {
       still_missing.push_back(seq);
       continue;
     }
-    DataFrame copy = it->second;
-    copy.retransmission = true;
-    copy.authoritative = seq <= delivered_up_to_;
-    broadcast(encode_frame(node_, copy));
-    stats_.retransmissions += 1;
-    ctr_retransmissions_.add();
-    if (rec_.tracing()) {
-      rec_.record(node_, obs::Layer::kTotem, "retransmit", seq,
-                  "ring=" + std::to_string(copy.ring_id));
-    }
+    retransmit(*held, /*trace=*/"retransmit");
   }
   rtr = std::move(still_missing);
+}
+
+void TotemNode::retransmit(DataFrame& held, const char* trace) {
+  // The stored copy's flags describe how it reached us, which nothing reads
+  // again; stamp them for this send instead of copying the payload.
+  held.retransmission = true;
+  held.authoritative = held.seq <= delivered_up_to_;
+  broadcast(encode_frame(node_, held));
+  stats_.retransmissions += 1;
+  ctr_retransmissions_.add();
+  if (rec_.tracing() && trace != nullptr) {
+    rec_.record(node_, obs::Layer::kTotem, trace, held.seq,
+                "ring=" + std::to_string(held.ring_id));
+  }
 }
 
 void TotemNode::request_missing(TokenFrame& token) {
   for (std::uint64_t seq = delivered_up_to_ + 1;
        seq < token.next_seq && token.rtr.size() < config_.max_rtr_per_token; ++seq) {
-    if (store_.count(seq) == 0 &&
+    if (!store_.contains(seq) &&
         std::find(token.rtr.begin(), token.rtr.end(), seq) == token.rtr.end()) {
       token.rtr.push_back(seq);
     }
@@ -601,20 +600,24 @@ void TotemNode::pass_token(TokenFrame token, bool idle) {
   const Duration delay = idle ? config_.idle_pass_delay : Duration::zero();
   const ViewId expected_view = view_.id;
   if (token.target == node_) {
-    // Single-member ring: the token cannot traverse the medium back to us.
-    pass_timer_ = sim_.schedule(std::max(delay, config_.idle_pass_delay),
-                                [this, token, expected_view] {
-                                  if (state_ == State::kOperational && view_.id == expected_view) {
-                                    arm_token_timer();
-                                    handle_token(node_, token);
-                                  }
-                                });
+    // Single-member ring: the token cannot traverse the medium back to us, so
+    // it waits in held_token_ (cleared by gather and crash, like the timer).
+    held_token_ = std::move(token);
+    pass_timer_ = sim_.schedule(std::max(delay, config_.idle_pass_delay), [this, expected_view] {
+      if (state_ == State::kOperational && view_.id == expected_view && held_token_) {
+        TokenFrame parked = std::move(*held_token_);
+        held_token_.reset();
+        arm_token_timer();
+        handle_token(node_, std::move(parked));
+      }
+    });
     return;
   }
-  pass_timer_ = sim_.schedule(delay, [this, token, expected_view] {
-    if (state_ == State::kOperational && view_.id == expected_view) {
-      broadcast(encode_frame(node_, token));
-    }
+  // Encoded now, sent when the timer fires: the event then carries only the
+  // wire bytes. The token cannot change in between, so the bytes are the same.
+  pass_timer_ = sim_.schedule(delay, [this, wire = encode_frame(node_, token),
+                                      expected_view]() mutable {
+    if (state_ == State::kOperational && view_.id == expected_view) broadcast(std::move(wire));
   });
 }
 
@@ -777,14 +780,10 @@ void TotemNode::handle_commit(NodeId /*from*/, const CommitFrame& f) {
     // join reported them under the old ring id) and may reassign. Keeping
     // them would make handle_data drop the legitimate reassigned frames as
     // duplicates — the stale-store hazard.
-    const auto first_stale = store_.upper_bound(f.base_seq);
-    if (first_stale != store_.end()) {
-      const auto discarded =
-          static_cast<std::uint64_t>(std::distance(first_stale, store_.end()));
+    if (const std::uint64_t discarded = store_.erase_above(f.base_seq); discarded > 0) {
       ETERNAL_LOG(kInfo, kTag,
                   util::to_string(node_) << " discarding " << discarded
                                          << " stale held frames above base " << f.base_seq);
-      store_.erase(first_stale, store_.end());
       stats_.stale_frames_discarded += discarded;
       if (rec_.tracing()) {
         rec_.record(node_, obs::Layer::kTotem, "stale_discard", f.base_seq,
@@ -809,7 +808,7 @@ std::vector<std::uint64_t> TotemNode::compute_missing(std::uint64_t up_to) const
   if (fresh_member_) return missing;
   for (std::uint64_t seq = delivered_up_to_ + 1;
        seq <= up_to && missing.size() < config_.max_rtr_per_token; ++seq) {
-    if (store_.count(seq) == 0) missing.push_back(seq);
+    if (!store_.contains(seq)) missing.push_back(seq);
   }
   return missing;
 }
@@ -825,13 +824,12 @@ void TotemNode::send_ready() {
   // from a superseded lineage is detected and corrected by an authoritative
   // rebroadcast instead of silently shadowing the agreed message.
   if (!fresh_member_) {
-    for (auto it = store_.upper_bound(delivered_up_to_);
-         it != store_.end() && it->first <= commit_->base_seq &&
-         f.held_seqs.size() < config_.max_rtr_per_token;
-         ++it) {
-      f.held_seqs.push_back(it->first);
-      f.held_digests.push_back(util::fnv1a(it->second.payload));
-    }
+    store_.for_each_in(delivered_up_to_ + 1, commit_->base_seq, [&](const DataFrame& held) {
+      if (f.held_seqs.size() >= config_.max_rtr_per_token) return false;
+      f.held_seqs.push_back(held.seq);
+      f.held_digests.push_back(util::fnv1a(held.payload));
+      return true;
+    });
   }
   broadcast(encode_frame(node_, f));
   if (f.missing.empty()) {
@@ -851,16 +849,11 @@ void TotemNode::handle_ready(NodeId from, const ReadyFrame& f) {
   for (std::size_t i = 0; i < f.held_seqs.size(); ++i) {
     const std::uint64_t seq = f.held_seqs[i];
     if (seq > delivered_up_to_) continue;  // not delivered here: no authority
-    auto it = store_.find(seq);
-    if (it == store_.end()) continue;  // garbage-collected
-    if (util::fnv1a(it->second.payload) == f.held_digests[i]) continue;
-    DataFrame copy = it->second;
-    copy.retransmission = true;
-    copy.authoritative = true;  // seq <= delivered_up_to_ checked above
-    broadcast(encode_frame(node_, copy));
+    DataFrame* held = store_.find(seq);
+    if (held == nullptr) continue;  // garbage-collected
+    if (util::fnv1a(held->payload) == f.held_digests[i]) continue;
+    retransmit(*held, /*trace=*/nullptr);  // authoritative: seq <= delivered_up_to_
     stats_.stale_rebroadcasts += 1;
-    stats_.retransmissions += 1;
-    ctr_retransmissions_.add();
     if (rec_.tracing()) {
       rec_.record(node_, obs::Layer::kTotem, "stale_rebroadcast", seq,
                   "reporter=" + std::to_string(from.value));
@@ -873,18 +866,7 @@ void TotemNode::handle_ready(NodeId from, const ReadyFrame& f) {
   }
   // Serve what we hold.
   for (std::uint64_t seq : f.missing) {
-    auto it = store_.find(seq);
-    if (it == store_.end()) continue;
-    DataFrame copy = it->second;
-    copy.retransmission = true;
-    copy.authoritative = seq <= delivered_up_to_;
-    broadcast(encode_frame(node_, copy));
-    stats_.retransmissions += 1;
-    ctr_retransmissions_.add();
-    if (rec_.tracing()) {
-      rec_.record(node_, obs::Layer::kTotem, "retransmit", seq,
-                  "ring=" + std::to_string(copy.ring_id));
-    }
+    if (DataFrame* held = store_.find(seq)) retransmit(*held, /*trace=*/"retransmit");
   }
 }
 
@@ -1047,7 +1029,7 @@ void TotemNode::arm_recovery_timer() {
         // Keep entries at or below the commit base for serving other
         // recovering members; anything above it belongs to a sequence range
         // the reformed ring may reassign and must not be replayed.
-        store_.erase(store_.upper_bound(commit_->base_seq), store_.end());
+        store_.erase_above(commit_->base_seq);
         partial_.clear();
         stats_.forced_demotions += 1;
         recovery_stalls_ = 0;

@@ -30,6 +30,7 @@
 #include "sim/ethernet.hpp"
 #include "sim/simulator.hpp"
 #include "totem/frames.hpp"
+#include "totem/seq_store.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 
@@ -109,11 +110,15 @@ struct View {
 };
 
 /// A totally-ordered, reassembled message handed to the layer above.
+///
+/// The payload is lent, not owned: it points into the endpoint's frame store
+/// (or its reassembly buffer) and is valid only until on_deliver returns. A
+/// listener that keeps the bytes copies them.
 struct Delivery {
   NodeId sender;
   ViewId view;
   std::uint64_t seq = 0;  ///< sequence number of the message's last fragment
-  util::Bytes payload;
+  util::BytesView payload;
 };
 
 /// Callbacks into the layer above. Invoked from simulation events; the
@@ -201,7 +206,7 @@ class TotemNode : public sim::Station {
   };
 
   // ---- frame handlers ----
-  void handle_data(const DataFrame& f);
+  void handle_data(DataFrame&& f);
   void handle_token(NodeId from, TokenFrame token);
   void handle_join(NodeId from, const JoinFrame& f);
   void handle_commit(NodeId from, const CommitFrame& f);
@@ -212,6 +217,10 @@ class TotemNode : public sim::Station {
   // ---- normal operation ----
   void advance_delivery();
   void deliver_frame(const DataFrame& f);
+  void deliver(const Delivery& d);
+  /// Re-sends a held frame on request; `trace` names the trace event to
+  /// record (nullptr: the caller records its own).
+  void retransmit(DataFrame& held, const char* trace);
   void send_fragments(TokenFrame& token);
   void originate(DataFrame f);
   /// Current batch window: config'd max, or the adaptive window when enabled.
@@ -260,7 +269,7 @@ class TotemNode : public sim::Station {
 
   // Sequencing / delivery.
   std::uint64_t delivered_up_to_ = 0;  ///< aru: contiguous prefix delivered
-  std::map<std::uint64_t, DataFrame> store_;  ///< frames by seq (delivery + rtx)
+  SeqStore store_;  ///< frames by seq (delivery + rtx)
   std::map<std::pair<std::uint32_t, std::uint64_t>, util::Bytes> partial_;  ///< reassembly
   std::deque<PendingFragment> send_queue_;
   std::uint64_t next_msg_id_ = 1;
@@ -280,7 +289,7 @@ class TotemNode : public sim::Station {
   // Token state.
   sim::EventId token_timer_{};
   sim::EventId pass_timer_{};
-  std::optional<TokenFrame> held_token_;
+  std::optional<TokenFrame> held_token_;  ///< single-member ring: token waiting to self-pass
 
   // Gather/recovery state.
   std::set<NodeId> gather_alive_;

@@ -133,25 +133,19 @@ double CdrReader::get_f64() {
   return v;
 }
 
-std::string CdrReader::get_string() {
+std::string_view CdrReader::get_string_view() {
   const std::uint32_t len = get_u32();
   if (len == 0) throw CdrError("CDR string with zero length (must include NUL)");
   require(len);
   if (data_[pos_ + len - 1] != 0) throw CdrError("CDR string missing NUL terminator");
-  std::string s(reinterpret_cast<const char*>(data_.data() + pos_), len - 1);
+  std::string_view s(reinterpret_cast<const char*>(data_.data() + pos_), len - 1);
   pos_ += len;
   return s;
 }
 
-Bytes CdrReader::get_octets() {
-  const std::uint32_t len = get_u32();
-  return get_raw(len);
-}
-
-Bytes CdrReader::get_raw(std::size_t n) {
+BytesView CdrReader::get_raw_view(std::size_t n) {
   require(n);
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  const BytesView out = data_.subspan(pos_, n);
   pos_ += n;
   return out;
 }

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "util/bytes.hpp"
 
@@ -37,7 +38,13 @@ class CdrWriter {
  public:
   /// `order` is the byte order to encode with; defaults to host order, which
   /// is what a real ORB does (writers write native, readers swap).
-  explicit CdrWriter(ByteOrder order = host_byte_order()) : order_(order) {}
+  /// `capacity` is the expected encoded size: an encoder that knows its
+  /// exact size, or an upper bound, allocates the buffer once instead of
+  /// growing it through every power of two.
+  explicit CdrWriter(ByteOrder order = host_byte_order(), std::size_t capacity = 0)
+      : order_(order) {
+    if (capacity != 0) buf_.reserve(capacity);
+  }
 
   ByteOrder order() const noexcept { return order_; }
 
@@ -94,11 +101,16 @@ class CdrReader {
   std::int32_t get_i32() { return static_cast<std::int32_t>(get_u32()); }
   std::int64_t get_i64() { return static_cast<std::int64_t>(get_u64()); }
   double get_f64();
-  std::string get_string();
-  Bytes get_octets();
+  std::string get_string() { return std::string(get_string_view()); }
+  Bytes get_octets() { return to_bytes(get_octets_view()); }
 
   /// Reads `n` raw bytes with no alignment.
-  Bytes get_raw(std::size_t n);
+  Bytes get_raw(std::size_t n) { return to_bytes(get_raw_view(n)); }
+
+  // In-place variants: views into the reader's buffer, valid as long as it.
+  std::string_view get_string_view();
+  BytesView get_octets_view() { return get_raw_view(get_u32()); }
+  BytesView get_raw_view(std::size_t n);
 
   void align(std::size_t n);
 
@@ -120,6 +132,7 @@ class CdrReader {
 
  private:
   void require(std::size_t n);
+  static Bytes to_bytes(BytesView v) { return Bytes(v.begin(), v.end()); }
 
   BytesView data_;
   ByteOrder order_;

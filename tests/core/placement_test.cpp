@@ -6,6 +6,7 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "core/deployment.hpp"
 #include "core/placement.hpp"
@@ -97,6 +98,38 @@ TEST(RingPlacement, PinsWinOverTheHash) {
   // Unpinned groups are untouched by the pin table.
   for (std::uint32_t g = 100; g <= 120; ++g)
     EXPECT_EQ(pinned.ring_of(GroupId{g}), hashed.ring_of(GroupId{g}));
+}
+
+TEST(RingPlacement, FirstGroupsLandWhereTheyAlwaysHave) {
+  // Placement is part of every deployment's wire behaviour (envelopes carry
+  // the ring index), so the hash walk may never change silently. Values
+  // computed on a little-endian host (hash inputs are host-order words).
+  const std::vector<std::uint32_t> two = {0, 1, 0, 1, 1, 0, 0, 1, 0, 0, 1, 1,
+                                          0, 0, 0, 0, 1, 0, 1, 1, 0, 1, 1, 0};
+  const std::vector<std::uint32_t> four = {2, 1, 3, 3, 2, 3, 0, 2, 0, 0, 2, 3,
+                                           3, 2, 2, 0, 2, 2, 2, 1, 2, 2, 1, 3};
+  const RingPlacement p2(ring_cfg(2));
+  const RingPlacement p4(ring_cfg(4));
+  for (int pass = 0; pass < 2; ++pass) {  // first lookup, then the memo
+    for (std::uint32_t g = 1; g <= 24; ++g) {
+      EXPECT_EQ(p2.ring_of(GroupId{g}), two[g - 1]) << "group " << g;
+      EXPECT_EQ(p4.ring_of(GroupId{g}), four[g - 1]) << "group " << g;
+    }
+  }
+}
+
+TEST(RingPlacement, LatePinOverridesAnEarlierLookup) {
+  RingPlacement placement(ring_cfg(4));
+  const RingPlacement reference(ring_cfg(4));
+  // Looked up first (memoised), pinned afterwards: the pin must win.
+  for (std::uint32_t g = 1; g <= 32; ++g) (void)placement.ring_of(GroupId{g});
+  for (std::uint32_t g = 1; g <= 32; g += 2) {
+    placement.pin(GroupId{g}, (reference.ring_of(GroupId{g}) + 1) % 4);
+  }
+  for (std::uint32_t g = 1; g <= 32; ++g) {
+    const std::uint32_t hashed = reference.ring_of(GroupId{g});
+    EXPECT_EQ(placement.ring_of(GroupId{g}), g % 2 == 1 ? (hashed + 1) % 4 : hashed) << g;
+  }
 }
 
 TEST(RingPlacement, RejectsImpossibleConfigurations) {

@@ -122,12 +122,13 @@ TEST(Giop, RejectsBadReplyStatus) {
 }
 
 TEST(Giop, InspectExtractsHeaderFields) {
-  auto info = inspect(encode(sample_request()));
+  const Bytes wire = encode(sample_request());  // inspect lends views into it
+  auto info = inspect(wire);
   ASSERT_TRUE(info.has_value());
   EXPECT_EQ(info->type, MsgType::kRequest);
   EXPECT_EQ(info->request_id, 350u);
   EXPECT_EQ(info->operation, "withdraw");
-  EXPECT_EQ(info->object_key, util::bytes_of("bank-account-17"));
+  EXPECT_EQ(util::text_of(info->object_key), "bank-account-17");
   EXPECT_TRUE(info->response_expected);
   EXPECT_TRUE(info->has_context(kCodeSetsContextId));
   EXPECT_TRUE(info->has_context(kVendorHandshakeContextId));

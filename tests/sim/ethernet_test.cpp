@@ -132,5 +132,34 @@ TEST_F(EthernetTest, ReattachAfterCrashReceivesAgain) {
   EXPECT_EQ(b.frames[0].second, (Bytes{2}));
 }
 
+TEST_F(EthernetTest, ReentrantBroadcastKeepsDeliveredFrameIntact) {
+  // A station that answers from inside on_frame: its broadcasts take new
+  // in-flight slots (growing the table) while the frame it is reading is
+  // still lent to it, and every slot is reused once its receivers are done.
+  struct Echo : Station {
+    Ethernet* ether = nullptr;
+    std::vector<Bytes> seen_before, seen_after;
+    void on_frame(NodeId, util::BytesView payload) override {
+      seen_before.emplace_back(payload.begin(), payload.end());
+      if (payload.size() == 64) {
+        for (std::uint8_t i = 0; i < 8; ++i) ether->broadcast(NodeId{4}, Bytes(16, i));
+      }
+      seen_after.emplace_back(payload.begin(), payload.end());
+    }
+  } echo;
+  echo.ether = &ether;
+  ether.attach(NodeId{4}, &echo);
+  for (int round = 0; round < 3; ++round) {
+    ether.broadcast(NodeId{1}, Bytes(64, static_cast<std::uint8_t>(0xA0 + round)));
+    sim.run();
+  }
+  EXPECT_EQ(echo.seen_before, echo.seen_after);
+  ASSERT_EQ(echo.seen_before.size(), 3u);
+  EXPECT_EQ(echo.seen_before[2], Bytes(64, 0xA2));
+  // Each round: the 64-byte frame plus the echo's 8 answers reach b and c.
+  EXPECT_EQ(b.frames.size(), 27u);
+  EXPECT_EQ(c.frames.back().second, Bytes(16, 7));
+}
+
 }  // namespace
 }  // namespace eternal::sim

@@ -176,6 +176,13 @@ TEST(TotemFrames, DataOverheadIsStable) {
 
 // ------------------------------------------------------------- batch framing
 
+/// unpack_batch lends views into the blob; copy them out for comparison.
+std::vector<Bytes> owned(const std::vector<BytesView>& views) {
+  std::vector<Bytes> out;
+  for (BytesView v : views) out.emplace_back(v.begin(), v.end());
+  return out;
+}
+
 DataFrame batched_frame(const std::vector<Bytes>& msgs) {
   DataFrame f;
   f.view = ViewId{3};
@@ -196,7 +203,7 @@ TEST(TotemBatchFraming, BatchedFrameRoundTrips) {
   EXPECT_EQ(d.batch_count, 4u);
   auto unpacked = unpack_batch(d.payload, d.batch_count);
   ASSERT_TRUE(unpacked.has_value());
-  EXPECT_EQ(*unpacked, msgs);
+  EXPECT_EQ(owned(*unpacked), msgs);
 }
 
 TEST(TotemBatchFraming, SingleMessageIsWireIdenticalToUnbatched) {
@@ -222,10 +229,10 @@ TEST(TotemBatchFraming, RandomRoundTripProperty) {
       for (auto& b : m) b = static_cast<std::uint8_t>(rng.next());
       msgs.push_back(std::move(m));
     }
-    auto unpacked =
-        unpack_batch(pack_batch(msgs), static_cast<std::uint32_t>(msgs.size()));
+    const Bytes blob = pack_batch(msgs);
+    auto unpacked = unpack_batch(blob, static_cast<std::uint32_t>(msgs.size()));
     ASSERT_TRUE(unpacked.has_value()) << "iter " << iter;
-    EXPECT_EQ(*unpacked, msgs) << "iter " << iter;
+    EXPECT_EQ(owned(*unpacked), msgs) << "iter " << iter;
   }
 }
 
@@ -249,7 +256,7 @@ TEST(TotemBatchFraming, MaxSizeBatchFitsOneEthernetFrame) {
   EXPECT_LE(data_frame_overhead() + blob.size(), 1500u);
   auto unpacked = unpack_batch(blob, static_cast<std::uint32_t>(msgs.size()));
   ASSERT_TRUE(unpacked.has_value());
-  EXPECT_EQ(*unpacked, msgs);
+  EXPECT_EQ(owned(*unpacked), msgs);
 }
 
 TEST(TotemBatchFraming, MalformedBatchRejected) {

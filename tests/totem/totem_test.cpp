@@ -28,7 +28,7 @@ struct Sink : TotemListener {
   std::vector<Rec> delivered;
   std::vector<View> views;
   void on_deliver(const Delivery& d) override {
-    delivered.push_back(Rec{d.sender, d.seq, d.payload});
+    delivered.push_back(Rec{d.sender, d.seq, Bytes(d.payload.begin(), d.payload.end())});
   }
   void on_view_change(const View& v) override { views.push_back(v); }
 };
