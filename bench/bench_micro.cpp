@@ -99,6 +99,22 @@ void BM_EnvelopeRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_EnvelopeRoundTrip);
 
+/// The delivery path's decode: header fields plus views into the buffer.
+void BM_DecodeEnvelopeView(benchmark::State& state) {
+  core::Envelope e;
+  e.kind = core::EnvelopeKind::kRequest;
+  e.client_group = util::GroupId{7};
+  e.target_group = util::GroupId{9};
+  e.op_seq = 123456;
+  e.payload.assign(static_cast<std::size_t>(state.range(0)), 0xEE);
+  const util::Bytes wire = core::encode_envelope(e);
+  for (auto _ : state) {
+    const auto view = core::decode_envelope_view(wire);
+    benchmark::DoNotOptimize(view->op_seq + view->payload.size());
+  }
+}
+BENCHMARK(BM_DecodeEnvelopeView)->Arg(512)->Arg(16384);
+
 /// One event scheduled and fired, with the small capture every hot-path
 /// event carries (a pointer and a couple of ids).
 void BM_SimulatorScheduleFire(benchmark::State& state) {

@@ -72,14 +72,22 @@ cmake --build build-asan -j"$JOBS" --target \
   batching_equivalence_test exec_conformance_test bulk_transfer_conformance_test \
   chaos_script_test fleet_stats_test \
   sim_test totem_test totem_protocol_test util_test giop_test placement_test \
-  decode_fuzz_test
+  core_unit_test passive_test stable_storage_test recovery_hazards_test \
+  fast_state_transfer_test critpath_test decode_fuzz_test
 # sim_test: simulator slab + small-buffer callables, Ethernet in-flight slots;
 # totem_test/totem_protocol_test: frames and the seq-indexed frame store;
-# util_test/giop_test: CDR in-place readers and GIOP inspection;
-# placement_test: the memoised ring map.
+# util_test/giop_test: CDR in-place readers, GIOP inspection, request-id
+# patching; placement_test: the memoised ring map.
+# Delivery dispatches envelope views that borrow from the Totem delivery, so
+# a view kept past its callback is a use-after-free: core_unit_test (the
+# envelope view and SeqWindow), passive_test and stable_storage_test (logged
+# and persisted messages), recovery_hazards_test and fast_state_transfer_test
+# (state, chunk and bulk envelopes), critpath_test (traced replies).
 for t in obs_test spans_test integration_smoke_test recovery_edge_test quiescence_test \
          chaos_script_test fleet_stats_test \
-         sim_test totem_test totem_protocol_test util_test giop_test placement_test; do
+         sim_test totem_test totem_protocol_test util_test giop_test placement_test \
+         core_unit_test passive_test stable_storage_test recovery_hazards_test \
+         fast_state_transfer_test critpath_test; do
   "build-asan/tests/$t"
 done
 # Every decoder under the sanitizers, with the tier-1 fuzz budget.

@@ -50,12 +50,13 @@ Bytes encode_envelope(const Envelope& e) {
   return std::move(w).take();
 }
 
-std::optional<Envelope> decode_envelope(BytesView data) {
+std::optional<EnvelopeView> decode_envelope_view(BytesView data) {
   try {
     if (data.size() < 4) return std::nullopt;
     util::CdrReader r(data, static_cast<util::ByteOrder>(data[0] & 1));
     (void)r.get_u8();
-    Envelope e;
+    EnvelopeView e;
+    e.order_ = r.order();
     e.kind = static_cast<EnvelopeKind>(r.get_u8());
     if (static_cast<std::uint8_t>(e.kind) < 1 || static_cast<std::uint8_t>(e.kind) > 11) {
       return std::nullopt;
@@ -83,9 +84,11 @@ std::optional<Envelope> decode_envelope(BytesView data) {
       e.total_bytes = r.get_u64();
       e.extent_bytes = r.get_u32();
       const std::uint32_t n_digests = r.get_count(8);
-      e.extent_digests.reserve(n_digests);
-      for (std::uint32_t i = 0; i < n_digests; ++i) {
-        e.extent_digests.push_back(r.get_u64());
+      if (n_digests > 0) {
+        // The digests are consecutive u64s: one 8-byte alignment, then no
+        // padding between them.
+        r.align(8);
+        e.digests_ = r.get_raw_view(8 * std::size_t{n_digests});
       }
       // Shared bulk geometry: a transfer is named, non-empty, and its extent
       // grid covers total_bytes exactly (the last extent is the remainder).
@@ -99,16 +102,16 @@ std::optional<Envelope> decode_envelope(BytesView data) {
         if (e.total_bytes > grid || e.total_bytes <= prefix) return std::nullopt;
       }
       if (e.kind == EnvelopeKind::kStateBulkDescriptor) {
-        if (e.extent_digests.size() != e.chunk_count) return std::nullopt;
+        if (n_digests != e.chunk_count) return std::nullopt;
       }
       if (e.kind == EnvelopeKind::kBulkExtent || e.kind == EnvelopeKind::kBulkAck) {
         if (e.chunk_index >= e.chunk_count) return std::nullopt;
       }
     }
-    e.payload = r.get_octets();
-    e.orb_state = r.get_octets();
-    e.infra_state = r.get_octets();
-    e.control_data = r.get_octets();
+    e.payload = r.get_octets_view();
+    e.orb_state = r.get_octets_view();
+    e.infra_state = r.get_octets_view();
+    e.control_data = r.get_octets_view();
     if (e.kind == EnvelopeKind::kBulkExtent) {
       // The payload must be exactly this extent's slice of total_bytes —
       // overlap/overflow cannot be expressed.
@@ -122,6 +125,27 @@ std::optional<Envelope> decode_envelope(BytesView data) {
   } catch (const util::CdrError&) {
     return std::nullopt;
   }
+}
+
+Envelope EnvelopeView::own() const {
+  Envelope e;
+  static_cast<EnvelopeHeader&>(e) = *this;
+  if (!digests_.empty()) {
+    util::CdrReader r(digests_, order_);
+    e.extent_digests.resize(digests_.size() / 8);
+    for (std::uint64_t& d : e.extent_digests) d = r.get_u64();
+  }
+  e.payload.assign(payload.begin(), payload.end());
+  e.orb_state.assign(orb_state.begin(), orb_state.end());
+  e.infra_state.assign(infra_state.begin(), infra_state.end());
+  e.control_data.assign(control_data.begin(), control_data.end());
+  return e;
+}
+
+std::optional<Envelope> decode_envelope(BytesView data) {
+  std::optional<EnvelopeView> view = decode_envelope_view(data);
+  if (!view) return std::nullopt;
+  return view->own();
 }
 
 Bytes encode_initial_members(const std::vector<InitialMember>& members) {

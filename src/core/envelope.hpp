@@ -59,8 +59,9 @@ enum class ControlOp : std::uint8_t {
 /// past a node's per-ring endpoint tables.
 inline constexpr std::uint32_t kMaxRings = 64;
 
-/// One Eternal multicast message.
-struct Envelope {
+/// The fixed-size fields of one Eternal multicast message, shared by the
+/// owning Envelope and the borrowing EnvelopeView.
+struct EnvelopeHeader {
   EnvelopeKind kind = EnvelopeKind::kRequest;
 
   /// Index of the Totem ring that orders this envelope (core/placement.hpp:
@@ -110,11 +111,18 @@ struct Envelope {
   /// (ordinary envelopes are byte-identical to the pre-bulk format).
   /// transfer_id names one bulk transfer attempt; total_bytes is the encoded
   /// inner envelope's size; extent_bytes the slice width (the last extent may
-  /// be shorter); extent_digests the per-extent FNV-1a digests (descriptor
-  /// only — extents/acks carry an empty list).
+  /// be shorter).
   std::uint64_t transfer_id = 0;
   std::uint64_t total_bytes = 0;
   std::uint32_t extent_bytes = 0;
+
+  bool operator==(const EnvelopeHeader&) const = default;
+};
+
+/// One Eternal multicast message.
+struct Envelope : EnvelopeHeader {
+  /// Bulk kinds: the per-extent FNV-1a digests (descriptor only — extents
+  /// and acks carry an empty list).
   std::vector<std::uint64_t> extent_digests;
 
   /// kRequest/kReply: the untouched IIOP message bytes.
@@ -130,12 +138,43 @@ struct Envelope {
 
   /// kControl kCreateGroup: serialized group descriptor.
   Bytes control_data;
+
+  bool operator==(const Envelope&) const = default;
+};
+
+/// A decoded envelope that borrows its blobs from the decoded buffer.
+///
+/// The header fields are plain values; payload, orb_state, infra_state,
+/// control_data and the extent digests point into the buffer passed to
+/// decode_envelope_view and are valid only while it is alive and unchanged
+/// (for a Totem delivery: the duration of the delivery callback). Anything
+/// that must outlive that copies — own() for the whole envelope, or just the
+/// blob it keeps.
+struct EnvelopeView : EnvelopeHeader {
+  BytesView payload;
+  BytesView orb_state;
+  BytesView infra_state;
+  BytesView control_data;
+
+  /// Copies everything out into an owning Envelope.
+  Envelope own() const;
+
+ private:
+  friend std::optional<EnvelopeView> decode_envelope_view(BytesView data);
+
+  BytesView digests_;  ///< the aligned u64 digests, in order_
+  util::ByteOrder order_ = util::ByteOrder::kLittle;
 };
 
 /// Serializes an envelope for multicasting.
 Bytes encode_envelope(const Envelope& e);
 
-/// Decodes; nullopt on malformed bytes.
+/// Parses in place; allocates nothing. nullopt on malformed bytes. This is
+/// the one envelope parser: decode_envelope is its owning form.
+std::optional<EnvelopeView> decode_envelope_view(BytesView data);
+
+/// Decodes into an owning Envelope; nullopt on malformed bytes (exactly the
+/// inputs decode_envelope_view rejects).
 std::optional<Envelope> decode_envelope(BytesView data);
 
 /// Initial-member list carried in a kCreateGroup envelope's payload.

@@ -14,26 +14,6 @@ namespace {
 
 constexpr const char* kTag = "eternal";
 
-/// Rewrites the GIOP request_id of a framed Request or Reply, preserving
-/// everything else. This is how Eternal keeps the GIOP headers of new and
-/// existing replicas consistent (§4.2.1): translation at the interception
-/// boundary, never inside the ORB.
-util::Bytes rewrite_request_id(util::BytesView iiop, std::uint32_t new_rid) {
-  std::optional<giop::Message> msg = giop::decode(iiop);
-  if (!msg) return util::Bytes(iiop.begin(), iiop.end());
-  if (msg->type() == giop::MsgType::kRequest) {
-    giop::Request m = std::get<giop::Request>(std::move(msg->body));
-    m.request_id = new_rid;
-    return giop::encode(m, msg->order);
-  }
-  if (msg->type() == giop::MsgType::kReply) {
-    giop::Reply m = std::get<giop::Reply>(std::move(msg->body));
-    m.request_id = new_rid;
-    return giop::encode(m, msg->order);
-  }
-  return util::Bytes(iiop.begin(), iiop.end());
-}
-
 GroupId group_of_endpoint(const orb::Endpoint& e) {
   return GroupId{e.host.value - orb::kGroupHostBase};
 }
@@ -446,25 +426,26 @@ void Mechanisms::capture_request(const orb::Endpoint& to, util::Bytes iiop,
   if (is_handshake && conn.handshake_done && config_.replay_handshakes &&
       !conn.handshake_reply.empty()) {
     stats_.handshakes_answered_locally += 1;
-    util::Bytes reply = rewrite_request_id(conn.handshake_reply, info.request_id);
+    util::Bytes reply = conn.handshake_reply;
+    giop::set_request_id(reply, info.request_id);
     tap_.inject(to, reply);
     return;
   }
 
   // Group-consistent request_id: with synchronization on, Eternal assigns
-  // the next group-wide id and rewrites the GIOP header; with the ablation
+  // the next group-wide id and rewrites the GIOP header — translation at the
+  // interception boundary, never inside the ORB (§4.2.1); with the ablation
   // off, the ORB's own (possibly divergent) id goes out unmodified.
   std::uint64_t group_rid;
-  util::Bytes wire;
+  util::Bytes wire = std::move(iiop);
   if (config_.sync_request_ids) {
     group_rid = conn.next_group_rid++;
-    wire = (group_rid == info.request_id)
-               ? std::move(iiop)
-               : rewrite_request_id(iiop, static_cast<std::uint32_t>(group_rid));
+    if (group_rid != info.request_id) {
+      giop::set_request_id(wire, static_cast<std::uint32_t>(group_rid));
+    }
   } else {
     group_rid = info.request_id;
     conn.next_group_rid = std::max(conn.next_group_rid, group_rid + 1);
-    wire = std::move(iiop);
   }
   conn.local_to_group[info.request_id] = group_rid;
   conn.group_to_local[group_rid] = info.request_id;
@@ -483,7 +464,8 @@ void Mechanisms::capture_request(const orb::Endpoint& to, util::Bytes iiop,
     auto cached = conn.reply_cache.find(group_rid);
     if (cached != conn.reply_cache.end()) {
       stats_.replies_answered_from_cache += 1;
-      util::Bytes reply = rewrite_request_id(cached->second, info.request_id);
+      util::Bytes reply = cached->second;
+      giop::set_request_id(reply, info.request_id);
       tap_.inject(to, reply);
       return;
     }

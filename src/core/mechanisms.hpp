@@ -430,8 +430,13 @@ class Mechanisms final : public interceptor::Diversion,
   GroupId client_group_for(GroupId server_group);
 
   // ---- delivery ----
-  void deliver_request(const Envelope& e);
-  void deliver_reply(const Envelope& e);
+  // Requests and replies are dispatched as views borrowing from the Totem
+  // delivery (valid for the callback only); they copy what they keep.
+  void deliver_request(const EnvelopeView& e);
+  void deliver_reply(const EnvelopeView& e);
+  /// Appends an owned copy of a delivered message to its group's log and
+  /// persists it.
+  void log_message(const EnvelopeView& e);
   void deliver_get_state(const Envelope& e);
   void deliver_set_state(const Envelope& e);
   void deliver_checkpoint(const Envelope& e);
@@ -455,7 +460,7 @@ class Mechanisms final : public interceptor::Diversion,
   /// Records a request joining a replica's execution order — from the live
   /// queue or the replayed log. The InvariantChecker's replay-order rule
   /// requires every injected request to appear here first, in order.
-  void trace_enqueue(const LocalReplica& r, const Envelope& e);
+  void trace_enqueue(const LocalReplica& r, const EnvelopeHeader& e);
   void pump(LocalReplica& r);
   void inject_request_item(LocalReplica& r, const QueueItem& item);
   void inject_get_state(LocalReplica& r, const Envelope& e);

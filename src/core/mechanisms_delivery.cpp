@@ -12,17 +12,6 @@ namespace eternal::core {
 
 namespace {
 constexpr const char* kTag = "eternal";
-
-util::Bytes rewrite_reply_id(util::BytesView iiop, std::uint32_t new_rid) {
-  std::optional<giop::Message> msg = giop::decode(iiop);
-  if (!msg || msg->type() != giop::MsgType::kReply) {
-    return util::Bytes(iiop.begin(), iiop.end());
-  }
-  giop::Reply m = std::get<giop::Reply>(std::move(msg->body));
-  if (m.request_id == new_rid) return util::Bytes(iiop.begin(), iiop.end());
-  m.request_id = new_rid;
-  return giop::encode(m, msg->order);
-}
 }  // namespace
 
 // ------------------------------------------------------------ totem listener
@@ -32,7 +21,10 @@ void Mechanisms::on_deliver(const totem::Delivery& delivery) {
 }
 
 void Mechanisms::on_deliver_on(std::uint32_t ring, const totem::Delivery& delivery) {
-  std::optional<Envelope> env = decode_envelope(delivery.payload);
+  // The envelope borrows from the delivery, which Totem lends for this
+  // callback only. Requests and replies copy out just what is kept; the
+  // rare kinds own a copy on entry.
+  std::optional<EnvelopeView> env = decode_envelope_view(delivery.payload);
   if (!env) {
     ETERNAL_LOG(kWarn, kTag, "malformed envelope delivered; dropped");
     return;
@@ -55,13 +47,13 @@ void Mechanisms::on_deliver_on(std::uint32_t ring, const totem::Delivery& delive
   switch (env->kind) {
     case EnvelopeKind::kRequest: deliver_request(*env); return;
     case EnvelopeKind::kReply: deliver_reply(*env); return;
-    case EnvelopeKind::kGetState: deliver_get_state(*env); return;
-    case EnvelopeKind::kSetState: deliver_set_state(*env); return;
-    case EnvelopeKind::kCheckpoint: deliver_checkpoint(*env); return;
-    case EnvelopeKind::kControl: deliver_control(*env); return;
-    case EnvelopeKind::kStateChunk: deliver_state_chunk(*env); return;
-    case EnvelopeKind::kStateBulkDescriptor: deliver_bulk_descriptor(*env); return;
-    case EnvelopeKind::kStateBulkComplete: deliver_bulk_marker(*env); return;
+    case EnvelopeKind::kGetState: deliver_get_state(env->own()); return;
+    case EnvelopeKind::kSetState: deliver_set_state(env->own()); return;
+    case EnvelopeKind::kCheckpoint: deliver_checkpoint(env->own()); return;
+    case EnvelopeKind::kControl: deliver_control(env->own()); return;
+    case EnvelopeKind::kStateChunk: deliver_state_chunk(env->own()); return;
+    case EnvelopeKind::kStateBulkDescriptor: deliver_bulk_descriptor(env->own()); return;
+    case EnvelopeKind::kStateBulkComplete: deliver_bulk_marker(env->own()); return;
     case EnvelopeKind::kBulkExtent:
     case EnvelopeKind::kBulkAck:
       // Lane-only kinds; one multicast on the ring would order raw state
@@ -238,7 +230,7 @@ void Mechanisms::reset_ring_state(std::uint32_t ring) {
 
 // ------------------------------------------------------------------ routing
 
-void Mechanisms::deliver_request(const Envelope& e) {
+void Mechanisms::deliver_request(const EnvelopeView& e) {
   SeqWindow& seen = req_seen_[std::make_pair(e.client_group.value, e.target_group.value)];
   if (!seen.test_and_insert(e.op_seq)) {
     stats_.duplicate_requests_suppressed += 1;
@@ -273,7 +265,8 @@ void Mechanisms::deliver_request(const Envelope& e) {
   std::optional<giop::Inspection> info = giop::inspect(e.payload);
   if (stakeholder && info && info->has_context(giop::kVendorHandshakeContextId)) {
     server_handshakes_[std::make_pair(e.target_group.value,
-                                      orb::group_endpoint(e.client_group))] = e.payload;
+                                      orb::group_endpoint(e.client_group))]
+        .assign(e.payload.begin(), e.payload.end());
     stats_.handshakes_stored += 1;
   }
 
@@ -294,12 +287,10 @@ void Mechanisms::deliver_request(const Envelope& e) {
         // log as every other log-keeping site, so a total failure can be
         // restored from *any* surviving stakeholder (§3.3).
         if (passive) {
-          logs_[e.target_group.value].append(e);
-          stats_.messages_logged += 1;
-          persist_append(e.target_group, e);
+          log_message(e);
         }
         trace_enqueue(*r, e);
-        QueueItem item{QueueItem::Kind::kRequest, e};
+        QueueItem item{QueueItem::Kind::kRequest, e.own()};
         if (trace != 0) {
           item.trace = trace;
           item.span = spans->begin(trace, spans->find_named(trace, "invocation"),
@@ -318,12 +309,10 @@ void Mechanisms::deliver_request(const Envelope& e) {
         // after recovery AND keeps this node's log gap-free should it have
         // to restore the whole group from it later.
         if (passive) {
-          logs_[e.target_group.value].append(e);
-          stats_.messages_logged += 1;
-          persist_append(e.target_group, e);
+          log_message(e);
         } else {
           trace_enqueue(*r, e);
-          QueueItem item{QueueItem::Kind::kRequest, e};
+          QueueItem item{QueueItem::Kind::kRequest, e.own()};
           if (trace != 0) {
             item.trace = trace;
             item.span = spans->begin(trace, spans->find_named(trace, "invocation"),
@@ -338,18 +327,14 @@ void Mechanisms::deliver_request(const Envelope& e) {
       }
       case Phase::kBackup:
       case Phase::kReplaying: {
-        logs_[e.target_group.value].append(e);
-        stats_.messages_logged += 1;
-        persist_append(e.target_group, e);
+        log_message(e);
         return;
       }
       case Phase::kDead:
         // The process is gone, but a passive log-keeping site must not
         // develop a gap: keep logging until the replacement takes over.
         if (passive) {
-          logs_[e.target_group.value].append(e);
-          stats_.messages_logged += 1;
-          persist_append(e.target_group, e);
+          log_message(e);
         }
         return;
     }
@@ -361,13 +346,11 @@ void Mechanisms::deliver_request(const Envelope& e) {
   if (passive &&
       std::find(entry->desc.backup_nodes.begin(), entry->desc.backup_nodes.end(), node_) !=
           entry->desc.backup_nodes.end()) {
-    logs_[e.target_group.value].append(e);
-    stats_.messages_logged += 1;
-    persist_append(e.target_group, e);
+    log_message(e);
   }
 }
 
-void Mechanisms::deliver_reply(const Envelope& e) {
+void Mechanisms::deliver_reply(const EnvelopeView& e) {
   SeqWindow& seen = reply_seen_[std::make_pair(e.client_group.value, e.target_group.value)];
   if (!seen.test_and_insert(e.op_seq)) {
     stats_.duplicate_replies_suppressed += 1;
@@ -400,12 +383,12 @@ void Mechanisms::deliver_reply(const Envelope& e) {
 
   OutboundConn& conn = outbound_conn(e.client_group, e.target_group);
   if (conn.handshake_group_rid.has_value() && *conn.handshake_group_rid == e.op_seq) {
-    conn.handshake_reply = e.payload;
+    conn.handshake_reply.assign(e.payload.begin(), e.payload.end());
     conn.handshake_done = true;
   }
   // Cache for passive-promotion replay (re-issued invocations are answered
   // from here instead of re-executing at the servers).
-  conn.reply_cache[e.op_seq] = e.payload;
+  conn.reply_cache[e.op_seq].assign(e.payload.begin(), e.payload.end());
   while (conn.reply_cache.size() > config_.reply_cache_cap) {
     conn.reply_cache.erase(conn.reply_cache.begin());
   }
@@ -419,25 +402,29 @@ void Mechanisms::deliver_reply(const Envelope& e) {
     return;
   }
 
+  stats_.replies_delivered += 1;
+  const std::optional<giop::Inspection> info = giop::inspect(e.payload);
+  // The first client replica to hand the reply to its ORB completes the
+  // invocation's span tree (duplicates at other clients are suppressed above).
+  if (obs::SpanStore* spans = rec_.spans(); spans != nullptr && info) {
+    if (const obs::TraceId t = info->trace_context()) {
+      spans->end_named(t, "reply", sim_.now());
+      spans->end_named(t, "invocation", sim_.now());
+    }
+  }
   // Translate the group-consistent request_id back to the id this replica's
   // own ORB assigned (§4.2.1). If this replica never issued the operation,
   // the reply goes in untranslated and the ORB's own matching applies.
+  const orb::Endpoint from = orb::group_endpoint(e.target_group);
   auto local_it = conn.group_to_local.find(e.op_seq);
-  util::Bytes wire = (config_.sync_request_ids && local_it != conn.group_to_local.end())
-                         ? rewrite_reply_id(e.payload, local_it->second)
-                         : e.payload;
-  stats_.replies_delivered += 1;
-  // The first client replica to hand the reply to its ORB completes the
-  // invocation's span tree (duplicates at other clients are suppressed above).
-  if (obs::SpanStore* spans = rec_.spans()) {
-    if (auto rinfo = giop::inspect(e.payload)) {
-      if (const obs::TraceId t = rinfo->trace_context()) {
-        spans->end_named(t, "reply", sim_.now());
-        spans->end_named(t, "invocation", sim_.now());
-      }
-    }
+  if (config_.sync_request_ids && local_it != conn.group_to_local.end() && info &&
+      info->type == giop::MsgType::kReply && info->request_id != local_it->second) {
+    util::Bytes wire(e.payload.begin(), e.payload.end());
+    giop::set_request_id(wire, local_it->second);
+    tap_.inject(from, wire);
+    return;
   }
-  tap_.inject(orb::group_endpoint(e.target_group), wire);
+  tap_.inject(from, e.payload);
 }
 
 // ------------------------------------------------------- state transfer path
@@ -1049,7 +1036,14 @@ void Mechanisms::assign_role_after_recovery(LocalReplica& r) {
 
 // ----------------------------------------------------------- queue delivery
 
-void Mechanisms::trace_enqueue(const LocalReplica& r, const Envelope& e) {
+void Mechanisms::log_message(const EnvelopeView& e) {
+  MessageLog& log = logs_[e.target_group.value];
+  log.append(e.own());
+  stats_.messages_logged += 1;
+  persist_append(e.target_group, log.messages().back());
+}
+
+void Mechanisms::trace_enqueue(const LocalReplica& r, const EnvelopeHeader& e) {
   if (!rec_.tracing()) return;
   rec_.record(node_, obs::Layer::kMech, "enqueue", e.op_seq,
               "group=" + std::to_string(r.group.value) +

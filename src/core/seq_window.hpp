@@ -20,6 +20,14 @@ class SeqWindow {
   /// caller should process it), false for a duplicate.
   bool test_and_insert(std::uint64_t seq) {
     if (seq < next_) return false;
+    // In-order fast path: the next number with nothing sparse pending just
+    // advances the prefix (what inserting and compacting would do, without
+    // the set node). The top of the sequence space takes the slow path.
+    if (seq == next_ && sparse_.empty() &&
+        next_ != std::numeric_limits<std::uint64_t>::max()) {
+      ++next_;
+      return true;
+    }
     if (!sparse_.insert(seq).second) return false;
     compact();
     return true;

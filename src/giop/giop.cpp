@@ -269,6 +269,8 @@ std::optional<Inspection> inspect(BytesView data) {
       case MsgType::kRequest:
         out.contexts_at_ = body.position();
         skip_contexts(body);
+        body.align(4);
+        out.request_id_at = body.position();
         out.request_id = body.get_u32();
         out.response_expected = body.get_bool();
         out.object_key = body.get_octets_view();
@@ -279,6 +281,8 @@ std::optional<Inspection> inspect(BytesView data) {
       case MsgType::kReply:
         out.contexts_at_ = body.position();
         skip_contexts(body);
+        body.align(4);
+        out.request_id_at = body.position();
         out.request_id = body.get_u32();
         out.status = body.get_u32();
         if (out.status > static_cast<std::uint32_t>(ReplyStatus::kLocationForward)) {
@@ -287,13 +291,16 @@ std::optional<Inspection> inspect(BytesView data) {
         out.body = body.get_raw_view(body.remaining());
         return out;
       case MsgType::kCancelRequest:
+        out.request_id_at = body.position();
         out.request_id = body.get_u32();
         return out;
       case MsgType::kLocateRequest:
+        out.request_id_at = body.position();
         out.request_id = body.get_u32();
         out.object_key = body.get_octets_view();
         return out;
       case MsgType::kLocateReply:
+        out.request_id_at = body.position();
         out.request_id = body.get_u32();
         out.status = body.get_u32();
         return out;
@@ -329,6 +336,18 @@ void set_trace_context(ServiceContextList& contexts, std::uint64_t trace_id) {
 }
 
 }  // namespace
+
+bool set_request_id(Bytes& framed, std::uint32_t request_id) {
+  const std::optional<Inspection> info = inspect(framed);
+  if (!info || (info->type != MsgType::kRequest && info->type != MsgType::kReply)) {
+    return false;
+  }
+  for (std::size_t i = 0; i < 4; ++i) {
+    const std::size_t shift = info->order == ByteOrder::kLittle ? 8 * i : 8 * (3 - i);
+    framed[info->request_id_at + i] = static_cast<std::uint8_t>(request_id >> shift);
+  }
+  return true;
+}
 
 Bytes with_trace_context(BytesView framed, std::uint64_t trace_id) {
   std::optional<Message> msg = decode(framed);

@@ -152,6 +152,9 @@ struct Inspection {
   MsgType type = MsgType::kRequest;
   ByteOrder order = ByteOrder::kLittle;
   std::uint32_t request_id = 0;   ///< 0 for types without one
+  /// Offset of the 4-byte request_id within the message; 0 for types
+  /// without one.
+  std::size_t request_id_at = 0;
   BytesView object_key;           ///< Request / LocateRequest only
   std::string_view operation;     ///< Request only
   bool response_expected = true;  ///< Request only
@@ -180,6 +183,11 @@ std::optional<Inspection> inspect(BytesView data);
 /// Returns true when `data` starts with a well-formed GIOP header whose
 /// message size matches the buffer.
 bool is_giop(BytesView data) noexcept;
+
+/// Sets the request_id of a framed Request or Reply in place; every other
+/// byte, the GIOP version included, is left as it was. Any other (or
+/// malformed) message is left unchanged and false is returned.
+bool set_request_id(Bytes& framed, std::uint32_t request_id);
 
 /// Returns `framed` re-encoded with its kTraceContextId service context set
 /// (replaced if present) to the 8-byte little-endian `trace_id`. Only

@@ -386,9 +386,11 @@ void Orb::transmit_invocation(const Endpoint& to, ClientConnection& conn,
 
 void Orb::on_message(const Endpoint& from, BytesView iiop) {
   // Model the ORB's demarshal/dispatch CPU cost as a scheduling delay.
-  auto copy = std::make_shared<util::Bytes>(iiop.begin(), iiop.end());
-  sim_.schedule(config_.dispatch_overhead, [this, from, copy] {
-    std::optional<giop::Message> msg = giop::decode(*copy);
+  // The caller's bytes are lent for this call only; the scheduled event owns
+  // the one copy.
+  sim_.schedule(config_.dispatch_overhead,
+                [this, from, copy = util::Bytes(iiop.begin(), iiop.end())] {
+    std::optional<giop::Message> msg = giop::decode(copy);
     if (!msg) {
       stats_.decode_errors += 1;
       return;

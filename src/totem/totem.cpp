@@ -157,10 +157,14 @@ void TotemNode::multicast(util::Bytes payload) {
     frag.msg_id = msg_id;
     frag.frag_index = static_cast<std::uint32_t>(i);
     frag.frag_count = static_cast<std::uint32_t>(count);
-    const std::size_t begin = i * cap;
-    const std::size_t end = std::min(payload.size(), begin + cap);
-    frag.payload.assign(payload.begin() + static_cast<std::ptrdiff_t>(begin),
-                        payload.begin() + static_cast<std::ptrdiff_t>(end));
+    if (count == 1) {
+      frag.payload = std::move(payload);  // the common case: no copy
+    } else {
+      const std::size_t begin = i * cap;
+      const std::size_t end = std::min(payload.size(), begin + cap);
+      frag.payload.assign(payload.begin() + static_cast<std::ptrdiff_t>(begin),
+                          payload.begin() + static_cast<std::ptrdiff_t>(end));
+    }
     frag.enqueued_at = sim_.now();
     send_queue_.push_back(std::move(frag));
   }

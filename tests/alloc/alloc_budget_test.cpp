@@ -4,9 +4,11 @@
 // asserts how many heap allocations the primitives every replicated
 // invocation passes through may make once their reusable buffers have
 // grown: scheduling and firing events, putting frames on the wire, encoding
-// Totem frames and Eternal envelopes, inspecting GIOP headers and looking up
-// a group's ring. A change that puts an allocation back on one of these
-// paths fails here instead of only moving the benchmark's allocs_per_op.
+// Totem frames and Eternal envelopes, decoding envelopes as views, filtering
+// duplicates, inspecting GIOP headers, handing messages to Totem and the ORB
+// and looking up a group's ring. A change that puts an allocation back on
+// one of these paths fails here instead of only moving the benchmark's
+// allocs_per_op.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,10 +18,13 @@
 
 #include "core/envelope.hpp"
 #include "core/placement.hpp"
+#include "core/seq_window.hpp"
 #include "giop/giop.hpp"
+#include "orb/orb.hpp"
 #include "sim/ethernet.hpp"
 #include "sim/simulator.hpp"
 #include "totem/frames.hpp"
+#include "totem/totem.hpp"
 
 namespace {
 
@@ -188,6 +193,93 @@ TEST(AllocBudget, GiopEncodeAllocatesOnceAndInspectNever) {
   reply.body = Bytes(16, 1);
   EXPECT_EQ(allocs_of([&] { wire = giop::encode(reply); }), 1u);
   EXPECT_EQ(allocs_of([&] { (void)giop::inspect(wire); }), 0u);
+}
+
+TEST(AllocBudget, EnvelopeViewDecodeAllocatesNothing) {
+  core::Envelope e;
+  e.kind = core::EnvelopeKind::kRequest;
+  e.client_group = util::GroupId{7};
+  e.target_group = util::GroupId{9};
+  e.op_seq = 5;
+  e.payload = Bytes(150, 0xEE);
+  const Bytes request = core::encode_envelope(e);
+  std::uint64_t sum = 0;
+  EXPECT_EQ(allocs_of([&] {
+              const auto view = core::decode_envelope_view(request);
+              sum += view->op_seq + view->payload.size();
+            }),
+            0u);
+  EXPECT_EQ(sum, 155u);
+  // Owning it copies the one non-empty blob.
+  EXPECT_EQ(allocs_of([&] { (void)core::decode_envelope(request); }), 1u);
+
+  e.kind = core::EnvelopeKind::kStateBulkDescriptor;
+  e.transfer_id = 3;
+  e.total_bytes = 100;
+  e.extent_bytes = 40;
+  e.chunk_count = 3;
+  e.extent_digests = {11, 22, 33};
+  e.orb_state = Bytes(13, 1);
+  const Bytes descriptor = core::encode_envelope(e);
+  EXPECT_EQ(allocs_of([&] { ASSERT_TRUE(core::decode_envelope_view(descriptor)); }), 0u);
+  // Digests, payload and orb_state.
+  EXPECT_EQ(allocs_of([&] { (void)core::decode_envelope(descriptor); }), 3u);
+}
+
+TEST(AllocBudget, InOrderDuplicateFilterAllocatesNothing) {
+  core::SeqWindow window;
+  bool fresh = true;
+  bool dup = false;
+  EXPECT_EQ(allocs_of([&] {
+              for (std::uint64_t s = 0; s < 1000; ++s) {
+                fresh &= window.test_and_insert(s);
+                dup |= window.test_and_insert(s);
+              }
+            }),
+            0u);
+  EXPECT_TRUE(fresh);
+  EXPECT_FALSE(dup);
+  EXPECT_EQ(window.contiguous_prefix(), 1000u);
+}
+
+TEST(AllocBudget, SingleFragmentMulticastMovesThePayload) {
+  struct Sink : totem::TotemListener {
+    std::size_t delivered = 0;
+    void on_deliver(const totem::Delivery&) override { ++delivered; }
+    void on_view_change(const totem::View&) override {}
+  };
+  sim::Simulator sim;
+  sim::Ethernet ether(sim, sim::EthernetConfig{});
+  Sink sink;
+  totem::TotemNode node(sim, ether, NodeId{1}, totem::TotemConfig{}, &sink);
+  node.start({NodeId{1}});
+  sim.run_for(Duration(500'000));
+  constexpr std::size_t kMessages = 8;
+  std::vector<Bytes> payloads;
+  auto round = [&] {
+    payloads.assign(kMessages, Bytes(200, 0x3C));
+    const std::uint64_t allocs = allocs_of([&] {
+      for (Bytes& p : payloads) node.multicast(std::move(p));
+    });
+    sim.run_for(Duration(50'000));
+    return allocs;
+  };
+  round();
+  // Copying the payloads would cost 8; the send queue may add one block.
+  EXPECT_LE(round(), 1u);
+  EXPECT_EQ(sink.delivered, 2 * kMessages);
+}
+
+TEST(AllocBudget, OrbKeepsOneCopyOfAnInjectedMessage) {
+  sim::Simulator sim;
+  orb::Orb orb(sim, NodeId{1}, orb::OrbConfig{});
+  const Bytes close = giop::encode(giop::CloseConnection{});
+  const orb::Endpoint from{NodeId{2}};
+  orb.on_message(from, close);
+  sim.run();  // warm-up: the event slab grows
+  // The copy lives inside the scheduled event: no shared block around it.
+  EXPECT_EQ(allocs_of([&] { orb.on_message(from, close); }), 1u);
+  sim.run();
 }
 
 TEST(AllocBudget, RepeatedRingLookupAllocatesNothing) {

@@ -2,6 +2,10 @@
 // MessageLog's checkpoint-overwrite semantics.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <limits>
+#include <set>
+
 #include "core/envelope.hpp"
 #include "core/group_table.hpp"
 #include "core/message_log.hpp"
@@ -48,13 +52,6 @@ TEST(Envelope, FullRoundTrip) {
   EXPECT_EQ(d->control_data, e.control_data);
 }
 
-TEST(Envelope, RejectsMalformed) {
-  EXPECT_FALSE(decode_envelope(Bytes{}).has_value());
-  EXPECT_FALSE(decode_envelope(Bytes{0, 1}).has_value());
-  Bytes wire = encode_envelope(Envelope{});
-  wire[1] = 99;  // bad kind
-  EXPECT_FALSE(decode_envelope(wire).has_value());
-}
 
 TEST(Envelope, StateChunkRoundTrip) {
   Envelope e;
@@ -95,6 +92,86 @@ TEST(Envelope, InitialMembersRoundTrip) {
   EXPECT_EQ(decoded[1].id, ReplicaId{2});
   EXPECT_EQ(decoded[1].node, NodeId{20});
   EXPECT_TRUE(decode_initial_members(Bytes{}).empty());
+}
+
+/// One envelope of every kind the decoder accepts, with every blob it can
+/// carry filled in.
+std::vector<Envelope> envelope_samples() {
+  std::vector<Envelope> out;
+  Envelope base;
+  base.ring = 3;
+  base.client_group = GroupId{4};
+  base.target_group = GroupId{11};
+  base.op_seq = 0x0102030405ULL;
+  base.subject = ReplicaId{77};
+  base.subject_node = NodeId{6};
+  base.control_op = ControlOp::kLaunchReplica;
+  base.delta_base = 9;
+  base.payload = Bytes{1, 2, 3, 4, 5};
+  base.orb_state = Bytes{6, 7};
+  base.infra_state = Bytes{8};
+  base.control_data = Bytes{9, 10, 11};
+  for (EnvelopeKind kind :
+       {EnvelopeKind::kRequest, EnvelopeKind::kReply, EnvelopeKind::kGetState,
+        EnvelopeKind::kSetState, EnvelopeKind::kCheckpoint, EnvelopeKind::kControl}) {
+    Envelope e = base;
+    e.kind = kind;
+    out.push_back(e);
+  }
+  Envelope chunk = base;
+  chunk.kind = EnvelopeKind::kStateChunk;
+  chunk.chunk_index = 2;
+  chunk.chunk_count = 5;
+  out.push_back(chunk);
+  Envelope bulk = base;
+  bulk.transfer_id = 42;
+  bulk.total_bytes = 100;
+  bulk.extent_bytes = 40;
+  bulk.chunk_count = 3;
+  bulk.kind = EnvelopeKind::kStateBulkDescriptor;
+  bulk.extent_digests = {0x1111, 0x2222222222ULL, 0xFFFFFFFFFFFFFFFFULL};
+  out.push_back(bulk);
+  bulk.extent_digests.clear();
+  bulk.kind = EnvelopeKind::kStateBulkComplete;
+  out.push_back(bulk);
+  bulk.kind = EnvelopeKind::kBulkExtent;
+  bulk.chunk_index = 2;
+  bulk.payload = Bytes(20, 0xEE);  // the last extent: 100 - 2 * 40
+  out.push_back(bulk);
+  bulk.kind = EnvelopeKind::kBulkAck;
+  bulk.payload.clear();
+  out.push_back(bulk);
+  return out;
+}
+
+// The view borrows every blob from the decoded buffer; owning it (or
+// decode_envelope) reproduces the encoded envelope exactly, for every kind.
+TEST(EnvelopeView, BorrowsFromTheBufferAndOwnsExactly) {
+  for (const Envelope& e : envelope_samples()) {
+    const Bytes wire = encode_envelope(e);
+    const auto view = decode_envelope_view(wire);
+    ASSERT_TRUE(view.has_value()) << static_cast<int>(e.kind);
+    for (BytesView blob : {view->payload, view->orb_state, view->infra_state,
+                           view->control_data}) {
+      if (blob.empty()) continue;
+      EXPECT_GE(blob.data(), wire.data());
+      EXPECT_LE(blob.data() + blob.size(), wire.data() + wire.size());
+    }
+    EXPECT_EQ(view->own(), e) << static_cast<int>(e.kind);
+    EXPECT_EQ(decode_envelope(wire), e) << static_cast<int>(e.kind);
+  }
+}
+
+TEST(Envelope, RejectsMalformed) {
+  Bytes bad_kind = encode_envelope(Envelope{});
+  bad_kind[1] = 99;
+  Envelope descriptor = envelope_samples()[7];
+  ASSERT_EQ(descriptor.kind, EnvelopeKind::kStateBulkDescriptor);
+  descriptor.extent_digests.pop_back();  // digest count must match the grid
+  for (const Bytes& wire : {Bytes{}, Bytes{0, 1}, bad_kind, encode_envelope(descriptor)}) {
+    EXPECT_FALSE(decode_envelope(wire).has_value());
+    EXPECT_FALSE(decode_envelope_view(wire).has_value());
+  }
 }
 
 TEST(Descriptor, RoundTrip) {
@@ -161,6 +238,108 @@ TEST(SeqWindow, EncodeDecodePreservesState) {
   EXPECT_EQ(d, w);
   EXPECT_FALSE(d.test_and_insert(7));
   EXPECT_TRUE(d.test_and_insert(2));
+}
+
+/// SeqWindow's reference model: every number below `base` counts as seen
+/// (the state a decoded window starts from), plus an explicit set above it.
+struct SeqReference {
+  std::uint64_t base = 0;
+  std::set<std::uint64_t> seen_above;
+
+  bool seen(std::uint64_t s) const { return s < base || seen_above.count(s) > 0; }
+  bool test_and_insert(std::uint64_t s) {
+    if (seen(s)) return false;
+    seen_above.insert(s);
+    return true;
+  }
+  /// The lowest unseen number, saturating at UINT64_MAX.
+  std::uint64_t prefix() const {
+    std::uint64_t p = base;
+    while (p != std::numeric_limits<std::uint64_t>::max() && seen_above.count(p) > 0) ++p;
+    return p;
+  }
+  Bytes encode() const {
+    const std::uint64_t p = prefix();
+    util::CdrWriter w;
+    w.put_u64(p);
+    const auto from = seen_above.lower_bound(p);
+    w.put_u32(static_cast<std::uint32_t>(std::distance(from, seen_above.end())));
+    for (auto it = from; it != seen_above.end(); ++it) w.put_u64(*it);
+    return std::move(w).take();
+  }
+};
+
+SeqWindow window_at(std::uint64_t base) {
+  util::CdrWriter w;
+  w.put_u64(base);
+  w.put_u32(0);
+  util::CdrReader r(w.bytes(), w.order());
+  return SeqWindow::decode(r);
+}
+
+void expect_matches(const SeqWindow& w, const SeqReference& ref,
+                    const std::vector<std::uint64_t>& probes) {
+  ASSERT_EQ(w.contiguous_prefix(), ref.prefix());
+  util::CdrWriter enc;
+  w.encode(enc);
+  ASSERT_EQ(enc.bytes(), ref.encode());
+  for (std::uint64_t p : probes) ASSERT_EQ(w.seen(p), ref.seen(p)) << p;
+}
+
+/// Feeds `seqs` to a window and the reference from `base`; every answer,
+/// the prefix, seen() over `seqs` and the encoded bytes must agree.
+void check_against_reference(std::uint64_t base, const std::vector<std::uint64_t>& seqs) {
+  SeqWindow w = window_at(base);
+  SeqReference ref{base, {}};
+  for (std::uint64_t s : seqs) {
+    ASSERT_EQ(w.test_and_insert(s), ref.test_and_insert(s)) << "seq " << s;
+    expect_matches(w, ref, {s, s - 1, s + 1, base});
+  }
+  expect_matches(w, ref, seqs);
+}
+
+TEST(SeqWindow, MatchesSetReference) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  util::Rng rng(0x5E9);
+  std::vector<std::uint64_t> in_order;
+  for (std::uint64_t s = 0; s < 200; ++s) in_order.push_back(s);
+  check_against_reference(0, in_order);
+
+  for (int round = 0; round < 20; ++round) {
+    std::vector<std::uint64_t> shuffled = in_order;
+    for (std::size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng.below(i)]);
+    }
+    check_against_reference(0, shuffled);
+
+    // Mostly in order with duplicates, reordering and gaps.
+    std::vector<std::uint64_t> mixed;
+    std::uint64_t next = 0;
+    for (int i = 0; i < 300; ++i) {
+      switch (rng.below(4)) {
+        case 0: mixed.push_back(next > 0 ? next - 1 - rng.below(next) : 0); break;
+        case 1: mixed.push_back(next + 1 + rng.below(5)); break;
+        default: mixed.push_back(next++); break;
+      }
+    }
+    check_against_reference(0, mixed);
+  }
+
+  // The top of the sequence space: in order up to and past UINT64_MAX's
+  // neighbourhood, shuffled, with duplicates of the maximum itself.
+  for (std::uint64_t start : {kMax - 40, kMax - 1, kMax}) {
+    std::vector<std::uint64_t> top;
+    for (std::uint64_t s = start;; ++s) {
+      top.push_back(s);
+      if (s == kMax) break;
+    }
+    check_against_reference(start, top);
+    top.push_back(kMax);
+    top.push_back(start);
+    for (std::size_t i = top.size(); i > 1; --i) std::swap(top[i - 1], top[rng.below(i)]);
+    check_against_reference(start, top);
+    check_against_reference(start - 5, top);
+  }
 }
 
 TEST(MessageLog, CheckpointOverwritesAndTruncates) {

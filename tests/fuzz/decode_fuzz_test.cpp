@@ -15,6 +15,7 @@
 #include "giop/ior.hpp"
 #include "totem/frames.hpp"
 #include "util/any.hpp"
+#include "util/cdr.hpp"
 #include "util/rng.hpp"
 
 namespace eternal {
@@ -515,6 +516,210 @@ TEST_P(DecodeFuzz, TruncationsNeverCrash) {
   }
   for (std::size_t cut = 0; cut < e.size(); ++cut) {
     (void)core::decode_envelope(Bytes(e.begin(), e.begin() + static_cast<std::ptrdiff_t>(cut)));
+  }
+}
+
+// ---- envelope decoder equivalence ------------------------------------------
+//
+// decode_envelope builds the owning Envelope from the borrowing view. The
+// reference below is the field-by-field owning decoder that preceded the
+// view, kept verbatim: on every input the two must accept and reject alike
+// and, when they accept, produce the same Envelope.
+
+constexpr std::uint16_t kEnvelopeMagic = 0xE7E4;
+
+std::optional<core::Envelope> reference_decode_envelope(util::BytesView data) {
+  using core::ControlOp;
+  using core::EnvelopeKind;
+  try {
+    if (data.size() < 4) return std::nullopt;
+    util::CdrReader r(data, static_cast<util::ByteOrder>(data[0] & 1));
+    (void)r.get_u8();
+    core::Envelope e;
+    e.kind = static_cast<EnvelopeKind>(r.get_u8());
+    if (static_cast<std::uint8_t>(e.kind) < 1 || static_cast<std::uint8_t>(e.kind) > 11) {
+      return std::nullopt;
+    }
+    if (r.get_u16() != kEnvelopeMagic) return std::nullopt;
+    e.ring = r.get_u32();
+    if (e.ring >= core::kMaxRings) return std::nullopt;
+    e.client_group = util::GroupId{r.get_u32()};
+    e.target_group = util::GroupId{r.get_u32()};
+    e.op_seq = r.get_u64();
+    e.subject = util::ReplicaId{r.get_u64()};
+    e.subject_node = util::NodeId{r.get_u32()};
+    e.control_op = static_cast<ControlOp>(r.get_u8());
+    e.delta_base = r.get_u64();
+    e.chunk_index = r.get_u32();
+    e.chunk_count = r.get_u32();
+    if (e.kind == EnvelopeKind::kStateChunk &&
+        (e.chunk_count < 1 || e.chunk_index >= e.chunk_count)) {
+      return std::nullopt;
+    }
+    if (e.kind >= EnvelopeKind::kStateBulkDescriptor) {
+      e.transfer_id = r.get_u64();
+      e.total_bytes = r.get_u64();
+      e.extent_bytes = r.get_u32();
+      const std::uint32_t n_digests = r.get_count(8);
+      e.extent_digests.reserve(n_digests);
+      for (std::uint32_t i = 0; i < n_digests; ++i) {
+        e.extent_digests.push_back(r.get_u64());
+      }
+      if (e.transfer_id == 0 || e.chunk_count < 1) return std::nullopt;
+      if (e.kind != EnvelopeKind::kBulkAck) {
+        if (e.extent_bytes < 1 || e.total_bytes < 1) return std::nullopt;
+        const std::uint64_t grid =
+            static_cast<std::uint64_t>(e.chunk_count) * e.extent_bytes;
+        const std::uint64_t prefix =
+            static_cast<std::uint64_t>(e.chunk_count - 1) * e.extent_bytes;
+        if (e.total_bytes > grid || e.total_bytes <= prefix) return std::nullopt;
+      }
+      if (e.kind == EnvelopeKind::kStateBulkDescriptor) {
+        if (e.extent_digests.size() != e.chunk_count) return std::nullopt;
+      }
+      if (e.kind == EnvelopeKind::kBulkExtent || e.kind == EnvelopeKind::kBulkAck) {
+        if (e.chunk_index >= e.chunk_count) return std::nullopt;
+      }
+    }
+    e.payload = r.get_octets();
+    e.orb_state = r.get_octets();
+    e.infra_state = r.get_octets();
+    e.control_data = r.get_octets();
+    if (e.kind == EnvelopeKind::kBulkExtent) {
+      const std::uint64_t offset =
+          static_cast<std::uint64_t>(e.chunk_index) * e.extent_bytes;
+      const std::uint64_t expected =
+          std::min<std::uint64_t>(e.extent_bytes, e.total_bytes - offset);
+      if (e.payload.size() != expected) return std::nullopt;
+    }
+    return e;
+  } catch (const util::CdrError&) {
+    return std::nullopt;
+  }
+}
+
+/// encode_envelope's wire layout in a chosen byte order (encode_envelope
+/// itself always writes the host's), so big-endian senders are covered.
+Bytes encode_envelope_in(util::ByteOrder order, const core::Envelope& e) {
+  util::CdrWriter w(order);
+  w.put_u8(static_cast<std::uint8_t>(order));
+  w.put_u8(static_cast<std::uint8_t>(e.kind));
+  w.put_u16(kEnvelopeMagic);
+  w.put_u32(e.ring);
+  w.put_u32(e.client_group.value);
+  w.put_u32(e.target_group.value);
+  w.put_u64(e.op_seq);
+  w.put_u64(e.subject.value);
+  w.put_u32(e.subject_node.value);
+  w.put_u8(static_cast<std::uint8_t>(e.control_op));
+  w.put_u64(e.delta_base);
+  w.put_u32(e.chunk_index);
+  w.put_u32(e.chunk_count);
+  if (e.kind >= core::EnvelopeKind::kStateBulkDescriptor) {
+    w.put_u64(e.transfer_id);
+    w.put_u64(e.total_bytes);
+    w.put_u32(e.extent_bytes);
+    w.put_u32(static_cast<std::uint32_t>(e.extent_digests.size()));
+    for (std::uint64_t d : e.extent_digests) w.put_u64(d);
+  }
+  w.put_octets(e.payload);
+  w.put_octets(e.orb_state);
+  w.put_octets(e.infra_state);
+  w.put_octets(e.control_data);
+  return std::move(w).take();
+}
+
+/// Valid wire images of every envelope kind, in both byte orders.
+std::vector<Bytes> valid_envelope_images() {
+  core::Envelope base;
+  base.ring = 2;
+  base.client_group = util::GroupId{3};
+  base.target_group = util::GroupId{9};
+  base.op_seq = 0x1122334455ULL;
+  base.subject = util::ReplicaId{5};
+  base.subject_node = util::NodeId{4};
+  base.control_op = core::ControlOp::kAddReplica;
+  base.delta_base = 17;
+  base.payload = Bytes(40, 0x5A);
+  base.orb_state = Bytes(7, 1);
+  base.infra_state = Bytes(3, 2);
+  base.control_data = Bytes(5, 3);
+  std::vector<core::Envelope> samples;
+  for (std::uint8_t k = 1; k <= 7; ++k) {
+    core::Envelope e = base;
+    e.kind = static_cast<core::EnvelopeKind>(k);
+    if (e.kind == core::EnvelopeKind::kStateChunk) {
+      e.chunk_index = 1;
+      e.chunk_count = 4;
+    }
+    samples.push_back(e);
+  }
+  core::Envelope bulk = base;
+  bulk.transfer_id = 8;
+  bulk.total_bytes = 100;
+  bulk.extent_bytes = 40;
+  bulk.chunk_count = 3;
+  bulk.kind = core::EnvelopeKind::kStateBulkDescriptor;
+  bulk.extent_digests = {1, 0xABCDEF0123456789ULL, 3};
+  samples.push_back(bulk);
+  bulk.extent_digests.clear();
+  bulk.kind = core::EnvelopeKind::kStateBulkComplete;
+  samples.push_back(bulk);
+  bulk.kind = core::EnvelopeKind::kBulkExtent;
+  bulk.chunk_index = 1;
+  samples.push_back(bulk);  // payload 40 = the second full extent
+  bulk.kind = core::EnvelopeKind::kBulkAck;
+  bulk.payload.clear();
+  samples.push_back(bulk);
+
+  std::vector<Bytes> out;
+  for (const core::Envelope& e : samples) {
+    for (util::ByteOrder order : {util::ByteOrder::kBig, util::ByteOrder::kLittle}) {
+      out.push_back(encode_envelope_in(order, e));
+    }
+  }
+  return out;
+}
+
+void expect_same_decode(const Bytes& wire) {
+  const std::optional<core::Envelope> want = reference_decode_envelope(wire);
+  const std::optional<core::Envelope> got = core::decode_envelope(wire);
+  ASSERT_EQ(core::decode_envelope_view(wire).has_value(), want.has_value())
+      << util::to_hex(wire);
+  ASSERT_EQ(got.has_value(), want.has_value()) << util::to_hex(wire);
+  if (want) {
+    ASSERT_TRUE(*got == *want) << util::to_hex(wire);
+  }
+}
+
+TEST(EnvelopeDecodeEquivalence, ValidImagesOfEveryKindAndOrder) {
+  for (const Bytes& wire : valid_envelope_images()) {
+    ASSERT_TRUE(reference_decode_envelope(wire).has_value()) << util::to_hex(wire);
+    expect_same_decode(wire);
+  }
+  // The host-order encoder writes the same image as the test encoder.
+  const core::Envelope e = *reference_decode_envelope(valid_envelope_images()[15]);
+  EXPECT_EQ(core::encode_envelope(e), encode_envelope_in(util::host_byte_order(), e));
+}
+
+TEST_P(DecodeFuzz, EnvelopeDecodeMatchesReference) {
+  Rng rng(GetParam() ^ 0xD1FF);
+  const std::vector<Bytes> valid = valid_envelope_images();
+  for (int i = 0; i < fuzz_iters(); ++i) {
+    expect_same_decode(random_bytes(rng, 256));
+    const Bytes& image = valid[rng.below(valid.size())];
+    Bytes mutated = image;
+    const std::size_t flips = 1 + rng.below(3);
+    for (std::size_t f = 0; f < flips; ++f) {
+      mutated[rng.below(mutated.size())] ^= static_cast<std::uint8_t>(1 + rng.below(255));
+    }
+    expect_same_decode(mutated);
+    // Truncated and extended copies of the intact image.
+    const std::size_t cut = rng.below(image.size() + 1);
+    expect_same_decode(Bytes(image.begin(), image.begin() + static_cast<std::ptrdiff_t>(cut)));
+    Bytes longer = image;
+    longer.push_back(static_cast<std::uint8_t>(rng.next()));
+    expect_same_decode(longer);
   }
 }
 

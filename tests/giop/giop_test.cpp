@@ -160,5 +160,82 @@ TEST(Giop, LargeBodyRoundTrip) {
   EXPECT_EQ(decoded->as_request().body.size(), 200'000u);
 }
 
+// set_request_id patches the 4 id bytes in place. Its output must equal what
+// decoding, changing request_id and re-encoding produces — for Requests and
+// Replies, with and without service contexts (which move the id's offset and
+// alignment), in both byte orders and under each GIOP 1.x minor version. This
+// codec writes the 1.0 layout under minor 0 for every version it reads, so
+// the re-encoded reference gets the input's minor byte put back: the patch
+// keeps the sender's version.
+TEST(Giop, SetRequestIdMatchesDecodeAndReencode) {
+  Request plain = sample_request();
+  plain.service_context.clear();
+  Request traced = sample_request();
+  traced.service_context.push_back(ServiceContext{kTraceContextId, Bytes(8, 0x42)});
+  Reply reply;
+  reply.request_id = 351;
+  reply.reply_status = ReplyStatus::kNoException;
+  reply.body = Bytes{5, 6, 7};
+  Reply context_reply = reply;
+  context_reply.service_context.push_back(ServiceContext{kCodeSetsContextId, Bytes{1, 2, 3}});
+
+  for (const ByteOrder order : {ByteOrder::kBig, ByteOrder::kLittle}) {
+    const std::vector<Bytes> originals = {encode(sample_request(), order), encode(plain, order),
+                                          encode(traced, order), encode(reply, order),
+                                          encode(context_reply, order)};
+    for (const Bytes& original : originals) {
+      for (const std::uint8_t minor : {0, 1, 2}) {
+        for (const std::uint32_t rid : {0u, 7u, 350u, 0x01020304u, 0xFFFFFFFFu}) {
+          Bytes input = original;
+          input[5] = minor;
+          Bytes patched = input;
+          ASSERT_TRUE(set_request_id(patched, rid));
+
+          std::optional<Message> msg = decode(input);
+          ASSERT_TRUE(msg.has_value());
+          Bytes expected;
+          if (auto* req = std::get_if<Request>(&msg->body)) {
+            req->request_id = rid;
+            expected = encode(*req, msg->order);
+          } else {
+            auto& rep = std::get<Reply>(msg->body);
+            rep.request_id = rid;
+            expected = encode(rep, msg->order);
+          }
+          expected[5] = minor;
+          EXPECT_EQ(patched, expected)
+              << "order " << int(order) << " minor " << int(minor) << " rid " << rid;
+          EXPECT_EQ(inspect(patched)->request_id, rid);
+        }
+      }
+    }
+  }
+}
+
+TEST(Giop, SetRequestIdLeavesOtherMessagesAlone) {
+  for (Bytes wire : {encode(CancelRequest{77}), encode(LocateReply{5, 1}),
+                     encode(CloseConnection{}), Bytes{1, 2, 3}}) {
+    const Bytes before = wire;
+    EXPECT_FALSE(set_request_id(wire, 99));
+    EXPECT_EQ(wire, before);
+  }
+}
+
+TEST(Giop, InspectReportsRequestIdOffset) {
+  const Bytes wire = encode(CancelRequest{77});
+  auto info = inspect(wire);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->request_id_at, 12u);  // right after the frame header
+  Reply m;
+  m.request_id = 9;
+  m.service_context.push_back(ServiceContext{kCodeSetsContextId, Bytes{1}});
+  const Bytes reply = encode(m, ByteOrder::kBig);
+  info = inspect(reply);
+  ASSERT_TRUE(info.has_value());
+  // count(4) + id(4) + length(4) + 1 data byte, padded to 4 = offset 12+16.
+  EXPECT_EQ(info->request_id_at, 28u);
+  EXPECT_EQ(reply[31], 9u);
+}
+
 }  // namespace
 }  // namespace eternal::giop
