@@ -1,8 +1,9 @@
 // Critical-path latency attribution across a load sweep (src/obs/critpath.hpp).
 //
 // Poisson open-loop clients drive a 400 us-servant group at rates crossing
-// the ~2500/s saturation knee, once on the synchronous upcall path and once
-// on the FOM engine with exec_concurrency 4. After each run the analyzer
+// the ~2500/s saturation knee, once at admission concurrency 1 (the paper's
+// synchronous upcall semantics, rows labelled "sync") and once at
+// concurrency 4 (rows labelled "fom4"). After each run the analyzer
 // decomposes every completed invocation into order-wait / delivery /
 // admission / execute / reply-park / reply-wire (+ residual) segments, and a
 // fixed-window collector reports the same attribution per 100 ms window, so
@@ -69,13 +70,11 @@ SegCols seg_cols(const critpath::SegStats& s) {
 }
 
 /// One (mode, rate) run: drive, drain, analyze, window.
-std::vector<Row> run_level(bool engine, double rate) {
+std::vector<Row> run_level(std::size_t concurrency, double rate) {
   SystemConfig cfg;
   cfg.nodes = 2;
   cfg.span_capacity = 1u << 16;  // whole-run span trees feed the analyzer
-  cfg.mechanisms.exec_engine = engine;
-  cfg.mechanisms.exec_concurrency = engine ? 4 : 1;
-  cfg.orb.poa_max_inflight = engine ? 4 : 1;
+  cfg.orb.poa_max_inflight = concurrency;
   System sys(cfg);
   FtProperties props;
   props.style = ReplicationStyle::kActive;
@@ -110,7 +109,8 @@ std::vector<Row> run_level(bool engine, double rate) {
     if (err > 1) sum_errors += 1;  // > 1 virtual-time tick: partition broken
   }
 
-  const char* mode = engine ? "fom4" : "sync";
+  // The labels key the gated baselines: "sync" is concurrency 1.
+  const char* mode = concurrency > 1 ? "fom4" : "sync";
   std::vector<Row> rows;
   Row run;
   run.kind = "run";
@@ -175,10 +175,10 @@ int main(int argc, char** argv) {
       "Critical-path attribution — where invocation latency goes vs load",
       "per-segment decomposition of end-to-end latency (order-wait, delivery, "
       "admission, execute, reply-park, reply-wire) across the saturation knee, "
-      "sync path vs FOM engine at exec_concurrency 4");
+      "admission concurrency 1 (sync) vs 4 (fom4)");
 
-  // At least 3 levels spanning the saturation knee of each mode: the sync
-  // path saturates at ~2500/s (one 400 us execution slot), the engine at
+  // At least 3 levels spanning the saturation knee of each mode: concurrency
+  // 1 saturates at ~2500/s (one 400 us execution slot), concurrency 4 at
   // ~10000/s (four slots), so the fom4 sweep gets one past-its-knee level.
   const std::vector<double> sync_rates =
       smoke ? std::vector<double>{500.0, 2400.0, 3000.0}
@@ -192,9 +192,9 @@ int main(int argc, char** argv) {
 
   bench::BenchResultWriter results("critical_path");
   bool partition_ok = true;
-  for (const bool engine : {false, true}) {
-    for (const double rate : engine ? fom_rates : sync_rates) {
-      for (const Row& r : run_level(engine, rate)) {
+  for (const std::size_t concurrency : {std::size_t{1}, std::size_t{4}}) {
+    for (const double rate : concurrency > 1 ? fom_rates : sync_rates) {
+      for (const Row& r : run_level(concurrency, rate)) {
         print_row(r);
         auto& out = results.row()
                         .col("kind", r.kind)
@@ -232,7 +232,7 @@ int main(int argc, char** argv) {
   std::printf("\nshape check: queueing ahead of execution absorbs the latency "
               "growth past each\nmode's knee — queue residency behind the head "
               "lands in the delivery segment,\nhead-of-queue waiting for a free "
-              "execution slot in admission (engine only) —\nwhile execute stays "
+              "execution slot in admission —\nwhile execute stays "
               "~400 us at every level; segments + residual sum to\nend-to-end "
               "exactly for every analyzed invocation (in-flight/partial trees\n"
               "are counted, skipped, never folded into the aggregates).\n");

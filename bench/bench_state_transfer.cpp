@@ -23,9 +23,9 @@
 //      Claim: chunked keeps B's p99 under 2x the fault-free baseline;
 //      monolithic does not (the one huge message monopolizes the medium).
 //
-//   3. stable storage — cold-passive logging to disk, legacy
-//      rewrite-everything vs the append-only segment. Bytes written per
-//      logged message; claim: append-only writes >= 5x fewer bytes.
+//   3. stable storage — cold-passive logging to disk through the
+//      append-only segment. Bytes written per logged message (the removed
+//      rewrite-everything mode wrote >= 5x more; EXPERIMENTS.md keeps it).
 #include <algorithm>
 #include <array>
 #include <cstdio>
@@ -266,8 +266,7 @@ struct StorageRow {
   double bytes_per_msg = -1.0;
 };
 
-StorageRow run_storage(const char* name, bool legacy_rewrite,
-                       std::size_t state_bytes, Duration run_time) {
+StorageRow run_storage(const char* name, std::size_t state_bytes, Duration run_time) {
   namespace fs = std::filesystem;
   const fs::path root = fs::temp_directory_path() /
                         ("bench_state_transfer." + std::to_string(::getpid()) +
@@ -278,7 +277,6 @@ StorageRow run_storage(const char* name, bool legacy_rewrite,
   SystemConfig cfg;
   cfg.nodes = 4;
   cfg.stable_storage_root = root.string();
-  cfg.mechanisms.storage_legacy_rewrite = legacy_rewrite;
   System sys(cfg);
 
   FtProperties props;
@@ -434,37 +432,21 @@ int main(int argc, char** argv) {
   std::printf("\n-- stable-storage bytes per logged message (cold passive) --\n");
   std::printf("%12s %10s %10s %10s %14s %14s\n", "mode", "messages", "writes",
               "appends", "bytes_written", "bytes_per_msg");
-  double legacy_bpm = -1.0, append_bpm = -1.0;
-  struct { const char* name; bool legacy; } kStModes[] = {
-      {"legacy", true},
-      {"append", false},
-  };
-  for (const auto& m : kStModes) {
-    const StorageRow row = run_storage(m.name, m.legacy, storage_state, storage_run);
-    std::printf("%12s %10llu %10llu %10llu %14llu %14.1f\n", row.mode,
-                static_cast<unsigned long long>(row.messages),
-                static_cast<unsigned long long>(row.writes),
-                static_cast<unsigned long long>(row.appends),
-                static_cast<unsigned long long>(row.bytes_written),
-                row.bytes_per_msg);
-    results.row()
-        .col("section", "storage")
-        .col("mode", row.mode)
-        .col("messages", row.messages)
-        .col("writes", row.writes)
-        .col("appends", row.appends)
-        .col("bytes_written", row.bytes_written)
-        .col("bytes_per_msg", row.bytes_per_msg);
-    if (m.legacy) legacy_bpm = row.bytes_per_msg; else append_bpm = row.bytes_per_msg;
-  }
-  if (legacy_bpm > 0 && append_bpm > 0) {
-    std::printf("\nclaim check: storage bytes/msg legacy/append = %.1fx (target >= 5x)\n",
-                legacy_bpm / append_bpm);
-    results.row()
-        .col("section", "claim")
-        .col("mode", "storage_bytes_ratio")
-        .col("legacy_over_append", legacy_bpm / append_bpm);
-  }
+  const StorageRow row = run_storage("append", storage_state, storage_run);
+  std::printf("%12s %10llu %10llu %10llu %14llu %14.1f\n", row.mode,
+              static_cast<unsigned long long>(row.messages),
+              static_cast<unsigned long long>(row.writes),
+              static_cast<unsigned long long>(row.appends),
+              static_cast<unsigned long long>(row.bytes_written),
+              row.bytes_per_msg);
+  results.row()
+      .col("section", "storage")
+      .col("mode", row.mode)
+      .col("messages", row.messages)
+      .col("writes", row.writes)
+      .col("appends", row.appends)
+      .col("bytes_written", row.bytes_written)
+      .col("bytes_per_msg", row.bytes_per_msg);
 
   results.write_file("BENCH_state_transfer.json");
   return 0;

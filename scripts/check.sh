@@ -28,8 +28,9 @@ echo "== chaos scenario matrix (smoke) =="
 
 echo
 echo "== exec-engine slow-servant bench (smoke) =="
-# Sync-vs-FOM head-of-line row; writes BENCH_exec_engine.json next to the
-# other BENCH_* artifacts (acceptance: fom bystander p99 < 0.5x sync).
+# Concurrency 1 ("sync") vs 1024 ("fom") head-of-line rows; writes
+# BENCH_exec_engine.json next to the other BENCH_* artifacts (acceptance:
+# fom bystander p99 < 0.5x sync).
 (cd build && ./bench/bench_throughput --smoke)
 
 echo
@@ -69,7 +70,8 @@ echo "== ASan/UBSan: obs, core, hot-path and decoder suites =="
 cmake -B build-asan -S . -DETERNAL_SANITIZE=ON >/dev/null
 cmake --build build-asan -j"$JOBS" --target \
   obs_test spans_test integration_smoke_test recovery_edge_test quiescence_test \
-  batching_equivalence_test exec_conformance_test bulk_transfer_conformance_test \
+  batching_equivalence_test exec_engine_test exec_conformance_test \
+  bulk_transfer_conformance_test \
   chaos_script_test fleet_stats_test \
   sim_test totem_test totem_protocol_test util_test giop_test placement_test \
   core_unit_test passive_test stable_storage_test recovery_hazards_test \
@@ -83,8 +85,10 @@ cmake --build build-asan -j"$JOBS" --target \
 # envelope view and SeqWindow), passive_test and stable_storage_test (logged
 # and persisted messages), recovery_hazards_test and fast_state_transfer_test
 # (state, chunk and bulk envelopes), critpath_test (traced replies).
+# exec_engine_test: the reply sequencer keeps FOMs and parked replies in
+# vectors, so a Fom& held across a re-entrant admission would dangle.
 for t in obs_test spans_test integration_smoke_test recovery_edge_test quiescence_test \
-         chaos_script_test fleet_stats_test \
+         chaos_script_test fleet_stats_test exec_engine_test \
          sim_test totem_test totem_protocol_test util_test giop_test placement_test \
          core_unit_test passive_test stable_storage_test recovery_hazards_test \
          fast_state_transfer_test critpath_test; do
@@ -95,9 +99,12 @@ ETERNAL_FUZZ_ITERS=64 "build-asan/tests/decode_fuzz_test"
 # Batch packing/unpacking moves raw payload bytes on the hot path; run the
 # fast ordering-equivalence seeds under the sanitizers too.
 "build-asan/tests/batching_equivalence_test" --gtest_filter='BatchingEquivalenceFast.*'
-# FOM engine conformance: the fast seeds exercise the full enqueue/phase/
-# reply-sequencer machinery (including the overlap scenario) under ASan/UBSan.
-"build-asan/tests/exec_conformance_test" --gtest_filter='ExecConformanceFast.*'
+# Execution-engine conformance: the fast seeds exercise the full enqueue/
+# phase/reply-sequencer machinery (including the overlap scenario), and the
+# warm-passive promotion seeds replay the message log through the engine,
+# under ASan/UBSan.
+"build-asan/tests/exec_conformance_test" \
+  --gtest_filter='ExecConformanceFast.*:Seeds/ExecConformance.WarmPassivePromotion/*'
 # Bulk-lane conformance: the fast seeds move real extent payloads over the
 # lane (descriptor/ack/marker, digest stash, fallback) under ASan/UBSan.
 "build-asan/tests/bulk_transfer_conformance_test" --gtest_filter='BulkConformanceFast.*'

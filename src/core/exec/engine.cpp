@@ -1,24 +1,22 @@
 #include "core/exec/engine.hpp"
 
 #include <algorithm>
-#include <utility>
 
 namespace eternal::core::exec {
 
 Fom& ReplicaEngine::admit(util::GroupId client_group, std::uint64_t op_seq,
                           const orb::Endpoint& reply_to, bool response_expected,
                           util::TimePoint at) {
-  Fom fom;
+  Fom& fom = inflight_.emplace_back();
   fom.position = next_position_++;
   fom.enter(FomPhase::kDecode, at);
   fom.client_group = client_group;
   fom.op_seq = op_seq;
   fom.reply_to = reply_to;
   fom.response_expected = response_expected;
-  inflight_.push_back(fom);
   stats_.admitted += 1;
   stats_.max_inflight = std::max(stats_.max_inflight, inflight_.size());
-  return inflight_.back();
+  return fom;
 }
 
 Fom* ReplicaEngine::match(const orb::Endpoint& reply_to, std::uint64_t op_seq) {
@@ -37,6 +35,12 @@ Fom* ReplicaEngine::find(std::uint64_t position) {
   return nullptr;
 }
 
+void ReplicaEngine::reset() {
+  inflight_.clear();
+  parked_.clear();
+  next_retire_ = next_position_;
+}
+
 void ReplicaEngine::account(const Fom& fom, util::TimePoint at) {
   stats_.decode_time += fom.entered_at(FomPhase::kExecute) - fom.entered_at(FomPhase::kDecode);
   if (fom.phase == FomPhase::kReply) {
@@ -50,25 +54,26 @@ void ReplicaEngine::account(const Fom& fom, util::TimePoint at) {
   }
 }
 
-void ReplicaEngine::finish(std::uint64_t position, util::TimePoint at,
-                           std::function<void()> emit) {
+bool ReplicaEngine::settle(std::uint64_t position, util::TimePoint at,
+                           std::optional<Reply>& reply) {
   const auto it = std::find_if(inflight_.begin(), inflight_.end(),
                                [position](const Fom& f) { return f.position == position; });
   if (it != inflight_.end()) {
     account(*it, at);
     inflight_.erase(it);
   }
-  if (position != next_retire_) stats_.replies_parked += 1;
-  parked_.emplace(position, Parked{at, std::move(emit)});
-  stats_.max_parked = std::max(stats_.max_parked, parked_.size());
-  while (!parked_.empty() && parked_.begin()->first == next_retire_) {
-    Parked parked = std::move(parked_.begin()->second);
-    parked_.erase(parked_.begin());
+  if (position == next_retire_) {
     next_retire_ += 1;
     stats_.retired += 1;
-    stats_.park_time += at - parked.since;  // 0 when emitted in-order
-    if (parked.emit) parked.emit();
+    return true;
   }
+  stats_.replies_parked += 1;
+  const auto slot = std::lower_bound(
+      parked_.begin(), parked_.end(), position,
+      [](const Parked& p, std::uint64_t pos) { return p.position < pos; });
+  parked_.insert(slot, Parked{position, at, std::move(reply)});
+  stats_.max_parked = std::max(stats_.max_parked, parked_.size());
+  return false;
 }
 
 }  // namespace eternal::core::exec

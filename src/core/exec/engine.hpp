@@ -4,24 +4,38 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <list>
-#include <map>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "core/exec/fom.hpp"
+#include "util/bytes.hpp"
 
 namespace eternal::core::exec {
+
+/// A servant reply handed to the sequencer: what the emitter needs to put
+/// it on the ring once every earlier position has emitted.
+struct Reply {
+  util::GroupId client_group{};
+  std::uint64_t op_seq = 0;
+  std::uint64_t trace = 0;      ///< causal trace id (0 = untraced)
+  std::uint64_t park_span = 0;  ///< open "reply-park" span, closed at emission
+  util::Bytes payload;
+};
 
 /// Drains one replica's run queue through the FOM phase table.
 ///
 /// Admission: at most `concurrency` FOMs are in flight; positions are
 /// assigned at admission, so position order equals run-queue (total-order)
-/// order and is gap-free across every admitted FOM.
+/// order and is gap-free across every admitted FOM. At concurrency 1 this
+/// is the paper's synchronous upcall: one request executes at a time.
 ///
-/// Retirement: `finish(position, emit)` frees the slot immediately (later
-/// requests may start executing) but runs `emit` — the reply multicast —
-/// only when every earlier position has emitted. Out-of-order completions
-/// park; the completion of the blocking position flushes them in order.
+/// Retirement: `finish` frees the slot immediately (later requests may start
+/// executing) but emits the reply only when every earlier position has
+/// emitted. A reply whose position is next is emitted inline; out-of-order
+/// completions park, and the completion of the blocking position flushes
+/// them in order. The bookkeeping reuses vector capacity, so admitting and
+/// retiring in order allocates nothing once warm.
 class ReplicaEngine {
  public:
   struct Stats {
@@ -54,7 +68,9 @@ class ReplicaEngine {
   const Stats& stats() const noexcept { return stats_; }
 
   /// Admits the next run-queue item as a FOM at `at` (its kDecode entry
-  /// instant). Pre: can_admit().
+  /// instant). Pre: can_admit(). The reference is valid until the next
+  /// admit, finish or reset — copy what must outlive a call that can
+  /// re-enter the engine.
   Fom& admit(util::GroupId client_group, std::uint64_t op_seq,
              const orb::Endpoint& reply_to, bool response_expected,
              util::TimePoint at);
@@ -66,31 +82,60 @@ class ReplicaEngine {
   /// The in-flight FOM at `position` (oneway grace retirement), or nullptr.
   Fom* find(std::uint64_t position);
 
-  /// Removes `position` from the in-flight set at `at` and sequences `emit`:
-  /// runs it now if every earlier position already emitted, otherwise parks
-  /// it. A null emit retires silently (oneways, discarded items) but still
-  /// advances the cursor so later replies are not stuck behind it. The FOM's
-  /// per-phase residencies fold into Stats here; a parked emit accrues
-  /// Stats::park_time until the blocking position's finish flushes it.
-  void finish(std::uint64_t position, util::TimePoint at, std::function<void()> emit);
-
-  void retire_immediate(std::uint64_t position, util::TimePoint at) {
-    finish(position, at, nullptr);
+  /// Removes `position` from the in-flight set at `at` and sequences its
+  /// reply: `emit(Reply&)` runs now if every earlier position already
+  /// emitted, otherwise the reply parks. Every parked reply that becomes
+  /// next is then emitted in position order. The FOM's per-phase residencies
+  /// fold into Stats here; a parked reply accrues Stats::park_time until the
+  /// blocking position's finish flushes it.
+  template <class Emit>
+  void finish(std::uint64_t position, util::TimePoint at, Reply reply, Emit&& emit) {
+    retire(position, at, std::optional<Reply>(std::move(reply)), emit);
   }
+
+  /// Retires `position` without a reply (oneways, discarded items) but still
+  /// advances the cursor, emitting any parked replies it was holding back.
+  template <class Emit>
+  void retire_immediate(std::uint64_t position, util::TimePoint at, Emit&& emit) {
+    retire(position, at, std::nullopt, emit);
+  }
+
+  /// The replica process died: drops every in-flight FOM and parked reply.
+  void reset();
 
  private:
   struct Parked {
-    util::TimePoint since{};  ///< kReply entry: when the emit was handed over
-    std::function<void()> emit;
+    std::uint64_t position = 0;
+    util::TimePoint since{};  ///< kReply entry: when the reply was handed over
+    std::optional<Reply> reply;
   };
 
+  template <class Emit>
+  void retire(std::uint64_t position, util::TimePoint at, std::optional<Reply> reply,
+              Emit& emit) {
+    if (!settle(position, at, reply)) return;
+    if (reply) emit(*reply);
+    while (!parked_.empty() && parked_.front().position == next_retire_) {
+      std::optional<Reply> next = std::move(parked_.front().reply);
+      stats_.park_time += at - parked_.front().since;
+      parked_.erase(parked_.begin());
+      next_retire_ += 1;
+      stats_.retired += 1;
+      if (next) emit(*next);
+    }
+  }
+
+  /// Takes `position` out of the in-flight set. Returns true when it is
+  /// next in order (retired now; the caller emits); otherwise moves `reply`
+  /// into the parking area, kept sorted by position, and returns false.
+  bool settle(std::uint64_t position, util::TimePoint at, std::optional<Reply>& reply);
   void account(const Fom& fom, util::TimePoint at);
 
   std::size_t concurrency_;
   std::uint64_t next_position_ = 0;  ///< assigned at admission
   std::uint64_t next_retire_ = 0;    ///< lowest position not yet emitted
-  std::list<Fom> inflight_;
-  std::map<std::uint64_t, Parked> parked_;
+  std::vector<Fom> inflight_;        ///< admission order
+  std::vector<Parked> parked_;       ///< ascending position
   Stats stats_;
 };
 

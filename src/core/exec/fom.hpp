@@ -1,8 +1,7 @@
 // Request execution as run-to-completion state machines (FOMs).
 //
-// Agreed delivery no longer upcalls the servant synchronously: it only
-// enqueues an execution FOM at its total-order position into the replica's
-// run queue. A per-replica locality scheduler (exec::ReplicaEngine) drains
+// Agreed delivery never upcalls the servant: it only enqueues an execution
+// FOM at its total-order position into the replica's run queue. A per-replica locality scheduler (exec::ReplicaEngine) drains
 // the queue through explicit phases — decode → execute → log → reply — and
 // emits replies strictly in total-order position even when execution
 // completes out of order. The model follows motr's fop/fom + reqh split:

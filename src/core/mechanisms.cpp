@@ -25,11 +25,6 @@ bool is_recovery_endpoint(const orb::Endpoint& e) {
 }  // namespace
 
 Mechanisms::Mechanisms(sim::Simulator& sim, NodeId node, interceptor::Interceptor& tap,
-                       totem::TotemNode& totem, MechanismsConfig config)
-    : Mechanisms(sim, node, tap, std::vector<totem::TotemNode*>{&totem}, nullptr,
-                 std::move(config)) {}
-
-Mechanisms::Mechanisms(sim::Simulator& sim, NodeId node, interceptor::Interceptor& tap,
                        std::vector<totem::TotemNode*> rings,
                        const RingPlacement* placement, MechanismsConfig config)
     : sim_(sim),
@@ -100,10 +95,6 @@ void Mechanisms::persist_log(GroupId group) {
 
 void Mechanisms::persist_append(GroupId group, const Envelope& message) {
   if (storage_ == nullptr) return;
-  if (config_.storage_legacy_rewrite) {
-    persist_log(group);
-    return;
-  }
   const GroupEntry* entry = table_.find(group);
   auto log_it = logs_.find(group.value);
   if (entry == nullptr || log_it == logs_.end()) return;
@@ -246,15 +237,13 @@ void Mechanisms::do_launch(GroupId group, ReplicaId id, bool as_recovering) {
     replicas_.erase(group.value);
   }
 
-  auto replica = std::make_unique<LocalReplica>();
+  // The engine's admission window is the hosting ORB's POA window: more
+  // FOMs than the POA admits would only queue inside the POA.
+  auto replica = std::make_unique<LocalReplica>(tap_.orb().config().poa_max_inflight);
   replica->id = id;
   replica->group = group;
   replica->servant = fit->second();
   replica->launched_at = sim_.now();
-  if (config_.exec_engine) {
-    replica->engine = std::make_unique<exec::ReplicaEngine>(
-        std::max<std::size_t>(1, config_.exec_concurrency));
-  }
   tap_.orb().root_poa().activate(entry->desc.object_id, replica->servant,
                                  entry->desc.type_id);
 
@@ -292,7 +281,6 @@ void Mechanisms::kill_replica(GroupId group) {
   tap_.orb().reset_connections();
   sim_.cancel(r->checkpoint_timer);
   set_phase(*r, Phase::kDead);
-  r->busy = false;
   r->dispatch.reset();
   r->pending.clear();
   // In-flight FOMs and parked replies die with the process; a relaunch gets
@@ -525,7 +513,7 @@ void Mechanisms::capture_reply(const orb::Endpoint& to, util::Bytes iiop,
     const CurrentDispatch d = *r->dispatch;
     if (d.kind == CurrentDispatch::Kind::kGetState) {
       publish_state(*r, d, iiop);
-      complete_dispatch(*r, util::Bytes{});
+      complete_dispatch(*r);
       return;
     }
     if (d.kind == CurrentDispatch::Kind::kSetState) {
@@ -538,7 +526,6 @@ void Mechanisms::capture_reply(const orb::Endpoint& to, util::Bytes iiop,
                     util::to_string(node_) << " set_state raised an exception; replica of "
                                            << util::to_string(group) << " not recovered");
         r->restore_queue.clear();
-        r->busy = false;
         r->dispatch.reset();
         return;
       }
@@ -547,7 +534,6 @@ void Mechanisms::capture_reply(const orb::Endpoint& to, util::Bytes iiop,
         // Delta recovery: the local base and each chained delta apply as
         // sequential fabricated dispatches; the final one (checkpoint=false)
         // lands here again and completes the recovery below.
-        r->busy = false;
         r->dispatch.reset();
         apply_next_restore(*r);
         return;
@@ -557,7 +543,7 @@ void Mechanisms::capture_reply(const orb::Endpoint& to, util::Bytes iiop,
       } else {
         finish_recovery(*r, Envelope{});
       }
-      complete_dispatch(*r, std::move(iiop));
+      complete_dispatch(*r);
       return;
     }
     stats_.replies_unmatched_dropped += 1;
@@ -590,35 +576,7 @@ void Mechanisms::capture_reply(const orb::Endpoint& to, util::Bytes iiop,
     stats_.replies_unmatched_dropped += 1;
     return;
   }
-  // FOM mode: match against the in-flight FOMs first; state-op dispatches
-  // (which still use r.dispatch even in engine mode) fall through below.
-  if (engine_capture_reply(to, iiop, info)) return;
-  for (auto& [gid, replica] : replicas_) {
-    LocalReplica& r = *replica;
-    if (!r.dispatch.has_value()) continue;
-    const CurrentDispatch& d = *r.dispatch;
-    if (d.kind != CurrentDispatch::Kind::kNormal) continue;
-    if (d.reply_to != to || d.op_seq != info.request_id) continue;
-
-    Envelope e;
-    e.kind = EnvelopeKind::kReply;
-    e.client_group = d.client_group;
-    e.target_group = r.group;
-    e.op_seq = d.op_seq;
-    e.payload = std::move(iiop);
-    if (obs::SpanStore* spans = rec_.spans(); spans != nullptr && d.trace != 0) {
-      if (d.exec_span != 0) spans->end(d.exec_span, sim_.now());
-      // One logical "reply" span per invocation: active replicas racing to
-      // answer collapse onto the first opener (begin_named).
-      spans->begin_named(d.trace, spans->find_named(d.trace, "invocation"), node_,
-                         obs::Layer::kTotem, "reply", sim_.now(),
-                         "replica=" + std::to_string(r.id.value));
-      e.payload = giop::with_trace_context(e.payload, d.trace);
-    }
-    multicast(e);
-    complete_dispatch(r, util::Bytes{});
-    return;
-  }
+  if (capture_fom_reply(to, iiop, info)) return;
   stats_.replies_unmatched_dropped += 1;
 }
 

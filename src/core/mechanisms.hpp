@@ -75,10 +75,6 @@ struct MechanismsConfig {
   /// must survive the logging processor), enabling restore_from_storage()
   /// after a total failure or whole-system restart.
   std::string stable_storage_dir;
-  /// Legacy persistence: rewrite the whole base record on every logged
-  /// message instead of appending one segment entry (kept selectable for
-  /// the storage-cost comparison benchmarks).
-  bool storage_legacy_rewrite = false;
   /// Segment entries per batched sync (stable-storage append mode).
   std::uint32_t storage_sync_every = 8;
 
@@ -112,20 +108,6 @@ struct MechanismsConfig {
   /// Consecutive retry rounds before the sender gives up and falls back to
   /// the in-band chunked path.
   std::size_t bulk_max_retries = 8;
-
-  // ---- non-blocking execution engine (off = seed synchronous upcalls) ----
-  /// Run delivered requests as run-to-completion FOMs: agreed delivery only
-  /// enqueues at the total-order position; a per-replica engine drains the
-  /// run queue through explicit phases and emits replies strictly in
-  /// total-order position (src/core/exec/). With exec_concurrency == 1 the
-  /// observable behaviour is identical to the synchronous path — proven by
-  /// tests/core/exec_conformance_test.cpp.
-  bool exec_engine = false;
-  /// Execution FOMs admitted concurrently per replica. Values > 1 require
-  /// the hosting ORB to admit as many POA dispatches per object
-  /// (OrbConfig::poa_max_inflight), otherwise admitted FOMs just queue
-  /// inside the POA.
-  std::size_t exec_concurrency = 1;
 };
 
 /// Behaviour counters (consumed by tests and the benchmark harness).
@@ -196,17 +178,13 @@ struct RecoveryRecord {
   util::Duration apply_time() const { return operational - set_state_delivered; }
 };
 
-class Mechanisms final : public interceptor::Diversion,
-                         public totem::TotemListener,
-                         public sim::BulkStation {
+class Mechanisms final : public interceptor::Diversion, public sim::BulkStation {
  public:
-  Mechanisms(sim::Simulator& sim, NodeId node, interceptor::Interceptor& tap,
-             totem::TotemNode& totem, MechanismsConfig config = MechanismsConfig{});
-  /// Multi-ring form (core/placement.hpp): one Totem endpoint per ring, all
-  /// on this node; `placement` decides which endpoint orders each group's
-  /// envelopes. `rings[i]` must be the endpoint of ring index i. A null
-  /// placement (or a one-entry vector) degenerates to the single-ring form.
-  /// The placement must outlive the Mechanisms.
+  /// One Totem endpoint per ring, all on this node (core/placement.hpp);
+  /// `placement` decides which endpoint orders each group's envelopes.
+  /// `rings[i]` must be the endpoint of ring index i. A null placement (or a
+  /// one-entry vector) is a single ring. The placement must outlive the
+  /// Mechanisms.
   Mechanisms(sim::Simulator& sim, NodeId node, interceptor::Interceptor& tap,
              std::vector<totem::TotemNode*> rings, const RingPlacement* placement,
              MechanismsConfig config = MechanismsConfig{});
@@ -281,8 +259,8 @@ class Mechanisms final : public interceptor::Diversion,
   /// Mutable access for chaos fault injection (StableStorage::inject_faults).
   class StableStorage* storage() noexcept { return storage_.get(); }
 
-  /// The execution engine of the local replica of `group`; nullptr when the
-  /// engine is disabled or no replica is hosted here (tests/benches).
+  /// The execution engine of the local replica of `group`; nullptr when no
+  /// replica is hosted here (tests/benches).
   const exec::ReplicaEngine* engine_of(GroupId group) const;
 
   /// True when this node hosts a replica of `group` in the given phase.
@@ -303,12 +281,9 @@ class Mechanisms final : public interceptor::Diversion,
   // ------------------------------------------------- interceptor::Diversion
   void on_outbound(const orb::Endpoint& to, util::Bytes iiop) override;
 
-  // ---------------------------------------------------- totem::TotemListener
-  // The override form serves direct single-ring wiring; a multi-ring
-  // deployment wires one per-ring shim per endpoint to the *_on forms so
-  // deliveries and membership changes arrive ring-attributed.
-  void on_deliver(const totem::Delivery& delivery) override;
-  void on_view_change(const totem::View& view) override;
+  // ------------------------------------------------------------ Totem upcalls
+  // The deployment wires one per-ring listener shim per endpoint to these,
+  // so deliveries and membership changes arrive ring-attributed.
   void on_deliver_on(std::uint32_t ring, const totem::Delivery& delivery);
   void on_view_change_on(std::uint32_t ring, const totem::View& view);
 
@@ -346,38 +321,37 @@ class Mechanisms final : public interceptor::Diversion,
     enum class Kind { kRequest, kGetState, kSetStateDiscard } kind = Kind::kRequest;
     Envelope env;
     std::uint64_t trace = 0;  ///< causal trace id (obs/spans.hpp), 0 = untraced
-    std::uint64_t span = 0;   ///< open "deliver" span closed at injection
-    /// Engine mode: the item reached the queue front but no admission slot
-    /// was free; `span` was swapped from "deliver" to an "admit-wait" span so
+    std::uint64_t span = 0;   ///< open "deliver" span closed at admission
+    /// The item reached the queue front but no admission slot was free;
+    /// `span` was swapped from "deliver" to an "admit-wait" span so
     /// queue-behind wait and admission wait attribute separately.
     bool admit_blocked = false;
   };
 
+  /// A fabricated state operation in flight at the servant. It is
+  /// exclusive: nothing else is admitted until its reply is captured.
   struct CurrentDispatch {
-    enum class Kind { kNormal, kGetState, kSetState } kind = Kind::kNormal;
-    GroupId client_group;       ///< kNormal: issuing client group
-    std::uint64_t op_seq = 0;   ///< group request id / epoch
-    orb::Endpoint reply_to;     ///< where the ORB will address the reply
-    ReplicaId subject;          ///< state ops: the recovering replica
+    enum class Kind { kGetState, kSetState } kind = Kind::kGetState;
+    std::uint64_t op_seq = 0;   ///< epoch (the fabricated request id)
+    ReplicaId subject;          ///< the recovering replica (0: checkpoint)
     bool checkpoint = false;    ///< get_state for a periodic checkpoint
     /// kGetState: non-zero when the fabricated retrieval is a _get_delta
     /// since this epoch (the requester's advertised log tip); the published
     /// state becomes a delta envelope unless the servant fell back full.
     std::uint64_t delta_since = 0;
-    std::uint64_t trace = 0;    ///< causal trace id carried into the reply
-    std::uint64_t exec_span = 0;  ///< open "execute" span closed at reply capture
   };
 
   struct LocalReplica {
+    explicit LocalReplica(std::size_t concurrency) : engine(concurrency) {}
+
     ReplicaId id;
     GroupId group;
     std::shared_ptr<orb::Servant> servant;
     Phase phase = Phase::kRecovering;
-    bool busy = false;
-    /// FOM engine (config.exec_engine): drains `pending` through the phase
-    /// table while kOperational. Null in sync mode; dies with the replica,
-    /// so a relaunched incarnation always starts from an empty engine.
-    std::unique_ptr<exec::ReplicaEngine> engine;
+    /// Executes every request of this incarnation, from `pending` while
+    /// kOperational and from the message log while kReplaying. A relaunched
+    /// incarnation starts from a fresh engine.
+    exec::ReplicaEngine engine;
     std::deque<QueueItem> pending;
     std::optional<CurrentDispatch> dispatch;
     util::TimePoint launched_at{};
@@ -443,28 +417,30 @@ class Mechanisms final : public interceptor::Diversion,
   void deliver_control(const Envelope& e);
   void react(const std::vector<TableEvent>& events);
 
-  // ---- FOM execution engine (mechanisms_exec.cpp) ----
-  /// Engine-mode pump: pops run-queue items while admission slots are free;
-  /// state ops wait for the engine to drain (exclusive barrier) and then
-  /// take the classic busy/dispatch path.
-  void engine_pump(LocalReplica& r);
-  /// Decode phase + injection of one popped request as a FOM.
-  void engine_admit(LocalReplica& r, const QueueItem& item);
-  /// Matches a captured servant reply against the in-flight FOMs of
-  /// engine-enabled replicas; on a match the reply is sequenced through the
-  /// in-order emitter. Returns true when consumed.
-  bool engine_capture_reply(const orb::Endpoint& to, util::Bytes& iiop,
-                            const giop::Inspection& info);
+  // ---- request execution (mechanisms_exec.cpp) ----
+  /// Pops run-queue items in total order while admission slots are free
+  /// (a kReplaying replica continues its log replay instead); state ops
+  /// wait for the engine to drain (exclusive barrier).
+  void pump(LocalReplica& r);
+  /// Decode phase + injection of one request as a FOM (handshakes bypass
+  /// the engine: the ORB serves them without occupying the object).
+  void admit(LocalReplica& r, const QueueItem& item);
+  /// Matches a captured servant reply against the replicas' in-flight FOMs;
+  /// on a match the reply is sequenced through the in-order emitter.
+  /// Returns true when consumed.
+  bool capture_fom_reply(const orb::Endpoint& to, util::Bytes& iiop,
+                         const giop::Inspection& info);
+  /// Multicasts a sequenced reply at its total-order position.
+  void emit_reply(LocalReplica& r, exec::Reply& reply);
 
-  // ---- per-replica queue pump (quiescence-gated delivery) ----
+  // ---- per-replica queue (quiescence-gated delivery) ----
   /// Records a request joining a replica's execution order — from the live
   /// queue or the replayed log. The InvariantChecker's replay-order rule
   /// requires every injected request to appear here first, in order.
   void trace_enqueue(const LocalReplica& r, const EnvelopeHeader& e);
-  void pump(LocalReplica& r);
-  void inject_request_item(LocalReplica& r, const QueueItem& item);
   void inject_get_state(LocalReplica& r, const Envelope& e);
-  void complete_dispatch(LocalReplica& r, util::Bytes reply_iiop);
+  /// Ends the current state-op dispatch and resumes the queue (or replay).
+  void complete_dispatch(LocalReplica& r);
 
   // ---- state transfer ----
   Bytes build_orb_snapshot(GroupId group);
@@ -519,7 +495,9 @@ class Mechanisms final : public interceptor::Diversion,
   // ---- passive logging / promotion ----
   void maybe_start_checkpoint_timer(LocalReplica& r);
   void promote_local(GroupId group);
-  void replay_log(LocalReplica& r);
+  /// Feeds the promotion replay from the log cursor into the admission
+  /// path; becomes operational once the log is exhausted and the engine
+  /// drained.
   void replay_next(LocalReplica& r);
   void cold_restart(GroupId group);
   void send_get_state(GroupId group, ReplicaId subject);
@@ -545,15 +523,14 @@ class Mechanisms final : public interceptor::Diversion,
   /// consumes) in lockstep with the actual lifecycle.
   void set_phase(LocalReplica& r, Phase phase);
   void persist_log(GroupId group);
-  /// Fast-path persistence of one logged message: appends a segment entry
-  /// (or falls back to the legacy full rewrite when configured).
+  /// Persistence of one logged message: appends a segment entry.
   void persist_append(GroupId group, const Envelope& message);
   void apply_stored_log(GroupId group);
 
   sim::Simulator& sim_;
   NodeId node_;
   interceptor::Interceptor& tap_;
-  /// One endpoint per ring; totems_[0] is the classic single ring.
+  /// One endpoint per ring, indexed by ring.
   std::vector<totem::TotemNode*> totems_;
   const RingPlacement* placement_ = nullptr;
   MechanismsConfig config_;

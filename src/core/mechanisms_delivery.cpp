@@ -1,6 +1,6 @@
 // Delivery-side half of the Mechanisms: totally-ordered envelope handling,
-// the quiescence-gated per-replica queue pump, the Figure-5 state-transfer
-// protocol, passive logging/promotion, and fault detection.
+// the quiescence-gated per-replica queue, the Figure-5 state-transfer
+// protocol, passive logging/promotion with log replay, and fault detection.
 #include <algorithm>
 
 #include "core/checkpointable.hpp"
@@ -14,11 +14,7 @@ namespace {
 constexpr const char* kTag = "eternal";
 }  // namespace
 
-// ------------------------------------------------------------ totem listener
-
-void Mechanisms::on_deliver(const totem::Delivery& delivery) {
-  on_deliver_on(0, delivery);
-}
+// ------------------------------------------------------------ Totem upcalls
 
 void Mechanisms::on_deliver_on(std::uint32_t ring, const totem::Delivery& delivery) {
   // The envelope borrows from the delivery, which Totem lends for this
@@ -60,10 +56,6 @@ void Mechanisms::on_deliver_on(std::uint32_t ring, const totem::Delivery& delive
       // bytes without a descriptor. Drop them.
       return;
   }
-}
-
-void Mechanisms::on_view_change(const totem::View& view) {
-  on_view_change_on(0, view);
 }
 
 void Mechanisms::on_view_change_on(std::uint32_t ring, const totem::View& view) {
@@ -878,11 +870,9 @@ void Mechanisms::apply_state(LocalReplica& r, const Envelope& e, bool is_checkpo
   request.operation = e.delta_base != 0 ? kApplyDeltaOp : kSetStateOp;
   request.body = e.payload;
 
-  r.busy = true;
   CurrentDispatch d;
   d.kind = CurrentDispatch::Kind::kSetState;
   d.op_seq = e.op_seq;
-  d.reply_to = recovery_endpoint(r.group);
   d.subject = e.subject;
   d.checkpoint = is_checkpoint;
   r.dispatch = d;
@@ -1052,112 +1042,6 @@ void Mechanisms::trace_enqueue(const LocalReplica& r, const EnvelopeHeader& e) {
                   " op_seq=" + std::to_string(e.op_seq));
 }
 
-void Mechanisms::pump(LocalReplica& r) {
-  // FOM mode: an operational replica drains its run queue through the
-  // execution engine (mechanisms_exec.cpp). Every other phase — recovery,
-  // backup log absorption, promotion replay — keeps the classic path.
-  if (r.engine != nullptr && r.phase == Phase::kOperational) {
-    engine_pump(r);
-    return;
-  }
-  // Passive backups never execute queued requests; anything a freshly
-  // recovered backup accumulated belongs in the message log (§3.3).
-  if (r.phase == Phase::kBackup && !r.pending.empty()) {
-    MessageLog& log = logs_[r.group.value];
-    for (QueueItem& item : r.pending) {
-      if (item.kind == QueueItem::Kind::kRequest) {
-        log.append(std::move(item.env));
-        stats_.messages_logged += 1;
-      }
-    }
-    r.pending.clear();
-    return;
-  }
-  while (!r.busy && !r.pending.empty() && r.phase == Phase::kOperational) {
-    QueueItem item = std::move(r.pending.front());
-    r.pending.pop_front();
-    if (obs::SpanStore* spans = rec_.spans()) {
-      spans->recovery().replayed_one(r.group, r.id, sim_.now());
-    }
-    switch (item.kind) {
-      case QueueItem::Kind::kRequest:
-        inject_request_item(r, item);
-        break;
-      case QueueItem::Kind::kGetState:
-        inject_get_state(r, item.env);
-        break;
-      case QueueItem::Kind::kSetStateDiscard:
-        stats_.set_state_discarded_at_existing += 1;
-        break;
-    }
-  }
-}
-
-void Mechanisms::inject_request_item(LocalReplica& r, const QueueItem& item) {
-  const Envelope& e = item.env;
-  std::optional<giop::Inspection> info = giop::inspect(e.payload);
-  if (!info) return;
-  const orb::Endpoint from = orb::group_endpoint(e.client_group);
-
-  obs::SpanStore* const spans = rec_.spans();
-  if (spans != nullptr && item.span != 0) spans->end(item.span, sim_.now());
-
-  if (info->has_context(giop::kVendorHandshakeContextId)) {
-    // Client-server handshakes are served inside the ORB; they do not make
-    // the application object busy.
-    handshake_flights_[std::make_pair(from, info->request_id)].push_back(
-        HandshakeFlight{r.group, /*replay=*/false});
-    tap_.inject(from, e.payload);
-    return;
-  }
-
-  stats_.requests_delivered += 1;
-  ctr_requests_injected_.add();
-  if (rec_.tracing()) {
-    rec_.record(node_, obs::Layer::kMech, "request_inject", e.op_seq,
-                "group=" + std::to_string(r.group.value) +
-                    " replica=" + std::to_string(r.id.value) +
-                    " client=" + std::to_string(e.client_group.value) +
-                    " op_seq=" + std::to_string(e.op_seq));
-  }
-  if (info->response_expected) {
-    r.busy = true;
-    CurrentDispatch d;
-    d.kind = CurrentDispatch::Kind::kNormal;
-    d.client_group = e.client_group;
-    d.op_seq = e.op_seq;
-    d.reply_to = from;
-    if (spans != nullptr && item.trace != 0) {
-      d.trace = item.trace;
-      d.exec_span = spans->begin(item.trace, spans->find_named(item.trace, "invocation"),
-                                 node_, obs::Layer::kOrb, "execute", sim_.now(),
-                                 "replica=" + std::to_string(r.id.value));
-    }
-    r.dispatch = d;
-    tap_.inject(from, e.payload);
-    return;
-  }
-
-  // Oneways return no response; the object is considered non-quiescent for
-  // a bounded grace period (§5: oneways complicate quiescence).
-  r.busy = true;
-  r.dispatch.reset();
-  tap_.inject(from, e.payload);
-  const GroupId group = r.group;
-  sim_.schedule(config_.oneway_grace, [this, group] {
-    LocalReplica* replica = local_replica(group);
-    if (replica == nullptr) return;
-    if (replica->busy && !replica->dispatch.has_value()) {
-      replica->busy = false;
-      if (replica->phase == Phase::kReplaying) {
-        replay_next(*replica);
-      } else {
-        pump(*replica);
-      }
-    }
-  });
-}
-
 void Mechanisms::inject_get_state(LocalReplica& r, const Envelope& e) {
   const GroupEntry* entry = table_.find(r.group);
   if (entry == nullptr) return;
@@ -1194,11 +1078,9 @@ void Mechanisms::inject_get_state(LocalReplica& r, const Envelope& e) {
     spans->recovery().quiescent(r.group, e.subject, sim_.now());
   }
 
-  r.busy = true;
   CurrentDispatch d;
   d.kind = CurrentDispatch::Kind::kGetState;
   d.op_seq = e.op_seq;
-  d.reply_to = recovery_endpoint(r.group);
   d.subject = e.subject;
   d.checkpoint = e.subject.value == 0;
   d.delta_since = since;
@@ -1206,14 +1088,9 @@ void Mechanisms::inject_get_state(LocalReplica& r, const Envelope& e) {
   tap_.inject(recovery_endpoint(r.group), giop::encode(request));
 }
 
-void Mechanisms::complete_dispatch(LocalReplica& r, util::Bytes) {
-  r.busy = false;
+void Mechanisms::complete_dispatch(LocalReplica& r) {
   r.dispatch.reset();
-  if (r.phase == Phase::kReplaying) {
-    replay_next(r);
-  } else {
-    pump(r);
-  }
+  pump(r);
 }
 
 // -------------------------------------------------- passive logging / promo
@@ -1366,44 +1243,42 @@ void Mechanisms::cold_restart(GroupId group) {
   }
 }
 
-void Mechanisms::replay_log(LocalReplica& r) {
-  set_phase(r, Phase::kReplaying);
-  r.replay_cursor = 0;
-  replay_next(r);
-}
-
 void Mechanisms::replay_next(LocalReplica& r) {
-  if (r.phase != Phase::kReplaying || r.busy) return;
-  MessageLog& log = logs_[r.group.value];
-  if (r.replay_cursor >= log.messages().size()) {
-    set_phase(r, Phase::kOperational);
-    Envelope e;
-    e.kind = EnvelopeKind::kControl;
-    e.control_op = ControlOp::kReplicaOperational;
-    e.target_group = r.group;
-    e.subject = r.id;
-    e.subject_node = node_;
-    multicast(e);
-    maybe_start_checkpoint_timer(r);
-    pump(r);
-    return;
-  }
   // Read through the log without consuming it; the entries stay until the
-  // next checkpoint's mark truncates them.
-  Envelope next = log.messages()[r.replay_cursor++];
-  stats_.log_replayed_messages += 1;
-  if (next.kind == EnvelopeKind::kGetState) {
-    inject_get_state(r, next);
-    return;  // continues from complete_dispatch when the reply is captured
+  // next checkpoint's mark truncates them. Replayed requests take the same
+  // admission path as live ones, so the engine's window paces the replay.
+  MessageLog& log = logs_[r.group.value];
+  while (r.phase == Phase::kReplaying && !r.dispatch) {
+    if (r.replay_cursor >= log.messages().size()) {
+      if (!r.engine.idle()) return;  // resumes when the last FOM retires
+      set_phase(r, Phase::kOperational);
+      Envelope e;
+      e.kind = EnvelopeKind::kControl;
+      e.control_op = ControlOp::kReplicaOperational;
+      e.target_group = r.group;
+      e.subject = r.id;
+      e.subject_node = node_;
+      multicast(e);
+      maybe_start_checkpoint_timer(r);
+      pump(r);
+      return;
+    }
+    const bool state_op = log.messages()[r.replay_cursor].kind == EnvelopeKind::kGetState;
+    if (state_op ? !r.engine.idle() : !r.engine.can_admit()) return;
+    Envelope next = log.messages()[r.replay_cursor++];
+    stats_.log_replayed_messages += 1;
+    if (state_op) {
+      inject_get_state(r, next);
+      continue;  // exclusive: resumes from complete_dispatch
+    }
+    QueueItem item;
+    item.kind = QueueItem::Kind::kRequest;
+    item.env = std::move(next);
+    // The replayed log entry (re)enters this replica's execution order here —
+    // recorded so the checker sees injections follow the logged total order.
+    trace_enqueue(r, item.env);
+    admit(r, item);
   }
-  QueueItem item;
-  item.kind = QueueItem::Kind::kRequest;
-  item.env = std::move(next);
-  // The replayed log entry (re)enters this replica's execution order here —
-  // recorded so the checker sees injections follow the logged total order.
-  trace_enqueue(r, item.env);
-  inject_request_item(r, item);
-  if (!r.busy) replay_next(r);  // handshakes complete immediately
 }
 
 // ------------------------------------------------------------ control plane

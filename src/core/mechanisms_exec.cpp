@@ -1,21 +1,19 @@
-// FOM execution engine integration (MechanismsConfig::exec_engine).
+// Request execution: every delivered request runs as a run-to-completion
+// FOM on the replica's exec::ReplicaEngine.
 //
-// The sync path (mechanisms_delivery.cpp) serializes a replica with one
-// `busy` flag: pump() pops a run-queue item, upcalls the servant, and pops
-// the next only after the reply is captured. Here pump() routes to
-// engine_pump() instead: items still pop strictly in run-queue order (the
-// total order), but each request becomes a FOM with its own admission slot,
-// so a stalled servant operation no longer blocks the items behind it.
-// Replies are sequenced by exec::ReplicaEngine so they are emitted in
-// total-order position regardless of completion order.
+// Agreed delivery only enqueues; pump() pops run-queue items strictly in
+// total order while the engine has a free admission slot, and promotion
+// replay (replay_next) feeds the same admission path from the message log.
+// Replies are sequenced by the engine so they are emitted in total-order
+// position regardless of completion order. The admission window is the
+// hosting ORB's POA window (OrbConfig::poa_max_inflight); at the default of
+// 1 this is the paper's synchronous upcall — one request executes at a time
+// and the next pops only after its reply is captured.
 //
-// Equivalence contract: with exec_concurrency == 1 every side effect below
-// happens at the same virtual instant, in the same order, as the sync path —
-// the conformance harness (tests/core/exec_conformance_test.cpp) holds the
-// two modes to byte-identical delivery streams. State operations
-// (get_state/set_state) remain exclusive barriers in both modes because the
-// published state piggybacks ORB/infra snapshots that are only consistent
-// when no FOM is mid-execution.
+// Quiescence (§5): state operations (get_state/set_state) are exclusive
+// fabricated dispatches. They wait for engine.idle() — no FOM executing, no
+// reply parked, no oneway inside its grace period — because the published
+// state piggybacks ORB/infra snapshots that are only consistent then.
 #include "core/checkpointable.hpp"
 #include "core/mechanisms.hpp"
 #include "obs/spans.hpp"
@@ -25,23 +23,38 @@ namespace eternal::core {
 
 const exec::ReplicaEngine* Mechanisms::engine_of(GroupId group) const {
   const LocalReplica* r = local_replica(group);
-  return r == nullptr ? nullptr : r->engine.get();
+  return r == nullptr ? nullptr : &r->engine;
 }
 
-void Mechanisms::engine_pump(LocalReplica& r) {
-  exec::ReplicaEngine& engine = *r.engine;
-  while (!r.busy && !r.pending.empty() && r.phase == Phase::kOperational) {
+void Mechanisms::pump(LocalReplica& r) {
+  if (r.phase == Phase::kReplaying) {
+    replay_next(r);
+    return;
+  }
+  // Passive backups never execute queued requests; anything a freshly
+  // recovered backup accumulated belongs in the message log (§3.3).
+  if (r.phase == Phase::kBackup && !r.pending.empty()) {
+    MessageLog& log = logs_[r.group.value];
+    for (QueueItem& item : r.pending) {
+      if (item.kind == QueueItem::Kind::kRequest) {
+        log.append(std::move(item.env));
+        stats_.messages_logged += 1;
+      }
+    }
+    r.pending.clear();
+    return;
+  }
+  while (!r.dispatch && !r.pending.empty() && r.phase == Phase::kOperational) {
     // State ops need the engine drained (exclusive barrier); everything else
-    // needs a free admission slot. At concurrency 1 both conditions reduce
-    // to the sync path's !busy, so pop instants match exactly.
+    // needs a free admission slot.
     const bool admissible = r.pending.front().kind == QueueItem::Kind::kGetState
-                                ? engine.idle()
-                                : engine.can_admit();
+                                ? r.engine.idle()
+                                : r.engine.can_admit();
     if (!admissible) {
       // The front item is next in total order but the engine has no free
       // slot (or a state op needs the engine drained). Swap its "deliver"
       // span for an "admit-wait" span so the critical-path breakdown
-      // separates queue-behind wait from admission-slot wait; engine_admit
+      // separates queue-behind wait from admission-slot wait; admit()
       // closes whichever span the item carries.
       QueueItem& front = r.pending.front();
       if (obs::SpanStore* spans = rec_.spans();
@@ -62,11 +75,9 @@ void Mechanisms::engine_pump(LocalReplica& r) {
     }
     switch (item.kind) {
       case QueueItem::Kind::kRequest:
-        engine_admit(r, item);
+        admit(r, item);
         break;
       case QueueItem::Kind::kGetState:
-        // Classic exclusive dispatch: r.busy gates the queue until the
-        // published state's reply lands at the recovery endpoint.
         inject_get_state(r, item.env);
         break;
       case QueueItem::Kind::kSetStateDiscard:
@@ -76,7 +87,7 @@ void Mechanisms::engine_pump(LocalReplica& r) {
   }
 }
 
-void Mechanisms::engine_admit(LocalReplica& r, const QueueItem& item) {
+void Mechanisms::admit(LocalReplica& r, const QueueItem& item) {
   const Envelope& e = item.env;
 
   // ---- decode: the agreed envelope becomes a GIOP request again.
@@ -88,8 +99,8 @@ void Mechanisms::engine_admit(LocalReplica& r, const QueueItem& item) {
   if (spans != nullptr && item.span != 0) spans->end(item.span, sim_.now());
 
   if (info->has_context(giop::kVendorHandshakeContextId)) {
-    // Handshakes are served inside the ORB and never occupy a FOM slot
-    // (same as the sync path: they do not make the object busy).
+    // Client-server handshakes are served inside the ORB; they never occupy
+    // an admission slot (they do not make the application object busy).
     handshake_flights_[std::make_pair(from, info->request_id)].push_back(
         HandshakeFlight{r.group, /*replay=*/false});
     tap_.inject(from, e.payload);
@@ -99,15 +110,16 @@ void Mechanisms::engine_admit(LocalReplica& r, const QueueItem& item) {
   stats_.requests_delivered += 1;
   ctr_requests_injected_.add();
 
-  exec::Fom& fom = r.engine->admit(e.client_group, e.op_seq, from,
-                                   info->response_expected, sim_.now());
+  exec::Fom& fom = r.engine.admit(e.client_group, e.op_seq, from,
+                                  info->response_expected, sim_.now());
+  const std::uint64_t position = fom.position;
   if (rec_.tracing()) {
     rec_.record(node_, obs::Layer::kMech, "request_inject", e.op_seq,
                 "group=" + std::to_string(r.group.value) +
                     " replica=" + std::to_string(r.id.value) +
                     " client=" + std::to_string(e.client_group.value) +
                     " op_seq=" + std::to_string(e.op_seq) +
-                    " fom_pos=" + std::to_string(fom.position) +
+                    " fom_pos=" + std::to_string(position) +
                     " fom_phase=" + exec::to_string(fom.phase));
   }
   if (spans != nullptr && item.trace != 0 && info->response_expected) {
@@ -117,7 +129,7 @@ void Mechanisms::engine_admit(LocalReplica& r, const QueueItem& item) {
     // breakdown the critical-path analysis attributes stall time with.
     const obs::SpanId decode =
         spans->begin(item.trace, parent, node_, obs::Layer::kMech, "fom-decode",
-                     sim_.now(), "pos=" + std::to_string(fom.position));
+                     sim_.now(), "pos=" + std::to_string(position));
     spans->end(decode, sim_.now());
     fom.exec_span = spans->begin(item.trace, parent, node_, obs::Layer::kOrb,
                                  "execute", sim_.now(),
@@ -127,80 +139,82 @@ void Mechanisms::engine_admit(LocalReplica& r, const QueueItem& item) {
   tap_.inject(from, e.payload);
   if (info->response_expected) return;
 
-  // Oneway: no reply will ever match this FOM. The slot is held for the
-  // quiescence grace period (§5), then the FOM retires at its position so
-  // later replies are not stuck behind it.
+  // Oneway: no reply will ever match this FOM. The object is non-quiescent
+  // for a bounded grace period (§5: oneways complicate quiescence), so the
+  // slot is held that long; then the FOM retires at its position so later
+  // replies are not stuck behind it.
   const GroupId group = r.group;
   const ReplicaId incarnation = r.id;
-  const std::uint64_t position = fom.position;
   sim_.schedule(config_.oneway_grace, [this, group, incarnation, position] {
     LocalReplica* replica = local_replica(group);
-    if (replica == nullptr || replica->id != incarnation ||
-        replica->engine == nullptr) {
-      return;
-    }
-    if (exec::Fom* f = replica->engine->find(position)) {
-      f->enter(exec::FomPhase::kDone, sim_.now());
-      replica->engine->retire_immediate(position, sim_.now());
-      pump(*replica);
-    }
+    if (replica == nullptr || replica->id != incarnation) return;
+    exec::Fom* f = replica->engine.find(position);
+    if (f == nullptr) return;
+    f->enter(exec::FomPhase::kDone, sim_.now());
+    replica->engine.retire_immediate(position, sim_.now(), [this, replica](exec::Reply& out) {
+      emit_reply(*replica, out);
+    });
+    pump(*replica);
   });
 }
 
-bool Mechanisms::engine_capture_reply(const orb::Endpoint& to, util::Bytes& iiop,
-                                      const giop::Inspection& info) {
+bool Mechanisms::capture_fom_reply(const orb::Endpoint& to, util::Bytes& iiop,
+                                   const giop::Inspection& info) {
   for (auto& [gid, replica] : replicas_) {
     LocalReplica& r = *replica;
-    if (r.engine == nullptr) continue;
-    exec::Fom* fom = r.engine->match(to, info.request_id);
+    exec::Fom* fom = r.engine.match(to, info.request_id);
     if (fom == nullptr) continue;
 
-    Envelope e;
-    e.kind = EnvelopeKind::kReply;
-    e.client_group = fom->client_group;
-    e.target_group = r.group;
-    e.op_seq = fom->op_seq;
-    e.payload = std::move(iiop);
+    exec::Reply reply;
+    reply.client_group = fom->client_group;
+    reply.op_seq = fom->op_seq;
+    reply.trace = fom->trace;
+    reply.payload = std::move(iiop);
 
-    obs::SpanStore* const spans = rec_.spans();
-    const std::uint64_t trace = fom->trace;
-    const ReplicaId incarnation = r.id;
     // ---- log: the operation's effect is on record (under active
     // replication a zero-cost hop; passive logging happened at delivery).
     fom->enter(exec::FomPhase::kLog, sim_.now());
-    obs::SpanId park_span = 0;
-    if (spans != nullptr && trace != 0) {
+    if (obs::SpanStore* spans = rec_.spans(); spans != nullptr && reply.trace != 0) {
       if (fom->exec_span != 0) spans->end(fom->exec_span, sim_.now());
-      const obs::SpanId parent = spans->find_named(trace, "invocation");
+      const obs::SpanId parent = spans->find_named(reply.trace, "invocation");
       const obs::SpanId log_span =
-          spans->begin(trace, parent, node_, obs::Layer::kMech, "fom-log",
+          spans->begin(reply.trace, parent, node_, obs::Layer::kMech, "fom-log",
                        sim_.now(), "pos=" + std::to_string(fom->position));
       spans->end(log_span, sim_.now());
       // The reply parks in the sequencer from here until every earlier
       // position has emitted; zero-length when it emits immediately.
-      park_span = spans->begin(trace, parent, node_, obs::Layer::kMech,
-                               "reply-park", sim_.now(),
-                               "pos=" + std::to_string(fom->position));
-      e.payload = giop::with_trace_context(e.payload, trace);
+      reply.park_span = spans->begin(reply.trace, parent, node_, obs::Layer::kMech,
+                                     "reply-park", sim_.now(),
+                                     "pos=" + std::to_string(fom->position));
+      reply.payload = giop::with_trace_context(reply.payload, reply.trace);
     }
     // ---- reply: built and handed to the sequencer; emitted now if this is
     // the lowest outstanding position, parked otherwise.
     fom->enter(exec::FomPhase::kReply, sim_.now());
-    r.engine->finish(
-        fom->position, sim_.now(),
-        [this, envelope = std::move(e), trace, park_span, incarnation]() mutable {
-          if (obs::SpanStore* s = rec_.spans(); s != nullptr && trace != 0) {
-            if (park_span != 0) s->end(park_span, sim_.now());
-            s->begin_named(trace, s->find_named(trace, "invocation"), node_,
-                           obs::Layer::kTotem, "reply", sim_.now(),
-                           "replica=" + std::to_string(incarnation.value));
-          }
-          multicast(envelope);
-        });
+    r.engine.finish(fom->position, sim_.now(), std::move(reply),
+                    [this, &r](exec::Reply& out) { emit_reply(r, out); });
     pump(r);
     return true;
   }
   return false;
+}
+
+void Mechanisms::emit_reply(LocalReplica& r, exec::Reply& reply) {
+  if (obs::SpanStore* spans = rec_.spans(); spans != nullptr && reply.trace != 0) {
+    if (reply.park_span != 0) spans->end(reply.park_span, sim_.now());
+    // One logical "reply" span per invocation: active replicas racing to
+    // answer collapse onto the first opener (begin_named).
+    spans->begin_named(reply.trace, spans->find_named(reply.trace, "invocation"), node_,
+                       obs::Layer::kTotem, "reply", sim_.now(),
+                       "replica=" + std::to_string(r.id.value));
+  }
+  Envelope e;
+  e.kind = EnvelopeKind::kReply;
+  e.client_group = reply.client_group;
+  e.target_group = r.group;
+  e.op_seq = reply.op_seq;
+  e.payload = std::move(reply.payload);
+  multicast(e);
 }
 
 }  // namespace eternal::core

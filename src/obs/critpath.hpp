@@ -11,14 +11,14 @@
 //                   delivery anywhere in the group
 //   delivery        first delivery → the winning replica pops the item to the
 //                   queue front ("deliver" span: ring skew + queue-behind wait)
-//   admission       engine mode only: front of queue → admission slot free
-//                   ("admit-wait" span; 0 on the sync path)
+//   admission       front of queue → admission slot free ("admit-wait"
+//                   span; 0 when a slot was free on arrival at the front)
 //   decode          FOM kDecode residency ("fom-decode" marker)
 //   execute         servant execution ("execute" span)
 //   log             FOM kLog residency ("fom-log" marker)
 //   reply-park      in-order reply sequencer parking: reply built → emitted
-//                   at its total-order position ("reply-park" span; 0 in sync
-//                   mode and for in-order completions)
+//                   at its total-order position ("reply-park" span; 0 at
+//                   admission concurrency 1 and for in-order completions)
 //   reply-wire      reply multicast → first delivery at the client ("reply")
 //   residual        end-to-end minus everything above: whatever the spans do
 //                   not cover (ring skew between the first-delivering and the

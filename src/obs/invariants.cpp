@@ -50,8 +50,8 @@ struct ReplicaHistory {
   std::vector<std::string> enqueued_order;  // rule 4: recorded total order
   std::vector<std::string> injected_order;  // rule 4: execution order
   /// Per injected op: the trace-event index of its request_inject record
-  /// and the execution phase it was injected under (FOM engine runs stamp
-  /// "fom_phase=..." into the detail; sync upcalls have none). A
+  /// and the execution phase it was injected under (every FOM injection
+  /// stamps "fom_phase=..." into the detail; older streams have none). A
   /// replay-order violation reports both, so the offending operation is
   /// locatable in the stream and attributable to a phase.
   std::vector<std::size_t> injected_index;  // rule 4: event of each injection

@@ -40,10 +40,11 @@ struct Violation {
   /// rule; lets reports show the surrounding stream (report_with_context).
   std::size_t event_index = kNoIndex;
   /// Execution phase of the offending operation when known: the FOM phase
-  /// recorded at injection ("decode"/"execute"/...) under the execution
-  /// engine, "sync-upcall" for the synchronous path. Empty when the rule has
-  /// no per-operation context. Replay-order violations always set this, so
-  /// an execution/delivery interleaving bug names the phase it surfaced in.
+  /// recorded at injection ("decode"/"execute"/...), or "sync-upcall" for an
+  /// injection without one (streams recorded before every request ran as a
+  /// FOM). Empty when the rule has no per-operation context. Replay-order
+  /// violations always set this, so an execution/delivery interleaving bug
+  /// names the phase it surfaced in.
   std::string phase;
 };
 

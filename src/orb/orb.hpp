@@ -66,7 +66,8 @@ struct OrbConfig {
   /// SINGLE_THREAD_MODEL default (the seed behaviour). Larger values admit
   /// several invocations whose modelled execution overlaps; their bodies
   /// still run in admission-ticket order (see ServerRequest::run_when_clear),
-  /// so state mutations and replies keep the serialized order.
+  /// so state mutations and replies keep the serialized order. Eternal's
+  /// execution engine admits as many request FOMs per replica hosted here.
   std::size_t poa_max_inflight = 1;
 };
 

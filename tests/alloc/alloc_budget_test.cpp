@@ -5,8 +5,9 @@
 // invocation passes through may make once their reusable buffers have
 // grown: scheduling and firing events, putting frames on the wire, encoding
 // Totem frames and Eternal envelopes, decoding envelopes as views, filtering
-// duplicates, inspecting GIOP headers, handing messages to Totem and the ORB
-// and looking up a group's ring. A change that puts an allocation back on
+// duplicates, inspecting GIOP headers, handing messages to Totem and the ORB,
+// looking up a group's ring and sequencing a request through its replica's
+// execution engine. A change that puts an allocation back on
 // one of these paths fails here instead of only moving the benchmark's
 // allocs_per_op.
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "core/envelope.hpp"
+#include "core/exec/engine.hpp"
 #include "core/placement.hpp"
 #include "core/seq_window.hpp"
 #include "giop/giop.hpp"
@@ -293,6 +295,37 @@ TEST(AllocBudget, RepeatedRingLookupAllocatesNothing) {
   lookups();  // first lookups fill the memo table
   EXPECT_EQ(allocs_of(lookups), 0u);
   EXPECT_GT(sum, 0u);
+}
+
+TEST(AllocBudget, EngineAdmitAndInOrderFinishAllocateNothing) {
+  core::exec::ReplicaEngine engine(4);
+  const orb::Endpoint client{NodeId{7}};
+  std::uint64_t op_seq = 0;
+  std::size_t emitted = 0;
+  Bytes reply_bytes(64);
+  // One request through the engine: admit, then its reply, which is next
+  // in order and so emitted inline. The reply payload is moved in and out,
+  // never copied.
+  auto one_request = [&] {
+    core::exec::Fom& fom =
+        engine.admit(util::GroupId{2}, op_seq++, client, true, util::TimePoint{});
+    core::exec::Reply reply;
+    reply.op_seq = fom.op_seq;
+    reply.payload = std::move(reply_bytes);
+    engine.finish(fom.position, util::TimePoint{}, std::move(reply),
+                  [&](core::exec::Reply& out) {
+                    reply_bytes = std::move(out.payload);
+                    ++emitted;
+                  });
+  };
+  one_request();  // warm-up: the in-flight vector grows
+  EXPECT_EQ(allocs_of([&] {
+              for (int i = 0; i < 32; ++i) one_request();
+            }),
+            0u);
+  EXPECT_EQ(emitted, 33u);
+  EXPECT_EQ(engine.stats().replies_parked, 0u);
+  EXPECT_TRUE(engine.idle());
 }
 
 }  // namespace

@@ -31,12 +31,10 @@ namespace critpath = obs::critpath;
 
 constexpr Duration kExec = Duration(400'000);  // 400 us servant time
 
-SystemConfig spanful_config(bool engine, std::size_t concurrency) {
+SystemConfig spanful_config(std::size_t concurrency) {
   SystemConfig cfg;
   cfg.nodes = 3;
   cfg.span_capacity = 1u << 14;
-  cfg.mechanisms.exec_engine = engine;
-  cfg.mechanisms.exec_concurrency = concurrency;
   cfg.orb.poa_max_inflight = concurrency;
   return cfg;
 }
@@ -76,8 +74,8 @@ void expect_exact_partition(const critpath::Report& rep) {
   }
 }
 
-critpath::Report run_clean(bool engine, std::size_t concurrency) {
-  System sys(spanful_config(engine, concurrency));
+critpath::Report run_clean(std::size_t concurrency) {
+  System sys(spanful_config(concurrency));
   const GroupId group = deploy_counter(sys, 2);
   sys.deploy_client("load", NodeId{3}, {group});
   OpenLoopDriver driver(sys.sim(), sys.client(NodeId{3}, group), "inc",
@@ -91,14 +89,15 @@ critpath::Report run_clean(bool engine, std::size_t concurrency) {
 }
 
 TEST(CritPath, CleanSyncRunPartitionsExactly) {
-  const critpath::Report rep = run_clean(/*engine=*/false, 1);
+  // Concurrency 1: the paper's synchronous upcall semantics.
+  const critpath::Report rep = run_clean(1);
   EXPECT_GT(rep.invocations.size(), 40u);
   EXPECT_EQ(rep.partial_traces, 0u);
   EXPECT_EQ(rep.dropped_spans, 0u);
   expect_exact_partition(rep);
-  // The sync path never opens engine-only spans.
+  // One request executes at a time, so every reply is next in order and
+  // never parks; waiting for the one slot is admission time.
   for (const critpath::Breakdown& b : rep.invocations) {
-    EXPECT_EQ(b[critpath::Segment::kAdmission].count(), 0);
     EXPECT_EQ(b[critpath::Segment::kReplyPark].count(), 0);
     EXPECT_GE(b[critpath::Segment::kExecute].count(), kExec.count())
         << "execute segment covers at least the modelled servant time";
@@ -106,16 +105,15 @@ TEST(CritPath, CleanSyncRunPartitionsExactly) {
 }
 
 TEST(CritPath, CleanEngineRunPartitionsExactly) {
-  for (const std::size_t concurrency : {std::size_t{1}, std::size_t{4}}) {
-    const critpath::Report rep = run_clean(/*engine=*/true, concurrency);
-    EXPECT_GT(rep.invocations.size(), 40u) << "concurrency " << concurrency;
-    EXPECT_EQ(rep.partial_traces, 0u) << "concurrency " << concurrency;
-    expect_exact_partition(rep);
-  }
+  // Concurrency 4: overlapping FOMs (concurrency 1 is the test above).
+  const critpath::Report rep = run_clean(4);
+  EXPECT_GT(rep.invocations.size(), 40u);
+  EXPECT_EQ(rep.partial_traces, 0u);
+  expect_exact_partition(rep);
 }
 
 TEST(CritPath, LossyRunStaysExactForCompletedInvocations) {
-  SystemConfig cfg = spanful_config(/*engine=*/true, 4);
+  SystemConfig cfg = spanful_config(4);
   cfg.ethernet.loss_probability = 0.02;  // totem retransmits around the loss
   System sys(cfg);
   const GroupId group = deploy_counter(sys, 2);
@@ -166,7 +164,7 @@ class PeekableServant : public orb::Servant {
 };
 
 TEST(CritPath, FomOverlapParksOutOfOrderReplies) {
-  SystemConfig cfg = spanful_config(/*engine=*/true, 4);
+  SystemConfig cfg = spanful_config(4);
   System sys(cfg);
   FtProperties props;
   props.style = ReplicationStyle::kActive;
@@ -206,11 +204,10 @@ TEST(CritPath, DefaultConfigKeepsInstrumentationInert) {
   // gated on spans() != nullptr, so the wire format and event timing are
   // those of an uninstrumented build. Two seeded runs must agree byte-for-
   // byte on the whole trace export, and the span store must not exist.
-  const auto run = [](bool engine) {
+  const auto run = [] {
     SystemConfig cfg;
     cfg.nodes = 3;
     cfg.trace_capacity = 1u << 16;  // local event log only; nothing on the wire
-    cfg.mechanisms.exec_engine = engine;
     System sys(cfg);
     EXPECT_EQ(sys.spans(), nullptr) << "span_capacity 0 must mean no span store";
     const GroupId group = deploy_counter(sys, 2);
@@ -223,8 +220,7 @@ TEST(CritPath, DefaultConfigKeepsInstrumentationInert) {
     sys.run_for(Duration(50'000'000));
     return sys.trace()->to_json();
   };
-  EXPECT_EQ(run(false), run(false));
-  EXPECT_EQ(run(true), run(true));
+  EXPECT_EQ(run(), run());
 }
 
 TEST(CritPath, EnablingSpansIsLogicallyNeutral) {

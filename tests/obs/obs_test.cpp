@@ -660,8 +660,9 @@ TEST(InvariantChecker, ReplayOrderViolationCarriesEventIndexAndFomPhase) {
 }
 
 TEST(InvariantChecker, SyncUpcallInjectionsReportSyncPhase) {
-  // The seed's synchronous path stamps no fom_phase; the violation still
-  // carries an index and attributes the injection to "sync-upcall".
+  // Streams recorded by the removed synchronous path stamp no fom_phase;
+  // the violation still carries an index and attributes the injection to
+  // "sync-upcall".
   std::vector<TraceEvent> events{
       mech_event(1, "request_inject", "group=5 replica=r1 client=9 op_seq=1")};
   const auto violations = InvariantChecker::check(events);
