@@ -170,7 +170,7 @@ void BM_TotemEncodeDataFrame(benchmark::State& state) {
   f.ring_id = 77;
   f.origin = util::NodeId{2};
   f.seq = 1234;
-  f.payload.assign(static_cast<std::size_t>(state.range(0)), 0xAB);
+  f.payload = util::SharedSlice::copy_of(util::Bytes(static_cast<std::size_t>(state.range(0)), 0xAB));
   for (auto _ : state) {
     benchmark::DoNotOptimize(totem::encode_frame(util::NodeId{2}, f).data());
   }

@@ -85,6 +85,11 @@ cmake --build build-asan -j"$JOBS" --target \
 # envelope view and SeqWindow), passive_test and stable_storage_test (logged
 # and persisted messages), recovery_hazards_test and fast_state_transfer_test
 # (state, chunk and bulk envelopes), critpath_test (traced replies).
+# What is kept past a delivery is a slice of the frame's one shared buffer:
+# core_unit_test (RetainedDelivery: a queue item, a log entry, the reply
+# cache and a pending ORB event each outlive the frame's Ethernet slot,
+# store entry and stale replacement) and totem_test (TotemSharedFrames)
+# would read freed memory if a holder kept a plain view instead.
 # exec_engine_test: the reply sequencer keeps FOMs and parked replies in
 # vectors, so a Fom& held across a re-entrant admission would dangle.
 for t in obs_test spans_test integration_smoke_test recovery_edge_test quiescence_test \

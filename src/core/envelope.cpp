@@ -7,22 +7,27 @@ namespace eternal::core {
 namespace {
 constexpr std::uint16_t kMagic = 0xE7E4;
 
-/// Exact encoded size of `e`, so encode_envelope allocates once: 56 header
-/// bytes (80 plus the digests for bulk kinds), then four aligned octet
-/// sequences.
-std::size_t encoded_size(const Envelope& e) {
-  std::size_t n = e.kind >= EnvelopeKind::kStateBulkDescriptor
-                      ? 80 + 8 * e.extent_digests.size()
-                      : 56;
-  for (const Bytes* b : {&e.payload, &e.orb_state, &e.infra_state, &e.control_data}) {
-    n = ((n + 3) & ~std::size_t{3}) + 4 + b->size();
+/// The blobs and digests of an envelope being encoded.
+struct Blobs {
+  const std::vector<std::uint64_t>& digests;
+  BytesView payload;
+  BytesView orb_state;
+  BytesView infra_state;
+  BytesView control_data;
+};
+
+/// Exact encoded size, so encode allocates once: 56 header bytes (80 plus
+/// the digests for bulk kinds), then four aligned octet sequences.
+std::size_t encoded_size(const EnvelopeHeader& h, const Blobs& b) {
+  std::size_t n = h.kind >= EnvelopeKind::kStateBulkDescriptor ? 80 + 8 * b.digests.size() : 56;
+  for (BytesView blob : {b.payload, b.orb_state, b.infra_state, b.control_data}) {
+    n = ((n + 3) & ~std::size_t{3}) + 4 + blob.size();
   }
   return n;
 }
-}  // namespace
 
-Bytes encode_envelope(const Envelope& e) {
-  util::CdrWriter w(util::host_byte_order(), encoded_size(e));
+Bytes encode(const EnvelopeHeader& e, const Blobs& b) {
+  util::CdrWriter w(util::host_byte_order(), encoded_size(e, b));
   w.put_u8(static_cast<std::uint8_t>(w.order()));
   w.put_u8(static_cast<std::uint8_t>(e.kind));
   w.put_u16(kMagic);
@@ -40,14 +45,26 @@ Bytes encode_envelope(const Envelope& e) {
     w.put_u64(e.transfer_id);
     w.put_u64(e.total_bytes);
     w.put_u32(e.extent_bytes);
-    w.put_u32(static_cast<std::uint32_t>(e.extent_digests.size()));
-    for (std::uint64_t d : e.extent_digests) w.put_u64(d);
+    w.put_u32(static_cast<std::uint32_t>(b.digests.size()));
+    for (std::uint64_t d : b.digests) w.put_u64(d);
   }
-  w.put_octets(e.payload);
-  w.put_octets(e.orb_state);
-  w.put_octets(e.infra_state);
-  w.put_octets(e.control_data);
+  w.put_octets(b.payload);
+  w.put_octets(b.orb_state);
+  w.put_octets(b.infra_state);
+  w.put_octets(b.control_data);
   return std::move(w).take();
+}
+
+}  // namespace
+
+Bytes encode_envelope(const Envelope& e) {
+  return encode(e, Blobs{e.extent_digests, e.payload, e.orb_state, e.infra_state,
+                         e.control_data});
+}
+
+Bytes encode_envelope(const RetainedEnvelope& e) {
+  static const std::vector<std::uint64_t> kNoDigests;
+  return encode(e, Blobs{kNoDigests, e.payload, {}, {}, {}});
 }
 
 std::optional<EnvelopeView> decode_envelope_view(BytesView data) {

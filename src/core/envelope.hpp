@@ -15,6 +15,7 @@
 #include "util/bytes.hpp"
 #include "util/cdr.hpp"
 #include "util/ids.hpp"
+#include "util/shared_bytes.hpp"
 
 namespace eternal::core {
 
@@ -148,8 +149,8 @@ struct Envelope : EnvelopeHeader {
 /// control_data and the extent digests point into the buffer passed to
 /// decode_envelope_view and are valid only while it is alive and unchanged
 /// (for a Totem delivery: the duration of the delivery callback). Anything
-/// that must outlive that copies — own() for the whole envelope, or just the
-/// blob it keeps.
+/// that must outlive that keeps a reference instead (RetainedEnvelope, or a
+/// slice of the delivery) or copies — own() for the whole envelope.
 struct EnvelopeView : EnvelopeHeader {
   BytesView payload;
   BytesView orb_state;
@@ -166,8 +167,31 @@ struct EnvelopeView : EnvelopeHeader {
   util::ByteOrder order_ = util::ByteOrder::kLittle;
 };
 
+/// A delivered request, reply or get_state marker kept past its delivery
+/// callback (run queue, message log, stable-storage appends): the header
+/// plus a slice of the Totem buffer the payload arrived in, so keeping it
+/// copies no bytes. Only the payload blob is kept — these kinds carry no
+/// other blob and no extent digests.
+struct RetainedEnvelope : EnvelopeHeader {
+  util::SharedSlice payload;
+
+  RetainedEnvelope() = default;
+  /// Keeps `view`'s header and payload; `delivered` is the slice `view` was
+  /// decoded from.
+  RetainedEnvelope(const EnvelopeView& view, const util::SharedSlice& delivered)
+      : EnvelopeHeader(view), payload(delivered.sub(view.payload)) {}
+  /// Copies an owning envelope's header and payload (stable-storage restore,
+  /// fabricated markers): one buffer for a non-empty payload.
+  RetainedEnvelope(const Envelope& e)  // NOLINT(google-explicit-constructor)
+      : EnvelopeHeader(e), payload(util::SharedSlice::copy_of(e.payload)) {}
+};
+
 /// Serializes an envelope for multicasting.
 Bytes encode_envelope(const Envelope& e);
+
+/// Serializes a retained envelope: the bytes encode_envelope gives for an
+/// Envelope with the same header and payload and no other blob.
+Bytes encode_envelope(const RetainedEnvelope& e);
 
 /// Parses in place; allocates nothing. nullopt on malformed bytes. This is
 /// the one envelope parser: decode_envelope is its owning form.

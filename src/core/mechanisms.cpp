@@ -93,7 +93,7 @@ void Mechanisms::persist_log(GroupId group) {
   }
 }
 
-void Mechanisms::persist_append(GroupId group, const Envelope& message) {
+void Mechanisms::persist_append(GroupId group, const RetainedEnvelope& message) {
   if (storage_ == nullptr) return;
   const GroupEntry* entry = table_.find(group);
   auto log_it = logs_.find(group.value);
@@ -414,9 +414,7 @@ void Mechanisms::capture_request(const orb::Endpoint& to, util::Bytes iiop,
   if (is_handshake && conn.handshake_done && config_.replay_handshakes &&
       !conn.handshake_reply.empty()) {
     stats_.handshakes_answered_locally += 1;
-    util::Bytes reply = conn.handshake_reply;
-    giop::set_request_id(reply, info.request_id);
-    tap_.inject(to, reply);
+    tap_.inject(to, giop::copy_with_request_id(conn.handshake_reply, info.request_id));
     return;
   }
 
@@ -452,9 +450,7 @@ void Mechanisms::capture_request(const orb::Endpoint& to, util::Bytes iiop,
     auto cached = conn.reply_cache.find(group_rid);
     if (cached != conn.reply_cache.end()) {
       stats_.replies_answered_from_cache += 1;
-      util::Bytes reply = cached->second;
-      giop::set_request_id(reply, info.request_id);
-      tap_.inject(to, reply);
+      tap_.inject(to, giop::copy_with_request_id(cached->second, info.request_id));
       return;
     }
   }

@@ -319,7 +319,7 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
 
   struct QueueItem {
     enum class Kind { kRequest, kGetState, kSetStateDiscard } kind = Kind::kRequest;
-    Envelope env;
+    RetainedEnvelope env;
     std::uint64_t trace = 0;  ///< causal trace id (obs/spans.hpp), 0 = untraced
     std::uint64_t span = 0;   ///< open "deliver" span closed at admission
     /// The item reached the queue front but no admission slot was free;
@@ -391,8 +391,9 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
     bool handshake_done = false;
     std::optional<std::uint64_t> handshake_group_rid;
     Bytes handshake_request;  ///< group-form request bytes
-    Bytes handshake_reply;    ///< stored server answer (group-form reply)
-    std::map<std::uint64_t, Bytes> reply_cache;  ///< group rid → reply bytes
+    util::SharedSlice handshake_reply;  ///< stored server answer (group-form reply)
+    /// group rid → reply bytes, retained from the delivery.
+    std::map<std::uint64_t, util::SharedSlice> reply_cache;
   };
 
   // ---- outbound capture ----
@@ -404,13 +405,14 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
   GroupId client_group_for(GroupId server_group);
 
   // ---- delivery ----
-  // Requests and replies are dispatched as views borrowing from the Totem
-  // delivery (valid for the callback only); they copy what they keep.
-  void deliver_request(const EnvelopeView& e);
-  void deliver_reply(const EnvelopeView& e);
-  /// Appends an owned copy of a delivered message to its group's log and
-  /// persists it.
-  void log_message(const EnvelopeView& e);
+  // Requests and replies are dispatched as views into the Totem delivery
+  // (valid for the callback only); what they keep past it they retain as
+  // slices of `delivered`, the delivery's shared payload, never as copies.
+  void deliver_request(const EnvelopeView& e, const util::SharedSlice& delivered);
+  void deliver_reply(const EnvelopeView& e, const util::SharedSlice& delivered);
+  /// Appends a delivered message (retained, not copied) to its group's log
+  /// and persists it.
+  void log_message(const RetainedEnvelope& e);
   void deliver_get_state(const Envelope& e);
   void deliver_set_state(const Envelope& e);
   void deliver_checkpoint(const Envelope& e);
@@ -438,7 +440,7 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
   /// queue or the replayed log. The InvariantChecker's replay-order rule
   /// requires every injected request to appear here first, in order.
   void trace_enqueue(const LocalReplica& r, const EnvelopeHeader& e);
-  void inject_get_state(LocalReplica& r, const Envelope& e);
+  void inject_get_state(LocalReplica& r, const EnvelopeHeader& e);
   /// Ends the current state-op dispatch and resumes the queue (or replay).
   void complete_dispatch(LocalReplica& r);
 
@@ -524,7 +526,7 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
   void set_phase(LocalReplica& r, Phase phase);
   void persist_log(GroupId group);
   /// Persistence of one logged message: appends a segment entry.
-  void persist_append(GroupId group, const Envelope& message);
+  void persist_append(GroupId group, const RetainedEnvelope& message);
   void apply_stored_log(GroupId group);
 
   sim::Simulator& sim_;
@@ -543,7 +545,7 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
   std::unordered_map<std::uint32_t, MessageLog> logs_;  // by group (passive roles)
 
   // Server-role handshake store: (server group, client endpoint) → request.
-  std::map<std::pair<std::uint32_t, orb::Endpoint>, Bytes> server_handshakes_;
+  std::map<std::pair<std::uint32_t, orb::Endpoint>, util::SharedSlice> server_handshakes_;
   // Handshake dispatches in flight inside the local ORB.
   struct HandshakeFlight {
     GroupId server_group;

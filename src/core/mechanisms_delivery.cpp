@@ -17,9 +17,9 @@ constexpr const char* kTag = "eternal";
 // ------------------------------------------------------------ Totem upcalls
 
 void Mechanisms::on_deliver_on(std::uint32_t ring, const totem::Delivery& delivery) {
-  // The envelope borrows from the delivery, which Totem lends for this
-  // callback only. Requests and replies copy out just what is kept; the
-  // rare kinds own a copy on entry.
+  // The envelope is a view into the delivery. Requests and replies retain
+  // slices of the delivery's shared payload for what they keep; the rare
+  // kinds own a copy on entry.
   std::optional<EnvelopeView> env = decode_envelope_view(delivery.payload);
   if (!env) {
     ETERNAL_LOG(kWarn, kTag, "malformed envelope delivered; dropped");
@@ -41,8 +41,8 @@ void Mechanisms::on_deliver_on(std::uint32_t ring, const totem::Delivery& delive
     return;
   }
   switch (env->kind) {
-    case EnvelopeKind::kRequest: deliver_request(*env); return;
-    case EnvelopeKind::kReply: deliver_reply(*env); return;
+    case EnvelopeKind::kRequest: deliver_request(*env, delivery.payload); return;
+    case EnvelopeKind::kReply: deliver_reply(*env, delivery.payload); return;
     case EnvelopeKind::kGetState: deliver_get_state(env->own()); return;
     case EnvelopeKind::kSetState: deliver_set_state(env->own()); return;
     case EnvelopeKind::kCheckpoint: deliver_checkpoint(env->own()); return;
@@ -222,7 +222,7 @@ void Mechanisms::reset_ring_state(std::uint32_t ring) {
 
 // ------------------------------------------------------------------ routing
 
-void Mechanisms::deliver_request(const EnvelopeView& e) {
+void Mechanisms::deliver_request(const EnvelopeView& e, const util::SharedSlice& delivered) {
   SeqWindow& seen = req_seen_[std::make_pair(e.client_group.value, e.target_group.value)];
   if (!seen.test_and_insert(e.op_seq)) {
     stats_.duplicate_requests_suppressed += 1;
@@ -257,8 +257,8 @@ void Mechanisms::deliver_request(const EnvelopeView& e) {
   std::optional<giop::Inspection> info = giop::inspect(e.payload);
   if (stakeholder && info && info->has_context(giop::kVendorHandshakeContextId)) {
     server_handshakes_[std::make_pair(e.target_group.value,
-                                      orb::group_endpoint(e.client_group))]
-        .assign(e.payload.begin(), e.payload.end());
+                                      orb::group_endpoint(e.client_group))] =
+        delivered.sub(e.payload);
     stats_.handshakes_stored += 1;
   }
 
@@ -278,11 +278,12 @@ void Mechanisms::deliver_request(const EnvelopeView& e) {
         // The passive primary's node maintains the same checkpoint+message
         // log as every other log-keeping site, so a total failure can be
         // restored from *any* surviving stakeholder (§3.3).
+        const RetainedEnvelope kept(e, delivered);
         if (passive) {
-          log_message(e);
+          log_message(kept);
         }
         trace_enqueue(*r, e);
-        QueueItem item{QueueItem::Kind::kRequest, e.own()};
+        QueueItem item{QueueItem::Kind::kRequest, kept};
         if (trace != 0) {
           item.trace = trace;
           item.span = spans->begin(trace, spans->find_named(trace, "invocation"),
@@ -301,10 +302,10 @@ void Mechanisms::deliver_request(const EnvelopeView& e) {
         // after recovery AND keeps this node's log gap-free should it have
         // to restore the whole group from it later.
         if (passive) {
-          log_message(e);
+          log_message(RetainedEnvelope(e, delivered));
         } else {
           trace_enqueue(*r, e);
-          QueueItem item{QueueItem::Kind::kRequest, e.own()};
+          QueueItem item{QueueItem::Kind::kRequest, RetainedEnvelope(e, delivered)};
           if (trace != 0) {
             item.trace = trace;
             item.span = spans->begin(trace, spans->find_named(trace, "invocation"),
@@ -319,14 +320,14 @@ void Mechanisms::deliver_request(const EnvelopeView& e) {
       }
       case Phase::kBackup:
       case Phase::kReplaying: {
-        log_message(e);
+        log_message(RetainedEnvelope(e, delivered));
         return;
       }
       case Phase::kDead:
         // The process is gone, but a passive log-keeping site must not
         // develop a gap: keep logging until the replacement takes over.
         if (passive) {
-          log_message(e);
+          log_message(RetainedEnvelope(e, delivered));
         }
         return;
     }
@@ -338,11 +339,11 @@ void Mechanisms::deliver_request(const EnvelopeView& e) {
   if (passive &&
       std::find(entry->desc.backup_nodes.begin(), entry->desc.backup_nodes.end(), node_) !=
           entry->desc.backup_nodes.end()) {
-    log_message(e);
+    log_message(RetainedEnvelope(e, delivered));
   }
 }
 
-void Mechanisms::deliver_reply(const EnvelopeView& e) {
+void Mechanisms::deliver_reply(const EnvelopeView& e, const util::SharedSlice& delivered) {
   SeqWindow& seen = reply_seen_[std::make_pair(e.client_group.value, e.target_group.value)];
   if (!seen.test_and_insert(e.op_seq)) {
     stats_.duplicate_replies_suppressed += 1;
@@ -374,13 +375,14 @@ void Mechanisms::deliver_reply(const EnvelopeView& e) {
   if (!hosts_client && !log_role_for_client) return;
 
   OutboundConn& conn = outbound_conn(e.client_group, e.target_group);
+  const util::SharedSlice reply = delivered.sub(e.payload);
   if (conn.handshake_group_rid.has_value() && *conn.handshake_group_rid == e.op_seq) {
-    conn.handshake_reply.assign(e.payload.begin(), e.payload.end());
+    conn.handshake_reply = reply;
     conn.handshake_done = true;
   }
   // Cache for passive-promotion replay (re-issued invocations are answered
   // from here instead of re-executing at the servers).
-  conn.reply_cache[e.op_seq].assign(e.payload.begin(), e.payload.end());
+  conn.reply_cache[e.op_seq] = reply;
   while (conn.reply_cache.size() > config_.reply_cache_cap) {
     conn.reply_cache.erase(conn.reply_cache.begin());
   }
@@ -411,12 +413,12 @@ void Mechanisms::deliver_reply(const EnvelopeView& e) {
   auto local_it = conn.group_to_local.find(e.op_seq);
   if (config_.sync_request_ids && local_it != conn.group_to_local.end() && info &&
       info->type == giop::MsgType::kReply && info->request_id != local_it->second) {
-    util::Bytes wire(e.payload.begin(), e.payload.end());
-    giop::set_request_id(wire, local_it->second);
-    tap_.inject(from, wire);
+    // The retained bytes are shared (the reply cache, every ring member's
+    // store), so the translation writes a copy: the one copy on this path.
+    tap_.inject(from, giop::copy_with_request_id(reply, local_it->second));
     return;
   }
-  tap_.inject(from, e.payload);
+  tap_.inject(from, reply);
 }
 
 // ------------------------------------------------------- state transfer path
@@ -787,11 +789,11 @@ void Mechanisms::deliver_set_state(const Envelope& e) {
   }
 
   // §5.1(vi): at existing replicas the set_state is enqueued in order and
-  // discarded when it reaches the head of the queue.
+  // discarded when it reaches the head of the queue (only its position
+  // matters, so the item carries no envelope).
   if (r->phase == Phase::kOperational) {
     QueueItem item;
     item.kind = QueueItem::Kind::kSetStateDiscard;
-    item.env = e;
     r->pending.push_back(std::move(item));
     pump(*r);
   }
@@ -876,7 +878,7 @@ void Mechanisms::apply_state(LocalReplica& r, const Envelope& e, bool is_checkpo
   d.subject = e.subject;
   d.checkpoint = is_checkpoint;
   r.dispatch = d;
-  tap_.inject(recovery_endpoint(r.group), giop::encode(request));
+  tap_.inject(recovery_endpoint(r.group), util::SharedSlice::copy_of(giop::encode(request)));
 }
 
 void Mechanisms::apply_next_restore(LocalReplica& r) {
@@ -915,10 +917,11 @@ void Mechanisms::install_orb_state(GroupId group, BytesView blob) {
     conn.next_group_rid = cs.next_group_request_id;
     conn.handshake_done = cs.handshake_done;
     conn.handshake_request = cs.handshake_request;
-    conn.handshake_reply = cs.handshake_reply;
+    conn.handshake_reply = util::SharedSlice::copy_of(cs.handshake_reply);
   }
   for (const ServerConnState& ss : state->server_conns) {
-    server_handshakes_[std::make_pair(group.value, ss.client)] = ss.handshake_request;
+    server_handshakes_[std::make_pair(group.value, ss.client)] =
+        util::SharedSlice::copy_of(ss.handshake_request);
   }
 }
 
@@ -1026,9 +1029,9 @@ void Mechanisms::assign_role_after_recovery(LocalReplica& r) {
 
 // ----------------------------------------------------------- queue delivery
 
-void Mechanisms::log_message(const EnvelopeView& e) {
+void Mechanisms::log_message(const RetainedEnvelope& e) {
   MessageLog& log = logs_[e.target_group.value];
-  log.append(e.own());
+  log.append(e);
   stats_.messages_logged += 1;
   persist_append(e.target_group, log.messages().back());
 }
@@ -1042,7 +1045,7 @@ void Mechanisms::trace_enqueue(const LocalReplica& r, const EnvelopeHeader& e) {
                   " op_seq=" + std::to_string(e.op_seq));
 }
 
-void Mechanisms::inject_get_state(LocalReplica& r, const Envelope& e) {
+void Mechanisms::inject_get_state(LocalReplica& r, const EnvelopeHeader& e) {
   const GroupEntry* entry = table_.find(r.group);
   if (entry == nullptr) return;
 
@@ -1085,7 +1088,7 @@ void Mechanisms::inject_get_state(LocalReplica& r, const Envelope& e) {
   d.checkpoint = e.subject.value == 0;
   d.delta_since = since;
   r.dispatch = d;
-  tap_.inject(recovery_endpoint(r.group), giop::encode(request));
+  tap_.inject(recovery_endpoint(r.group), util::SharedSlice::copy_of(giop::encode(request)));
 }
 
 void Mechanisms::complete_dispatch(LocalReplica& r) {
@@ -1265,7 +1268,7 @@ void Mechanisms::replay_next(LocalReplica& r) {
     }
     const bool state_op = log.messages()[r.replay_cursor].kind == EnvelopeKind::kGetState;
     if (state_op ? !r.engine.idle() : !r.engine.can_admit()) return;
-    Envelope next = log.messages()[r.replay_cursor++];
+    RetainedEnvelope next = log.messages()[r.replay_cursor++];
     stats_.log_replayed_messages += 1;
     if (state_op) {
       inject_get_state(r, next);

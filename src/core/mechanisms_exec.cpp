@@ -88,7 +88,7 @@ void Mechanisms::pump(LocalReplica& r) {
 }
 
 void Mechanisms::admit(LocalReplica& r, const QueueItem& item) {
-  const Envelope& e = item.env;
+  const RetainedEnvelope& e = item.env;
 
   // ---- decode: the agreed envelope becomes a GIOP request again.
   std::optional<giop::Inspection> info = giop::inspect(e.payload);

@@ -51,11 +51,12 @@ class MessageLog {
     return true;
   }
 
-  /// Appends an ordered message that followed the current checkpoint.
-  void append(Envelope message) { messages_.push_back(std::move(message)); }
+  /// Appends an ordered message that followed the current checkpoint. The
+  /// entry is a retained slice of the delivered bytes, not a copy.
+  void append(RetainedEnvelope message) { messages_.push_back(std::move(message)); }
 
   const std::optional<Envelope>& checkpoint() const noexcept { return checkpoint_; }
-  const std::deque<Envelope>& messages() const noexcept { return messages_; }
+  const std::deque<RetainedEnvelope>& messages() const noexcept { return messages_; }
 
   /// Delta checkpoints chained on top of the base, oldest first. Restoring
   /// the logged state means: apply checkpoint(), then each chain entry in
@@ -78,8 +79,8 @@ class MessageLog {
   bool empty() const noexcept { return messages_.empty(); }
 
   /// Removes and returns the oldest logged message (replay order).
-  Envelope take_front() {
-    Envelope e = std::move(messages_.front());
+  RetainedEnvelope take_front() {
+    RetainedEnvelope e = std::move(messages_.front());
     messages_.pop_front();
     for (auto& [epoch, pos] : marks_) {
       if (pos > 0) pos -= 1;
@@ -103,7 +104,7 @@ class MessageLog {
     for (const Envelope& e : delta_chain_) {
       total += e.payload.size() + e.orb_state.size() + e.infra_state.size();
     }
-    for (const Envelope& e : messages_) total += e.payload.size();
+    for (const RetainedEnvelope& e : messages_) total += e.payload.size();
     return total;
   }
 
@@ -127,7 +128,7 @@ class MessageLog {
 
   std::optional<Envelope> checkpoint_;
   std::vector<Envelope> delta_chain_;  ///< deltas over checkpoint_, oldest first
-  std::deque<Envelope> messages_;
+  std::deque<RetainedEnvelope> messages_;
   std::map<std::uint64_t, std::size_t> marks_;  ///< epoch → log position
   std::uint64_t checkpoints_taken_ = 0;
 };

@@ -16,6 +16,9 @@ constexpr std::uint32_t kEntryMagic = 0xE7E45E60;
 constexpr const char* kTag = "storage";
 
 void put_blob(util::CdrWriter& w, const Envelope& e) { w.put_octets(encode_envelope(e)); }
+void put_blob(util::CdrWriter& w, const RetainedEnvelope& e) {
+  w.put_octets(encode_envelope(e));
+}
 
 std::optional<Envelope> get_blob(util::CdrReader& r) {
   return decode_envelope(r.get_octets());
@@ -138,7 +141,7 @@ bool StableStorage::persist(const GroupDescriptor& descriptor, const MessageLog&
   w.put_u32(static_cast<std::uint32_t>(log.delta_chain().size()));
   for (const Envelope& e : log.delta_chain()) put_blob(w, e);
   w.put_u32(static_cast<std::uint32_t>(log.messages().size()));
-  for (const Envelope& e : log.messages()) put_blob(w, e);
+  for (const RetainedEnvelope& e : log.messages()) put_blob(w, e);
   // End marker: a torn (truncated) write is detectable at load time.
   w.put_u32(kEndMarker);
 
@@ -204,7 +207,7 @@ StableStorage::OpenSegment& StableStorage::open_segment(GroupId group,
 }
 
 bool StableStorage::append(const GroupDescriptor& descriptor, const MessageLog& log,
-                           const Envelope& message) {
+                           const RetainedEnvelope& message) {
   const std::uint64_t generation = base_generation(descriptor.id);
   if (generation == 0) {
     // No base yet: a bare segment entry could not be recovered (no

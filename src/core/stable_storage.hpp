@@ -94,7 +94,7 @@ class StableStorage {
   /// when the entry could not be durably written (the caller must surface
   /// the failure — a silent gap here becomes a silent gap in recovery).
   bool append(const GroupDescriptor& descriptor, const MessageLog& log,
-              const Envelope& message);
+              const RetainedEnvelope& message);
 
   /// Loads a group's record — base plus surviving segment tail; nullopt
   /// when absent or the base is unreadable/corrupt.

@@ -1,5 +1,7 @@
 #include "giop/giop.hpp"
 
+#include <algorithm>
+
 namespace eternal::giop {
 
 namespace {
@@ -337,7 +339,7 @@ void set_trace_context(ServiceContextList& contexts, std::uint64_t trace_id) {
 
 }  // namespace
 
-bool set_request_id(Bytes& framed, std::uint32_t request_id) {
+bool set_request_id(std::span<std::uint8_t> framed, std::uint32_t request_id) {
   const std::optional<Inspection> info = inspect(framed);
   if (!info || (info->type != MsgType::kRequest && info->type != MsgType::kReply)) {
     return false;
@@ -347,6 +349,13 @@ bool set_request_id(Bytes& framed, std::uint32_t request_id) {
     framed[info->request_id_at + i] = static_cast<std::uint8_t>(request_id >> shift);
   }
   return true;
+}
+
+util::SharedSlice copy_with_request_id(BytesView framed, std::uint32_t request_id) {
+  return util::SharedSlice(util::SharedBytes::build(framed.size(), [&](std::uint8_t* out) {
+    std::copy(framed.begin(), framed.end(), out);
+    set_request_id(std::span<std::uint8_t>(out, framed.size()), request_id);
+  }));
 }
 
 Bytes with_trace_context(BytesView framed, std::uint64_t trace_id) {

@@ -22,6 +22,7 @@
 #include "util/bytes.hpp"
 #include "util/cdr.hpp"
 #include "util/ids.hpp"
+#include "util/shared_bytes.hpp"
 
 namespace eternal::giop {
 
@@ -187,7 +188,11 @@ bool is_giop(BytesView data) noexcept;
 /// Sets the request_id of a framed Request or Reply in place; every other
 /// byte, the GIOP version included, is left as it was. Any other (or
 /// malformed) message is left unchanged and false is returned.
-bool set_request_id(Bytes& framed, std::uint32_t request_id);
+bool set_request_id(std::span<std::uint8_t> framed, std::uint32_t request_id);
+
+/// A copy of `framed` in a fresh shared buffer with its request_id set as
+/// set_request_id does: copy-on-write for bytes others still reference.
+util::SharedSlice copy_with_request_id(BytesView framed, std::uint32_t request_id);
 
 /// Returns `framed` re-encoded with its kTraceContextId service context set
 /// (replaced if present) to the 8-byte little-endian `trace_id`. Only

@@ -59,11 +59,12 @@ class Interceptor final : public orb::Transport {
   }
 
   /// Inbound path: the mechanisms deliver a message into the ORB as if it
-  /// had arrived from `from` over TCP.
-  void inject(const orb::Endpoint& from, util::BytesView iiop) {
+  /// had arrived from `from` over TCP. The ORB keeps the slice's reference
+  /// until it dispatches the message; nothing is copied.
+  void inject(const orb::Endpoint& from, util::SharedSlice iiop) {
     stats_.injected += 1;
     if (ctr_injected_ != nullptr) ctr_injected_->add();
-    orb_.on_message(from, iiop);
+    orb_.on_message(from, std::move(iiop));
   }
 
   orb::Orb& orb() noexcept { return orb_; }

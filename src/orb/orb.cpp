@@ -211,13 +211,28 @@ void Poa::dispatch(const Endpoint& from, giop::Request request) {
   obj.servant->invoke(std::move(server_request));
 }
 
+void TicketGate::complete(std::uint64_t ticket) {
+  if (ticket == next_) {
+    next_ += 1;
+    // Absorb the out-of-order completions the gate now reaches.
+    auto reached = ahead_.begin();
+    while (reached != ahead_.end() && *reached == next_) {
+      next_ += 1;
+      ++reached;
+    }
+    ahead_.erase(ahead_.begin(), reached);
+  } else if (ticket > next_) {
+    const auto at = std::lower_bound(ahead_.begin(), ahead_.end(), ticket);
+    if (at == ahead_.end() || *at != ticket) ahead_.insert(at, ticket);
+  }
+}
+
 void Poa::finish_ticket(const std::string& key, std::uint64_t ticket) {
   auto it = objects_.find(key);
   if (it == objects_.end()) return;  // deactivated mid-flight
   ActiveObject& obj = it->second;
   if (obj.inflight > 0) obj.inflight -= 1;
-  obj.completed.insert(ticket);
-  while (obj.completed.erase(obj.next_gate) != 0) obj.next_gate += 1;
+  obj.gate.complete(ticket);
   if (!obj.queue.empty() &&
       obj.inflight < std::max<std::size_t>(1, orb_.config().poa_max_inflight)) {
     PendingDispatch next = std::move(obj.queue.front());
@@ -235,7 +250,7 @@ void Poa::gate_run(const std::string& key, std::uint64_t ticket,
     return;
   }
   ActiveObject& obj = it->second;
-  if (ticket != obj.next_gate) {
+  if (ticket != obj.gate.next()) {
     obj.parked.emplace(ticket, std::move(body));
     return;
   }
@@ -246,7 +261,7 @@ void Poa::drain_gate(const std::string& key) {
   auto it = objects_.find(key);
   if (it == objects_.end()) return;
   ActiveObject& obj = it->second;
-  auto ready = obj.parked.find(obj.next_gate);
+  auto ready = obj.parked.find(obj.gate.next());
   if (ready == obj.parked.end()) return;
   // One parked body per simulator event: a long stall releasing a backlog
   // drains deterministically (FIFO at this instant) without re-entrancy.
@@ -254,7 +269,7 @@ void Poa::drain_gate(const std::string& key) {
     auto it2 = objects_.find(key);
     if (it2 == objects_.end()) return;
     ActiveObject& obj2 = it2->second;
-    auto front = obj2.parked.find(obj2.next_gate);
+    auto front = obj2.parked.find(obj2.gate.next());
     if (front == obj2.parked.end()) return;
     std::function<void()> body = std::move(front->second);
     obj2.parked.erase(front);
@@ -385,12 +400,14 @@ void Orb::transmit_invocation(const Endpoint& to, ClientConnection& conn,
 }
 
 void Orb::on_message(const Endpoint& from, BytesView iiop) {
-  // Model the ORB's demarshal/dispatch CPU cost as a scheduling delay.
-  // The caller's bytes are lent for this call only; the scheduled event owns
-  // the one copy.
-  sim_.schedule(config_.dispatch_overhead,
-                [this, from, copy = util::Bytes(iiop.begin(), iiop.end())] {
-    std::optional<giop::Message> msg = giop::decode(copy);
+  on_message(from, util::SharedSlice::copy_of(iiop));
+}
+
+void Orb::on_message(const Endpoint& from, util::SharedSlice iiop) {
+  // Model the ORB's demarshal/dispatch CPU cost as a scheduling delay. The
+  // event keeps the message alive by its reference until it runs.
+  sim_.schedule(config_.dispatch_overhead, [this, from, iiop = std::move(iiop)] {
+    std::optional<giop::Message> msg = giop::decode(iiop);
     if (!msg) {
       stats_.decode_errors += 1;
       return;

@@ -27,9 +27,9 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "giop/giop.hpp"
 #include "giop/ior.hpp"
@@ -37,6 +37,7 @@
 #include "orb/servant.hpp"
 #include "orb/transport.hpp"
 #include "sim/simulator.hpp"
+#include "util/shared_bytes.hpp"
 
 namespace eternal::orb {
 
@@ -109,6 +110,23 @@ class ObjectRef {
   giop::Ior ior_;
 };
 
+/// Completion order of one object's admitted dispatches: the lowest ticket
+/// not yet completed (the execution gate), plus the tickets above it that
+/// completed out of order, ascending. An in-order completion — the common
+/// case — only advances the gate, and the out-of-order list reuses its
+/// capacity, so steady state allocates nothing.
+class TicketGate {
+ public:
+  std::uint64_t next() const noexcept { return next_; }
+  /// Records `ticket` as completed and advances next() past every
+  /// consecutively completed ticket.
+  void complete(std::uint64_t ticket);
+
+ private:
+  std::uint64_t next_ = 0;
+  std::vector<std::uint64_t> ahead_;
+};
+
 /// The Portable Object Adapter: activation map + per-object single-threaded
 /// dispatch (its queues and activation table are ORB/POA-level state).
 class Poa {
@@ -141,8 +159,7 @@ class Poa {
     std::string type_id;
     std::size_t inflight = 0;        ///< admitted, not yet completed
     std::uint64_t next_ticket = 0;   ///< admission order of dispatches
-    std::uint64_t next_gate = 0;     ///< lowest ticket not yet completed
-    std::set<std::uint64_t> completed;  ///< completed out of ticket order
+    TicketGate gate;                 ///< completion order of the tickets
     std::map<std::uint64_t, std::function<void()>> parked;  ///< gated bodies
     std::deque<PendingDispatch> queue;
   };
@@ -183,8 +200,13 @@ class Orb : public MessageSink {
   /// Builds a client stub from an IOR.
   ObjectRef resolve(const giop::Ior& ior) { return ObjectRef(this, ior); }
 
-  /// Inbound IIOP from the socket layer.
+  /// Inbound IIOP from the socket layer: lent bytes, copied once into a
+  /// buffer of their own and then handled like a shared message.
   void on_message(const Endpoint& from, BytesView iiop) override;
+
+  /// Inbound IIOP that arrived in a shared buffer (the Interceptor's path):
+  /// the scheduled dispatch event holds the reference, not a copy.
+  void on_message(const Endpoint& from, util::SharedSlice iiop);
 
   const OrbStats& stats() const noexcept { return stats_; }
 

@@ -1,6 +1,7 @@
 #include "sim/ethernet.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "util/log.hpp"
 
@@ -33,26 +34,38 @@ util::Duration Ethernet::frame_tx_time(std::size_t payload_bytes) const noexcept
 }
 
 void Ethernet::broadcast(NodeId from, Bytes payload) {
-  if (payload.size() > max_payload()) {
+  if (std::optional<std::uint32_t> slot = transmit(from, payload.size())) {
+    in_flight_[*slot].payload = std::move(payload);
+  }
+}
+
+void Ethernet::broadcast(NodeId from, util::SharedBytes frame) {
+  if (std::optional<std::uint32_t> slot = transmit(from, frame.size())) {
+    in_flight_[*slot].shared = std::move(frame);
+  }
+}
+
+std::optional<std::uint32_t> Ethernet::transmit(NodeId from, std::size_t size) {
+  if (size > max_payload()) {
     throw std::length_error("Ethernet: payload exceeds max frame; fragment above this layer");
   }
-  if (!attached(from)) return;  // a crashed node cannot transmit
+  if (!attached(from)) return std::nullopt;  // a crashed node cannot transmit
 
   // Serialize on the shared medium: the frame starts when the medium frees.
   const TimePoint start = std::max(sim_.now(), medium_free_at_);
-  const util::Duration tx = frame_tx_time(payload.size());
+  const util::Duration tx = frame_tx_time(size);
   medium_free_at_ = start + tx;
   const TimePoint arrival = medium_free_at_ + config_.propagation;
 
   stats_.frames_sent += 1;
-  stats_.bytes_sent += payload.size() + config_.frame_header_bytes + config_.frame_gap_bytes;
-  stats_.payload_bytes += payload.size();
+  stats_.bytes_sent += size + config_.frame_header_bytes + config_.frame_gap_bytes;
+  stats_.payload_bytes += size;
 
   // Blackout burst: the frame occupied the medium but nobody receives it.
   if (drop_next_ > 0) {
     drop_next_ -= 1;
     stats_.frames_dropped += 1;
-    return;
+    return std::nullopt;
   }
 
   const int sender_component = component_of(from);
@@ -81,20 +94,26 @@ void Ethernet::broadcast(NodeId from, Bytes payload) {
   }
   if (in_flight_[slot].receivers == 0) {
     free_slots_.push_back(slot);
-  } else {
-    in_flight_[slot].payload = std::move(payload);
+    return std::nullopt;
   }
+  return slot;
 }
 
 void Ethernet::deliver(std::uint32_t slot, NodeId from, NodeId to) {
   if (auto it = stations_.find(to); it != stations_.end()) {  // else crashed before arrival
-    it->second->on_frame(from, in_flight_[slot].payload);
+    // on_frame may broadcast and grow in_flight_, so the frame is pinned by
+    // a reference (or, for plain Bytes, by the moved-from vector's buffer
+    // surviving the move) rather than by the slot.
+    const util::SharedBytes shared = in_flight_[slot].shared;
+    const BytesView frame = shared.empty() ? BytesView(in_flight_[slot].payload) : shared.view();
+    const util::SharedBytes* outer = std::exchange(lent_, shared.empty() ? nullptr : &shared);
+    it->second->on_frame(from, frame);
+    lent_ = outer;
   }
-  // on_frame may broadcast and grow in_flight_: the lent bytes survive (a
-  // moved Bytes keeps its buffer), but the slot reference must be re-read.
   InFlight& frame = in_flight_[slot];
   if (--frame.receivers == 0) {
     frame.payload = Bytes{};
+    frame.shared = util::SharedBytes{};
     free_slots_.push_back(slot);
   }
 }

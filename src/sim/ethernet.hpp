@@ -20,6 +20,7 @@
 #include "util/bytes.hpp"
 #include "util/ids.hpp"
 #include "util/rng.hpp"
+#include "util/shared_bytes.hpp"
 
 namespace eternal::sim {
 
@@ -87,6 +88,17 @@ class Ethernet {
   /// receive its own frame (Totem handles self-delivery logically).
   void broadcast(NodeId from, Bytes payload);
 
+  /// Same, for a frame built in a shared buffer: the in-flight slot holds a
+  /// reference, and receivers can take one too (lent_frame) instead of
+  /// copying the bytes they are handed.
+  void broadcast(NodeId from, util::SharedBytes frame);
+
+  /// While a Station::on_frame call is running: the shared buffer the frame
+  /// handed to it lives in, or nullptr when it was broadcast as plain Bytes.
+  /// A station that keeps part of the frame compares the view it was handed
+  /// with this buffer and references it on a match.
+  const util::SharedBytes* lent_frame() const noexcept { return lent_; }
+
   /// Places each listed node into partition component `component`.
   /// Frames cross only within a component. Component 0 is the default.
   void set_partition(const std::vector<NodeId>& nodes, int component);
@@ -113,15 +125,21 @@ class Ethernet {
 
  private:
   int component_of(NodeId node) const noexcept;
+  /// Serializes a frame of `size` bytes on the medium and schedules its
+  /// arrival at every receiver; returns the in-flight slot the caller fills,
+  /// or nullopt when nobody will receive it.
+  std::optional<std::uint32_t> transmit(NodeId from, std::size_t size);
   /// Hands the frame in `slot` to `to` (if still attached) and releases the
   /// slot after its last receiver.
   void deliver(std::uint32_t slot, NodeId from, NodeId to);
 
-  /// A frame on the wire: its bytes plus the arrival events still to fire.
-  /// Slots are reused once every receiver has had the frame, so the
-  /// per-receiver events carry only an index.
+  /// A frame on the wire: its bytes (one of the two, by how it was
+  /// broadcast) plus the arrival events still to fire. Slots are reused once
+  /// every receiver has had the frame, so the per-receiver events carry only
+  /// an index.
   struct InFlight {
     Bytes payload;
+    util::SharedBytes shared;
     std::uint32_t receivers = 0;
   };
 
@@ -136,6 +154,7 @@ class Ethernet {
   EthernetStats stats_;
   std::vector<InFlight> in_flight_;        ///< grows on demand, then reused
   std::vector<std::uint32_t> free_slots_;  ///< unoccupied in_flight_ indices
+  const util::SharedBytes* lent_ = nullptr;  ///< see lent_frame()
 };
 
 }  // namespace eternal::sim

@@ -1,5 +1,8 @@
 #include "totem/frames.hpp"
 
+#include <cassert>
+#include <cstring>
+
 namespace eternal::totem {
 
 namespace {
@@ -60,22 +63,59 @@ std::vector<std::uint64_t> get_seqs(CdrReader& r) {
   return out;
 }
 
+// Data frames are written straight into their final buffer (a shared one on
+// the send path), so their header is laid out here rather than by a growing
+// CdrWriter: the same CDR alignment, host byte order, zeroed padding.
+class DataHeaderWriter {
+ public:
+  explicit DataHeaderWriter(std::uint8_t* out) : out_(out) {}
+  template <typename T>
+  void put(T v) {
+    while (pos_ % sizeof(T) != 0) out_[pos_++] = 0;
+    std::memcpy(out_ + pos_, &v, sizeof(T));
+    pos_ += sizeof(T);
+  }
+  std::size_t size() const noexcept { return pos_; }
+
+ private:
+  std::uint8_t* out_;
+  std::size_t pos_ = 0;
+};
+
+void write_data_frame(std::uint8_t* out, NodeId sender, const DataFrame& f,
+                      BytesView payload) {
+  DataHeaderWriter w(out);
+  w.put(static_cast<std::uint8_t>(util::host_byte_order()));
+  w.put(static_cast<std::uint8_t>(FrameType::kData));
+  w.put(kMagic);
+  w.put(sender.value);
+  w.put(f.view.value);
+  w.put(f.ring_id);
+  w.put(f.origin.value);
+  w.put(f.seq);
+  w.put(f.msg_id);
+  w.put(f.frag_index);
+  w.put(f.frag_count);
+  w.put(f.batch_count);
+  w.put(static_cast<std::uint8_t>(f.retransmission ? 1 : 0));
+  w.put(static_cast<std::uint8_t>(f.authoritative ? 1 : 0));
+  w.put(static_cast<std::uint32_t>(payload.size()));
+  assert(w.size() == kDataHeaderBytes);
+  if (!payload.empty()) std::memcpy(out + kDataHeaderBytes, payload.data(), payload.size());
+}
+
 }  // namespace
 
+util::SharedBytes encode_data_frame(NodeId sender, const DataFrame& f, BytesView payload) {
+  return util::SharedBytes::build(kDataHeaderBytes + payload.size(), [&](std::uint8_t* out) {
+    write_data_frame(out, sender, f, payload);
+  });
+}
+
 Bytes encode_frame(NodeId sender, const DataFrame& f) {
-  CdrWriter w = begin_frame(sender, FrameType::kData, kDataHeaderBytes + f.payload.size());
-  w.put_u64(f.view.value);
-  w.put_u64(f.ring_id);
-  w.put_u32(f.origin.value);
-  w.put_u64(f.seq);
-  w.put_u64(f.msg_id);
-  w.put_u32(f.frag_index);
-  w.put_u32(f.frag_count);
-  w.put_u32(f.batch_count);
-  w.put_bool(f.retransmission);
-  w.put_bool(f.authoritative);
-  w.put_octets(f.payload);
-  return std::move(w).take();
+  Bytes out(kDataHeaderBytes + f.payload.size());
+  write_data_frame(out.data(), sender, f, f.payload);
+  return out;
 }
 
 Bytes encode_frame(NodeId sender, const TokenFrame& f) {
@@ -140,7 +180,11 @@ Bytes encode_frame(NodeId sender, const JoinRequestFrame&) {
   return std::move(w).take();
 }
 
-std::optional<Frame> decode_frame(BytesView data) {
+namespace {
+
+/// The one frame parser. `owner`, when given, is the buffer `data` views:
+/// a Data payload becomes a slice of it instead of a copy.
+std::optional<Frame> decode(BytesView data, const util::SharedBytes* owner) {
   try {
     if (data.size() < 8) return std::nullopt;
     CdrReader r(data, static_cast<util::ByteOrder>(data[0] & 1));
@@ -162,13 +206,15 @@ std::optional<Frame> decode_frame(BytesView data) {
         f.batch_count = r.get_u32();
         f.retransmission = r.get_bool();
         f.authoritative = r.get_bool();
-        f.payload = r.get_octets();
+        const BytesView payload = r.get_octets_view();
         if (f.batch_count == 0) return std::nullopt;
         // Each packed message costs at least its 4-byte length prefix, so a
         // corrupt count larger than the payload could ever hold is malformed.
-        if (f.batch_count >= 2 && f.payload.size() / 4 < f.batch_count) {
+        if (f.batch_count >= 2 && payload.size() / 4 < f.batch_count) {
           return std::nullopt;
         }
+        f.payload = owner != nullptr ? util::SharedSlice(*owner, payload)
+                                     : util::SharedSlice::copy_of(payload);
         return Frame{sender, std::move(f)};
       }
       case FrameType::kToken: {
@@ -227,6 +273,14 @@ std::optional<Frame> decode_frame(BytesView data) {
   }
 }
 
+}  // namespace
+
+std::optional<Frame> decode_frame(BytesView data) { return decode(data, nullptr); }
+
+std::optional<Frame> decode_frame(const util::SharedBytes& frame) {
+  return decode(frame.view(), &frame);
+}
+
 std::size_t data_frame_overhead() { return kDataHeaderBytes; }
 
 // ------------------------------------------------------------ batch packing
@@ -242,19 +296,15 @@ Bytes pack_batch(const std::vector<Bytes>& messages) {
   return std::move(w).take();
 }
 
-std::optional<std::vector<BytesView>> unpack_batch(BytesView packed, std::uint32_t count) {
+bool batch_well_formed(BytesView packed, std::uint32_t count) noexcept {
   try {
-    // Each message costs at least its 4-byte length prefix; a count the blob
-    // cannot hold is malformed (and must not drive the reserve below).
-    if (count > packed.size() / 4) return std::nullopt;
+    // Each message costs at least its 4-byte length prefix.
+    if (count > packed.size() / 4) return false;
     CdrReader r(packed, util::ByteOrder::kLittle);
-    std::vector<BytesView> out;
-    out.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) out.push_back(r.get_octets_view());
-    if (!r.exhausted()) return std::nullopt;  // trailing garbage
-    return out;
+    for (std::uint32_t i = 0; i < count; ++i) (void)r.get_octets_view();
+    return r.exhausted();  // else trailing garbage
   } catch (const util::CdrError&) {
-    return std::nullopt;
+    return false;
   }
 }
 

@@ -21,6 +21,7 @@
 #include "util/bytes.hpp"
 #include "util/cdr.hpp"
 #include "util/ids.hpp"
+#include "util/shared_bytes.hpp"
 
 namespace eternal::totem {
 
@@ -49,6 +50,10 @@ enum class FrameType : std::uint8_t {
 /// (frag_index == 0, frag_count == 1), consumes one sequence number, and is
 /// unpacked back into individual deliveries at every member — so batching
 /// changes how messages share the wire, never the agreed delivery order.
+///
+/// `payload` is a slice of the one shared buffer the frame travels in: the
+/// sender encodes that buffer once, and the Ethernet slot, every member's
+/// frame store and every delivery reference it instead of copying it.
 struct DataFrame {
   ViewId view;
   std::uint64_t ring_id = 0;  ///< identity of the ring that sequenced this
@@ -63,7 +68,7 @@ struct DataFrame {
   /// number: its copy is the agreed message, so a receiver holding a
   /// different (stale-lineage) frame at the same seq replaces it.
   bool authoritative = false;
-  Bytes payload;
+  util::SharedSlice payload;
 };
 
 /// The ring token. Only the node named `target` acts on it; others ignore it
@@ -152,6 +157,11 @@ struct Frame {
   FrameType type() const noexcept { return static_cast<FrameType>(body.index() + 1); }
 };
 
+/// Encodes a Data frame carrying `payload` (f.payload is not read) straight
+/// into a shared buffer: the one allocation a frame costs on its way from
+/// sender to every store and delivery.
+util::SharedBytes encode_data_frame(NodeId sender, const DataFrame& f, BytesView payload);
+
 /// Encodes a frame for the wire.
 Bytes encode_frame(NodeId sender, const DataFrame& f);
 Bytes encode_frame(NodeId sender, const TokenFrame& f);
@@ -162,8 +172,14 @@ Bytes encode_frame(NodeId sender, const InstallFrame& f);
 Bytes encode_frame(NodeId sender, const JoinRequestFrame& f);
 
 /// Decodes any frame; returns nullopt on malformed input (corrupt frames are
-/// dropped, as a real NIC drops bad-FCS frames).
+/// dropped, as a real NIC drops bad-FCS frames). A Data frame's payload is
+/// copied into a buffer of its own.
 std::optional<Frame> decode_frame(BytesView data);
+
+/// Decodes a frame that arrived in a shared buffer: a Data frame's payload
+/// is a slice of `frame`, not a copy. Accepts exactly what the BytesView
+/// form accepts.
+std::optional<Frame> decode_frame(const util::SharedBytes& frame);
 
 /// Bytes of Totem header per Data frame (used by the fragmenter to size
 /// fragment payloads against the Ethernet MTU).
@@ -178,11 +194,21 @@ std::size_t data_frame_overhead();
 /// Packs complete messages (submission order) into one batch payload.
 Bytes pack_batch(const std::vector<Bytes>& messages);
 
-/// Unpacks a batch payload holding exactly `count` messages, as views into
-/// `packed`. Returns nullopt on malformed input (truncated blob, count/length
-/// mismatch, trailing garbage) — the caller drops the frame like any other
-/// corrupt frame.
-std::optional<std::vector<BytesView>> unpack_batch(BytesView packed, std::uint32_t count);
+/// True when `packed` holds exactly `count` messages: no truncated blob,
+/// count/length mismatch or trailing garbage. Allocates nothing.
+bool batch_well_formed(BytesView packed, std::uint32_t count) noexcept;
+
+/// Calls `visit(BytesView)` on each of the `count` messages packed in
+/// `packed`, in submission order, as views into `packed`. A malformed blob
+/// (see batch_well_formed) visits nothing and returns false — the caller
+/// drops the frame like any other corrupt frame.
+template <typename Visit>
+bool unpack_batch(BytesView packed, std::uint32_t count, Visit&& visit) {
+  if (!batch_well_formed(packed, count)) return false;
+  util::CdrReader r(packed, util::ByteOrder::kLittle);
+  for (std::uint32_t i = 0; i < count; ++i) visit(r.get_octets_view());
+  return true;
+}
 
 /// Packed size after appending a message of `message_bytes` to a batch blob
 /// currently `current_bytes` long (alignment + length prefix included).

@@ -66,6 +66,10 @@ std::size_t TotemNode::fragment_capacity() const {
 
 void TotemNode::broadcast(util::Bytes frame) { ethernet_.broadcast(node_, std::move(frame)); }
 
+void TotemNode::broadcast(util::SharedBytes frame) {
+  ethernet_.broadcast(node_, std::move(frame));
+}
+
 // ---------------------------------------------------------------- lifecycle
 
 void TotemNode::start(const std::vector<NodeId>& initial_members) {
@@ -184,7 +188,14 @@ void TotemNode::multicast(util::Bytes payload) {
 
 void TotemNode::on_frame(NodeId from, util::BytesView raw) {
   if (state_ == State::kDown) return;
-  std::optional<Frame> frame = decode_frame(raw);
+  // A frame the segment is delivering out of a shared buffer is referenced,
+  // not copied; any other view (a test, a replayed corpus) is decoded into a
+  // buffer of its own.
+  const util::SharedBytes* lent = ethernet_.lent_frame();
+  std::optional<Frame> frame =
+      lent != nullptr && lent->data() == raw.data() && lent->size() == raw.size()
+          ? decode_frame(*lent)
+          : decode_frame(raw);
   if (!frame) return;
   last_heard_[from] = sim_.now();
   if (state_ == State::kOperational) arm_token_timer();
@@ -281,35 +292,41 @@ void TotemNode::deliver_frame(const DataFrame& f) {
                     " size=" + std::to_string(f.payload.size()) +
                     (f.batch_count >= 2 ? " batch=" + std::to_string(f.batch_count) : ""));
   }
-  // Deliveries lend the payload: `f` stays in the store (its slot never
-  // moves) until garbage collection, which never runs inside a callback.
+  // Deliveries are slices of the frame's shared buffer: a listener keeps
+  // what it needs by copying the slice, never the bytes.
   if (f.batch_count >= 2) {
     // A batched frame: unpack back into the individual messages, delivered in
     // the origin's submission order under the frame's one sequence number —
     // so per-sender FIFO and the agreed total order both survive batching.
-    std::optional<std::vector<util::BytesView>> msgs = unpack_batch(f.payload, f.batch_count);
-    if (!msgs) {
+    const bool well_formed = unpack_batch(f.payload, f.batch_count, [&](util::BytesView m) {
+      deliver(Delivery{f.origin, f.view, f.seq, f.payload.sub(m)});
+    });
+    if (!well_formed) {
       // The packed blob is the sequenced bytes themselves, so a malformed
       // batch decodes identically everywhere: every member drops it, like a
       // bad-FCS frame that somehow carried a valid header.
       ETERNAL_LOG(kWarn, kTag,
                   util::to_string(node_) << " malformed batch at seq " << f.seq);
-      return;
     }
-    for (util::BytesView m : *msgs) deliver(Delivery{f.origin, f.view, f.seq, m});
     return;
   }
   if (f.frag_count <= 1) {
     deliver(Delivery{f.origin, f.view, f.seq, f.payload});
     return;
   }
+  // Fragments are collected as slices and joined once, into the one buffer
+  // the reassembled message is delivered (and retained) from.
   const auto key = std::make_pair(f.origin.value, f.msg_id);
-  util::Bytes& acc = partial_[key];
-  util::append(acc, f.payload);
+  std::vector<util::SharedSlice>& parts = partial_[key];
+  parts.push_back(f.payload);
   if (f.frag_index + 1 == f.frag_count) {
-    const util::Bytes whole = std::move(acc);
+    std::size_t size = 0;
+    for (const util::SharedSlice& part : parts) size += part.size();
+    util::SharedBytes whole = util::SharedBytes::build(size, [&](std::uint8_t* out) {
+      for (const util::SharedSlice& part : parts) out = std::copy(part.begin(), part.end(), out);
+    });
     partial_.erase(key);
-    deliver(Delivery{f.origin, f.view, f.seq, whole});
+    deliver(Delivery{f.origin, f.view, f.seq, util::SharedSlice(std::move(whole))});
   }
 }
 
@@ -405,12 +422,11 @@ void TotemNode::send_fragments(TokenFrame& token) {
       f.msg_id = frag.msg_id;
       f.frag_index = frag.frag_index;
       f.frag_count = frag.frag_count;
-      f.payload = std::move(frag.payload);
       const bool last_fragment = f.frag_index + 1 == f.frag_count;
       const std::uint64_t msg_id = f.msg_id;
       hist_batch_msgs_.observe(1);
-      hist_batch_bytes_.observe(f.payload.size());
-      originate(std::move(f));
+      hist_batch_bytes_.observe(frag.payload.size());
+      originate(std::move(f), frag.payload);
       if (last_fragment) {
         if (auto it = frag_spans_.find(msg_id); it != frag_spans_.end()) {
           if (obs::SpanStore* spans = rec_.spans())
@@ -452,11 +468,12 @@ void TotemNode::send_fragments(TokenFrame& token) {
     f.origin = node_;
     f.seq = token.next_seq++;
     f.msg_id = first_msg_id;
+    util::Bytes payload;
     if (msgs.size() == 1) {
-      f.payload = std::move(msgs.front());  // wire-identical to an unbatched send
+      payload = std::move(msgs.front());  // wire-identical to an unbatched send
     } else {
       f.batch_count = static_cast<std::uint32_t>(msgs.size());
-      f.payload = pack_batch(msgs);
+      payload = pack_batch(msgs);
       stats_.batches_sent += 1;
       stats_.batched_messages += msgs.size();
       if (obs::SpanStore* spans = rec_.spans()) {
@@ -465,13 +482,13 @@ void TotemNode::send_fragments(TokenFrame& token) {
         const std::uint64_t span = spans->begin(
             0, 0, node_, obs::Layer::kTotem, "batch", oldest,
             "msgs=" + std::to_string(msgs.size()) +
-                " bytes=" + std::to_string(f.payload.size()));
+                " bytes=" + std::to_string(payload.size()));
         spans->end(span, sim_.now());
       }
     }
     hist_batch_msgs_.observe(msgs.size());
-    hist_batch_bytes_.observe(f.payload.size());
-    originate(std::move(f));
+    hist_batch_bytes_.observe(payload.size());
+    originate(std::move(f), payload);
     ++sent;
   }
   if (foreign_budget && sent >= budget && !send_queue_.empty()) {
@@ -480,8 +497,12 @@ void TotemNode::send_fragments(TokenFrame& token) {
   advance_delivery();
 }
 
-void TotemNode::originate(DataFrame f) {
-  broadcast(encode_frame(node_, f));
+void TotemNode::originate(DataFrame f, util::BytesView payload) {
+  // One buffer for the frame: the wire, every member's store (receivers
+  // reference it through the segment) and our own self-delivery entry.
+  util::SharedBytes frame = encode_data_frame(node_, f, payload);
+  f.payload = util::SharedSlice(frame, frame.view().subspan(data_frame_overhead()));
+  broadcast(std::move(frame));
   stats_.fragments_sent += 1;
   highest_seen_seq_ = std::max(highest_seen_seq_, f.seq);
   store_.insert(std::move(f));  // self-delivery
@@ -572,7 +593,7 @@ void TotemNode::retransmit(DataFrame& held, const char* trace) {
   // again; stamp them for this send instead of copying the payload.
   held.retransmission = true;
   held.authoritative = held.seq <= delivered_up_to_;
-  broadcast(encode_frame(node_, held));
+  broadcast(encode_data_frame(node_, held, held.payload));
   stats_.retransmissions += 1;
   ctr_retransmissions_.add();
   if (rec_.tracing() && trace != nullptr) {

@@ -111,14 +111,16 @@ struct View {
 
 /// A totally-ordered, reassembled message handed to the layer above.
 ///
-/// The payload is lent, not owned: it points into the endpoint's frame store
-/// (or its reassembly buffer) and is valid only until on_deliver returns. A
-/// listener that keeps the bytes copies them.
+/// The payload is a slice of the shared buffer the message arrived in (the
+/// frame, or the one buffer a fragmented message was reassembled into). A
+/// listener that keeps the bytes keeps the slice, or a sub-slice of it: no
+/// copy, and the bytes stay valid for as long as it holds the reference.
+/// A view taken from it (a BytesView) is only valid during on_deliver.
 struct Delivery {
   NodeId sender;
   ViewId view;
   std::uint64_t seq = 0;  ///< sequence number of the message's last fragment
-  util::BytesView payload;
+  util::SharedSlice payload;
 };
 
 /// Callbacks into the layer above. Invoked from simulation events; the
@@ -222,7 +224,9 @@ class TotemNode : public sim::Station {
   /// record (nullptr: the caller records its own).
   void retransmit(DataFrame& held, const char* trace);
   void send_fragments(TokenFrame& token);
-  void originate(DataFrame f);
+  /// Encodes `f` carrying `payload` into one shared buffer, broadcasts it
+  /// and keeps a slice of it as the self-delivery store entry.
+  void originate(DataFrame f, util::BytesView payload);
   /// Current batch window: config'd max, or the adaptive window when enabled.
   std::size_t batch_window() const noexcept;
   void note_queue_wait(TimePoint enqueued_at);
@@ -234,6 +238,7 @@ class TotemNode : public sim::Station {
   NodeId successor_of(NodeId node) const;
   void arm_token_timer();
   void broadcast(util::Bytes frame);
+  void broadcast(util::SharedBytes frame);
 
   // ---- membership ----
   void enter_gather();
@@ -270,7 +275,9 @@ class TotemNode : public sim::Station {
   // Sequencing / delivery.
   std::uint64_t delivered_up_to_ = 0;  ///< aru: contiguous prefix delivered
   SeqStore store_;  ///< frames by seq (delivery + rtx)
-  std::map<std::pair<std::uint32_t, std::uint64_t>, util::Bytes> partial_;  ///< reassembly
+  /// Reassembly: the fragments received so far of each message, by
+  /// (origin, msg_id).
+  std::map<std::pair<std::uint32_t, std::uint64_t>, std::vector<util::SharedSlice>> partial_;
   std::deque<PendingFragment> send_queue_;
   std::uint64_t next_msg_id_ = 1;
   std::uint64_t highest_seen_seq_ = 0;

@@ -30,9 +30,13 @@ void CdrWriter::align(std::size_t n) {
   if (rem != 0) buf_.resize(buf_.size() + (n - rem), 0);
 }
 
-void CdrWriter::put_u8(std::uint8_t v) { buf_.push_back(v); }
+void CdrWriter::put_u8(std::uint8_t v) {
+  reserve_first(1);
+  buf_.push_back(v);
+}
 
 void CdrWriter::put_u16(std::uint16_t v) {
+  reserve_first(2);
   align(2);
   if (needs_swap(order_)) v = byteswap_integral(v);
   const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
@@ -40,6 +44,7 @@ void CdrWriter::put_u16(std::uint16_t v) {
 }
 
 void CdrWriter::put_u32(std::uint32_t v) {
+  reserve_first(4);
   align(4);
   if (needs_swap(order_)) v = byteswap_integral(v);
   const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
@@ -47,6 +52,7 @@ void CdrWriter::put_u32(std::uint32_t v) {
 }
 
 void CdrWriter::put_u64(std::uint64_t v) {
+  reserve_first(8);
   align(8);
   if (needs_swap(order_)) v = byteswap_integral(v);
   const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
@@ -71,7 +77,10 @@ void CdrWriter::put_octets(BytesView data) {
   buf_.insert(buf_.end(), data.begin(), data.end());
 }
 
-void CdrWriter::put_raw(BytesView data) { buf_.insert(buf_.end(), data.begin(), data.end()); }
+void CdrWriter::put_raw(BytesView data) {
+  reserve_first(data.size());
+  buf_.insert(buf_.end(), data.begin(), data.end());
+}
 
 void CdrWriter::patch_u32(std::size_t offset, std::uint32_t v) {
   if (offset + 4 > buf_.size()) throw CdrError("patch_u32 out of range");

@@ -36,11 +36,19 @@ ByteOrder host_byte_order() noexcept;
 /// Serializes values into a growing buffer with CDR alignment.
 class CdrWriter {
  public:
+  /// Capacity an unsized writer reserves on its first write (more if that
+  /// write is larger). Reply bodies and other small encodings fit it whole,
+  /// so they cost one allocation instead of the vector's climb through
+  /// 1, 8 and 16 bytes; CDR libraries such as TAO likewise start from a
+  /// preallocated block. Encoded bytes do not depend on it.
+  static constexpr std::size_t kFirstReserve = 32;
+
   /// `order` is the byte order to encode with; defaults to host order, which
   /// is what a real ORB does (writers write native, readers swap).
   /// `capacity` is the expected encoded size: an encoder that knows its
   /// exact size, or an upper bound, allocates the buffer once instead of
-  /// growing it through every power of two.
+  /// growing it through every power of two. 0 means kFirstReserve on the
+  /// first write.
   explicit CdrWriter(ByteOrder order = host_byte_order(), std::size_t capacity = 0)
       : order_(order) {
     if (capacity != 0) buf_.reserve(capacity);
@@ -81,6 +89,12 @@ class CdrWriter {
   Bytes take() && { return std::move(buf_); }
 
  private:
+  /// Before a write of `n` bytes: the first write to a never-reserved
+  /// buffer reserves kFirstReserve (or `n`, if larger).
+  void reserve_first(std::size_t n) {
+    if (buf_.capacity() == 0) buf_.reserve(n > kFirstReserve ? n : kFirstReserve);
+  }
+
   ByteOrder order_;
   Bytes buf_;
 };

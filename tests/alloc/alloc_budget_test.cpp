@@ -4,17 +4,21 @@
 // asserts how many heap allocations the primitives every replicated
 // invocation passes through may make once their reusable buffers have
 // grown: scheduling and firing events, putting frames on the wire, encoding
-// Totem frames and Eternal envelopes, decoding envelopes as views, filtering
-// duplicates, inspecting GIOP headers, handing messages to Totem and the ORB,
-// looking up a group's ring and sequencing a request through its replica's
-// execution engine. A change that puts an allocation back on
+// Totem frames and Eternal envelopes, receiving a Data frame at every ring
+// member out of its one shared buffer, decoding envelopes as views, retaining
+// delivered bytes as slices, filtering duplicates, inspecting GIOP headers,
+// handing messages to Totem and the ORB, encoding small CDR bodies, looking
+// up a group's ring, the POA's ticket gate and sequencing a request through
+// its replica's execution engine. A change that puts an allocation back on
 // one of these paths fails here instead of only moving the benchmark's
 // allocs_per_op.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <optional>
 #include <vector>
 
 #include "core/envelope.hpp"
@@ -27,6 +31,8 @@
 #include "sim/simulator.hpp"
 #include "totem/frames.hpp"
 #include "totem/totem.hpp"
+#include "util/cdr.hpp"
+#include "util/shared_bytes.hpp"
 
 namespace {
 
@@ -126,8 +132,11 @@ TEST(AllocBudget, FrameAndEnvelopeEncodersAllocateOnce) {
   data.ring_id = 77;
   data.origin = NodeId{2};
   data.seq = 1234;
-  data.payload = Bytes(300, 0xAB);
+  const Bytes payload(300, 0xAB);
+  data.payload = util::SharedSlice::copy_of(payload);
   EXPECT_EQ(allocs_of([&] { (void)totem::encode_frame(NodeId{2}, data); }), 1u);
+  // The shared form keeps its reference count inside the one allocation.
+  EXPECT_EQ(allocs_of([&] { (void)totem::encode_data_frame(NodeId{2}, data, payload); }), 1u);
 
   totem::TokenFrame token;
   token.view = util::ViewId{3};
@@ -276,12 +285,152 @@ TEST(AllocBudget, OrbKeepsOneCopyOfAnInjectedMessage) {
   sim::Simulator sim;
   orb::Orb orb(sim, NodeId{1}, orb::OrbConfig{});
   const Bytes close = giop::encode(giop::CloseConnection{});
+  const util::SharedSlice shared = util::SharedSlice::copy_of(close);
   const orb::Endpoint from{NodeId{2}};
-  orb.on_message(from, close);
+  orb.on_message(from, shared);
   sim.run();  // warm-up: the event slab grows
-  // The copy lives inside the scheduled event: no shared block around it.
-  EXPECT_EQ(allocs_of([&] { orb.on_message(from, close); }), 1u);
+  // A shared slice (the Interceptor's path): the event holds a reference.
+  EXPECT_EQ(allocs_of([&] { orb.on_message(from, shared); }), 0u);
+  EXPECT_EQ(shared.owner().use_count(), 2u);  // ours and the pending event's
   sim.run();
+  EXPECT_EQ(shared.owner().use_count(), 1u);
+  // A plain view (TcpNetwork's path): one copy, into the buffer the event
+  // then references.
+  EXPECT_EQ(allocs_of([&] { orb.on_message(from, util::BytesView(close)); }), 1u);
+  sim.run();
+}
+
+TEST(AllocBudget, ReceivingADataFrameAtFourStationsAllocatesNothing) {
+  // Four ring members behind forwarding seams (as a benchmark harness wraps
+  // them); a fifth station puts Data frames on the segment. Only the seams'
+  // Data-frame calls are counted: decode, store, delivery and the listener.
+  struct Sink : totem::TotemListener {
+    std::uint64_t delivered = 0;
+    util::SharedSlice last;  // keeping a delivery is a reference, not a copy
+    void on_deliver(const totem::Delivery& d) override {
+      delivered += 1;
+      last = d.payload;
+    }
+    void on_view_change(const totem::View&) override {}
+  };
+  struct Seam : sim::Station {
+    totem::TotemNode* node = nullptr;
+    std::uint64_t data_allocs = 0;
+    void on_frame(NodeId from, util::BytesView frame) override {
+      const bool data = frame.size() > 1 && frame[1] == static_cast<std::uint8_t>(
+                                                            totem::FrameType::kData);
+      const std::uint64_t before = g_allocs;
+      node->on_frame(from, frame);
+      if (data) data_allocs += g_allocs - before;
+    }
+  };
+  struct Silent : sim::Station {
+    void on_frame(NodeId, util::BytesView) override {}
+  };
+  sim::Simulator sim;
+  sim::Ethernet ether(sim, sim::EthernetConfig{});
+  totem::TotemConfig cfg;
+  cfg.gc_margin = 8;  // GC recycles the store's blocks within the test
+  Sink sinks[4];
+  Seam seams[4];
+  std::vector<std::unique_ptr<totem::TotemNode>> nodes;
+  const std::vector<NodeId> members{NodeId{1}, NodeId{2}, NodeId{3}, NodeId{4}};
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    nodes.push_back(std::make_unique<totem::TotemNode>(sim, ether, members[i], cfg, &sinks[i]));
+  }
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    nodes[i]->start(members);
+    seams[i].node = nodes[i].get();
+    ether.attach(members[i], &seams[i]);
+  }
+  Silent sender;
+  ether.attach(NodeId{9}, &sender);
+  sim.run_for(Duration(500'000));
+
+  std::uint64_t seq = 0;
+  const Bytes payload(200, 0x6D);
+  auto send = [&](int frames) {
+    for (int i = 0; i < frames; ++i) {
+      totem::DataFrame f;
+      f.view = nodes[0]->view().id;
+      f.ring_id = nodes[0]->view().ring_id;
+      f.origin = NodeId{9};
+      f.seq = ++seq;
+      f.msg_id = seq;
+      ether.broadcast(NodeId{9}, totem::encode_data_frame(NodeId{9}, f, payload));
+      sim.run_for(Duration(200'000));  // tokens circulate: aru and GC advance
+    }
+  };
+  send(256);  // warm-up: last-heard map, store blocks, event slab
+  for (Seam& s : seams) s.data_allocs = 0;
+  send(128);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(seams[i].data_allocs, 0u) << "station " << i;
+    EXPECT_EQ(sinks[i].delivered, seq) << "station " << i;
+    EXPECT_EQ(sinks[i].last, payload);
+  }
+}
+
+TEST(AllocBudget, DeliveryToQueueItemToOrbEventAllocatesNothing) {
+  // What the Mechanisms do with a delivered request: decode the envelope as
+  // a view, retain it (the run-queue item) and hand its IIOP bytes to the
+  // ORB, whose dispatch event holds the reference.
+  sim::Simulator sim;
+  orb::Orb orb(sim, NodeId{1}, orb::OrbConfig{});
+  core::Envelope e;
+  e.kind = core::EnvelopeKind::kRequest;
+  e.client_group = util::GroupId{7};
+  e.target_group = util::GroupId{9};
+  e.op_seq = 5;
+  e.payload = giop::encode(giop::CloseConnection{});
+  const util::SharedSlice delivered = util::SharedSlice::copy_of(core::encode_envelope(e));
+  const orb::Endpoint from{NodeId{2}};
+  std::optional<core::RetainedEnvelope> item;
+  auto deliver = [&] {
+    const auto view = core::decode_envelope_view(delivered);
+    item.emplace(*view, delivered);
+    orb.on_message(from, item->payload);
+  };
+  deliver();
+  sim.run();  // warm-up: the event slab grows
+  EXPECT_EQ(allocs_of(deliver), 0u);
+  EXPECT_EQ(item->payload, e.payload);
+  EXPECT_EQ(item->op_seq, 5u);
+  sim.run();
+}
+
+TEST(AllocBudget, SmallUnsizedCdrEncodeAllocatesOnce) {
+  // A reply body such as the benchmark servant's (flag byte, aligned i64).
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(allocs_of([&] {
+                util::CdrWriter w;
+                w.put_u8(static_cast<std::uint8_t>(w.order()));
+                w.put_i64(i);
+                ASSERT_EQ(std::move(w).take().size(), 16u);
+              }),
+              1u);
+  }
+}
+
+TEST(AllocBudget, PoaTicketGateAllocatesNothingInSteadyState) {
+  orb::TicketGate gate;
+  // In order: every completion only advances the gate.
+  EXPECT_EQ(allocs_of([&] {
+              for (std::uint64_t t = 0; t < 1000; ++t) gate.complete(t);
+            }),
+            0u);
+  EXPECT_EQ(gate.next(), 1000u);
+  // Out of order within a window of 4: the first round grows the list of
+  // early completions; later rounds reuse its capacity.
+  auto round = [&](std::uint64_t base) {
+    for (std::uint64_t t : {3, 1, 2, 0}) gate.complete(base + t);
+  };
+  round(1000);
+  EXPECT_EQ(allocs_of([&] {
+              for (std::uint64_t b = 1004; b < 2000; b += 4) round(b);
+            }),
+            0u);
+  EXPECT_EQ(gate.next(), 2000u);
 }
 
 TEST(AllocBudget, RepeatedRingLookupAllocatesNothing) {

@@ -4,6 +4,8 @@
 
 #include <iterator>
 #include <limits>
+#include <map>
+#include <optional>
 #include <set>
 
 #include "core/envelope.hpp"
@@ -11,6 +13,11 @@
 #include "core/message_log.hpp"
 #include "core/seq_window.hpp"
 #include "core/state_snapshots.hpp"
+#include "giop/giop.hpp"
+#include "orb/orb.hpp"
+#include "sim/ethernet.hpp"
+#include "totem/frames.hpp"
+#include "totem/seq_store.hpp"
 #include "util/rng.hpp"
 
 namespace eternal::core {
@@ -599,6 +606,107 @@ TEST(Snapshots, EmptyBlobsDecodeToEmptyState) {
   EXPECT_TRUE(decode_orb_state(Bytes{})->client_conns.empty());
   EXPECT_TRUE(decode_infra_state(Bytes{})->requests_seen.empty());
 }
+
+
+// ------------------------------------------- retained delivery slice lifetime
+
+/// The places the Mechanisms keep a delivered request or reply.
+enum class Holder { kQueueItem, kLogEntry, kReplyCache, kOrbEvent };
+
+class RetainedDelivery : public ::testing::TestWithParam<Holder> {};
+
+TEST_P(RetainedDelivery, HolderOutlivesFrameSlotStoreEntryAndReplacement) {
+  // A request envelope travels in one shared Totem frame and is kept by one
+  // holder only. Then everything else that held the frame lets go: the
+  // Ethernet slot is reused, a stale-frame replacement overwrites the store
+  // entry, and garbage collection erases it. The holder must still read the
+  // original bytes; under ASan, a holder that kept a plain view instead of
+  // a slice is a use-after-free here.
+  sim::Simulator sim;
+  sim::Ethernet ether(sim, sim::EthernetConfig{});
+  orb::Orb orb(sim, NodeId{2}, orb::OrbConfig{});
+  totem::SeqStore store;
+
+  Envelope e;
+  e.kind = EnvelopeKind::kRequest;
+  e.client_group = GroupId{4};
+  e.target_group = GroupId{6};
+  e.op_seq = 11;
+  e.payload = giop::encode(giop::CloseConnection{});
+  const Bytes iiop = e.payload;
+
+  struct Receiver : sim::Station {
+    sim::Ethernet* ether = nullptr;
+    totem::SeqStore* store = nullptr;
+    void on_frame(NodeId, util::BytesView) override {
+      auto frame = totem::decode_frame(*ether->lent_frame());
+      ASSERT_TRUE(frame.has_value());
+      store->insert(std::move(std::get<totem::DataFrame>(frame->body)));
+    }
+  } receiver;
+  receiver.ether = &ether;
+  receiver.store = &store;
+  struct Silent : sim::Station {
+    void on_frame(NodeId, util::BytesView) override {}
+  } sender;
+  ether.attach(NodeId{1}, &sender);
+  ether.attach(NodeId{2}, &receiver);
+
+  totem::DataFrame header;
+  header.seq = 1;
+  ether.broadcast(NodeId{1}, totem::encode_data_frame(NodeId{1}, header, encode_envelope(e)));
+  sim.run();
+  ASSERT_NE(store.find(1), nullptr);
+
+  std::optional<RetainedEnvelope> queue_item;
+  MessageLog log;
+  std::map<std::uint64_t, util::SharedSlice> reply_cache;
+  {
+    // The delivery: decode a view, keep what this holder keeps.
+    const util::SharedSlice delivered = store.find(1)->payload;
+    const auto view = decode_envelope_view(delivered);
+    ASSERT_TRUE(view.has_value());
+    switch (GetParam()) {
+      case Holder::kQueueItem: queue_item.emplace(*view, delivered); break;
+      case Holder::kLogEntry: log.append(RetainedEnvelope(*view, delivered)); break;
+      case Holder::kReplyCache: reply_cache[view->op_seq] = delivered.sub(view->payload); break;
+      case Holder::kOrbEvent:
+        orb.on_message(orb::Endpoint{NodeId{1}}, delivered.sub(view->payload));
+        break;
+    }
+  }
+
+  // The frame's other holders let go.
+  header.seq = 2;
+  ether.broadcast(NodeId{1},
+                  totem::encode_data_frame(NodeId{1}, header, Bytes(64, 0xEE)));  // slot reuse
+  totem::DataFrame agreed;
+  agreed.seq = 1;
+  agreed.payload = util::SharedSlice::copy_of(Bytes(iiop.size(), 0x11));
+  *store.find(1) = std::move(agreed);  // stale-frame replacement
+  store.erase_below(2);                // garbage collection
+  EXPECT_EQ(store.find(1), nullptr);
+
+  switch (GetParam()) {
+    case Holder::kQueueItem:
+      EXPECT_EQ(queue_item->payload, iiop);
+      EXPECT_EQ(queue_item->op_seq, 11u);
+      break;
+    case Holder::kLogEntry:
+      ASSERT_EQ(log.messages().size(), 1u);
+      EXPECT_EQ(log.messages()[0].payload, iiop);
+      EXPECT_EQ(encode_envelope(log.messages()[0]), encode_envelope(e));
+      break;
+    case Holder::kReplyCache: EXPECT_EQ(reply_cache[11], iiop); break;
+    case Holder::kOrbEvent: break;
+  }
+  sim.run();  // a pending ORB event decodes the bytes it holds
+  EXPECT_EQ(orb.stats().decode_errors, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Holders, RetainedDelivery,
+                         ::testing::Values(Holder::kQueueItem, Holder::kLogEntry,
+                                           Holder::kReplyCache, Holder::kOrbEvent));
 
 }  // namespace
 }  // namespace eternal::core

@@ -22,6 +22,7 @@ namespace eternal {
 namespace {
 
 using util::Bytes;
+using util::BytesView;
 using util::Rng;
 
 // Iteration budget for every fuzz sweep: ETERNAL_FUZZ_ITERS overrides the
@@ -99,13 +100,26 @@ TEST_P(DecodeFuzz, MutatedValidTotemFramesNeverCrash) {
   totem::DataFrame data;
   data.view = util::ViewId{3};
   data.seq = 99;
-  data.payload = Bytes(48, 0xAB);
+  data.payload = util::SharedSlice::copy_of(Bytes(48, 0xAB));
   const Bytes valid = totem::encode_frame(util::NodeId{2}, data);
 
   for (int i = 0; i < fuzz_iters(); ++i) {
     Bytes mutated = valid;
     mutated[rng.below(mutated.size())] ^= static_cast<std::uint8_t>(1 + rng.below(255));
-    (void)totem::decode_frame(mutated);
+    const auto copied = totem::decode_frame(mutated);
+    // The shared-buffer form (the receive path off the Ethernet) accepts
+    // exactly the same frames and slices the payload from inside the buffer.
+    const util::SharedBytes shared = util::SharedBytes::copy_of(mutated);
+    const auto sliced = totem::decode_frame(shared);
+    ASSERT_EQ(copied.has_value(), sliced.has_value());
+    if (!sliced || sliced->type() != totem::FrameType::kData) continue;
+    const auto& c = std::get<totem::DataFrame>(copied->body);
+    const auto& s = std::get<totem::DataFrame>(sliced->body);
+    EXPECT_EQ(s.payload, c.payload.view());
+    if (!s.payload.empty()) {
+      EXPECT_GE(s.payload.data(), shared.data());
+      EXPECT_LE(s.payload.end(), shared.data() + shared.size());
+    }
   }
 }
 
@@ -117,7 +131,7 @@ TEST_P(DecodeFuzz, MutatedValidBatchedFramesNeverCrash) {
   data.view = util::ViewId{3};
   data.seq = 99;
   data.batch_count = static_cast<std::uint32_t>(msgs.size());
-  data.payload = totem::pack_batch(msgs);
+  data.payload = util::SharedSlice::copy_of(totem::pack_batch(msgs));
   const Bytes valid = totem::encode_frame(util::NodeId{2}, data);
 
   for (int i = 0; i < fuzz_iters(); ++i) {
@@ -126,12 +140,22 @@ TEST_P(DecodeFuzz, MutatedValidBatchedFramesNeverCrash) {
     for (std::size_t f = 0; f < flips; ++f) {
       mutated[rng.below(mutated.size())] ^= static_cast<std::uint8_t>(1 + rng.below(255));
     }
-    auto decoded = totem::decode_frame(mutated);
+    const util::SharedBytes shared = util::SharedBytes::copy_of(mutated);
+    auto decoded = totem::decode_frame(shared);
     if (!decoded || decoded->type() != totem::FrameType::kData) continue;
     // A frame that survives decode must unpack cleanly or be rejected —
     // never crash or over-read (this is the deliver path's exact sequence).
     const auto& d = std::get<totem::DataFrame>(decoded->body);
-    if (d.batch_count >= 2) (void)totem::unpack_batch(d.payload, d.batch_count);
+    if (d.batch_count < 2) continue;
+    std::uint32_t visited = 0;
+    const bool ok = totem::unpack_batch(d.payload, d.batch_count, [&](BytesView m) {
+      visited += 1;
+      if (!m.empty()) {
+        EXPECT_GE(m.data(), d.payload.begin());
+        EXPECT_LE(m.data() + m.size(), d.payload.end());
+      }
+    });
+    EXPECT_EQ(visited, ok ? d.batch_count : 0u);
   }
 }
 
@@ -139,8 +163,13 @@ TEST_P(DecodeFuzz, RandomBlobsNeverCrashBatchUnpack) {
   Rng rng(GetParam() ^ 0xB10B);
   for (int i = 0; i < fuzz_iters(); ++i) {
     const Bytes blob = random_bytes(rng, 256);
-    (void)totem::unpack_batch(blob, static_cast<std::uint32_t>(rng.below(300)));
-    (void)totem::unpack_batch(blob, static_cast<std::uint32_t>(rng.next()));
+    for (const auto count : {static_cast<std::uint32_t>(rng.below(300)),
+                             static_cast<std::uint32_t>(rng.next())}) {
+      std::uint32_t visited = 0;
+      const bool ok = totem::unpack_batch(blob, count, [&](BytesView) { visited += 1; });
+      EXPECT_EQ(ok, totem::batch_well_formed(blob, count));
+      EXPECT_EQ(visited, ok ? count : 0u);
+    }
   }
 }
 

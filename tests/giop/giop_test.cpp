@@ -206,6 +206,8 @@ TEST(Giop, SetRequestIdMatchesDecodeAndReencode) {
           EXPECT_EQ(patched, expected)
               << "order " << int(order) << " minor " << int(minor) << " rid " << rid;
           EXPECT_EQ(inspect(patched)->request_id, rid);
+          // The copy-on-write form patches a fresh buffer, not its input.
+          EXPECT_EQ(copy_with_request_id(input, rid), patched);
         }
       }
     }
@@ -216,6 +218,7 @@ TEST(Giop, SetRequestIdLeavesOtherMessagesAlone) {
   for (Bytes wire : {encode(CancelRequest{77}), encode(LocateReply{5, 1}),
                      encode(CloseConnection{}), Bytes{1, 2, 3}}) {
     const Bytes before = wire;
+    EXPECT_EQ(copy_with_request_id(wire, 99), before);
     EXPECT_FALSE(set_request_id(wire, 99));
     EXPECT_EQ(wire, before);
   }

@@ -68,7 +68,7 @@ TEST_F(Fixture, InjectsInboundIntoOrb) {
   req.object_key = util::bytes_of("echo");
   req.operation = "do";
   req.body = Bytes{42};
-  tap.inject(Endpoint{NodeId{7}, 2809}, giop::encode(req));
+  tap.inject(Endpoint{NodeId{7}, 2809}, util::SharedSlice::copy_of(giop::encode(req)));
   sim.run_until(sim.now() + Duration(10'000'000));
 
   ASSERT_EQ(diversion.captured.size(), 1u);

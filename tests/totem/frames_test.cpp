@@ -21,7 +21,7 @@ TEST(TotemFrames, DataRoundTrip) {
   f.frag_index = 2;
   f.frag_count = 5;
   f.retransmission = true;
-  f.payload = Bytes{1, 2, 3, 4};
+  f.payload = util::SharedSlice::copy_of(Bytes{1, 2, 3, 4});
 
   auto decoded = decode_frame(encode_frame(NodeId{8}, f));
   ASSERT_TRUE(decoded.has_value());
@@ -105,7 +105,7 @@ TEST(TotemFrames, AuthoritativeRetransmissionRoundTrips) {
   f.seq = 88;
   f.retransmission = true;
   f.authoritative = true;
-  f.payload = Bytes{9, 9, 9};
+  f.payload = util::SharedSlice::copy_of(Bytes{9, 9, 9});
 
   auto decoded = decode_frame(encode_frame(NodeId{3}, f));
   ASSERT_TRUE(decoded.has_value());
@@ -160,7 +160,7 @@ TEST(TotemFrames, MalformedInputRejected) {
 }
 
 TEST(TotemFrames, TruncatedFrameRejected) {
-  Bytes valid = encode_frame(NodeId{1}, DataFrame{.payload = Bytes(100, 1)});
+  Bytes valid = encode_frame(NodeId{1}, DataFrame{.payload = util::SharedSlice::copy_of(Bytes(100, 1))});
   valid.resize(valid.size() / 2);
   EXPECT_FALSE(decode_frame(valid).has_value());
 }
@@ -170,16 +170,79 @@ TEST(TotemFrames, DataOverheadIsStable) {
   EXPECT_GT(overhead, 0u);
   EXPECT_LT(overhead, 128u);
   DataFrame f;
-  f.payload = Bytes(500, 1);
+  f.payload = util::SharedSlice::copy_of(Bytes(500, 1));
   EXPECT_EQ(encode_frame(NodeId{1}, f).size(), overhead + 500);
+}
+
+TEST(TotemFrames, SharedEncodingMatchesPlainEncoding) {
+  DataFrame f;
+  f.view = ViewId{4};
+  f.ring_id = 0x1234567890;
+  f.origin = NodeId{6};
+  f.seq = 77;
+  f.msg_id = 5;
+  f.frag_index = 1;
+  f.frag_count = 3;
+  f.authoritative = true;
+  const Bytes payload{8, 6, 7, 5, 3, 0, 9};
+  f.payload = util::SharedSlice::copy_of(payload);
+  const util::SharedBytes shared = encode_data_frame(NodeId{6}, f, payload);
+  EXPECT_EQ(Bytes(shared.data(), shared.data() + shared.size()), encode_frame(NodeId{6}, f));
+}
+
+TEST(TotemFrames, SharedDecodeSlicesTheFrameInsteadOfCopying) {
+  DataFrame f;
+  f.seq = 3;
+  const Bytes payload(40, 0x5A);
+  const util::SharedBytes wire = encode_data_frame(NodeId{1}, f, payload);
+  ASSERT_EQ(wire.use_count(), 1u);
+  {
+    auto decoded = decode_frame(wire);
+    ASSERT_TRUE(decoded.has_value());
+    const auto& d = std::get<DataFrame>(decoded->body);
+    // The payload points into the frame buffer and holds a reference to it.
+    EXPECT_EQ(d.payload.data(), wire.data() + data_frame_overhead());
+    EXPECT_EQ(d.payload, payload);
+    EXPECT_EQ(wire.use_count(), 2u);
+    // The view form of the same bytes copies into a buffer of its own.
+    auto copied = decode_frame(wire.view());
+    ASSERT_TRUE(copied.has_value());
+    const auto& c = std::get<DataFrame>(copied->body);
+    EXPECT_NE(c.payload.data(), d.payload.data());
+    EXPECT_EQ(c.payload, payload);
+    EXPECT_EQ(wire.use_count(), 2u);
+  }
+  EXPECT_EQ(wire.use_count(), 1u);
+}
+
+TEST(TotemFrames, SliceOutlivesTheDecodedFrameAndItsBuffer) {
+  util::SharedSlice kept;
+  {
+    DataFrame f;
+    f.seq = 9;
+    const Bytes payload{1, 2, 3};
+    const util::SharedBytes wire = encode_data_frame(NodeId{1}, f, payload);
+    auto decoded = decode_frame(wire);
+    ASSERT_TRUE(decoded.has_value());
+    kept = std::get<DataFrame>(decoded->body).payload;
+  }  // the wire reference and the decoded frame are gone; the slice is not
+  EXPECT_EQ(kept, (Bytes{1, 2, 3}));
+  EXPECT_EQ(kept.owner().use_count(), 1u);
 }
 
 // ------------------------------------------------------------- batch framing
 
-/// unpack_batch lends views into the blob; copy them out for comparison.
-std::vector<Bytes> owned(const std::vector<BytesView>& views) {
+/// unpack_batch visits views into the blob; copy them out for comparison.
+/// nullopt when the blob is rejected.
+std::optional<std::vector<Bytes>> unpack(BytesView packed, std::uint32_t count) {
   std::vector<Bytes> out;
-  for (BytesView v : views) out.emplace_back(v.begin(), v.end());
+  const bool ok = unpack_batch(packed, count, [&](BytesView m) {
+    out.emplace_back(m.begin(), m.end());
+  });
+  if (!ok) {
+    EXPECT_TRUE(out.empty()) << "a rejected batch must visit nothing";
+    return std::nullopt;
+  }
   return out;
 }
 
@@ -190,7 +253,7 @@ DataFrame batched_frame(const std::vector<Bytes>& msgs) {
   f.seq = 41;
   f.msg_id = 7;
   f.batch_count = static_cast<std::uint32_t>(msgs.size());
-  f.payload = pack_batch(msgs);
+  f.payload = util::SharedSlice::copy_of(pack_batch(msgs));
   return f;
 }
 
@@ -201,9 +264,9 @@ TEST(TotemBatchFraming, BatchedFrameRoundTrips) {
   ASSERT_TRUE(decoded.has_value());
   const auto& d = std::get<DataFrame>(decoded->body);
   EXPECT_EQ(d.batch_count, 4u);
-  auto unpacked = unpack_batch(d.payload, d.batch_count);
+  auto unpacked = unpack(d.payload, d.batch_count);
   ASSERT_TRUE(unpacked.has_value());
-  EXPECT_EQ(owned(*unpacked), msgs);
+  EXPECT_EQ(*unpacked, msgs);
 }
 
 TEST(TotemBatchFraming, SingleMessageIsWireIdenticalToUnbatched) {
@@ -214,7 +277,7 @@ TEST(TotemBatchFraming, SingleMessageIsWireIdenticalToUnbatched) {
   plain.origin = NodeId{2};
   plain.seq = 41;
   plain.msg_id = 7;
-  plain.payload = Bytes{5, 6, 7};
+  plain.payload = util::SharedSlice::copy_of(Bytes{5, 6, 7});
   DataFrame one = plain;  // batch_count stays 1; payload is the raw message
   EXPECT_EQ(encode_frame(NodeId{2}, one), encode_frame(NodeId{2}, plain));
 }
@@ -230,9 +293,9 @@ TEST(TotemBatchFraming, RandomRoundTripProperty) {
       msgs.push_back(std::move(m));
     }
     const Bytes blob = pack_batch(msgs);
-    auto unpacked = unpack_batch(blob, static_cast<std::uint32_t>(msgs.size()));
+    auto unpacked = unpack(blob, static_cast<std::uint32_t>(msgs.size()));
     ASSERT_TRUE(unpacked.has_value()) << "iter " << iter;
-    EXPECT_EQ(owned(*unpacked), msgs) << "iter " << iter;
+    EXPECT_EQ(*unpacked, msgs) << "iter " << iter;
   }
 }
 
@@ -254,9 +317,9 @@ TEST(TotemBatchFraming, MaxSizeBatchFitsOneEthernetFrame) {
   const Bytes blob = pack_batch(msgs);
   EXPECT_EQ(blob.size(), packed);  // predictor == encoder
   EXPECT_LE(data_frame_overhead() + blob.size(), 1500u);
-  auto unpacked = unpack_batch(blob, static_cast<std::uint32_t>(msgs.size()));
+  auto unpacked = unpack(blob, static_cast<std::uint32_t>(msgs.size()));
   ASSERT_TRUE(unpacked.has_value());
-  EXPECT_EQ(owned(*unpacked), msgs);
+  EXPECT_EQ(*unpacked, msgs);
 }
 
 TEST(TotemBatchFraming, MalformedBatchRejected) {
@@ -264,22 +327,22 @@ TEST(TotemBatchFraming, MalformedBatchRejected) {
   const Bytes blob = pack_batch(msgs);
 
   // Wrong count: too many or too few messages claimed.
-  EXPECT_FALSE(unpack_batch(blob, 2).has_value());   // trailing garbage
-  EXPECT_FALSE(unpack_batch(blob, 4).has_value());   // runs off the end
-  EXPECT_FALSE(unpack_batch(blob, 0).has_value());   // 0 leaves the blob unread
+  EXPECT_FALSE(unpack(blob, 2).has_value());   // trailing garbage
+  EXPECT_FALSE(unpack(blob, 4).has_value());   // runs off the end
+  EXPECT_FALSE(unpack(blob, 0).has_value());   // 0 leaves the blob unread
   // A count no blob of this size could hold (guards the decoder's reserve).
-  EXPECT_FALSE(unpack_batch(blob, 0xFFFFFFFF).has_value());
+  EXPECT_FALSE(unpack(blob, 0xFFFFFFFF).has_value());
 
   // Truncations at every boundary.
   for (std::size_t cut = 0; cut < blob.size(); ++cut) {
     Bytes t(blob.begin(), blob.begin() + static_cast<std::ptrdiff_t>(cut));
-    EXPECT_FALSE(unpack_batch(t, 3).has_value()) << "cut=" << cut;
+    EXPECT_FALSE(unpack(t, 3).has_value()) << "cut=" << cut;
   }
 
   // A length field pointing past the end of the blob.
   Bytes corrupt = blob;
   corrupt[0] = 0xFF;
-  EXPECT_FALSE(unpack_batch(corrupt, 3).has_value());
+  EXPECT_FALSE(unpack(corrupt, 3).has_value());
 }
 
 TEST(TotemBatchFraming, DecoderRejectsImpossibleBatchCounts) {

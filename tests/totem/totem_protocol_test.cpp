@@ -232,7 +232,7 @@ struct StoreHarness : sim::Station {
     f.msg_id = seq;
     f.retransmission = retransmission;
     f.authoritative = authoritative;
-    f.payload = util::bytes_of(text);
+    f.payload = util::SharedSlice::copy_of(util::bytes_of(text));
     node.on_frame(NodeId{1}, encode_frame(NodeId{1}, f));
   }
 
@@ -371,7 +371,7 @@ TEST(TotemSeqStore, IndexWrapsWithoutGrowingUnderSteadyGc) {
   for (std::uint64_t s = 1; s <= 1000; ++s) {
     DataFrame f;
     f.seq = s;
-    f.payload = Bytes{static_cast<std::uint8_t>(s)};
+    f.payload = util::SharedSlice::copy_of(Bytes{static_cast<std::uint8_t>(s)});
     store.insert(std::move(f));
     if (s == 1) first_capacity = store.capacity();
     if (s > 8) store.erase_below(s - 8);
@@ -401,7 +401,7 @@ TEST(TotemSeqStore, FarGapGrowsTheRingAndKeepsBothEnds) {
   auto put = [&](std::uint64_t seq) {
     DataFrame f;
     f.seq = seq;
-    f.payload = Bytes(3, static_cast<std::uint8_t>(seq));
+    f.payload = util::SharedSlice::copy_of(Bytes(3, static_cast<std::uint8_t>(seq)));
     store.insert(std::move(f));
   };
   put(5);

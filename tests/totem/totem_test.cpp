@@ -328,5 +328,93 @@ TEST(Totem, DeterministicAcrossRuns) {
   EXPECT_EQ(run(), run());
 }
 
+
+// ------------------------------------------------ shared frame buffer lifetime
+
+/// Keeps every delivery's slice, as the Mechanisms' queue items, log entries
+/// and reply cache do.
+struct RetainingSink : TotemListener {
+  std::vector<util::SharedSlice> kept;
+  void on_deliver(const Delivery& d) override { kept.push_back(d.payload); }
+  void on_view_change(const View&) override {}
+};
+
+TEST(TotemSharedFrames, MembersShareOneBufferPerFrame) {
+  Simulator sim;
+  Ethernet ether(sim, EthernetConfig{});
+  std::vector<NodeId> ids{NodeId{1}, NodeId{2}, NodeId{3}, NodeId{4}};
+  std::vector<RetainingSink> sinks(ids.size());
+  std::vector<std::unique_ptr<TotemNode>> nodes;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    nodes.push_back(std::make_unique<TotemNode>(sim, ether, ids[i], TotemConfig{}, &sinks[i]));
+  }
+  for (auto& node : nodes) node->start(ids);
+  sim.run_for(Duration(500'000));
+  nodes[2]->multicast(util::bytes_of("one buffer"));
+  sim.run_for(Duration(2'000'000));
+  // The sender's self-delivery and every receiver's delivery are slices of
+  // the one buffer the sender encoded: the same bytes at the same address.
+  for (const RetainingSink& sink : sinks) {
+    ASSERT_EQ(sink.kept.size(), 1u);
+    EXPECT_EQ(util::text_of(sink.kept[0]), "one buffer");
+    EXPECT_EQ(sink.kept[0].data(), sinks[0].kept[0].data());
+  }
+}
+
+TEST(TotemSharedFrames, RetainedDeliveriesOutliveSlotReuseAndGarbageCollection) {
+  TotemConfig cfg;
+  cfg.gc_margin = 2;  // frames leave the stores a few sequence numbers later
+  Simulator sim;
+  Ethernet ether(sim, EthernetConfig{});
+  std::vector<NodeId> ids{NodeId{1}, NodeId{2}, NodeId{3}};
+  std::vector<RetainingSink> sinks(ids.size());
+  std::vector<std::unique_ptr<TotemNode>> nodes;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    nodes.push_back(std::make_unique<TotemNode>(sim, ether, ids[i], cfg, &sinks[i]));
+  }
+  for (auto& node : nodes) node->start(ids);
+  sim.run_for(Duration(500'000));
+  nodes[0]->multicast(util::bytes_of("first"));
+  sim.run_for(Duration(1'000'000));
+  nodes[1]->multicast(Bytes(3000, 0x42));  // fragmented: one reassembled buffer
+  sim.run_for(Duration(2'000'000));
+  for (const RetainingSink& sink : sinks) ASSERT_EQ(sink.kept.size(), 2u);
+  // Hundreds of later frames reuse every Ethernet in-flight slot, and the
+  // aru advances far enough for every store to erase the early frames.
+  for (int i = 0; i < 200; ++i) {
+    nodes[static_cast<std::size_t>(i) % 3]->multicast(util::bytes_of("filler-" + std::to_string(i)));
+    sim.run_for(Duration(100'000));
+  }
+  sim.run_for(Duration(5'000'000));
+  for (const RetainingSink& sink : sinks) {
+    ASSERT_EQ(sink.kept.size(), 202u);
+    EXPECT_EQ(util::text_of(sink.kept[0]), "first");
+    EXPECT_EQ(sink.kept[1], Bytes(3000, 0x42));
+  }
+}
+
+TEST(TotemSharedFrames, RetainedSliceOutlivesStaleFrameReplacementAndErase) {
+  // The store-level operations a frame goes through after delivery: a
+  // differing authoritative copy replaces it, then GC erases the slot.
+  SeqStore store;
+  DataFrame original;
+  original.seq = 5;
+  const util::SharedBytes wire = encode_data_frame(NodeId{1}, original, util::bytes_of("stale"));
+  auto decoded = decode_frame(wire);
+  ASSERT_TRUE(decoded.has_value());
+  DataFrame& held = store.insert(std::move(std::get<DataFrame>(decoded->body)));
+  const util::SharedSlice kept = held.payload;
+
+  DataFrame agreed;
+  agreed.seq = 5;
+  agreed.payload = util::SharedSlice::copy_of(util::bytes_of("agreed"));
+  held = std::move(agreed);  // the replacement handle_data performs
+  EXPECT_EQ(util::text_of(store.find(5)->payload), "agreed");
+  store.erase_below(6);
+  EXPECT_TRUE(store.empty());
+  EXPECT_EQ(util::text_of(kept), "stale");
+  EXPECT_EQ(kept.owner().use_count(), 2u);  // `wire` and `kept`
+}
+
 }  // namespace
 }  // namespace eternal::totem
