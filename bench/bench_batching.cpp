@@ -1,6 +1,7 @@
 // Batching / flow-control sweep: message throughput and delivery latency of
 // a 4-node Totem ring under open-loop load, with multicast batching off and
-// at several batch-window settings (fixed, byte-bounded, adaptive).
+// at several batch windows, plus the token backpressure controller under
+// loss-induced congestion.
 //
 // Without batching every small message costs one Data frame and one token
 // fragment slot, so the ring saturates at max_frags_per_token messages per
@@ -44,13 +45,10 @@ constexpr Duration kMeasure = Duration(200'000'000);  // 200 ms window
 struct Setting {
   const char* name;
   std::size_t max_msgs;
-  std::size_t max_bytes;
-  bool adaptive;
 };
 
 constexpr Setting kSettings[] = {
-    {"off", 1, 0, false},      {"batch4", 4, 0, false},  {"batch16", 16, 0, false},
-    {"batch64", 64, 0, false}, {"adaptive", 64, 0, true},
+    {"off", 1}, {"batch4", 4}, {"batch16", 16}, {"batch64", 64},
 };
 
 constexpr double kRates[] = {10e3, 30e3, 60e3, 120e3};  // offered msg/s
@@ -106,8 +104,6 @@ Row run_one(const Setting& setting, double rate) {
 
   TotemConfig tcfg;
   tcfg.max_batch_msgs = setting.max_msgs;
-  tcfg.max_batch_bytes = setting.max_bytes;
-  tcfg.adaptive_batching = setting.adaptive;
 
   std::vector<NodeId> ids;
   for (std::uint32_t i = 1; i <= kNodes; ++i) ids.push_back(NodeId{i});
@@ -162,17 +158,15 @@ Row run_one(const Setting& setting, double rate) {
   return row;
 }
 
-// ---- backpressure shaping: fixed budget vs proportional controller ----
+// ---- backpressure shaping ----
 //
-// Under receiver-side loss the retransmission backlog congests the ring and
-// the fixed backpressure budget produces a sawtooth: every member is clamped
-// to the same tiny budget, the backlog drains, the budget releases, the
-// burst re-congests. The proportional controller sizes the budget from the
-// drain-rate EWMA instead, so delivered throughput stays near the drain
-// rate. Measured as the coefficient of variation of per-10 ms delivered
-// counts (lower = flatter).
+// Under receiver-side loss the retransmission backlog congests the ring. The
+// controller sizes the token budget from the congested member's drain-rate
+// EWMA, so delivered throughput stays near the drain rate instead of sawing
+// between a clamp and full release. Measured as the coefficient of variation
+// of per-10 ms delivered counts (lower = flatter); EXPERIMENTS.md keeps the
+// last numbers of the fixed clamp it replaced.
 struct BpRow {
-  const char* name = "?";
   double delivered = 0;
   double cv = -1.0;
   double p99_us = 0;
@@ -180,7 +174,7 @@ struct BpRow {
   std::uint64_t throttled = 0;
 };
 
-BpRow run_backpressure(bool proportional, double rate, double loss) {
+BpRow run_backpressure(double rate, double loss) {
   sim::Simulator sim;
   sim::EthernetConfig ecfg;
   ecfg.loss_probability = loss;
@@ -189,7 +183,6 @@ BpRow run_backpressure(bool proportional, double rate, double loss) {
   TotemConfig tcfg;
   tcfg.max_batch_msgs = 16;
   tcfg.backpressure_gap = 24;
-  tcfg.proportional_backpressure = proportional;
 
   std::vector<NodeId> ids;
   for (std::uint32_t i = 1; i <= kNodes; ++i) ids.push_back(NodeId{i});
@@ -226,7 +219,6 @@ BpRow run_backpressure(bool proportional, double rate, double loss) {
   sim.run_for(kWarmup + kMeasure + Duration(50'000'000));
 
   BpRow row;
-  row.name = proportional ? "proportional" : "fixed";
   row.delivered = static_cast<double>(sink0.in_window) /
                   (static_cast<double>(kMeasure.count()) / 1e9);
   row.p99_us = bench::to_us(sink0.latency.percentile(99));
@@ -263,16 +255,15 @@ int main(int argc, char** argv) {
   bench::BenchResultWriter out("batching");
   // delivered msg/s at the top offered rate, per setting (for the summary).
   double saturated_off = 0;
-  double best_fixed = 0;
-  const char* best_fixed_name = "off";
+  double best = 0;
+  const char* best_name = "off";
 
   for (const Setting& setting : kSettings) {
     if (smoke && std::string_view(setting.name) != "off" &&
         std::string_view(setting.name) != "batch16") {
       continue;
     }
-    std::printf("\nsetting %-8s (window=%zu bytes=%zu adaptive=%d)\n", setting.name,
-                setting.max_msgs, setting.max_bytes, (int)setting.adaptive);
+    std::printf("\nsetting %-8s (window=%zu)\n", setting.name, setting.max_msgs);
     std::printf("  %10s %12s %9s %9s %9s %8s %9s\n", "offered/s", "delivered/s",
                 "p50(us)", "p95(us)", "p99(us)", "batches", "avg_batch");
     for (double rate : kRates) {
@@ -292,46 +283,37 @@ int main(int argc, char** argv) {
           .col("avg_batch", r.avg_batch);
       if (rate == kRates[std::size(kRates) - 1]) {
         if (std::string(setting.name) == "off") saturated_off = r.delivered;
-        if (!setting.adaptive && r.delivered > best_fixed) {
-          best_fixed = r.delivered;
-          best_fixed_name = setting.name;
+        if (r.delivered > best) {
+          best = r.delivered;
+          best_name = setting.name;
         }
       }
     }
   }
 
   if (saturated_off > 0) {
-    std::printf("\nsaturation (offered %.0f/s): best fixed setting %s delivers %.2fx "
+    std::printf("\nsaturation (offered %.0f/s): best window %s delivers %.2fx "
                 "the unbatched ring\n",
-                kRates[std::size(kRates) - 1], best_fixed_name,
-                best_fixed / saturated_off);
+                kRates[std::size(kRates) - 1], best_name,
+                best / saturated_off);
   }
 
   // ---- backpressure shaping under loss-induced congestion ----
   std::printf("\nbackpressure shaping (15%% receiver loss, offered 80e3/s, gap=24)\n");
-  std::printf("  %14s %12s %8s %10s %8s %10s\n", "controller", "delivered/s", "cv",
-              "p99(us)", "sets", "throttled");
-  double cv_fixed = -1, cv_prop = -1;
-  for (bool proportional : {false, true}) {
-    const BpRow r = run_backpressure(proportional, 80e3, 0.15);
-    std::printf("  %14s %12.0f %8.3f %10.1f %8llu %10llu\n", r.name, r.delivered,
-                r.cv, r.p99_us, (unsigned long long)r.sets,
-                (unsigned long long)r.throttled);
-    out.row()
-        .col("setting", proportional ? "bp_proportional" : "bp_fixed")
-        .col("offered_per_s", 80e3)
-        .col("delivered_per_s", r.delivered)
-        .col("throughput_cv", r.cv)
-        .col("p99_us", r.p99_us)
-        .col("backpressure_sets", r.sets)
-        .col("backpressure_throttled", r.throttled);
-    if (proportional) cv_prop = r.cv; else cv_fixed = r.cv;
-  }
-  if (cv_fixed > 0 && cv_prop > 0) {
-    std::printf("\nshape check: proportional flattens the sawtooth — throughput CV "
-                "%.3f vs %.3f fixed (%.2fx)\n",
-                cv_prop, cv_fixed, cv_fixed / cv_prop);
-  }
+  std::printf("  %12s %8s %10s %8s %10s\n", "delivered/s", "cv", "p99(us)", "sets",
+              "throttled");
+  const BpRow r = run_backpressure(80e3, 0.15);
+  std::printf("  %12.0f %8.3f %10.1f %8llu %10llu\n", r.delivered, r.cv, r.p99_us,
+              (unsigned long long)r.sets, (unsigned long long)r.throttled);
+  // The label is kept so the row compares with earlier results.
+  out.row()
+      .col("setting", "bp_proportional")
+      .col("offered_per_s", 80e3)
+      .col("delivered_per_s", r.delivered)
+      .col("throughput_cv", r.cv)
+      .col("p99_us", r.p99_us)
+      .col("backpressure_sets", r.sets)
+      .col("backpressure_throttled", r.throttled);
   out.write_file("BENCH_batching.json");
   return 0;
 }

@@ -2,8 +2,8 @@
 //
 // Poisson open-loop clients drive a 400 us-servant group at rates crossing
 // the ~2500/s saturation knee, once at admission concurrency 1 (the paper's
-// synchronous upcall semantics, rows labelled "sync") and once at
-// concurrency 4 (rows labelled "fom4"). After each run the analyzer
+// synchronous upcall semantics, rows labelled "c1") and once at
+// concurrency 4 (rows labelled "c4"). After each run the analyzer
 // decomposes every completed invocation into order-wait / delivery /
 // admission / execute / reply-park / reply-wire (+ residual) segments, and a
 // fixed-window collector reports the same attribution per 100 ms window, so
@@ -49,7 +49,7 @@ struct SegCols {
 
 struct Row {
   std::string kind;  // "run" (whole-run aggregate) or "window"
-  std::string mode;  // "sync" | "fom4"
+  std::string mode;  // "c1" | "c4": admission concurrency
   double offered = 0.0;
   double window_start_ms = -1.0;  // -1 on run rows
   std::uint64_t invocations = 0;
@@ -109,8 +109,8 @@ std::vector<Row> run_level(std::size_t concurrency, double rate) {
     if (err > 1) sum_errors += 1;  // > 1 virtual-time tick: partition broken
   }
 
-  // The labels key the gated baselines: "sync" is concurrency 1.
-  const char* mode = concurrency > 1 ? "fom4" : "sync";
+  // The labels key the gated baselines.
+  const char* mode = concurrency > 1 ? "c4" : "c1";
   std::vector<Row> rows;
   Row run;
   run.kind = "run";
@@ -175,16 +175,16 @@ int main(int argc, char** argv) {
       "Critical-path attribution — where invocation latency goes vs load",
       "per-segment decomposition of end-to-end latency (order-wait, delivery, "
       "admission, execute, reply-park, reply-wire) across the saturation knee, "
-      "admission concurrency 1 (sync) vs 4 (fom4)");
+      "admission concurrency 1 (c1) vs 4 (c4)");
 
   // At least 3 levels spanning the saturation knee of each mode: concurrency
   // 1 saturates at ~2500/s (one 400 us execution slot), concurrency 4 at
-  // ~10000/s (four slots), so the fom4 sweep gets one past-its-knee level.
-  const std::vector<double> sync_rates =
+  // ~10000/s (four slots), so the c4 sweep gets one past-its-knee level.
+  const std::vector<double> c1_rates =
       smoke ? std::vector<double>{500.0, 2400.0, 3000.0}
             : std::vector<double>{500.0, 1500.0, 2400.0, 3000.0};
-  std::vector<double> fom_rates = sync_rates;
-  fom_rates.push_back(11000.0);
+  std::vector<double> c4_rates = c1_rates;
+  c4_rates.push_back(11000.0);
 
   std::printf("\n%6s %5s %8s %9s %7s %9s %8s %9s %9s %9s %9s %9s %9s %8s\n", "kind",
               "mode", "offered", "win_ms", "invoc", "thru/s", "p50_ms", "order_us",
@@ -193,7 +193,7 @@ int main(int argc, char** argv) {
   bench::BenchResultWriter results("critical_path");
   bool partition_ok = true;
   for (const std::size_t concurrency : {std::size_t{1}, std::size_t{4}}) {
-    for (const double rate : concurrency > 1 ? fom_rates : sync_rates) {
+    for (const double rate : concurrency > 1 ? c4_rates : c1_rates) {
       for (const Row& r : run_level(concurrency, rate)) {
         print_row(r);
         auto& out = results.row()

@@ -28,9 +28,9 @@ echo "== chaos scenario matrix (smoke) =="
 
 echo
 echo "== exec-engine slow-servant bench (smoke) =="
-# Concurrency 1 ("sync") vs 1024 ("fom") head-of-line rows; writes
+# Concurrency 1 ("c1") vs 1024 ("c1024") head-of-line rows; writes
 # BENCH_exec_engine.json next to the other BENCH_* artifacts (acceptance:
-# fom bystander p99 < 0.5x sync).
+# c1024 bystander p99 < 0.5x c1).
 (cd build && ./bench/bench_throughput --smoke)
 
 echo
@@ -75,7 +75,7 @@ cmake --build build-asan -j"$JOBS" --target \
   chaos_script_test fleet_stats_test \
   sim_test totem_test totem_protocol_test util_test giop_test placement_test \
   core_unit_test passive_test stable_storage_test recovery_hazards_test \
-  fast_state_transfer_test critpath_test decode_fuzz_test
+  fast_state_transfer_test critpath_test decode_fuzz_test lossy_network_test
 # sim_test: simulator slab + small-buffer callables, Ethernet in-flight slots;
 # totem_test/totem_protocol_test: frames and the seq-indexed frame store;
 # util_test/giop_test: CDR in-place readers, GIOP inspection, request-id
@@ -92,11 +92,13 @@ cmake --build build-asan -j"$JOBS" --target \
 # would read freed memory if a holder kept a plain view instead.
 # exec_engine_test: the reply sequencer keeps FOMs and parked replies in
 # vectors, so a Fom& held across a re-entrant admission would dangle.
+# lossy_network_test: the whole stack over a lossy segment, through Totem's
+# retransmission and token flow-control paths.
 for t in obs_test spans_test integration_smoke_test recovery_edge_test quiescence_test \
          chaos_script_test fleet_stats_test exec_engine_test \
          sim_test totem_test totem_protocol_test util_test giop_test placement_test \
          core_unit_test passive_test stable_storage_test recovery_hazards_test \
-         fast_state_transfer_test critpath_test; do
+         fast_state_transfer_test critpath_test lossy_network_test; do
   "build-asan/tests/$t"
 done
 # Every decoder under the sanitizers, with the tier-1 fuzz budget.

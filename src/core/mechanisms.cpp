@@ -48,7 +48,6 @@ Mechanisms::Mechanisms(sim::Simulator& sim, NodeId node, interceptor::Intercepto
   tap_.divert_to(*this);
   if (!config_.stable_storage_dir.empty()) {
     storage_ = std::make_unique<StableStorage>(config_.stable_storage_dir);
-    storage_->set_sync_every(config_.storage_sync_every);
   }
 }
 

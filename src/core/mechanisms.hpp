@@ -67,16 +67,11 @@ struct MechanismsConfig {
   bool replay_handshakes = true;   ///< §4.2.2: store + replay handshakes
   bool transfer_orb_state = true;  ///< piggyback ORB/POA-level state
   bool transfer_infra_state = true;  ///< piggyback infrastructure-level state
-  util::Duration oneway_grace = util::Duration(200'000);  ///< quiescence bound
-  util::Duration cold_start_delay = util::Duration(2'000'000);  ///< process spawn
-  std::size_t reply_cache_cap = 1024;  ///< per-connection replay reply cache
   /// When non-empty, this node's checkpoint+message logs are persisted to
   /// stable storage in this directory (paper §3.3: the cold-passive log
   /// must survive the logging processor), enabling restore_from_storage()
   /// after a total failure or whole-system restart.
   std::string stable_storage_dir;
-  /// Segment entries per batched sync (stable-storage append mode).
-  std::uint32_t storage_sync_every = 8;
 
   // ---- fast-path state transfer (0 = off: seed wire behaviour) ----
   /// Delta checkpoints: maximum chained deltas a log absorbs before the
@@ -101,13 +96,6 @@ struct MechanismsConfig {
   bool bulk_lane = false;
   /// Payload bytes per bulk extent (the digest / ack / retry unit).
   std::size_t bulk_extent_bytes = 65'536;
-  /// Extents in flight on the lane before waiting for acks.
-  std::size_t bulk_credit_window = 4;
-  /// Re-send timeout for the oldest unacked extent.
-  util::Duration bulk_retry_timeout = util::Duration(10'000'000);  ///< 10 ms
-  /// Consecutive retry rounds before the sender gives up and falls back to
-  /// the in-band chunked path.
-  std::size_t bulk_max_retries = 8;
 };
 
 /// Behaviour counters (consumed by tests and the benchmark harness).

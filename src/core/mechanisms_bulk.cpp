@@ -150,8 +150,10 @@ void Mechanisms::pump_bulk_send(BulkSend& s) {
     }
     return;
   }
-  const std::size_t window = std::max<std::size_t>(1, config_.bulk_credit_window);
-  while (s.next < count && s.inflight < window) {
+  /// Extents in flight on the lane before waiting for acks.
+  constexpr std::size_t kBulkCreditWindow = 4;
+  static_assert(kBulkCreditWindow >= 1, "a 0 window would never ship an extent");
+  while (s.next < count && s.inflight < kBulkCreditWindow) {
     const std::size_t i = s.next++;
     if (s.acked[i]) continue;  // satisfied from the receiver's stash
     s.sent[i] = true;
@@ -167,15 +169,20 @@ void Mechanisms::arm_bulk_retry(GroupId group) {
   BulkSend& s = it->second;
   if (s.marker_sent) return;
   sim_.cancel(s.retry_timer);
+  /// Re-send timeout for the oldest unacked extent.
+  constexpr util::Duration kBulkRetryTimeout = util::Duration(10'000'000);  ///< 10 ms
+  /// Consecutive retry rounds before the sender gives up and falls back to
+  /// the in-band chunked path.
+  constexpr std::size_t kBulkMaxRetries = 8;
   const std::uint64_t id = s.transfer_id;
-  s.retry_timer = sim_.schedule(config_.bulk_retry_timeout, [this, group, id] {
+  s.retry_timer = sim_.schedule(kBulkRetryTimeout, [this, group, id] {
     auto cur = outgoing_bulk_.find(group.value);
     if (cur == outgoing_bulk_.end() || cur->second.transfer_id != id) return;
     BulkSend& live = cur->second;
     if (live.marker_sent) return;
     live.retry_rounds += 1;
     stats_.bulk_extent_retries += 1;
-    if (live.retry_rounds > config_.bulk_max_retries) {
+    if (live.retry_rounds > kBulkMaxRetries) {
       ETERNAL_LOG(kWarn, kTag,
                   util::to_string(node_) << " bulk transfer " << live.transfer_id
                                          << " exhausted retries; falling back in-band");

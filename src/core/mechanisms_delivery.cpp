@@ -382,8 +382,9 @@ void Mechanisms::deliver_reply(const EnvelopeView& e, const util::SharedSlice& d
   }
   // Cache for passive-promotion replay (re-issued invocations are answered
   // from here instead of re-executing at the servers).
+  constexpr std::size_t kReplyCacheCap = 1024;  ///< per-connection replay reply cache
   conn.reply_cache[e.op_seq] = reply;
-  while (conn.reply_cache.size() > config_.reply_cache_cap) {
+  while (conn.reply_cache.size() > kReplyCacheCap) {
     conn.reply_cache.erase(conn.reply_cache.begin());
   }
 
@@ -1181,7 +1182,8 @@ void Mechanisms::promote_local(GroupId group) {
     if (candidate == node_ && factories_.count(group.value) > 0) {
       const LocalReplica* mine = local_replica(group);
       if (mine == nullptr || mine->phase == Phase::kRecovering) {
-        sim_.schedule(config_.cold_start_delay, [this, group] { cold_restart(group); });
+        constexpr util::Duration kColdStartDelay = util::Duration(2'000'000);  ///< process spawn
+        sim_.schedule(kColdStartDelay, [this, group] { cold_restart(group); });
       }
     }
     break;  // only the first eligible backup node restarts

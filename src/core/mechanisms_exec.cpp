@@ -143,9 +143,10 @@ void Mechanisms::admit(LocalReplica& r, const QueueItem& item) {
   // for a bounded grace period (§5: oneways complicate quiescence), so the
   // slot is held that long; then the FOM retires at its position so later
   // replies are not stuck behind it.
+  constexpr util::Duration kOnewayGrace = util::Duration(200'000);  ///< quiescence bound
   const GroupId group = r.group;
   const ReplicaId incarnation = r.id;
-  sim_.schedule(config_.oneway_grace, [this, group, incarnation, position] {
+  sim_.schedule(kOnewayGrace, [this, group, incarnation, position] {
     LocalReplica* replica = local_replica(group);
     if (replica == nullptr || replica->id != incarnation) return;
     exec::Fom* f = replica->engine.find(position);

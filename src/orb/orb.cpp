@@ -406,7 +406,8 @@ void Orb::on_message(const Endpoint& from, BytesView iiop) {
 void Orb::on_message(const Endpoint& from, util::SharedSlice iiop) {
   // Model the ORB's demarshal/dispatch CPU cost as a scheduling delay. The
   // event keeps the message alive by its reference until it runs.
-  sim_.schedule(config_.dispatch_overhead, [this, from, iiop = std::move(iiop)] {
+  constexpr util::Duration kDispatchOverhead = util::Duration(10'000);  ///< 10 us per message
+  sim_.schedule(kDispatchOverhead, [this, from, iiop = std::move(iiop)] {
     std::optional<giop::Message> msg = giop::decode(iiop);
     if (!msg) {
       stats_.decode_errors += 1;

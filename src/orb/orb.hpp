@@ -61,7 +61,6 @@ struct OrbConfig {
   std::uint32_t vendor_id = 0xE7E41001;  ///< "Eternal test ORB"
   giop::CodeSetComponent code_sets;
   bool vendor_shortcuts = true;  ///< negotiate short keys with same-vendor peers
-  util::Duration dispatch_overhead = util::Duration(10'000);  ///< 10 us per message
   std::uint16_t port = 2809;
   /// POA dispatches admitted concurrently per object. 1 models the CORBA
   /// SINGLE_THREAD_MODEL default (the seed behaviour). Larger values admit

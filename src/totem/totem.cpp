@@ -12,6 +12,26 @@ namespace eternal::totem {
 namespace {
 constexpr const char* kTag = "totem";
 
+// Protocol timers and per-token bounds. One configuration runs everywhere;
+// DESIGN.md ("Multicast batching and token flow control") says why each
+// value holds.
+constexpr Duration kIdlePassDelay = Duration(20'000);          ///< 20 us token hold when idle
+constexpr Duration kTokenTimeout = Duration(5'000'000);         ///< 5 ms: no token/frame → gather
+constexpr Duration kJoinSettle = Duration(1'000'000);           ///< 1 ms gossip settle
+constexpr Duration kJoinRebroadcast = Duration(300'000);        ///< re-gossip interval in gather
+constexpr Duration kRecoveryTimeout = Duration(10'000'000);     ///< 10 ms: stuck recovery → re-gather
+constexpr Duration kJoinRequestInterval = Duration(1'000'000);  ///< joiner announcement period
+constexpr std::size_t kMaxRtrPerToken = 64;                     ///< retransmission requests per token
+/// Consecutive fruitless recovery rounds (missing set unchanged at the
+/// recovery timeout) a member tolerates before concluding its missing
+/// messages have no surviving holder — they were garbage-collected while
+/// it was cut off — and demoting itself to a fresh member so reformation
+/// can complete. Eternal's state transfer rebuilds its replicas above us.
+constexpr std::uint32_t kMaxRecoveryStalls = 3;
+/// Floor of the backpressure budget (keeps the ring live).
+constexpr std::uint32_t kBackpressureMinBudget = 1;
+static_assert(kBackpressureMinBudget >= 1, "a 0 flow budget in the token means unlimited");
+
 std::vector<NodeId> sorted(std::set<NodeId> nodes) {
   return std::vector<NodeId>(nodes.begin(), nodes.end());
 }
@@ -102,7 +122,7 @@ void TotemNode::join() {
   auto announce = [this](auto&& self_fn) -> void {
     if (state_ != State::kJoining) return;
     broadcast(encode_frame(node_, JoinRequestFrame{}));
-    join_request_timer_ = sim_.schedule(config_.join_request_interval,
+    join_request_timer_ = sim_.schedule(kJoinRequestInterval,
                                         [this, self_fn] { self_fn(self_fn); });
   };
   announce(announce);
@@ -134,8 +154,6 @@ void TotemNode::crash() {
   gather_span_ = 0;
   next_msg_id_ = 1;
   highest_seen_seq_ = 0;
-  adaptive_window_ = 1;
-  queue_wait_ewma_ = 0;
   drain_ewma16_ = 0;
   last_visit_delivered_ = 0;
   recovery_stalls_ = 0;
@@ -353,8 +371,8 @@ void TotemNode::handle_token(NodeId /*from*/, TokenFrame token) {
   ctr_tokens_.add();  // rotation volume is metered, never traced
 
   // Drain rate: messages this member delivered since its previous token
-  // visit (one ring rotation), smoothed. Feeds the proportional
-  // backpressure controller. Fixed-point ×16, integer EWMA alpha = 1/4.
+  // visit (one ring rotation), smoothed. Sizes the backpressure budget.
+  // Fixed-point ×16, integer EWMA alpha = 1/4.
   {
     const std::uint64_t drained = delivered_up_to_ - last_visit_delivered_;
     last_visit_delivered_ = delivered_up_to_;
@@ -393,18 +411,14 @@ void TotemNode::handle_token(NodeId /*from*/, TokenFrame token) {
 }
 
 void TotemNode::send_fragments(TokenFrame& token) {
-  if (config_.adaptive_batching) update_adaptive_window();
-
   // A foreign flow budget caps how many frames we may originate this visit
   // (we honour our own budget too: our sends feed the same backlog).
   std::size_t budget = config_.max_frags_per_token;
   const bool foreign_budget = token.flow_budget != 0 && token.flow_setter != node_;
   if (token.flow_budget != 0) budget = std::min(budget, std::size_t{token.flow_budget});
 
-  const std::size_t window = batch_window();
-  const std::size_t cap = fragment_capacity();
-  const std::size_t byte_limit =
-      config_.max_batch_bytes == 0 ? cap : std::min(config_.max_batch_bytes, cap);
+  const std::size_t window = config_.max_batch_msgs;
+  const std::size_t byte_limit = fragment_capacity();
 
   std::size_t sent = 0;
   while (!send_queue_.empty() && sent < budget) {
@@ -413,7 +427,6 @@ void TotemNode::send_fragments(TokenFrame& token) {
     if (window <= 1 || send_queue_.front().frag_count > 1) {
       PendingFragment frag = std::move(send_queue_.front());
       send_queue_.pop_front();
-      note_queue_wait(frag.enqueued_at);
       DataFrame f;
       f.view = view_.id;
       f.ring_id = view_.ring_id;
@@ -439,7 +452,7 @@ void TotemNode::send_fragments(TokenFrame& token) {
     }
 
     // Batch path: greedily coalesce queued complete messages, FIFO, until the
-    // window or byte budget fills or a fragmented message blocks the queue.
+    // window or the frame fills or a fragmented message blocks the queue.
     std::vector<util::Bytes> msgs;
     std::uint64_t first_msg_id = 0;
     TimePoint oldest{};
@@ -450,7 +463,6 @@ void TotemNode::send_fragments(TokenFrame& token) {
       if (!msgs.empty() && grown > byte_limit) break;
       PendingFragment frag = std::move(send_queue_.front());
       send_queue_.pop_front();
-      note_queue_wait(frag.enqueued_at);
       if (msgs.empty()) {
         first_msg_id = frag.msg_id;
         oldest = frag.enqueued_at;
@@ -508,51 +520,25 @@ void TotemNode::originate(DataFrame f, util::BytesView payload) {
   store_.insert(std::move(f));  // self-delivery
 }
 
-std::size_t TotemNode::batch_window() const noexcept {
-  if (config_.max_batch_msgs <= 1) return 1;
-  return config_.adaptive_batching ? adaptive_window_ : config_.max_batch_msgs;
-}
-
-void TotemNode::note_queue_wait(TimePoint enqueued_at) {
-  if (!config_.adaptive_batching) return;
-  const std::int64_t wait = (sim_.now() - enqueued_at).count();
-  // Integer EWMA, alpha = 1/4: reacts within a few token rotations.
-  queue_wait_ewma_ += (wait - queue_wait_ewma_) / 4;
-}
-
-void TotemNode::update_adaptive_window() {
-  const std::int64_t target = config_.adaptive_wait_target.count();
-  if (queue_wait_ewma_ > target || send_queue_.size() > adaptive_window_ * 2) {
-    // Backlog: pack dense, so each token visit moves more messages.
-    adaptive_window_ = std::min(adaptive_window_ * 2, config_.max_batch_msgs);
-  } else if (queue_wait_ewma_ < target / 4 && send_queue_.size() <= adaptive_window_) {
-    // Idle: drain fast, so a lone message never waits for company.
-    adaptive_window_ = std::max<std::size_t>(adaptive_window_ / 2, 1);
-  }
-}
-
 void TotemNode::apply_backpressure(TokenFrame& token) {
   // Congested: the gap between the ring's assigned sequence numbers and what
   // we have delivered outgrew the window we can recover through rtr.
   const std::uint64_t assigned = token.next_seq - 1;
   const bool congested = assigned > delivered_up_to_ &&
                          assigned - delivered_up_to_ > config_.backpressure_gap;
-  std::uint32_t budget = static_cast<std::uint32_t>(config_.backpressure_budget);
-  if (congested && config_.proportional_backpressure) {
-    // Proportional controller: size the ring's per-member budget so total
-    // origination tracks our drain rate minus a term that pays the excess
-    // gap down — instead of the fixed on/off step, whose full-rate release
-    // immediately re-congests us and causes a throughput sawtooth.
+  if (congested) {
+    // Size the ring's per-member budget so total origination tracks our
+    // drain rate minus a term that pays the excess gap down. A fixed on/off
+    // step instead releases at full rate, re-congests us at once and saws
+    // the throughput (EXPERIMENTS.md keeps its last numbers).
     const std::uint64_t excess = assigned - delivered_up_to_ - config_.backpressure_gap;
     const std::uint64_t drain_per_rotation = drain_ewma16_ / 16;
     const std::uint64_t paydown = excess / 16;
     const std::uint64_t sendable =
         drain_per_rotation > paydown ? drain_per_rotation - paydown : 0;
     const std::size_t members = view_.members.empty() ? 1 : view_.members.size();
-    budget = static_cast<std::uint32_t>(
-        std::max<std::uint64_t>(config_.backpressure_min_budget, sendable / members));
-  }
-  if (congested) {
+    const auto budget = static_cast<std::uint32_t>(
+        std::max<std::uint64_t>(kBackpressureMinBudget, sendable / members));
     // Lower-only, like aru: a budget may shrink mid-rotation, never grow.
     if (token.flow_budget == 0 || budget < token.flow_budget) {
       token.flow_budget = budget;
@@ -604,7 +590,7 @@ void TotemNode::retransmit(DataFrame& held, const char* trace) {
 
 void TotemNode::request_missing(TokenFrame& token) {
   for (std::uint64_t seq = delivered_up_to_ + 1;
-       seq < token.next_seq && token.rtr.size() < config_.max_rtr_per_token; ++seq) {
+       seq < token.next_seq && token.rtr.size() < kMaxRtrPerToken; ++seq) {
     if (!store_.contains(seq) &&
         std::find(token.rtr.begin(), token.rtr.end(), seq) == token.rtr.end()) {
       token.rtr.push_back(seq);
@@ -622,13 +608,13 @@ NodeId TotemNode::successor_of(NodeId node) const {
 void TotemNode::pass_token(TokenFrame token, bool idle) {
   token.round += 1;
   token.target = successor_of(node_);
-  const Duration delay = idle ? config_.idle_pass_delay : Duration::zero();
+  const Duration delay = idle ? kIdlePassDelay : Duration::zero();
   const ViewId expected_view = view_.id;
   if (token.target == node_) {
     // Single-member ring: the token cannot traverse the medium back to us, so
     // it waits in held_token_ (cleared by gather and crash, like the timer).
     held_token_ = std::move(token);
-    pass_timer_ = sim_.schedule(std::max(delay, config_.idle_pass_delay), [this, expected_view] {
+    pass_timer_ = sim_.schedule(std::max(delay, kIdlePassDelay), [this, expected_view] {
       if (state_ == State::kOperational && view_.id == expected_view && held_token_) {
         TokenFrame parked = std::move(*held_token_);
         held_token_.reset();
@@ -648,7 +634,7 @@ void TotemNode::pass_token(TokenFrame token, bool idle) {
 
 void TotemNode::arm_token_timer() {
   sim_.cancel(token_timer_);
-  token_timer_ = sim_.schedule(config_.token_timeout, [this] {
+  token_timer_ = sim_.schedule(kTokenTimeout, [this] {
     if (state_ == State::kOperational) {
       ETERNAL_LOG(kDebug, kTag, util::to_string(node_) << " token timeout -> gather");
       enter_gather();
@@ -691,17 +677,17 @@ void TotemNode::enter_gather() {
   gather_highest_seq_ = highest_seen_seq_;
   gather_highest_view_ = ever_installed_ ? view_.id.value : 0;
   broadcast_join();
-  settle_timer_ = sim_.schedule(config_.join_settle, [this] { settle_elapsed(); });
+  settle_timer_ = sim_.schedule(kJoinSettle, [this] { settle_elapsed(); });
 
   // Periodic re-gossip guards against lost Join frames.
   auto regossip = [this](auto&& self_fn) -> void {
     if (state_ != State::kGather) return;
     broadcast_join();
     rebroadcast_timer_ =
-        sim_.schedule(config_.join_rebroadcast, [this, self_fn] { self_fn(self_fn); });
+        sim_.schedule(kJoinRebroadcast, [this, self_fn] { self_fn(self_fn); });
   };
   rebroadcast_timer_ =
-      sim_.schedule(config_.join_rebroadcast, [this, regossip] { regossip(regossip); });
+      sim_.schedule(kJoinRebroadcast, [this, regossip] { regossip(regossip); });
 }
 
 void TotemNode::broadcast_join() {
@@ -729,7 +715,7 @@ void TotemNode::handle_join(NodeId from, const JoinFrame& f) {
   if (grew) {
     broadcast_join();
     sim_.cancel(settle_timer_);
-    settle_timer_ = sim_.schedule(config_.join_settle, [this] { settle_elapsed(); });
+    settle_timer_ = sim_.schedule(kJoinSettle, [this] { settle_elapsed(); });
   }
 }
 
@@ -832,7 +818,7 @@ std::vector<std::uint64_t> TotemNode::compute_missing(std::uint64_t up_to) const
   std::vector<std::uint64_t> missing;
   if (fresh_member_) return missing;
   for (std::uint64_t seq = delivered_up_to_ + 1;
-       seq <= up_to && missing.size() < config_.max_rtr_per_token; ++seq) {
+       seq <= up_to && missing.size() < kMaxRtrPerToken; ++seq) {
     if (!store_.contains(seq)) missing.push_back(seq);
   }
   return missing;
@@ -850,7 +836,7 @@ void TotemNode::send_ready() {
   // rebroadcast instead of silently shadowing the agreed message.
   if (!fresh_member_) {
     store_.for_each_in(delivered_up_to_ + 1, commit_->base_seq, [&](const DataFrame& held) {
-      if (f.held_seqs.size() >= config_.max_rtr_per_token) return false;
+      if (f.held_seqs.size() >= kMaxRtrPerToken) return false;
       f.held_seqs.push_back(held.seq);
       f.held_digests.push_back(util::fnv1a(held.payload));
       return true;
@@ -1034,7 +1020,7 @@ void TotemNode::install_view(const InstallFrame& f) {
 
 void TotemNode::arm_recovery_timer() {
   sim_.cancel(recovery_timer_);
-  recovery_timer_ = sim_.schedule(config_.recovery_timeout, [this] {
+  recovery_timer_ = sim_.schedule(kRecoveryTimeout, [this] {
     if (state_ != State::kGather && state_ != State::kRecovery) return;
     // Liveness guard: a member whose missing messages have no surviving
     // holder (the ring moved on without it and garbage-collected them)
@@ -1045,7 +1031,7 @@ void TotemNode::arm_recovery_timer() {
     if (state_ == State::kRecovery && commit_.has_value() && !fresh_member_) {
       const std::size_t missing = compute_missing(commit_->base_seq).size();
       if (missing > 0 && missing == last_stall_missing_ &&
-          ++recovery_stalls_ >= config_.max_recovery_stalls) {
+          ++recovery_stalls_ >= kMaxRecoveryStalls) {
         ETERNAL_LOG(kWarn, kTag,
                     util::to_string(node_)
                         << " recovery stalled " << recovery_stalls_ << "x on "

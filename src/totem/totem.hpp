@@ -41,53 +41,27 @@ using sim::Simulator;
 using util::Duration;
 using util::TimePoint;
 
-/// Protocol timing and flow-control parameters.
+/// Flow-control and deployment parameters. The protocol's timers and
+/// per-token bounds are constants in totem.cpp (DESIGN.md lists them).
 struct TotemConfig {
-  Duration idle_pass_delay = Duration(20'000);        ///< 20 us token hold when idle
-  Duration token_timeout = Duration(5'000'000);       ///< 5 ms: no token/frame → gather
-  Duration join_settle = Duration(1'000'000);         ///< 1 ms gossip settle
-  Duration join_rebroadcast = Duration(300'000);      ///< re-gossip interval in gather
-  Duration recovery_timeout = Duration(10'000'000);   ///< 10 ms: stuck recovery → re-gather
-  Duration join_request_interval = Duration(1'000'000);  ///< joiner announcement period
   std::size_t max_frags_per_token = 16;               ///< fragments sent per token visit
-  std::size_t max_rtr_per_token = 64;                 ///< retransmission requests per token
   std::uint64_t gc_margin = 4096;                     ///< retained seqs behind aru
-  /// Consecutive fruitless recovery rounds (missing set unchanged at the
-  /// recovery timeout) a member tolerates before concluding its missing
-  /// messages have no surviving holder — they were garbage-collected while
-  /// it was cut off — and demoting itself to a fresh member so reformation
-  /// can complete. Eternal's state transfer rebuilds its replicas above us.
-  std::uint32_t max_recovery_stalls = 3;
 
   // ---- multicast batching (off by default: wire behaviour unchanged) ----
   /// Complete small messages coalesced into one Data frame (1 = no
   /// batching). A batch consumes one sequence number and one token-visit
-  /// fragment slot, so the per-rotation message budget scales with it.
+  /// fragment slot, so the per-rotation message budget scales with it. A
+  /// batch never outgrows one Ethernet frame.
   std::size_t max_batch_msgs = 1;
-  /// Payload-byte bound per batch; 0 = whatever fits one Ethernet frame.
-  std::size_t max_batch_bytes = 0;
-  /// Adapts the batch window between 1 and max_batch_msgs from the recent
-  /// submission→origination wait (the local, Totem-controlled component of
-  /// the order-wait span): drain-fast when idle, pack-dense under backlog.
-  bool adaptive_batching = false;
-  /// Queue-wait level (EWMA) above which the adaptive window widens.
-  Duration adaptive_wait_target = Duration(300'000);  ///< 300 us
 
   // ---- token backpressure ----
   /// Undelivered-sequence gap at which a member declares itself congested
   /// and writes a reduced origination budget into the token, slowing every
-  /// sender instead of overflowing its own retransmission window.
+  /// sender instead of overflowing its own retransmission window. The
+  /// budget is sized from the congested member's own drain rate (delivered
+  /// messages per token rotation, EWMA) minus a term that pays the excess
+  /// gap down, so the ring tracks what the slowest member can absorb.
   std::uint64_t backpressure_gap = 512;
-  /// Data frames per token visit the ring drops to while congested.
-  std::size_t backpressure_budget = 2;
-  /// Proportional controller: instead of the fixed backpressure_budget
-  /// step, size the budget from the congested member's own drain rate
-  /// (delivered messages per token rotation, EWMA) minus a term that pays
-  /// the excess gap down — shrinking the sawtooth the on/off step causes
-  /// under sustained asymmetric load.
-  bool proportional_backpressure = false;
-  /// Budget floor for the proportional controller (keeps the ring live).
-  std::size_t backpressure_min_budget = 1;
 
   // ---- multi-ring deployments (core/placement.hpp) ----
   /// Index of this endpoint's ring within a sharded multi-ring system.
@@ -204,7 +178,7 @@ class TotemNode : public sim::Station {
     std::uint32_t frag_index;
     std::uint32_t frag_count;
     util::Bytes payload;
-    TimePoint enqueued_at{};  ///< submission time (queue-wait accounting)
+    TimePoint enqueued_at{};  ///< submission time (start of a batch span)
   };
 
   // ---- frame handlers ----
@@ -227,10 +201,6 @@ class TotemNode : public sim::Station {
   /// Encodes `f` carrying `payload` into one shared buffer, broadcasts it
   /// and keeps a slice of it as the self-delivery store entry.
   void originate(DataFrame f, util::BytesView payload);
-  /// Current batch window: config'd max, or the adaptive window when enabled.
-  std::size_t batch_window() const noexcept;
-  void note_queue_wait(TimePoint enqueued_at);
-  void update_adaptive_window();
   void apply_backpressure(TokenFrame& token);
   void serve_retransmissions(std::vector<std::uint64_t>& rtr);
   void request_missing(TokenFrame& token);
@@ -282,9 +252,7 @@ class TotemNode : public sim::Station {
   std::uint64_t next_msg_id_ = 1;
   std::uint64_t highest_seen_seq_ = 0;
 
-  // Batching / flow control.
-  std::size_t adaptive_window_ = 1;   ///< live batch window (adaptive mode)
-  std::int64_t queue_wait_ewma_ = 0;  ///< ns; smoothed submission→origination wait
+  // Flow control.
   std::uint64_t drain_ewma16_ = 0;    ///< messages delivered per token rotation, ×16
   std::uint64_t last_visit_delivered_ = 0;  ///< delivered_up_to_ at the previous visit
 

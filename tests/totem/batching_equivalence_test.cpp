@@ -4,8 +4,7 @@
 // pending messages into one wire frame must leave every delivery guarantee
 // intact. For a sweep of seeds and scenarios (clean, lossy, reformation)
 // this suite runs the *same* workload schedule with batching off and under
-// several batch settings (fixed windows, a byte-bounded window, adaptive)
-// and asserts:
+// several batch windows and asserts:
 //
 //   1. intra-run agreement: every node that stayed operational delivers the
 //      byte-identical (sender, payload) sequence — Totem's agreed delivery;
@@ -16,13 +15,19 @@
 //   4. the trace passes the InvariantChecker (gap-free delivery, no
 //      duplicate ops) with zero violations under every setting.
 //
+// A burst that packs past one Ethernet frame must also split at the frame
+// bound when the window would take it whole (BurstBeyondOneFrame).
+//
 // The full sweep is labelled slow; the *Fast tests mirror it with a small
 // seed count and are additionally registered under the tier1 label (see
 // tests/CMakeLists.txt).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -50,16 +55,19 @@ constexpr std::size_t kNodes = 4;
 struct Setting {
   const char* name;
   std::size_t max_msgs;
-  std::size_t max_bytes;
-  bool adaptive;
 };
 
 // "off" is the baseline every other setting must be equivalent to.
 constexpr Setting kSettings[] = {
-    {"off", 1, 0, false},           {"fixed4", 4, 0, false},
-    {"fixed16", 16, 0, false},      {"bytes256", 16, 256, false},
-    {"adaptive", 32, 0, true},
+    {"off", 1}, {"fixed4", 4}, {"fixed16", 16}, {"fixed64", 64},
 };
+
+// The oversized burst: one sender submits kBurstMsgs messages at one instant.
+// They pack to about three Ethernet frames, so under the 64-message window
+// only the frame bound can split them.
+constexpr std::size_t kBurstMsgs = 32;
+constexpr std::size_t kBurstBytes = 120;
+constexpr const char* kBurstTag = "burst.";
 
 enum class Scenario { kClean, kLossy, kReformation };
 
@@ -105,6 +113,7 @@ std::vector<Submission> make_schedule(std::uint64_t seed) {
 struct Sink : TotemListener {
   struct Rec {
     NodeId sender;
+    std::uint64_t seq;  ///< the Data frame the message travelled in
     Bytes payload;
   };
   std::vector<Rec> delivered;
@@ -114,7 +123,7 @@ struct Sink : TotemListener {
   /// legitimate hole in its stream and is excluded from the comparisons.
   bool rejoined_fresh = false;
   void on_deliver(const Delivery& d) override {
-    delivered.push_back(Rec{d.sender, Bytes(d.payload.begin(), d.payload.end())});
+    delivered.push_back(Rec{d.sender, d.seq, Bytes(d.payload.begin(), d.payload.end())});
   }
   void on_view_change(const View& v) override {
     rejoined_fresh |= v.self_rejoined_fresh;
@@ -124,6 +133,8 @@ struct Sink : TotemListener {
 struct RunResult {
   /// (sender, payload) sequence as node 0 delivered it.
   std::vector<std::pair<std::uint32_t, Bytes>> global;
+  /// Distinct Data frames the oversized burst was delivered in.
+  std::size_t burst_frames = 0;
   /// node 0's delivered stream split per sender (FIFO order).
   std::map<std::uint32_t, std::vector<Bytes>> per_sender;
   std::vector<obs::Violation> violations;
@@ -146,8 +157,6 @@ RunResult run_scenario(std::uint64_t seed, Scenario scenario, const Setting& set
 
   TotemConfig tcfg;
   tcfg.max_batch_msgs = setting.max_msgs;
-  tcfg.max_batch_bytes = setting.max_bytes;
-  tcfg.adaptive_batching = setting.adaptive;
 
   std::vector<NodeId> ids;
   for (std::uint32_t i = 1; i <= kNodes; ++i) ids.push_back(NodeId{i});
@@ -227,6 +236,11 @@ RunResult run_scenario(std::uint64_t seed, Scenario scenario, const Setting& set
   for (const auto& [sender, payload] : result.global) {
     result.per_sender[sender].push_back(payload);
   }
+  std::set<std::uint64_t> burst_seqs;
+  for (const Sink::Rec& rec : sinks[reference].delivered) {
+    if (util::text_of(rec.payload).starts_with(kBurstTag)) burst_seqs.insert(rec.seq);
+  }
+  result.burst_frames = burst_seqs.size();
   for (const auto& n : nodes) {
     if (n->is_down()) continue;
     result.batches_sent += n->stats().batches_sent;
@@ -239,10 +253,31 @@ RunResult run_scenario(std::uint64_t seed, Scenario scenario, const Setting& set
   return result;
 }
 
+/// Adds the oversized burst mid-workload, from a seed-chosen sender. The
+/// schedule stays in submission order, which the per-sender checks rely on.
+void add_oversized_burst(std::vector<Submission>& schedule, std::uint64_t seed) {
+  const Duration at = Duration(6'000'000);
+  std::vector<Submission> burst;
+  for (std::size_t i = 0; i < kBurstMsgs; ++i) {
+    Submission s;
+    s.at = at;
+    s.node = seed % kNodes;
+    std::string text = kBurstTag + std::to_string(i) + ":";
+    text.resize(kBurstBytes, 'b');
+    s.payload = util::bytes_of(text);
+    burst.push_back(std::move(s));
+  }
+  const auto pos = std::upper_bound(schedule.begin(), schedule.end(), at,
+                                    [](Duration t, const Submission& s) { return t < s.at; });
+  schedule.insert(pos, std::make_move_iterator(burst.begin()),
+                  std::make_move_iterator(burst.end()));
+}
+
 void sweep(Scenario scenario, const std::vector<std::uint64_t>& seeds,
-           std::uint64_t* batches_out = nullptr) {
+           std::uint64_t* batches_out = nullptr, bool oversized_burst = false) {
   for (std::uint64_t seed : seeds) {
-    const std::vector<Submission> schedule = make_schedule(seed);
+    std::vector<Submission> schedule = make_schedule(seed);
+    if (oversized_burst) add_oversized_burst(schedule, seed);
     // Submitted streams per sender, in submission (FIFO) order.
     std::map<std::uint32_t, std::vector<Bytes>> submitted;
     for (const Submission& s : schedule) {
@@ -259,6 +294,11 @@ void sweep(Scenario scenario, const std::vector<std::uint64_t>& seeds,
       EXPECT_TRUE(r.violations.empty())
           << InvariantChecker::report(r.violations);
       if (batches_out != nullptr) *batches_out += r.batches_sent;
+      if (oversized_burst && setting.max_msgs >= kBurstMsgs) {
+        // The window takes the whole burst; the frame bound must not.
+        EXPECT_GE(r.burst_frames, 2u) << "oversized burst left in one frame";
+        EXPECT_LT(r.burst_frames, kBurstMsgs) << "oversized burst never batched";
+      }
 
       for (const auto& [sender, sent] : submitted) {
         const auto it = r.per_sender.find(sender);
@@ -318,6 +358,10 @@ TEST(BatchingEquivalence, Reformation) {
   sweep(Scenario::kReformation, {31, 32, 33, 34, 35, 36});
 }
 
+TEST(BatchingEquivalence, BurstBeyondOneFrame) {
+  sweep(Scenario::kClean, {41, 42, 43, 44}, nullptr, /*oversized_burst=*/true);
+}
+
 // ---------------------------------------------------------------- fast tier1
 
 TEST(BatchingEquivalenceFast, CleanRing) {
@@ -327,6 +371,10 @@ TEST(BatchingEquivalenceFast, CleanRing) {
 }
 
 TEST(BatchingEquivalenceFast, Reformation) { sweep(Scenario::kReformation, {31}); }
+
+TEST(BatchingEquivalenceFast, BurstBeyondOneFrame) {
+  sweep(Scenario::kClean, {41}, nullptr, /*oversized_burst=*/true);
+}
 
 }  // namespace
 }  // namespace eternal::totem

@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 
+#include "obs/trace.hpp"
 #include "sim/ethernet.hpp"
 #include "totem/totem.hpp"
 
@@ -281,13 +282,11 @@ INSTANTIATE_TEST_SUITE_P(Sweep, TotemOrderProperty,
                                             ::testing::Values(0.0, 0.02)));
 
 TEST(TotemBackpressure, ProportionalControllerEngagesAndRingStaysAgreed) {
-  // A member starved by frame loss builds an undelivered gap; with the
-  // proportional controller the ring throttles to the member's drain rate
-  // (not the fixed on/off step) — and agreed delivery must still hold once
-  // the medium heals.
+  // A member starved by frame loss builds an undelivered gap; the ring
+  // throttles to that member's drain rate — and agreed delivery must still
+  // hold once the medium heals.
   TotemConfig tcfg;
   tcfg.backpressure_gap = 16;
-  tcfg.proportional_backpressure = true;
   Ring ring(4, 0.25, 0xBEEF, tcfg);
 
   constexpr int kRounds = 60;
@@ -311,6 +310,75 @@ TEST(TotemBackpressure, ProportionalControllerEngagesAndRingStaysAgreed) {
 
   const auto reference = delivered_texts(ring.sink(0));
   EXPECT_EQ(reference.size(), 4u * kRounds);
+  for (std::size_t i = 1; i < 4; ++i) {
+    EXPECT_EQ(delivered_texts(ring.sink(i)), reference) << "node " << i;
+  }
+}
+
+/// Stands between the segment and one member. While `cut`, no Data frame
+/// (original or retransmission) reaches the member; tokens and membership
+/// frames still do, so it keeps its ring position while delivering nothing.
+struct DataCutStation : sim::Station {
+  TotemNode* node = nullptr;
+  bool cut = true;
+  void on_frame(NodeId from, util::BytesView frame) override {
+    if (cut) {
+      const std::optional<Frame> f = decode_frame(frame);
+      if (f && std::holds_alternative<DataFrame>(f->body)) return;
+    }
+    node->on_frame(from, frame);
+  }
+};
+
+TEST(TotemBackpressure, ZeroDrainMemberWritesTheBudgetFloor) {
+  // A member that gets every token but no Data frame drains nothing, so its
+  // drain-rate term is 0 while its gap keeps growing. The budget it writes
+  // must stay at the floor of 1 (a 0 in the token means "unlimited"), the
+  // ring must keep delivering under it, and once reconnected the member
+  // must catch up and agree.
+  TotemConfig tcfg;
+  tcfg.backpressure_gap = 16;
+  Ring ring(4, 0.0, 0xD1A1, tcfg);
+  obs::TraceBuffer trace(1 << 16);
+  ring.sim.recorder().attach_trace(&trace);
+  DataCutStation cut;
+  cut.node = &ring.node(3);
+  ring.ether->attach(ring.ids[3], &cut);
+
+  const auto delivered_by_connected = [&ring] {
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < 3; ++i) total += ring.sink(i).delivered.size();
+    return total;
+  };
+  constexpr int kRounds = 40;
+  std::size_t at_half = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    for (std::size_t i = 0; i < 3; ++i) {
+      ring.node(i).multicast(util::bytes_of("m" + std::to_string(i) + "." +
+                                            std::to_string(round)));
+    }
+    ring.sim.run_for(Duration(2'000'000));
+    if (round == kRounds / 2) at_half = delivered_by_connected();
+  }
+  EXPECT_EQ(ring.sink(3).delivered.size(), 0u) << "the cut member delivered";
+  EXPECT_GT(at_half, 0u);
+  EXPECT_GT(delivered_by_connected(), at_half) << "the ring stopped delivering";
+
+  std::size_t budgets = 0, at_floor = 0;
+  for (const obs::TraceEvent& ev : trace.snapshot()) {
+    if (ev.kind != "backpressure") continue;
+    budgets += 1;
+    EXPECT_EQ(ev.node, ring.ids[3]) << "only the cut member is congested";
+    EXPECT_GE(ev.seq, 1u) << "a 0 budget would lift the limit";
+    at_floor += ev.seq == 1 ? 1 : 0;
+  }
+  EXPECT_GE(budgets, 1u) << "the cut member never imposed a budget";
+  EXPECT_GE(at_floor, 1u) << "the drain-rate term never reached the floor";
+
+  cut.cut = false;
+  ring.sim.run_for(Duration(400'000'000));
+  const auto reference = delivered_texts(ring.sink(0));
+  EXPECT_EQ(reference.size(), 3u * kRounds);
   for (std::size_t i = 1; i < 4; ++i) {
     EXPECT_EQ(delivered_texts(ring.sink(i)), reference) << "node " << i;
   }
