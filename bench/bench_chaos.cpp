@@ -591,17 +591,12 @@ Row scenario_ring_isolated_reform() {
   row.bystander_p99_base_ms = merged_p99_ms({base[0].get(), base[2].get()});
   row.bystander_p99_reform_ms = merged_p99_ms({reform[0].get(), reform[2].get()});
 
-  // Reformation span census after the crash. The span detail carries
-  // " rix=<N>" only for nonzero ring indexes (single-ring traces stay
-  // byte-identical to the classic system), so an absent marker is ring 0.
+  // Reformation span census after the crash. The span carries a "rix" field
+  // only for nonzero ring indexes (single-ring traces stay byte-identical to
+  // the classic system), so an absent field is ring 0.
   for (const obs::Span& s : sys.spans()->snapshot()) {
     if (s.name != "reformation" || s.start < crash_at) continue;
-    std::uint32_t rix = 0;
-    const std::size_t pos = s.detail.find("rix=");
-    if (pos != std::string::npos) {
-      rix = static_cast<std::uint32_t>(std::atoi(s.detail.c_str() + pos + 4));
-    }
-    if (rix == 1) {
+    if (s.fields.num("rix") == 1) {
       row.crashed_ring_reform_spans += 1;
     } else {
       row.bystander_reform_spans += 1;

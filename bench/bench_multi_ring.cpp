@@ -258,20 +258,15 @@ struct ReformResult {
 };
 
 /// Counts reformation spans per placement ring that started at or after
-/// `from`. The span detail carries " rix=<N>" only for nonzero ring
-/// indexes (single-ring traces stay byte-identical to the classic system),
-/// so an absent marker means ring 0.
+/// `from`. The span carries a "rix" field only for nonzero ring indexes
+/// (single-ring traces stay byte-identical to the classic system), so an
+/// absent field means ring 0.
 void count_reform_spans(const obs::SpanStore& spans, util::TimePoint from,
                         std::uint32_t crashed, std::uint64_t* on_crashed,
                         std::uint64_t* on_bystanders) {
   for (const obs::Span& s : spans.snapshot()) {
     if (s.name != "reformation" || s.start < from) continue;
-    std::uint32_t rix = 0;
-    const std::size_t pos = s.detail.find("rix=");
-    if (pos != std::string::npos) {
-      rix = static_cast<std::uint32_t>(std::atoi(s.detail.c_str() + pos + 4));
-    }
-    if (rix == crashed) {
+    if (s.fields.num("rix") == crashed) {
       *on_crashed += 1;
     } else {
       *on_bystanders += 1;

@@ -44,8 +44,14 @@ echo
 echo "== multi-ring scale-out bench (smoke) =="
 # 1/2/4-ring sweep plus the isolated-reform row; the binary exits non-zero
 # on an invariant violation, a missing reformation, a reformation leaking
-# onto a bystander ring, or a scale-up ratio below 2.5x.
+# onto a bystander ring, or a scale-up ratio below 2.5x. Its wall time (the
+# largest tier-1 item, dominated by tracing and the InvariantChecker) is
+# printed for the record, not gated: wall time is too noisy to gate.
+multi_ring_start_ms=$(( $(date +%s%N) / 1000000 ))
 (cd build && ./bench/bench_multi_ring --smoke)
+multi_ring_ms=$(( $(date +%s%N) / 1000000 - multi_ring_start_ms ))
+printf 'bench_multi_ring --smoke wall time: %d.%03d s (reported, not gated)\n' \
+  $((multi_ring_ms / 1000)) $((multi_ring_ms % 1000))
 
 echo
 echo "== critical-path attribution bench (smoke) =="
@@ -72,7 +78,7 @@ cmake --build build-asan -j"$JOBS" --target \
   obs_test spans_test integration_smoke_test recovery_edge_test quiescence_test \
   batching_equivalence_test exec_engine_test exec_conformance_test \
   bulk_transfer_conformance_test \
-  chaos_script_test fleet_stats_test \
+  chaos_script_test fleet_stats_test trace_export_golden \
   sim_test totem_test totem_protocol_test util_test giop_test placement_test \
   core_unit_test passive_test stable_storage_test recovery_hazards_test \
   fast_state_transfer_test critpath_test decode_fuzz_test lossy_network_test
@@ -94,8 +100,11 @@ cmake --build build-asan -j"$JOBS" --target \
 # vectors, so a Fom& held across a re-entrant admission would dangle.
 # lossy_network_test: the whole stack over a lossy segment, through Totem's
 # retransmission and token flow-control paths.
+# Trace fields hold views of literals and of names the trace interns:
+# chaos_script_test exports a trace after its ChaosScript is destroyed, and
+# trace_export_golden renders every producer's fields.
 for t in obs_test spans_test integration_smoke_test recovery_edge_test quiescence_test \
-         chaos_script_test fleet_stats_test exec_engine_test \
+         chaos_script_test fleet_stats_test trace_export_golden exec_engine_test \
          sim_test totem_test totem_protocol_test util_test giop_test placement_test \
          core_unit_test passive_test stable_storage_test recovery_hazards_test \
          fast_state_transfer_test critpath_test lossy_network_test; do

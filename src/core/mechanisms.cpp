@@ -55,7 +55,6 @@ Mechanisms::~Mechanisms() = default;
 
 void Mechanisms::set_phase(LocalReplica& r, Phase phase) {
   r.phase = phase;
-  if (!rec_.tracing()) return;
   const char* name = "?";
   switch (phase) {
     case Phase::kRecovering: name = "recovering"; break;
@@ -64,15 +63,18 @@ void Mechanisms::set_phase(LocalReplica& r, Phase phase) {
     case Phase::kReplaying: name = "replaying"; break;
     case Phase::kDead: name = "dead"; break;
   }
-  const GroupEntry* entry = table_.find(r.group);
-  rec_.record(node_, obs::Layer::kMech, "phase", r.id.value,
-              "group=" + std::to_string(r.group.value) +
-                  " replica=" + std::to_string(r.id.value) + " phase=" + name +
-                  " style=" +
-                  (entry ? to_string(entry->desc.properties.style) : "?") +
-                  (totems_.size() > 1
-                       ? " ring=" + std::to_string(ring_of(r.group))
-                       : ""));
+  record_phase(r.group, r.id, name);
+}
+
+void Mechanisms::record_phase(GroupId group, ReplicaId replica, const char* phase) {
+  const GroupEntry* entry = table_.find(group);
+  rec_.record(node_, obs::Layer::kMech, "phase", replica.value,
+              {{"group", group.value},
+               {"replica", replica.value},
+               obs::Field::text_field("phase", phase),
+               obs::Field::text_field(
+                   "style", entry ? to_string(entry->desc.properties.style) : "?"),
+               obs::when(totems_.size() > 1, {"ring", ring_of(group)})});
 }
 
 void Mechanisms::persist_log(GroupId group) {
@@ -88,7 +90,7 @@ void Mechanisms::persist_log(GroupId group) {
                 "node " << node_.value << ": stable-storage persist failed for group "
                         << group.value);
     rec_.record(node_, obs::Layer::kMech, "storage_fault", group.value,
-                "group=" + std::to_string(group.value) + " op=persist");
+                {{"group", group.value}, {"op", "persist"}});
   }
 }
 
@@ -103,8 +105,7 @@ void Mechanisms::persist_append(GroupId group, const RetainedEnvelope& message) 
                 "node " << node_.value << ": stable-storage append failed for group "
                         << group.value << "; message op_seq " << message.op_seq);
     rec_.record(node_, obs::Layer::kMech, "storage_fault", group.value,
-                "group=" + std::to_string(group.value) +
-                    " op=append op_seq=" + std::to_string(message.op_seq));
+                {{"group", group.value}, {"op", "append"}, {"op_seq", message.op_seq}});
   }
 }
 
@@ -434,11 +435,11 @@ void Mechanisms::capture_request(const orb::Endpoint& to, util::Bytes iiop,
   }
   conn.local_to_group[info.request_id] = group_rid;
   conn.group_to_local[group_rid] = info.request_id;
-  if (rec_.tracing() && !is_handshake) {
+  if (!is_handshake) {
     rec_.record(node_, obs::Layer::kMech, "rid_translate", group_rid,
-                "client=" + std::to_string(client_group.value) +
-                    " server=" + std::to_string(server_group.value) +
-                    " local_rid=" + std::to_string(info.request_id));
+                {{"client", client_group.value},
+                 {"server", server_group.value},
+                 {"local_rid", info.request_id}});
   }
 
   // Passive log replay: a promoted primary re-issues nested invocations the
@@ -473,9 +474,7 @@ void Mechanisms::capture_request(const orb::Endpoint& to, util::Bytes iiop,
         obs::derived_trace_id(client_group, server_group, group_rid);
     const obs::SpanId root = spans->begin_named(
         trace, 0, node_, obs::Layer::kMech, "invocation", sim_.now(),
-        "client=" + std::to_string(client_group.value) +
-            " server=" + std::to_string(server_group.value) +
-            " op_seq=" + std::to_string(group_rid));
+        {{"client", client_group.value}, {"server", server_group.value}, {"op_seq", group_rid}});
     spans->begin_named(trace, root, node_, obs::Layer::kTotem, "order-wait",
                        sim_.now());
     wire = giop::with_trace_context(wire, trace);

@@ -287,7 +287,6 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
   const totem::TotemNode& totem_for(GroupId group) const {
     return *totems_[ring_of(group)];
   }
-  std::size_t ring_count() const noexcept { return totems_.size(); }
 
   // ------------------------------------------------------- sim::BulkStation
   /// Wires the out-of-band data lane (deployment). Null = lane absent; bulk
@@ -477,6 +476,10 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
   /// delta / wire state) as a fabricated dispatch; the last one completes
   /// the recovery.
   void apply_next_restore(LocalReplica& r);
+  /// Refills `r`'s restore queue from `log`: the base checkpoint
+  /// (re-subjected to r's id) when its epoch is above `above`, then every
+  /// chained delta above it. Epochs start at 1, so `above` = 0 takes all.
+  void fill_restore_queue(LocalReplica& r, const MessageLog& log, std::uint64_t above);
   void install_orb_state(GroupId group, BytesView blob);
   void inject_stored_handshakes(GroupId group);
   void install_infra_state(GroupId group, BytesView blob);
@@ -499,10 +502,10 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
   /// ring's endpoint (mutates the envelope: re-multicast of a stored
   /// envelope re-stamps the same value).
   void multicast(Envelope& e);
-  /// Per-ring scoped reset of replicated state (fresh rejoin of one ring of
-  /// a multi-ring system): everything derived from ring `ring`'s history —
-  /// groups, logs, duplicate filters, in-flight transfers — is dropped;
-  /// other rings' state survives.
+  /// Per-ring scoped reset of replicated state (fresh rejoin of ring
+  /// `ring`): everything derived from that ring's history — groups,
+  /// replicas, logs, duplicate filters, in-flight transfers — is dropped;
+  /// other rings' state survives. On a single ring that is everything.
   void reset_ring_state(std::uint32_t ring);
 
   LocalReplica* local_replica(GroupId group);
@@ -512,6 +515,9 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
   /// "phase" events (which the InvariantChecker's single-primary rule
   /// consumes) in lockstep with the actual lifecycle.
   void set_phase(LocalReplica& r, Phase phase);
+  /// The "phase" trace event; also written by survivors for a replica whose
+  /// agreed death they observe.
+  void record_phase(GroupId group, ReplicaId replica, const char* phase);
   void persist_log(GroupId group);
   /// Persistence of one logged message: appends a segment entry.
   void persist_append(GroupId group, const RetainedEnvelope& message);

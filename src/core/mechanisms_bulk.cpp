@@ -231,13 +231,11 @@ void Mechanisms::deliver_bulk_descriptor(const Envelope& e) {
       abort_bulk_send(e.target_group, /*fallback=*/false);
     }
   }
-  if (rec_.tracing()) {
-    rec_.record(node_, obs::Layer::kMech, "bulk_descriptor", e.op_seq,
-                "group=" + std::to_string(e.target_group.value) +
-                    " transfer=" + std::to_string(e.transfer_id) +
-                    " extents=" + std::to_string(e.chunk_count) +
-                    " bytes=" + std::to_string(e.total_bytes));
-  }
+  rec_.record(node_, obs::Layer::kMech, "bulk_descriptor", e.op_seq,
+              {{"group", e.target_group.value},
+               {"transfer", e.transfer_id},
+               {"extents", e.chunk_count},
+               {"bytes", e.total_bytes}});
 
   // Only the recoverer assembles; everyone else needs just the marker.
   LocalReplica* r = local_replica(e.target_group);

@@ -60,51 +60,18 @@ void Mechanisms::on_deliver_on(std::uint32_t ring, const totem::Delivery& delive
 
 void Mechanisms::on_view_change_on(std::uint32_t ring, const totem::View& view) {
   if (view.self_rejoined_fresh) {
-    if (totems_.size() > 1) {
-      // One ring of a sharded system lost its history; the others never
-      // stopped. Reset only the state derived from this ring's order.
-      ETERNAL_LOG(kWarn, kTag,
-                  util::to_string(node_) << " rejoined ring " << ring
-                                         << " fresh; resetting its groups' state");
-      reset_ring_state(ring);
-      return;
-    }
-    // Partition merge (or rejoin after total silence): our side's history
-    // lost; every piece of replicated state derived from it — the group
-    // table, the logs, the duplicate filters, the discovered ORB state and
-    // the replicas themselves — is incomparable with the surviving ring's.
-    // Reset; the application re-registers its groups, exactly as a restarted
-    // processor would (the surviving component never stopped serving).
+    // Partition merge (or rejoin after total silence): our side's history of
+    // this ring is lost, and every piece of replicated state derived from it
+    // — the group table, the logs, the duplicate filters, the discovered ORB
+    // state and the replicas themselves — is incomparable with the surviving
+    // component's. Reset it; the application re-registers its groups, exactly
+    // as a restarted processor would (the surviving component never stopped
+    // serving). On a sharded system the other rings never stopped, so only
+    // this ring's groups go; on one ring that is every group.
     ETERNAL_LOG(kWarn, kTag,
-                util::to_string(node_) << " rejoined fresh; resetting replicated state");
-    for (auto& [gid, replica] : replicas_) {
-      const GroupEntry* entry = table_.find(replica->group);
-      if (entry != nullptr) tap_.orb().root_poa().deactivate(entry->desc.object_id);
-      sim_.cancel(replica->checkpoint_timer);
-      sim_.cancel(replica->detector_timer);
-      set_phase(*replica, Phase::kDead);
-    }
-    replicas_.clear();
-    tap_.orb().reset_connections();
-    table_ = GroupTable{};
-    logs_.clear();
-    outbound_.clear();
-    server_handshakes_.clear();
-    handshake_flights_.clear();
-    req_seen_.clear();
-    reply_seen_.clear();
-    get_state_seen_.clear();
-    set_state_seen_.clear();
-    checkpoint_seen_.clear();
-    awaiting_get_state_.clear();
-    epoch_floor_.clear();
-    recovery_base_.clear();
-    outgoing_chunks_.clear();
-    incoming_chunks_.clear();
-    for (auto& [gid, send] : outgoing_bulk_) sim_.cancel(send.retry_timer);
-    outgoing_bulk_.clear();
-    incoming_bulk_.clear();
-    bulk_stash_.clear();
+                util::to_string(node_) << " rejoined ring " << ring
+                                       << " fresh; resetting its groups' state");
+    reset_ring_state(ring);
     return;
   }
 
@@ -227,16 +194,13 @@ void Mechanisms::deliver_request(const EnvelopeView& e, const util::SharedSlice&
   if (!seen.test_and_insert(e.op_seq)) {
     stats_.duplicate_requests_suppressed += 1;
     ctr_req_dup_.add();
-    if (rec_.tracing()) {
-      rec_.record(node_, obs::Layer::kMech, "request_dup", e.op_seq,
-                  "client=" + std::to_string(e.client_group.value) +
-                      " group=" + std::to_string(e.target_group.value));
-    }
+    rec_.record(node_, obs::Layer::kMech, "request_dup", e.op_seq,
+                {{"client", e.client_group.value}, {"group", e.target_group.value}});
     if (obs::SpanStore* spans = rec_.spans()) {
       if (auto dup = giop::inspect(e.payload)) {
         if (const obs::TraceId t = dup->trace_context()) {
           spans->instant(t, node_, obs::Layer::kMech, "request-dup", sim_.now(),
-                         "op_seq=" + std::to_string(e.op_seq));
+                         {{"op_seq", e.op_seq}});
         }
       }
     }
@@ -288,7 +252,7 @@ void Mechanisms::deliver_request(const EnvelopeView& e, const util::SharedSlice&
           item.trace = trace;
           item.span = spans->begin(trace, spans->find_named(trace, "invocation"),
                                    node_, obs::Layer::kMech, "deliver", sim_.now(),
-                                   "replica=" + std::to_string(r->id.value));
+                                   {{"replica", r->id.value}});
         }
         r->pending.push_back(std::move(item));
         pump(*r);
@@ -310,8 +274,7 @@ void Mechanisms::deliver_request(const EnvelopeView& e, const util::SharedSlice&
             item.trace = trace;
             item.span = spans->begin(trace, spans->find_named(trace, "invocation"),
                                      node_, obs::Layer::kMech, "deliver", sim_.now(),
-                                     "replica=" + std::to_string(r->id.value) +
-                                         " recovering=1");
+                                     {{"replica", r->id.value}, {"recovering", 1}});
           }
           r->pending.push_back(std::move(item));
         }
@@ -348,16 +311,13 @@ void Mechanisms::deliver_reply(const EnvelopeView& e, const util::SharedSlice& d
   if (!seen.test_and_insert(e.op_seq)) {
     stats_.duplicate_replies_suppressed += 1;
     ctr_reply_dup_.add();
-    if (rec_.tracing()) {
-      rec_.record(node_, obs::Layer::kMech, "reply_dup", e.op_seq,
-                  "client=" + std::to_string(e.client_group.value) +
-                      " group=" + std::to_string(e.target_group.value));
-    }
+    rec_.record(node_, obs::Layer::kMech, "reply_dup", e.op_seq,
+                {{"client", e.client_group.value}, {"group", e.target_group.value}});
     if (obs::SpanStore* spans = rec_.spans()) {
       if (auto dup = giop::inspect(e.payload)) {
         if (const obs::TraceId t = dup->trace_context()) {
           spans->instant(t, node_, obs::Layer::kMech, "reply-dup", sim_.now(),
-                         "op_seq=" + std::to_string(e.op_seq));
+                         {{"op_seq", e.op_seq}});
         }
       }
     }
@@ -481,12 +441,10 @@ void Mechanisms::deliver_get_state(const Envelope& e) {
     // after it stays enqueued for replay.
     r->recovery_cuts[e.op_seq] = r->pending.size();
     if (r->id == e.subject) r->get_state_at = sim_.now();
-    if (rec_.tracing()) {
-      rec_.record(node_, obs::Layer::kMech, "get_state_cut", e.op_seq,
-                  "group=" + std::to_string(e.target_group.value) +
-                      " replica=" + std::to_string(r->id.value) +
-                      " cut=" + std::to_string(r->pending.size()));
-    }
+    rec_.record(node_, obs::Layer::kMech, "get_state_cut", e.op_seq,
+                {{"group", e.target_group.value},
+                 {"replica", r->id.value},
+                 {"cut", r->pending.size()}});
     return;
   }
 
@@ -735,7 +693,7 @@ void Mechanisms::deliver_set_state(const Envelope& e) {
       if (obs::SpanStore* spans = rec_.spans()) {
         for (std::size_t i = 0; i < covered; ++i) {
           if (r->pending[i].span != 0) {
-            spans->end(r->pending[i].span, sim_.now(), "covered=1");
+            spans->end(r->pending[i].span, sim_.now(), {{"covered", 1}});
           }
         }
       }
@@ -746,13 +704,11 @@ void Mechanisms::deliver_set_state(const Envelope& e) {
                   util::to_string(node_) << " set_state epoch " << e.op_seq
                                          << " without matching get_state cut");
     }
-    if (rec_.tracing()) {
-      rec_.record(node_, obs::Layer::kMech, "set_state_apply", e.op_seq,
-                  "group=" + std::to_string(e.target_group.value) +
-                      " replica=" + std::to_string(r->id.value) +
-                      " covered=" + std::to_string(covered) +
-                      " bytes=" + std::to_string(e.payload.size()));
-    }
+    rec_.record(node_, obs::Layer::kMech, "set_state_apply", e.op_seq,
+                {{"group", e.target_group.value},
+                 {"replica", r->id.value},
+                 {"covered", covered},
+                 {"bytes", e.payload.size()}});
     r->recovery_cuts.clear();
     // The transferred state supersedes this node's logged prefix: for a
     // passive replica the recovery set_state is, log-wise, a checkpoint
@@ -771,13 +727,7 @@ void Mechanisms::deliver_set_state(const Envelope& e) {
         return;
       }
       persist_log(e.target_group);
-      r->restore_queue.clear();
-      Envelope base = *log_it->second.checkpoint();
-      base.subject = r->id;
-      r->restore_queue.push_back(std::move(base));
-      for (const Envelope& d : log_it->second.delta_chain()) {
-        r->restore_queue.push_back(d);
-      }
+      fill_restore_queue(*r, log_it->second, 0);
       apply_next_restore(*r);
       return;
     }
@@ -880,6 +830,18 @@ void Mechanisms::apply_state(LocalReplica& r, const Envelope& e, bool is_checkpo
   d.checkpoint = is_checkpoint;
   r.dispatch = d;
   tap_.inject(recovery_endpoint(r.group), util::SharedSlice::copy_of(giop::encode(request)));
+}
+
+void Mechanisms::fill_restore_queue(LocalReplica& r, const MessageLog& log,
+                                    std::uint64_t above) {
+  r.restore_queue.clear();
+  if (log.base_epoch() > above) {
+    Envelope base = *log.checkpoint();
+    base.subject = r.id;
+    r.restore_queue.push_back(std::move(base));
+  }
+  for (const Envelope& d : log.delta_chain())
+    if (d.op_seq > above) r.restore_queue.push_back(d);
 }
 
 void Mechanisms::apply_next_restore(LocalReplica& r) {
@@ -992,12 +954,10 @@ void Mechanisms::finish_recovery(LocalReplica& r, const Envelope&) {
   stats_.state_transfers_completed += 1;
   stats_.recoveries_completed += 1;
   ctr_state_transfers_.add();
-  if (rec_.tracing()) {
-    rec_.record(node_, obs::Layer::kMech, "recovered", r.id.value,
-                "group=" + std::to_string(r.group.value) +
-                    " replica=" + std::to_string(r.id.value) +
-                    " bytes=" + std::to_string(r.incoming_state_bytes));
-  }
+  rec_.record(node_, obs::Layer::kMech, "recovered", r.id.value,
+              {{"group", r.group.value},
+               {"replica", r.id.value},
+               {"bytes", r.incoming_state_bytes}});
 
   RecoveryRecord record;
   record.group = r.group;
@@ -1038,12 +998,11 @@ void Mechanisms::log_message(const RetainedEnvelope& e) {
 }
 
 void Mechanisms::trace_enqueue(const LocalReplica& r, const EnvelopeHeader& e) {
-  if (!rec_.tracing()) return;
   rec_.record(node_, obs::Layer::kMech, "enqueue", e.op_seq,
-              "group=" + std::to_string(r.group.value) +
-                  " replica=" + std::to_string(r.id.value) +
-                  " client=" + std::to_string(e.client_group.value) +
-                  " op_seq=" + std::to_string(e.op_seq));
+              {{"group", r.group.value},
+               {"replica", r.id.value},
+               {"client", e.client_group.value},
+               {"op_seq", e.op_seq}});
 }
 
 void Mechanisms::inject_get_state(LocalReplica& r, const EnvelopeHeader& e) {
@@ -1146,17 +1105,7 @@ void Mechanisms::promote_local(GroupId group) {
       // behind the log tip; feed it the missing base/chain entries before
       // the logged messages replay (fast path: already at the tip).
       MessageLog& log = logs_[group.value];
-      if (r->applied_epoch < log.tip_epoch()) {
-        r->restore_queue.clear();
-        if (log.checkpoint().has_value() && r->applied_epoch < log.base_epoch()) {
-          Envelope base = *log.checkpoint();
-          base.subject = r->id;
-          r->restore_queue.push_back(std::move(base));
-        }
-        for (const Envelope& d : log.delta_chain()) {
-          if (d.op_seq > r->applied_epoch) r->restore_queue.push_back(d);
-        }
-      }
+      if (r->applied_epoch < log.tip_epoch()) fill_restore_queue(*r, log, r->applied_epoch);
       if (!r->restore_queue.empty()) {
         apply_next_restore(*r);
       } else {
@@ -1223,8 +1172,6 @@ void Mechanisms::cold_restart(GroupId group) {
   if (log.checkpoint().has_value()) {
     // Apply the logged checkpoint first (§3.3: checkpoint, then messages —
     // with any chained deltas between the base and the replay).
-    Envelope ckpt = *log.checkpoint();
-    ckpt.subject = r->id;
     // Messages enqueued at an orphaned recovery that precede the restored
     // state's get_state cut are covered by it (the chain tip is the newest
     // state this log reconstructs).
@@ -1235,9 +1182,7 @@ void Mechanisms::cold_restart(GroupId group) {
                        r->pending.begin() + static_cast<std::ptrdiff_t>(covered));
     }
     r->recovery_cuts.clear();
-    r->restore_queue.clear();
-    r->restore_queue.push_back(std::move(ckpt));
-    for (const Envelope& d : log.delta_chain()) r->restore_queue.push_back(d);
+    fill_restore_queue(*r, log, 0);
     apply_next_restore(*r);
     inject_stored_handshakes(group);  // after the ORB-level state installed
     // replay continues from complete_dispatch when set_state() returns
@@ -1392,21 +1337,12 @@ void Mechanisms::react(const std::vector<TableEvent>& events) {
         // recovery; the (possibly new) coordinator re-issues the retrieval
         // for any subject still waiting (duplicate set_states are absorbed
         // by the epoch windows).
-        const GroupEntry* entry = table_.find(event.group);
         // Survivors record the agreed death: a replica whose processor
         // crashed never writes its own final phase event, so trace
         // consumers (the multi-primary invariant) would keep counting it
         // as operational through the successor's promotion.
-        if (rec_.tracing()) {
-          rec_.record(node_, obs::Layer::kMech, "phase", event.replica.value,
-                      "group=" + std::to_string(event.group.value) +
-                          " replica=" + std::to_string(event.replica.value) +
-                          " phase=dead style=" +
-                          (entry ? to_string(entry->desc.properties.style) : "?") +
-                          (totems_.size() > 1
-                               ? " ring=" + std::to_string(ring_of(event.group))
-                               : ""));
-        }
+        record_phase(event.group, event.replica, "dead");
+        const GroupEntry* entry = table_.find(event.group);
         if (entry != nullptr) {
           const auto coord = entry->coordinator();
           if (coord && *coord == node_) {

@@ -113,15 +113,13 @@ void Mechanisms::admit(LocalReplica& r, const QueueItem& item) {
   exec::Fom& fom = r.engine.admit(e.client_group, e.op_seq, from,
                                   info->response_expected, sim_.now());
   const std::uint64_t position = fom.position;
-  if (rec_.tracing()) {
-    rec_.record(node_, obs::Layer::kMech, "request_inject", e.op_seq,
-                "group=" + std::to_string(r.group.value) +
-                    " replica=" + std::to_string(r.id.value) +
-                    " client=" + std::to_string(e.client_group.value) +
-                    " op_seq=" + std::to_string(e.op_seq) +
-                    " fom_pos=" + std::to_string(position) +
-                    " fom_phase=" + exec::to_string(fom.phase));
-  }
+  rec_.record(node_, obs::Layer::kMech, "request_inject", e.op_seq,
+              {{"group", r.group.value},
+               {"replica", r.id.value},
+               {"client", e.client_group.value},
+               {"op_seq", e.op_seq},
+               {"fom_pos", position},
+               obs::Field::text_field("fom_phase", exec::to_string(fom.phase))});
   if (spans != nullptr && item.trace != 0 && info->response_expected) {
     fom.trace = item.trace;
     const obs::SpanId parent = spans->find_named(item.trace, "invocation");
@@ -129,11 +127,10 @@ void Mechanisms::admit(LocalReplica& r, const QueueItem& item) {
     // breakdown the critical-path analysis attributes stall time with.
     const obs::SpanId decode =
         spans->begin(item.trace, parent, node_, obs::Layer::kMech, "fom-decode",
-                     sim_.now(), "pos=" + std::to_string(position));
+                     sim_.now(), {{"pos", position}});
     spans->end(decode, sim_.now());
     fom.exec_span = spans->begin(item.trace, parent, node_, obs::Layer::kOrb,
-                                 "execute", sim_.now(),
-                                 "replica=" + std::to_string(r.id.value));
+                                 "execute", sim_.now(), {{"replica", r.id.value}});
   }
   fom.enter(exec::FomPhase::kExecute, sim_.now());
   tap_.inject(from, e.payload);
@@ -180,13 +177,12 @@ bool Mechanisms::capture_fom_reply(const orb::Endpoint& to, util::Bytes& iiop,
       const obs::SpanId parent = spans->find_named(reply.trace, "invocation");
       const obs::SpanId log_span =
           spans->begin(reply.trace, parent, node_, obs::Layer::kMech, "fom-log",
-                       sim_.now(), "pos=" + std::to_string(fom->position));
+                       sim_.now(), {{"pos", fom->position}});
       spans->end(log_span, sim_.now());
       // The reply parks in the sequencer from here until every earlier
       // position has emitted; zero-length when it emits immediately.
       reply.park_span = spans->begin(reply.trace, parent, node_, obs::Layer::kMech,
-                                     "reply-park", sim_.now(),
-                                     "pos=" + std::to_string(fom->position));
+                                     "reply-park", sim_.now(), {{"pos", fom->position}});
       reply.payload = giop::with_trace_context(reply.payload, reply.trace);
     }
     // ---- reply: built and handed to the sequencer; emitted now if this is
@@ -206,8 +202,7 @@ void Mechanisms::emit_reply(LocalReplica& r, exec::Reply& reply) {
     // One logical "reply" span per invocation: active replicas racing to
     // answer collapse onto the first opener (begin_named).
     spans->begin_named(reply.trace, spans->find_named(reply.trace, "invocation"), node_,
-                       obs::Layer::kTotem, "reply", sim_.now(),
-                       "replica=" + std::to_string(r.id.value));
+                       obs::Layer::kTotem, "reply", sim_.now(), {{"replica", r.id.value}});
   }
   Envelope e;
   e.kind = EnvelopeKind::kReply;

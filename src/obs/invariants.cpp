@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <set>
 #include <sstream>
 #include <unordered_map>
+#include <utility>
 
 namespace eternal::obs {
 namespace {
@@ -13,15 +15,21 @@ std::string stamp(const TraceEvent& ev) {
   std::ostringstream os;
   os << "t=" << ev.sim_time.count() << "ns node=" << ev.node.value << " ["
      << to_string(ev.layer) << "/" << ev.kind << " seq=" << ev.seq << " "
-     << ev.detail << "]";
+     << render(ev.fields) << "]";
   return os.str();
 }
 
-std::string lookup(const std::map<std::string, std::string, std::less<>>& kv,
-                   std::string_view key) {
-  auto it = kv.find(key);
-  return it == kv.end() ? std::string() : it->second;
-}
+/// Ring of an event without a "ring" field: a Mechanisms `phase` event on a
+/// single-ring deployment, where all groups share one scope.
+constexpr std::uint64_t kNoRing = ~std::uint64_t{0};
+
+using Key = std::pair<std::uint64_t, std::uint64_t>;
+
+struct KeyHash {
+  std::size_t operator()(const Key& k) const noexcept {
+    return std::hash<std::uint64_t>{}(k.first * 0x9E3779B97F4A7C15ULL ^ k.second);
+  }
+};
 
 /// Per-(node, ring) Totem delivery cursor (rule 1). Keyed by ring as well
 /// as node: with multiple rings a node's deliveries interleave across them,
@@ -33,88 +41,78 @@ struct DeliveryCursor {
   bool install_since = false;
 };
 
-/// First-observer record for a (ring, seq) frame (rule 1 agreement).
+/// A delivered frame's identity (rule 1 agreement).
 struct FrameIdentity {
-  std::string origin;
-  std::string view;
-  std::string digest;
-  std::string size;
-  std::uint32_t first_node = 0;
+  std::uint64_t origin, view, digest, size;
+  bool operator==(const FrameIdentity&) const = default;
 };
+
+/// An operation: (client group, op_seq).
+using OpId = Key;
+
+std::string op_text(const OpId& op) {
+  return std::to_string(op.first) + "#" + std::to_string(op.second);
+}
 
 /// Per-replica servant history (rules 2 and 4). Keyed by ReplicaId, which
 /// is unique per incarnation, so a relaunched replica legitimately re-sees
 /// operations its predecessor executed.
 struct ReplicaHistory {
-  std::set<std::string> injected_ops;       // rule 2: op identity set
-  std::vector<std::string> enqueued_order;  // rule 4: recorded total order
-  std::vector<std::string> injected_order;  // rule 4: execution order
-  /// Per injected op: the trace-event index of its request_inject record
-  /// and the execution phase it was injected under (every FOM injection
-  /// stamps "fom_phase=..." into the detail; older streams have none). A
-  /// replay-order violation reports both, so the offending operation is
-  /// locatable in the stream and attributable to a phase.
-  std::vector<std::size_t> injected_index;  // rule 4: event of each injection
-  std::vector<std::string> injected_phase;  // rule 4: phase of each injection
+  /// One execution: the op, the trace-event index of its request_inject
+  /// record and the FOM phase it was injected under. A replay-order
+  /// violation reports both, so the offending operation is locatable in the
+  /// stream and attributable to a phase.
+  struct Injection {
+    OpId op;
+    std::size_t index;
+    std::string_view phase;
+  };
+  std::set<OpId> injected_ops;          // rule 2: op identity set
+  std::vector<OpId> enqueued_order;     // rule 4: recorded total order
+  std::vector<Injection> injected;      // rule 4: execution order
   std::uint32_t node = 0;
-  std::string group;
+  std::uint64_t group = 0;
 };
 
 }  // namespace
 
-std::map<std::string, std::string, std::less<>> parse_detail(std::string_view detail) {
-  std::map<std::string, std::string, std::less<>> kv;
-  std::size_t pos = 0;
-  while (pos < detail.size()) {
-    std::size_t end = detail.find(' ', pos);
-    if (end == std::string_view::npos) end = detail.size();
-    std::string_view token = detail.substr(pos, end - pos);
-    std::size_t eq = token.find('=');
-    if (eq != std::string_view::npos && eq > 0)
-      kv.emplace(std::string(token.substr(0, eq)), std::string(token.substr(eq + 1)));
-    pos = end + 1;
-  }
-  return kv;
-}
-
 std::vector<Violation> InvariantChecker::check(const std::vector<TraceEvent>& events) {
   std::vector<Violation> out;
 
-  // Rule 1 state, keyed "node/ring".
-  std::map<std::string, DeliveryCursor> cursors;
-  std::map<std::string, FrameIdentity> frames;  // "ring/seq" -> identity
+  // Rule 1 state: (node, ring) -> cursor, (ring, seq) -> identity and the
+  // node that first delivered it.
+  std::unordered_map<Key, DeliveryCursor, KeyHash> cursors;
+  std::unordered_map<Key, std::pair<FrameIdentity, std::uint32_t>, KeyHash> frames;
 
-  // Rule 3 state: "ring/group" -> replica -> phase, for passive-style groups
-  // only. Keyed by ring too: a sharded system scopes primary uniqueness to
-  // the ordering domain that elects the primary, not to the whole fleet.
-  std::map<std::string, std::map<std::string, std::string>> group_phases;
-  std::set<std::string> passive_groups;
+  // Rule 3 state: (ring, group) -> replica -> phase, for passive-style
+  // groups only. Keyed by ring too: a sharded system scopes primary
+  // uniqueness to the ordering domain that elects the primary, not to the
+  // whole fleet.
+  std::map<Key, std::map<std::uint64_t, std::string_view>> group_phases;
 
   // Rules 2 and 4 state.
-  std::map<std::string, ReplicaHistory> replicas;  // keyed by replica id
+  std::map<std::uint64_t, ReplicaHistory> replicas;  // keyed by replica id
 
   for (std::size_t idx = 0; idx < events.size(); ++idx) {
     const auto& ev = events[idx];
+    const Fields& f = ev.fields;
     if (ev.layer == Layer::kTotem && ev.kind == "view_install") {
       // A membership change legitimises a sequence-number jump on every
       // member that installed it; remote nodes' cursors — and the node's
       // cursors on its *other* rings — are untouched.
-      auto kv = parse_detail(ev.detail);
-      cursors[std::to_string(ev.node.value) + "/" + lookup(kv, "ring")].install_since =
-          true;
+      cursors[{ev.node.value, f.num("ring")}].install_since = true;
       continue;
     }
 
     if (ev.layer == Layer::kTotem && ev.kind == "deliver") {
-      auto kv = parse_detail(ev.detail);
-      const std::string ring = lookup(kv, "ring");
-
-      DeliveryCursor& cur = cursors[std::to_string(ev.node.value) + "/" + ring];
+      const std::uint64_t ring = f.num("ring");
+      DeliveryCursor& cur = cursors[{ev.node.value, ring}];
       if (cur.has_delivered && !cur.install_since && ev.seq != cur.seq + 1) {
         out.push_back({"delivery-gap",
                        "node " + std::to_string(ev.node.value) + " jumped from seq " +
                            std::to_string(cur.seq) + " to " + std::to_string(ev.seq) +
-                           " on ring " + ring + " with no view install: " + stamp(ev),
+                           " on ring " + std::to_string(ring) +
+                           " with no view install: " + stamp(ev),
                        idx,
                        {}});
       }
@@ -122,23 +120,19 @@ std::vector<Violation> InvariantChecker::check(const std::vector<TraceEvent>& ev
       cur.has_delivered = true;
       cur.install_since = false;
 
-      FrameIdentity id{lookup(kv, "origin"), lookup(kv, "view"), lookup(kv, "digest"),
-                       lookup(kv, "size"), ev.node.value};
-      auto [it, inserted] = frames.emplace(ring + "/" + std::to_string(ev.seq), id);
-      if (!inserted) {
-        const FrameIdentity& seen = it->second;
-        if (seen.origin != id.origin || seen.view != id.view ||
-            seen.digest != id.digest || seen.size != id.size) {
-          out.push_back(
-              {"order-agreement",
-               "ring " + ring + " seq " + std::to_string(ev.seq) +
-                   " delivered with different identity than node " +
-                   std::to_string(seen.first_node) + " saw (origin " + seen.origin +
-                   "/" + id.origin + " digest " + seen.digest + "/" + id.digest +
-                   "): " + stamp(ev),
-               idx,
-               {}});
-        }
+      const FrameIdentity id{f.num("origin"), f.num("view"), f.num("digest"), f.num("size")};
+      auto [it, inserted] = frames.try_emplace(Key{ring, ev.seq}, id, ev.node.value);
+      if (!inserted && !(it->second.first == id)) {
+        const auto& [seen, first_node] = it->second;
+        out.push_back({"order-agreement",
+                       "ring " + std::to_string(ring) + " seq " + std::to_string(ev.seq) +
+                           " delivered with different identity than node " +
+                           std::to_string(first_node) + " saw (origin " +
+                           std::to_string(seen.origin) + "/" + std::to_string(id.origin) +
+                           " digest " + std::to_string(seen.digest) + "/" +
+                           std::to_string(id.digest) + "): " + stamp(ev),
+                       idx,
+                       {}});
       }
       continue;
     }
@@ -146,25 +140,24 @@ std::vector<Violation> InvariantChecker::check(const std::vector<TraceEvent>& ev
     if (ev.layer != Layer::kMech) continue;
 
     if (ev.kind == "phase") {
-      auto kv = parse_detail(ev.detail);
-      const std::string group = lookup(kv, "group");
-      const std::string style = lookup(kv, "style");
-      if (style == "active" || group.empty()) continue;
-      passive_groups.insert(group);
-      // "ring=" appears in the detail only on multi-ring deployments; its
-      // absence means the classic single ring and all groups share one scope.
-      auto& phases = group_phases[lookup(kv, "ring") + "/" + group];
-      phases[lookup(kv, "replica")] = lookup(kv, "phase");
-      std::vector<std::string> primaries;
-      for (const auto& [replica, phase] : phases)
-        if (phase == "operational") primaries.push_back(replica);
-      if (primaries.size() > 1) {
-        std::string list;
-        for (const auto& r : primaries) list += (list.empty() ? "" : ",") + r;
+      if (f.text("style") == "active" || !f.has("group")) continue;
+      const std::uint64_t group = f.num("group");
+      // "ring" is recorded only on multi-ring deployments; its absence means
+      // the classic single ring and all groups share one scope.
+      auto& phases = group_phases[{f.num("ring", kNoRing), group}];
+      phases[f.num("replica")] = f.text("phase");
+      std::string list;
+      std::size_t primaries = 0;
+      for (const auto& [replica, phase] : phases) {
+        if (phase != "operational") continue;
+        list += (list.empty() ? "" : ",") + std::to_string(replica);
+        ++primaries;
+      }
+      if (primaries > 1) {
         out.push_back({"multi-primary",
-                       "passive group " + group + " has " +
-                           std::to_string(primaries.size()) +
-                           " operational primaries (" + list + "): " + stamp(ev),
+                       "passive group " + std::to_string(group) + " has " +
+                           std::to_string(primaries) + " operational primaries (" + list +
+                           "): " + stamp(ev),
                        idx,
                        {}});
       }
@@ -172,31 +165,27 @@ std::vector<Violation> InvariantChecker::check(const std::vector<TraceEvent>& ev
     }
 
     if (ev.kind == "enqueue") {
-      auto kv = parse_detail(ev.detail);
-      ReplicaHistory& hist = replicas[lookup(kv, "replica")];
+      ReplicaHistory& hist = replicas[f.num("replica")];
       hist.node = ev.node.value;
-      hist.group = lookup(kv, "group");
-      hist.enqueued_order.push_back(lookup(kv, "client") + "#" + lookup(kv, "op_seq"));
+      hist.group = f.num("group");
+      hist.enqueued_order.emplace_back(f.num("client"), f.num("op_seq"));
       continue;
     }
 
     if (ev.kind == "request_inject") {
-      auto kv = parse_detail(ev.detail);
-      ReplicaHistory& hist = replicas[lookup(kv, "replica")];
+      const std::uint64_t replica = f.num("replica");
+      ReplicaHistory& hist = replicas[replica];
       hist.node = ev.node.value;
-      hist.group = lookup(kv, "group");
-      const std::string op = lookup(kv, "client") + "#" + lookup(kv, "op_seq");
+      hist.group = f.num("group");
+      const OpId op{f.num("client"), f.num("op_seq")};
       if (!hist.injected_ops.insert(op).second) {
         out.push_back({"duplicate-op",
-                       "operation " + op + " delivered twice to replica " +
-                           lookup(kv, "replica") + ": " + stamp(ev),
+                       "operation " + op_text(op) + " delivered twice to replica " +
+                           std::to_string(replica) + ": " + stamp(ev),
                        idx,
                        {}});
       }
-      hist.injected_order.push_back(op);
-      hist.injected_index.push_back(idx);
-      const std::string phase = lookup(kv, "fom_phase");
-      hist.injected_phase.push_back(phase.empty() ? "sync-upcall" : phase);
+      hist.injected.push_back({op, idx, f.text("fom_phase")});
       continue;
     }
   }
@@ -206,17 +195,17 @@ std::vector<Violation> InvariantChecker::check(const std::vector<TraceEvent>& ev
   // duplicates never reach the queue, but nothing may execute out of order).
   for (const auto& [replica, hist] : replicas) {
     std::size_t cursor = 0;
-    for (std::size_t i = 0; i < hist.injected_order.size(); ++i) {
-      const std::string& op = hist.injected_order[i];
+    for (const auto& [op, index, phase] : hist.injected) {
       while (cursor < hist.enqueued_order.size() && hist.enqueued_order[cursor] != op)
         ++cursor;
       if (cursor == hist.enqueued_order.size()) {
         Violation v;
         v.rule = "replay-order";
-        v.event_index = hist.injected_index[i];
-        v.phase = hist.injected_phase[i];
-        v.message = "replica " + replica + " (group " + hist.group + ", node " +
-                    std::to_string(hist.node) + ") executed " + op +
+        v.event_index = index;
+        v.phase = std::string(phase);
+        v.message = "replica " + std::to_string(replica) + " (group " +
+                    std::to_string(hist.group) + ", node " + std::to_string(hist.node) +
+                    ") executed " + op_text(op) +
                     " out of enqueue order or without an enqueue record" +
                     " (injected in phase " + v.phase + ")";
         out.push_back(std::move(v));
@@ -228,7 +217,6 @@ std::vector<Violation> InvariantChecker::check(const std::vector<TraceEvent>& ev
 
   return out;
 }
-
 std::vector<Violation> InvariantChecker::check(const TraceBuffer& trace) {
   std::vector<Violation> out;
   if (trace.dropped() > 0) {

@@ -18,11 +18,11 @@
 //
 // The checker is pure: it consumes a snapshot and returns violations, so
 // tests can attach it to any scenario (see tests/support/invariant_helpers.hpp).
+// It reads each event's typed fields (node, ring, group, replica, client,
+// op_seq ids) and keys its state by those integers.
 #pragma once
 
-#include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -39,19 +39,12 @@ struct Violation {
   /// Index into the checked event snapshot of the event that tripped the
   /// rule; lets reports show the surrounding stream (report_with_context).
   std::size_t event_index = kNoIndex;
-  /// Execution phase of the offending operation when known: the FOM phase
-  /// recorded at injection ("decode"/"execute"/...), or "sync-upcall" for an
-  /// injection without one (streams recorded before every request ran as a
-  /// FOM). Empty when the rule has no per-operation context. Replay-order
-  /// violations always set this, so an execution/delivery interleaving bug
-  /// names the phase it surfaced in.
+  /// Execution phase of the offending operation: the FOM phase recorded at
+  /// injection ("decode"/"execute"/...). Empty when the rule has no
+  /// per-operation context. Replay-order violations always set this, so an
+  /// execution/delivery interleaving bug names the phase it surfaced in.
   std::string phase;
 };
-
-/// Splits a "k1=v1 k2=v2" detail string into a lookup map. Tokens without
-/// '=' are ignored. Heterogeneous lookup (std::less<>) so call sites can
-/// probe with string literals.
-std::map<std::string, std::string, std::less<>> parse_detail(std::string_view detail);
 
 class InvariantChecker {
  public:

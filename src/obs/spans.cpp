@@ -32,7 +32,7 @@ void span_to_json(JsonWriter& w, const Span& s) {
   w.field("end", static_cast<std::uint64_t>(s.end.count()));
   w.field("open", s.open);
   if (s.instant) w.field("instant", true);
-  w.field("detail", std::string_view(s.detail));
+  w.field("detail", std::string_view(render(s.fields)));
   w.end_object();
 }
 
@@ -61,17 +61,17 @@ SpanStore::SpanStore(std::size_t capacity) : capacity_(capacity) {
   if (capacity_ == 0) capacity_ = 1;
 }
 
-SpanId SpanStore::push(Span s) {
+SpanId SpanStore::push(const Span& s) {
   ++total_;
   const SpanId id = s.id;
   if (ring_.size() < capacity_) {
     slot_[id] = ring_.size();
-    ring_.push_back(std::move(s));
+    ring_.push_back(s);
     return id;
   }
   slot_.erase(ring_[head_].id);  // evict the oldest span, open or not
   slot_[id] = head_;
-  ring_[head_] = std::move(s);
+  ring_[head_] = s;
   head_ = (head_ + 1) % capacity_;
   return id;
 }
@@ -82,7 +82,7 @@ Span* SpanStore::find(SpanId id) {
 }
 
 SpanId SpanStore::begin(TraceId trace, SpanId parent, util::NodeId node, Layer layer,
-                        std::string_view name, util::TimePoint at, std::string detail) {
+                        std::string_view name, util::TimePoint at, const Fields& fields) {
   Span s;
   s.id = next_span_++;
   s.parent = parent;
@@ -92,20 +92,20 @@ SpanId SpanStore::begin(TraceId trace, SpanId parent, util::NodeId node, Layer l
   s.node = node;
   s.start = at;
   s.end = at;
-  s.detail = std::move(detail);
-  return push(std::move(s));
+  s.fields = fields;
+  return push(s);
 }
 
 SpanId SpanStore::begin_named(TraceId trace, SpanId parent, util::NodeId node,
                               Layer layer, std::string_view name, util::TimePoint at,
-                              std::string detail) {
+                              const Fields& fields) {
   const auto key = std::make_pair(trace, name);
   auto it = named_.find(key);
   if (it != named_.end()) {
     if (slot_.count(it->second) != 0) return it->second;
     named_.erase(it);  // registered span was evicted; start over
   }
-  const SpanId id = begin(trace, parent, node, layer, name, at, std::move(detail));
+  const SpanId id = begin(trace, parent, node, layer, name, at, fields);
   named_[key] = id;
   return id;
 }
@@ -115,15 +115,12 @@ SpanId SpanStore::find_named(TraceId trace, std::string_view name) const {
   return it == named_.end() ? 0 : it->second;
 }
 
-bool SpanStore::end(SpanId id, util::TimePoint at, std::string_view extra_detail) {
+bool SpanStore::end(SpanId id, util::TimePoint at, const Fields& extra) {
   Span* s = find(id);
   if (s == nullptr || !s->open) return false;
   s->open = false;
   s->end = at;
-  if (!extra_detail.empty()) {
-    if (!s->detail.empty()) s->detail += ' ';
-    s->detail += extra_detail;
-  }
+  for (const Field& f : extra) s->fields.push(f);
   return true;
 }
 
@@ -136,21 +133,12 @@ bool SpanStore::end_named(TraceId trace, std::string_view name, util::TimePoint 
 }
 
 void SpanStore::instant(TraceId trace, util::NodeId node, Layer layer,
-                        std::string_view name, util::TimePoint at, std::string detail) {
-  const SpanId id = begin(trace, 0, node, layer, name, at, std::move(detail));
+                        std::string_view name, util::TimePoint at, const Fields& fields) {
+  const SpanId id = begin(trace, 0, node, layer, name, at, fields);
   if (Span* s = find(id)) {
     s->open = false;
     s->instant = true;
   }
-}
-
-void SpanStore::close_all(util::TimePoint at) {
-  for (Span& s : ring_) {
-    if (!s.open) continue;
-    s.open = false;
-    s.end = at < s.start ? s.start : at;
-  }
-  named_.clear();
 }
 
 std::vector<Span> SpanStore::snapshot() const {
@@ -251,7 +239,7 @@ std::string SpanStore::to_chrome_json() const {
     w.begin_object();
     w.field("id", s.id);
     w.field("parent", s.parent);
-    if (!s.detail.empty()) w.field("detail", std::string_view(s.detail));
+    if (!s.fields.empty()) w.field("detail", std::string_view(render(s.fields)));
     if (s.open) w.field("open", true);
     w.end_object();
     w.end_object();
@@ -273,10 +261,9 @@ RecoveryProfiler::Active* RecoveryProfiler::find(util::GroupId group,
 }
 
 void RecoveryProfiler::next_phase(Active& a, std::string_view name, util::TimePoint at,
-                                  std::string detail) {
+                                  const Fields& fields) {
   store_.end(a.phase, at);
-  a.phase = store_.begin(a.trace, a.root, a.node, Layer::kMech, name, at,
-                         std::move(detail));
+  a.phase = store_.begin(a.trace, a.root, a.node, Layer::kMech, name, at, fields);
 }
 
 void RecoveryProfiler::launched(util::GroupId group, util::ReplicaId replica,
@@ -287,8 +274,7 @@ void RecoveryProfiler::launched(util::GroupId group, util::ReplicaId replica,
   a.at[0] = at;
   a.trace = store_.new_trace();
   a.root = store_.begin(a.trace, 0, node, Layer::kMech, "recovery", at,
-                        "group=" + std::to_string(group.value) +
-                            " replica=" + std::to_string(replica.value));
+                        {{"group", group.value}, {"replica", replica.value}});
   a.phase = store_.begin(a.trace, a.root, node, Layer::kMech, "fault-detection", at);
   active_[std::make_pair(group.value, replica.value)] = a;
 }
@@ -318,7 +304,7 @@ void RecoveryProfiler::state_captured(util::GroupId group, util::ReplicaId subje
   a->stage = Stage::kDelivered;
   a->at[3] = at;
   a->state_bytes = state_bytes;
-  next_phase(*a, "state-transfer", at, "bytes=" + std::to_string(state_bytes));
+  next_phase(*a, "state-transfer", at, {{"bytes", state_bytes}});
   // Bulk transfers retroactively attribute [state_captured, descriptor
   // arrival) to "descriptor-wait"; remember where that sub-span would start.
   a->bulk_sub = 0;
@@ -331,8 +317,7 @@ void RecoveryProfiler::chunk_arrived(util::GroupId group, util::ReplicaId subjec
   Active* a = find(group, subject, Stage::kDelivered);
   if (a == nullptr) return;
   store_.instant(a->trace, a->node, Layer::kMech, "state-chunk", at,
-                 "chunk=" + std::to_string(index) + "/" + std::to_string(count) +
-                     " bytes=" + std::to_string(bytes));
+                 {Field::ratio("chunk", index, count), {"bytes", bytes}});
 }
 
 void RecoveryProfiler::bulk_descriptor(util::GroupId group, util::ReplicaId subject,
@@ -354,9 +339,7 @@ void RecoveryProfiler::bulk_descriptor(util::GroupId group, util::ReplicaId subj
     store_.end(a->bulk_sub, at);
   }
   a->bulk_sub = store_.begin(a->trace, a->phase, a->node, Layer::kMech, "bulk-stream",
-                             at,
-                             "extents=" + std::to_string(extents) +
-                                 " bytes=" + std::to_string(total_bytes));
+                             at, {{"extents", extents}, {"bytes", total_bytes}});
   a->bulk_mark = at;
 }
 
@@ -366,8 +349,7 @@ void RecoveryProfiler::bulk_extent(util::GroupId group, util::ReplicaId subject,
   Active* a = find(group, subject, Stage::kDelivered);
   if (a == nullptr) return;
   store_.instant(a->trace, a->node, Layer::kMech, "bulk-extent", at,
-                 "extent=" + std::to_string(index) + "/" + std::to_string(count) +
-                     " bytes=" + std::to_string(bytes));
+                 {Field::ratio("extent", index, count), {"bytes", bytes}});
 }
 
 void RecoveryProfiler::bulk_streamed(util::GroupId group, util::ReplicaId subject,
@@ -397,7 +379,7 @@ void RecoveryProfiler::state_applied(util::GroupId group, util::ReplicaId subjec
   a->stage = Stage::kDraining;
   a->at[5] = at;
   a->replay_left = replay_backlog;
-  next_phase(*a, "replay", at, "backlog=" + std::to_string(replay_backlog));
+  next_phase(*a, "replay", at, {{"backlog", replay_backlog}});
   if (replay_backlog == 0) finish(group, subject, *a, at);
 }
 
@@ -462,18 +444,7 @@ std::string FlightRecorder::to_json() const {
   if (trace_ != nullptr) {
     const std::vector<TraceEvent> events = trace_->snapshot();
     const std::size_t from = events.size() > last_n_ ? events.size() - last_n_ : 0;
-    for (std::size_t i = from; i < events.size(); ++i) {
-      const TraceEvent& ev = events[i];
-      w.begin_object();
-      w.field("index", static_cast<std::uint64_t>(i));
-      w.field("t", static_cast<std::uint64_t>(ev.sim_time.count()));
-      w.field("node", static_cast<std::uint64_t>(ev.node.value));
-      w.field("layer", to_string(ev.layer));
-      w.field("kind", ev.kind);
-      w.field("seq", ev.seq);
-      w.field("detail", std::string_view(ev.detail));
-      w.end_object();
-    }
+    for (std::size_t i = from; i < events.size(); ++i) event_to_json(w, events[i], i);
   }
   w.end_array();
 

@@ -15,11 +15,14 @@
 //     state transfer, set_state, message replay), the phases partitioning
 //     the root exactly.
 //
-// The store is a bounded ring like TraceBuffer: the oldest spans are evicted
-// (and counted) when full, and ending an evicted span is a no-op. Exports are
-// deterministic — same seed, byte-identical JSON — in both the native schema
-// (consumed by the FlightRecorder) and Chrome trace_event format, loadable in
-// chrome://tracing or Perfetto (ui.perfetto.dev).
+// A span carries the same typed Fields as a trace event (trace.hpp): set when
+// it opens, extended when it ends (a reformation's closing view, a crashed
+// or covered marker). The store is a bounded ring like TraceBuffer: the
+// oldest spans are evicted (and counted) when full, and ending an evicted
+// span is a no-op. Exports are deterministic — same seed, byte-identical
+// JSON — in both the native schema (consumed by the FlightRecorder) and
+// Chrome trace_event format, loadable in chrome://tracing or Perfetto
+// (ui.perfetto.dev); both render the fields as the "k=v" detail text.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +68,7 @@ struct Span {
   util::TimePoint end{};
   bool open = true;
   bool instant = false;  ///< zero-duration marker, see SpanStore::instant()
-  std::string detail;    ///< "k=v ..." pairs, like TraceEvent::detail
+  Fields fields;         ///< opening fields, then those end() appended
 };
 
 class SpanStore;
@@ -168,7 +171,7 @@ class RecoveryProfiler {
 
   Active* find(util::GroupId group, util::ReplicaId replica, Stage expect);
   void next_phase(Active& a, std::string_view name, util::TimePoint at,
-                  std::string detail = {});
+                  const Fields& fields = {});
   void finish(util::GroupId group, util::ReplicaId replica, Active& a, util::TimePoint at);
 
   SpanStore& store_;
@@ -187,21 +190,21 @@ class SpanStore {
 
   /// Opens a span. `name` must be a string literal.
   SpanId begin(TraceId trace, SpanId parent, util::NodeId node, Layer layer,
-               std::string_view name, util::TimePoint at, std::string detail = {});
+               std::string_view name, util::TimePoint at, const Fields& fields = {});
 
   /// begin() + registration under (trace, name) so another node can close or
   /// re-find the span later. If the pair is already registered and live, the
   /// existing span id is returned and no new span opens — N active replicas
   /// racing to start the same logical phase collapse to one span.
   SpanId begin_named(TraceId trace, SpanId parent, util::NodeId node, Layer layer,
-                     std::string_view name, util::TimePoint at, std::string detail = {});
+                     std::string_view name, util::TimePoint at, const Fields& fields = {});
 
   /// Live span registered under (trace, name); 0 when absent or evicted.
   SpanId find_named(TraceId trace, std::string_view name) const;
 
   /// Closes a span; no-op (returns false) when the id was evicted or already
-  /// closed. `extra_detail` is appended to the span's detail string.
-  bool end(SpanId id, util::TimePoint at, std::string_view extra_detail = {});
+  /// closed. `extra` is appended to the span's fields.
+  bool end(SpanId id, util::TimePoint at, const Fields& extra = {});
 
   /// Closes the span registered under (trace, name) and unregisters it.
   /// First close wins: replicas racing to close the same logical phase
@@ -210,10 +213,7 @@ class SpanStore {
 
   /// Zero-duration marker (duplicate suppressions, discards).
   void instant(TraceId trace, util::NodeId node, Layer layer, std::string_view name,
-               util::TimePoint at, std::string detail = {});
-
-  /// Closes every span still open (run teardown).
-  void close_all(util::TimePoint at);
+               util::TimePoint at, const Fields& fields = {});
 
   std::size_t capacity() const noexcept { return capacity_; }
   std::size_t size() const noexcept { return ring_.size(); }
@@ -245,7 +245,7 @@ class SpanStore {
   const RecoveryProfiler& recovery() const noexcept { return recovery_; }
 
  private:
-  SpanId push(Span s);
+  SpanId push(const Span& s);
   Span* find(SpanId id);
 
   std::size_t capacity_;

@@ -3,16 +3,25 @@
 //
 // Every layer (Totem, Mechanisms, ORB) appends semantic events —
 // deliveries, view installs, duplicate suppressions, state-transfer steps —
-// to one ring buffer stamped with the virtual clock. The stream is the
-// input to the InvariantChecker (see invariants.hpp) and exports to JSON
-// for offline inspection. Because the simulation is deterministic, two runs
-// with the same seed produce byte-identical streams; determinism_test
-// asserts exactly that.
+// to one ring buffer stamped with the virtual clock. An event's context is a
+// short inline list of typed Fields (a key literal plus a u64, text or
+// ratio value), kept in call-site order; nothing is formatted when the
+// event is recorded. The stream is the input to the InvariantChecker (see
+// invariants.hpp), which reads the fields directly, and exports to JSON for
+// offline inspection: the exporters are the one place that renders fields
+// as the "k=v k=v" detail text. Because the simulation is deterministic,
+// two runs with the same seed produce byte-identical streams;
+// determinism_test asserts exactly that.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <optional>
+#include <set>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -27,17 +36,122 @@ class SpanStore;  // spans.hpp — causal span trees layered on the Recorder
 
 std::string_view to_string(Layer layer);
 
+/// One typed context field: a key literal plus a u64, a text, or a ratio
+/// rendered "num/den" (chunk=3/8). Text must outlive the trace — a literal,
+/// or a name interned by TraceBuffer::intern. A default Field is absent and
+/// Fields skips it, so a conditional field is `when(cond, {"key", value})`.
+class Field {
+ public:
+  enum class Kind : std::uint8_t { kAbsent, kU64, kText, kRatio };
+
+  Field() = default;
+  template <std::size_t N, typename T>
+    requires std::is_integral_v<T>
+  Field(const char (&key)[N], T value) noexcept : Field(key, Kind::kU64) {
+    num_ = static_cast<std::uint64_t>(value);
+  }
+  template <std::size_t N, std::size_t M>
+  Field(const char (&key)[N], const char (&text)[M]) noexcept
+      : Field(text_field(key, std::string_view(text, M - 1))) {}
+  /// Text that is not a literal at the call site (see the class comment).
+  template <std::size_t N>
+  static Field text_field(const char (&key)[N], std::string_view text) noexcept {
+    Field f(key, Kind::kText);
+    f.text_ = text.data();
+    f.aux_ = static_cast<std::uint32_t>(text.size());
+    return f;
+  }
+  template <std::size_t N>
+  static Field ratio(const char (&key)[N], std::uint64_t num, std::uint32_t den) noexcept {
+    Field f(key, Kind::kRatio);
+    f.num_ = num;
+    f.aux_ = den;
+    return f;
+  }
+
+  Kind kind() const noexcept { return kind_; }
+  std::string_view key() const noexcept { return {key_, key_len_}; }
+  /// The u64 value, or a ratio's numerator.
+  std::uint64_t num() const noexcept { return kind_ == Kind::kText ? 0 : num_; }
+  std::uint32_t den() const noexcept { return kind_ == Kind::kRatio ? aux_ : 0; }
+  std::string_view text() const noexcept {
+    return kind_ == Kind::kText ? std::string_view(text_, aux_) : std::string_view();
+  }
+
+ private:
+  template <std::size_t N>
+  Field(const char (&key)[N], Kind kind) noexcept : key_(key), key_len_(N - 1), kind_(kind) {}
+
+  const char* key_ = nullptr;
+  union {
+    std::uint64_t num_ = 0;
+    const char* text_;
+  };
+  std::uint32_t aux_ = 0;  ///< text length, or ratio denominator
+  std::uint8_t key_len_ = 0;
+  Kind kind_ = Kind::kAbsent;
+};
+
+inline Field when(bool present, Field field) noexcept { return present ? field : Field(); }
+
+/// Fixed-capacity inline list of Fields in insertion order; records and
+/// copies without touching the heap.
+class Fields {
+ public:
+  static constexpr std::size_t kCapacity = 6;
+
+  Fields() = default;
+  Fields(std::initializer_list<Field> fields) {
+    for (const Field& f : fields) push(f);
+  }
+
+  /// Appends `f` unless it is absent; throws std::length_error past
+  /// kCapacity (a producer bug, caught by any traced test).
+  void push(const Field& f);
+
+  const Field* begin() const noexcept { return items_; }
+  const Field* end() const noexcept { return items_ + size_; }
+  std::size_t size() const noexcept { return size_; }
+  bool empty() const noexcept { return size_ == 0; }
+
+  /// First field named `key`, or null.
+  const Field* find(std::string_view key) const noexcept;
+  bool has(std::string_view key) const noexcept { return find(key) != nullptr; }
+  /// num() of `key`, or `absent` when the field is missing.
+  std::uint64_t num(std::string_view key, std::uint64_t absent = 0) const noexcept {
+    const Field* f = find(key);
+    return f ? f->num() : absent;
+  }
+  /// text() of `key`; empty when missing.
+  std::string_view text(std::string_view key) const noexcept {
+    const Field* f = find(key);
+    return f ? f->text() : std::string_view();
+  }
+
+ private:
+  Field items_[kCapacity];
+  std::uint8_t size_ = 0;
+};
+
+/// "k1=v1 k2=v2": the detail text the JSON exporters write for `fields`.
+std::string render(const Fields& fields);
+
 /// One semantic event. `kind` must reference a string literal (the buffer
-/// stores the view, not a copy); `detail` carries event-specific context as
-/// space-separated key=value pairs, e.g. "group=7 client=3 op_seq=12".
+/// stores the view, not a copy).
 struct TraceEvent {
   util::TimePoint sim_time{};
   util::NodeId node{};
   Layer layer = Layer::kSim;
   std::string_view kind;
   std::uint64_t seq = 0;
-  std::string detail;
+  Fields fields;
 };
+
+class JsonWriter;
+
+/// Writes one event as a JSON object; `index` (when given) comes first.
+void event_to_json(JsonWriter& w, const TraceEvent& ev,
+                   std::optional<std::uint64_t> index = std::nullopt);
 
 /// Bounded ring of TraceEvents. When full, the oldest events are dropped
 /// (and counted); snapshot() returns the surviving events oldest-first.
@@ -45,7 +159,7 @@ class TraceBuffer {
  public:
   explicit TraceBuffer(std::size_t capacity);
 
-  void push(TraceEvent ev);
+  void push(const TraceEvent& ev);
 
   std::size_t capacity() const noexcept { return capacity_; }
   /// Events currently held (<= capacity).
@@ -61,20 +175,26 @@ class TraceBuffer {
   /// JSON array of events (oldest first) wrapped with buffer stats.
   std::string to_json() const;
 
+  /// A stable copy of a run-time name (ChaosScript scenario and action
+  /// names) for a text Field: stored once per distinct name and kept for
+  /// the buffer's lifetime, so the view outlives the caller's string.
+  std::string_view intern(std::string_view name);
+
  private:
   std::size_t capacity_;
   std::vector<TraceEvent> ring_;
   std::size_t head_ = 0;  // index of oldest event once the ring has wrapped
   std::uint64_t total_ = 0;
+  std::set<std::string, std::less<>> interned_;
 };
 
 /// The handle the Simulator hands to every layer. Cheap when detached:
 /// tracing() is one pointer test, and counter() returns a shared sink
 /// instrument so call sites cache a reference once and never branch.
 ///
-/// Call sites that build detail strings must guard with tracing():
-///   if (rec.tracing())
-///     rec.record(node, Layer::kTotem, "deliver", f.seq, detail...);
+/// record() takes its fields inline and drops them when detached, so call
+/// sites need no guard unless computing a field is itself costly:
+///   rec.record(node, Layer::kTotem, "deliver", f.seq, {{"ring", id}, ...});
 class Recorder {
  public:
   void attach_metrics(MetricsRegistry* metrics) noexcept { metrics_ = metrics; }
@@ -88,15 +208,21 @@ class Recorder {
   void bind_clock(const util::TimePoint* now) noexcept { clock_ = now; }
 
   bool tracing() const noexcept { return trace_ != nullptr; }
-  bool metering() const noexcept { return metrics_ != nullptr; }
   util::TimePoint now() const noexcept {
     return clock_ ? *clock_ : util::TimePoint{};
   }
 
+  /// The list becomes the event's Fields only when a buffer is attached.
   void record(util::NodeId node, Layer layer, std::string_view kind,
-              std::uint64_t seq, std::string detail) {
+              std::uint64_t seq, std::initializer_list<Field> fields = {}) {
     if (!trace_) return;
-    trace_->push(TraceEvent{now(), node, layer, kind, seq, std::move(detail)});
+    trace_->push(TraceEvent{now(), node, layer, kind, seq, Fields(fields)});
+  }
+
+  /// TraceBuffer::intern when a trace is attached (else `name` itself:
+  /// record() would drop the event anyway).
+  std::string_view intern(std::string_view name) {
+    return trace_ ? trace_->intern(name) : name;
   }
 
   /// Returns the named instrument, or a process-wide sink when no registry

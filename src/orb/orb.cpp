@@ -150,14 +150,6 @@ bool Poa::is_active(const std::string& object_id) const {
   return objects_.count(object_id) > 0;
 }
 
-std::size_t Poa::busy_objects() const {
-  std::size_t n = 0;
-  for (const auto& [key, obj] : objects_) {
-    if (obj.inflight > 0) ++n;
-  }
-  return n;
-}
-
 void Poa::dispatch(const Endpoint& from, giop::Request request) {
   const std::string key = key_string(request.object_key);
   auto it = objects_.find(key);
@@ -461,10 +453,8 @@ void Orb::handle_request(const Endpoint& from, giop::Request request) {
     if (it == sconn.short_to_full.end()) {
       stats_.requests_discarded_unknown_key += 1;
       ctr_key_discards_.add();
-      if (rec_.tracing()) {
-        rec_.record(node_, obs::Layer::kOrb, "request_discard", request.request_id,
-                    "reason=unknown_short_key");
-      }
+      rec_.record(node_, obs::Layer::kOrb, "request_discard", request.request_id,
+                  {{"reason", "unknown_short_key"}});
       ETERNAL_LOG(kDebug, kTag,
                   util::to_string(node_) << " discarding request with unknown short key");
       return;
@@ -519,10 +509,8 @@ void Orb::handle_reply(const Endpoint& from, giop::Reply reply) {
   if (conn_it == client_conns_.end()) {
     stats_.replies_discarded_request_id += 1;
     ctr_rid_discards_.add();
-    if (rec_.tracing()) {
-      rec_.record(node_, obs::Layer::kOrb, "reply_discard", reply.request_id,
-                  "reason=unknown_connection");
-    }
+    rec_.record(node_, obs::Layer::kOrb, "reply_discard", reply.request_id,
+                {{"reason", "unknown_connection"}});
     return;
   }
   ClientConnection& conn = conn_it->second;
@@ -539,10 +527,8 @@ void Orb::handle_reply(const Endpoint& from, giop::Reply reply) {
     // no outstanding request on this connection, so the ORB drops it.
     stats_.replies_discarded_request_id += 1;
     ctr_rid_discards_.add();
-    if (rec_.tracing()) {
-      rec_.record(node_, obs::Layer::kOrb, "reply_discard", reply.request_id,
-                  "reason=no_matching_request");
-    }
+    rec_.record(node_, obs::Layer::kOrb, "reply_discard", reply.request_id,
+                {{"reason", "no_matching_request"}});
     ETERNAL_LOG(kDebug, kTag,
                 util::to_string(node_) << " discarding reply with request_id "
                                        << reply.request_id << " (no matching request)");
@@ -619,11 +605,6 @@ std::optional<giop::CodeSet> OrbProbe::client_char_code_set(const Orb& orb,
 bool OrbProbe::server_handshaken(const Orb& orb, const Endpoint& client) {
   auto it = orb.server_conns_.find(client);
   return it != orb.server_conns_.end() && it->second.handshaken;
-}
-
-std::size_t OrbProbe::server_short_key_count(const Orb& orb, const Endpoint& client) {
-  auto it = orb.server_conns_.find(client);
-  return it == orb.server_conns_.end() ? 0 : it->second.short_to_full.size();
 }
 
 }  // namespace testing

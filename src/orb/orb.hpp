@@ -140,10 +140,6 @@ class Poa {
 
   bool is_active(const std::string& object_id) const;
 
-  /// Objects currently mid-dispatch (used by tests; Eternal infers busyness
-  /// from the message stream instead).
-  std::size_t busy_objects() const;
-
  private:
   friend class Orb;
   friend class testing::OrbProbe;
@@ -307,7 +303,6 @@ class OrbProbe {
   static std::optional<giop::CodeSet> client_char_code_set(const Orb& orb,
                                                            const Endpoint& server);
   static bool server_handshaken(const Orb& orb, const Endpoint& client);
-  static std::size_t server_short_key_count(const Orb& orb, const Endpoint& client);
 };
 
 }  // namespace testing

@@ -80,8 +80,10 @@ void ChaosScript::arm() {
 void ChaosScript::fire(const Action& action) {
   fired_ += 1;
   ETERNAL_LOG(kDebug, kTag, "scenario " << scenario_ << ": " << action.name);
-  sim_.recorder().record(util::NodeId{0}, obs::Layer::kSim, "chaos", fired_,
-                         "scenario=" + scenario_ + " action=" + action.name);
+  obs::Recorder& rec = sim_.recorder();
+  rec.record(util::NodeId{0}, obs::Layer::kSim, "chaos", fired_,
+             {obs::Field::text_field("scenario", rec.intern(scenario_)),
+              obs::Field::text_field("action", rec.intern(action.name))});
   sim_.recorder().counter("chaos." + scenario_ + ".actions").add();
   sim_.recorder().counter("chaos.action." + action.name).add();
   action.fn();

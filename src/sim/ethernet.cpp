@@ -61,13 +61,6 @@ std::optional<std::uint32_t> Ethernet::transmit(NodeId from, std::size_t size) {
   stats_.bytes_sent += size + config_.frame_header_bytes + config_.frame_gap_bytes;
   stats_.payload_bytes += size;
 
-  // Blackout burst: the frame occupied the medium but nobody receives it.
-  if (drop_next_ > 0) {
-    drop_next_ -= 1;
-    stats_.frames_dropped += 1;
-    return std::nullopt;
-  }
-
   const int sender_component = component_of(from);
   // Snapshot recipients now; attachment changes before `arrival` are checked
   // again at delivery time (a station that crashed mid-flight gets nothing).

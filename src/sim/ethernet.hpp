@@ -114,10 +114,6 @@ class Ethernet {
   /// flapping member). 0 removes the override.
   void set_receiver_loss(NodeId node, double p);
 
-  /// Drops the next `n` frames outright, before any receiver sees them (a
-  /// deterministic blackout burst for chaos scenarios). Additive.
-  void drop_next_frames(std::uint64_t n) noexcept { drop_next_ += n; }
-
   const EthernetStats& stats() const noexcept { return stats_; }
 
   /// Time the medium needs to carry one frame with `payload_bytes` payload.
@@ -149,7 +145,6 @@ class Ethernet {
   std::unordered_map<NodeId, Station*> stations_;
   std::unordered_map<NodeId, int> partition_;
   std::unordered_map<NodeId, double> receiver_loss_;
-  std::uint64_t drop_next_ = 0;
   TimePoint medium_free_at_{};
   EthernetStats stats_;
   std::vector<InFlight> in_flight_;        ///< grows on demand, then reused

@@ -147,8 +147,8 @@ void TotemNode::crash() {
   // survive into the next incarnation.
   if (obs::SpanStore* spans = rec_.spans()) {
     for (const auto& [msg, span] : frag_spans_)
-      spans->end(span, sim_.now(), "crashed=1");
-    if (gather_span_ != 0) spans->end(gather_span_, sim_.now(), "crashed=1");
+      spans->end(span, sim_.now(), {{"crashed", 1}});
+    if (gather_span_ != 0) spans->end(gather_span_, sim_.now(), {{"crashed", 1}});
   }
   frag_spans_.clear();
   gather_span_ = 0;
@@ -196,9 +196,7 @@ void TotemNode::multicast(util::Bytes payload) {
     // submission until its last fragment is originated on the ring.
     frag_spans_[msg_id] =
         spans->begin(0, 0, node_, obs::Layer::kTotem, "fragmented-send", sim_.now(),
-                     "msg=" + std::to_string(msg_id) +
-                         " frags=" + std::to_string(count) +
-                         " bytes=" + std::to_string(payload.size()));
+                     {{"msg", msg_id}, {"frags", count}, {"bytes", payload.size()}});
   }
 }
 
@@ -265,10 +263,7 @@ void TotemNode::handle_data(DataFrame&& f) {
       ETERNAL_LOG(kWarn, kTag,
                   util::to_string(node_) << " replacing stale held frame at seq " << f.seq);
       stats_.stale_frames_replaced += 1;
-      if (rec_.tracing()) {
-        rec_.record(node_, obs::Layer::kTotem, "stale_replace", f.seq,
-                    "ring=" + std::to_string(f.ring_id));
-      }
+      rec_.record(node_, obs::Layer::kTotem, "stale_replace", f.seq, {{"ring", f.ring_id}});
       *held = std::move(f);
     }
     return;
@@ -300,15 +295,16 @@ void TotemNode::advance_delivery() {
 void TotemNode::deliver_frame(const DataFrame& f) {
   // Traced per frame (not per reassembled message) so the event stream is
   // gap-free in sequence numbers — the property the InvariantChecker
-  // asserts per node and cross-checks across the ring.
+  // asserts per node and cross-checks across the ring. Guarded: the payload
+  // digest is the one field that costs real work.
   if (rec_.tracing()) {
     rec_.record(node_, obs::Layer::kTotem, "deliver", f.seq,
-                "ring=" + std::to_string(f.ring_id) +
-                    " view=" + std::to_string(f.view.value) +
-                    " origin=" + std::to_string(f.origin.value) +
-                    " digest=" + std::to_string(util::fnv1a(f.payload)) +
-                    " size=" + std::to_string(f.payload.size()) +
-                    (f.batch_count >= 2 ? " batch=" + std::to_string(f.batch_count) : ""));
+                {{"ring", f.ring_id},
+                 {"view", f.view.value},
+                 {"origin", f.origin.value},
+                 {"digest", util::fnv1a(f.payload)},
+                 {"size", f.payload.size()},
+                 obs::when(f.batch_count >= 2, {"batch", f.batch_count})});
   }
   // Deliveries are slices of the frame's shared buffer: a listener keeps
   // what it needs by copying the slice, never the bytes.
@@ -493,8 +489,7 @@ void TotemNode::send_fragments(TokenFrame& token) {
         // submission until the whole batch is originated here.
         const std::uint64_t span = spans->begin(
             0, 0, node_, obs::Layer::kTotem, "batch", oldest,
-            "msgs=" + std::to_string(msgs.size()) +
-                " bytes=" + std::to_string(payload.size()));
+            {{"msgs", msgs.size()}, {"bytes", payload.size()}});
         spans->end(span, sim_.now());
       }
     }
@@ -544,19 +539,15 @@ void TotemNode::apply_backpressure(TokenFrame& token) {
       token.flow_budget = budget;
       token.flow_setter = node_;
       stats_.backpressure_sets += 1;
-      if (rec_.tracing()) {
-        rec_.record(node_, obs::Layer::kTotem, "backpressure", token.flow_budget,
-                    "gap=" + std::to_string(assigned - delivered_up_to_));
-      }
+      rec_.record(node_, obs::Layer::kTotem, "backpressure", token.flow_budget,
+                  {{"gap", assigned - delivered_up_to_}});
     }
   } else if (token.flow_setter == node_ && token.flow_budget != 0) {
     // Recovered: only the setter releases the ring.
     token.flow_budget = 0;
     token.flow_setter = NodeId{};
-    if (rec_.tracing()) {
-      rec_.record(node_, obs::Layer::kTotem, "backpressure_clear", 0,
-                  "delivered=" + std::to_string(delivered_up_to_));
-    }
+    rec_.record(node_, obs::Layer::kTotem, "backpressure_clear", 0,
+                {{"delivered", delivered_up_to_}});
   }
 }
 
@@ -582,10 +573,8 @@ void TotemNode::retransmit(DataFrame& held, const char* trace) {
   broadcast(encode_data_frame(node_, held, held.payload));
   stats_.retransmissions += 1;
   ctr_retransmissions_.add();
-  if (rec_.tracing() && trace != nullptr) {
-    rec_.record(node_, obs::Layer::kTotem, trace, held.seq,
-                "ring=" + std::to_string(held.ring_id));
-  }
+  if (trace != nullptr)
+    rec_.record(node_, obs::Layer::kTotem, trace, held.seq, {{"ring", held.ring_id}});
 }
 
 void TotemNode::request_missing(TokenFrame& token) {
@@ -651,18 +640,15 @@ void TotemNode::enter_gather() {
   // Multi-ring: a nonzero ring index rides along so reformation activity is
   // attributable to one ring of a sharded system (absent = ring 0 / classic
   // single ring; the bystander-isolation chaos verdict keys on this).
-  const std::string rix =
-      config_.ring_index != 0 ? " rix=" + std::to_string(config_.ring_index) : "";
-  if (rec_.tracing()) {
-    rec_.record(node_, obs::Layer::kTotem, "gather", view_.id.value,
-                "ring=" + std::to_string(view_.ring_id) + rix);
-  }
+  const obs::Field rix = obs::when(config_.ring_index != 0, {"rix", config_.ring_index});
+  rec_.record(node_, obs::Layer::kTotem, "gather", view_.id.value,
+              {{"ring", view_.ring_id}, rix});
   if (obs::SpanStore* spans = rec_.spans(); spans != nullptr && gather_span_ == 0) {
     // One reformation span per outage: re-entering gather (settle retries)
     // extends the open span rather than opening a new one.
     gather_span_ =
         spans->begin(0, 0, node_, obs::Layer::kTotem, "reformation", sim_.now(),
-                     "ring=" + std::to_string(view_.ring_id) + rix);
+                     {{"ring", view_.ring_id}, rix});
   }
   sim_.cancel(token_timer_);
   sim_.cancel(pass_timer_);
@@ -796,10 +782,8 @@ void TotemNode::handle_commit(NodeId /*from*/, const CommitFrame& f) {
                   util::to_string(node_) << " discarding " << discarded
                                          << " stale held frames above base " << f.base_seq);
       stats_.stale_frames_discarded += discarded;
-      if (rec_.tracing()) {
-        rec_.record(node_, obs::Layer::kTotem, "stale_discard", f.base_seq,
-                    "count=" + std::to_string(discarded));
-      }
+      rec_.record(node_, obs::Layer::kTotem, "stale_discard", f.base_seq,
+                  {{"count", discarded}});
     }
   }
   // Divergence safety net: we delivered past the ring's agreed history.
@@ -865,10 +849,8 @@ void TotemNode::handle_ready(NodeId from, const ReadyFrame& f) {
     if (util::fnv1a(held->payload) == f.held_digests[i]) continue;
     retransmit(*held, /*trace=*/nullptr);  // authoritative: seq <= delivered_up_to_
     stats_.stale_rebroadcasts += 1;
-    if (rec_.tracing()) {
-      rec_.record(node_, obs::Layer::kTotem, "stale_rebroadcast", seq,
-                  "reporter=" + std::to_string(from.value));
-    }
+    rec_.record(node_, obs::Layer::kTotem, "stale_rebroadcast", seq,
+                {{"reporter", from.value}});
   }
   if (f.missing.empty()) {
     ready_members_.insert(from);
@@ -970,21 +952,16 @@ void TotemNode::install_view(const InstallFrame& f) {
   state_ = State::kOperational;
   stats_.view_changes += 1;
   ctr_view_installs_.add();
-  if (rec_.tracing()) {
-    rec_.record(node_, obs::Layer::kTotem, "view_install", view_.id.value,
-                "ring=" + std::to_string(view_.ring_id) +
-                    " members=" + std::to_string(view_.members.size()) +
-                    " joined=" + std::to_string(view_.joined.size()) +
-                    " departed=" + std::to_string(view_.departed.size()) +
-                    (config_.ring_index != 0
-                         ? " rix=" + std::to_string(config_.ring_index)
-                         : ""));
-  }
+  rec_.record(node_, obs::Layer::kTotem, "view_install", view_.id.value,
+              {{"ring", view_.ring_id},
+               {"members", view_.members.size()},
+               {"joined", view_.joined.size()},
+               {"departed", view_.departed.size()},
+               obs::when(config_.ring_index != 0, {"rix", config_.ring_index})});
   if (gather_span_ != 0) {
     if (obs::SpanStore* spans = rec_.spans()) {
       spans->end(gather_span_, sim_.now(),
-                 "view=" + std::to_string(view_.id.value) +
-                     " members=" + std::to_string(view_.members.size()));
+                 {{"view", view_.id.value}, {"members", view_.members.size()}});
     }
     gather_span_ = 0;
   }
@@ -1045,10 +1022,8 @@ void TotemNode::arm_recovery_timer() {
         stats_.forced_demotions += 1;
         recovery_stalls_ = 0;
         last_stall_missing_ = 0;
-        if (rec_.tracing()) {
-          rec_.record(node_, obs::Layer::kTotem, "forced_fresh", view_.id.value,
-                      "missing=" + std::to_string(missing));
-        }
+        rec_.record(node_, obs::Layer::kTotem, "forced_fresh", view_.id.value,
+                    {{"missing", missing}});
       } else if (missing != last_stall_missing_) {
         recovery_stalls_ = missing > 0 ? 1 : 0;
         last_stall_missing_ = missing;

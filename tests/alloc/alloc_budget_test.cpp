@@ -8,8 +8,8 @@
 // member out of its one shared buffer, decoding envelopes as views, retaining
 // delivered bytes as slices, filtering duplicates, inspecting GIOP headers,
 // handing messages to Totem and the ORB, encoding small CDR bodies, looking
-// up a group's ring, the POA's ticket gate and sequencing a request through
-// its replica's execution engine. A change that puts an allocation back on
+// up a group's ring, the POA's ticket gate, sequencing a request through
+// its replica's execution engine and recording a typed trace event. A change that puts an allocation back on
 // one of these paths fails here instead of only moving the benchmark's
 // allocs_per_op.
 #include <gtest/gtest.h>
@@ -26,6 +26,7 @@
 #include "core/placement.hpp"
 #include "core/seq_window.hpp"
 #include "giop/giop.hpp"
+#include "obs/trace.hpp"
 #include "orb/orb.hpp"
 #include "sim/ethernet.hpp"
 #include "sim/simulator.hpp"
@@ -475,6 +476,31 @@ TEST(AllocBudget, EngineAdmitAndInOrderFinishAllocateNothing) {
   EXPECT_EQ(emitted, 33u);
   EXPECT_EQ(engine.stats().replies_parked, 0u);
   EXPECT_TRUE(engine.idle());
+}
+
+TEST(AllocBudget, SixFieldTraceRecordIntoAWrappedBufferAllocatesNothing) {
+  obs::TraceBuffer trace(16);
+  obs::Recorder rec;
+  rec.attach_trace(&trace);
+  std::uint64_t seq = 0;
+  // The widest record the stack makes: Totem's per-frame "deliver".
+  auto deliver = [&] {
+    ++seq;
+    rec.record(NodeId{1}, obs::Layer::kTotem, "deliver", seq,
+               {{"ring", 4},
+                {"view", 2},
+                {"origin", 3},
+                {"digest", seq * 0x9E3779B97F4A7C15ULL},
+                {"size", 200},
+                obs::when(seq % 2 == 0, {"batch", 2})});
+  };
+  for (int i = 0; i < 20; ++i) deliver();  // fill and wrap the ring
+  ASSERT_GT(trace.dropped(), 0u);
+  EXPECT_EQ(allocs_of([&] {
+              for (int i = 0; i < 64; ++i) deliver();
+            }),
+            0u);
+  EXPECT_EQ(trace.snapshot().back().fields.size(), 6u);
 }
 
 }  // namespace

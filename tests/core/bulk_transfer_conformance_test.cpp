@@ -234,9 +234,9 @@ Outcome run_scenario(Scenario scenario, bool bulk, std::uint64_t seed) {
   out.violations = obs::InvariantChecker::check(*sys.trace());
   for (const obs::TraceEvent& ev : sys.trace()->snapshot()) {
     if (ev.layer != obs::Layer::kMech || ev.kind != "enqueue") continue;
-    auto kv = obs::parse_detail(ev.detail);
-    out.enqueue_streams["replica" + kv["replica"]].push_back(kv["client"] + "#" +
-                                                             kv["op_seq"]);
+    const obs::Fields& f = ev.fields;
+    out.enqueue_streams["replica" + std::to_string(f.num("replica"))].push_back(
+        std::to_string(f.num("client")) + "#" + std::to_string(f.num("op_seq")));
   }
   for (std::uint32_t n = 1; n <= cfg.nodes; ++n) {
     if (servants[n] == nullptr) continue;

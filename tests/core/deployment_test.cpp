@@ -126,6 +126,74 @@ TEST(Deployment, PartitionedClientSideReconnects) {
   EXPECT_EQ(servants[2]->value(), 2);
 }
 
+TEST(Deployment, PartitionedServerReplicaIsResetOnFreshRejoin) {
+  // A server replica on the minority node keeps serving its side of the
+  // partition alone; on heal that node rejoins the ring fresh, and the reset
+  // drops every group it held: the replica is gone (its phase=dead is on
+  // record) and the group has left that node's table, while the majority's
+  // replicas serve on.
+  SystemConfig cfg;
+  cfg.nodes = 4;
+  cfg.trace_capacity = 1u << 16;
+  System sys(cfg);
+  FtProperties props;
+  props.style = ReplicationStyle::kActive;
+  props.initial_replicas = 3;
+  props.minimum_replicas = 1;
+  std::array<std::shared_ptr<CounterServant>, 5> servants{};
+  const GroupId g = sys.deploy("obj", "IDL:Obj:1.0", props,
+                               {NodeId{1}, NodeId{2}, NodeId{4}}, [&](NodeId n) {
+                                 auto s = std::make_shared<CounterServant>(sys.sim());
+                                 servants[n.value] = s;
+                                 return s;
+                               });
+  sys.deploy_client("app", NodeId{3}, {g});
+  orb::ObjectRef ref = sys.client(NodeId{3}, g);
+
+  int done = 0;
+  ref.invoke("inc", CounterServant::encode_i32(1), [&](const orb::ReplyOutcome&) { ++done; });
+  ASSERT_TRUE(sys.run_until([&] { return done == 1; }, Duration(1'000'000'000)));
+  ASSERT_TRUE(sys.mech(NodeId{4}).hosts_operational(g));
+  std::uint64_t minority_replica = 0;
+  for (const core::ReplicaInfo& m : sys.mech(NodeId{4}).groups().find(g)->members)
+    if (m.node == NodeId{4}) minority_replica = m.id.value;
+  ASSERT_NE(minority_replica, 0u);
+
+  sys.ethernet().set_partition({NodeId{4}}, 1);
+  ASSERT_TRUE(sys.run_until(
+      [&] {
+        return sys.totem(NodeId{1}).operational() &&
+               sys.totem(NodeId{1}).view().members.size() == 3;
+      },
+      Duration(2'000'000'000)));
+  EXPECT_TRUE(sys.mech(NodeId{4}).hosts_operational(g))
+      << "the minority replica keeps its side of the partition";
+
+  const util::TimePoint healed_at = sys.sim().now();
+  sys.ethernet().heal_partition();
+  ASSERT_TRUE(sys.run_until(
+      [&] {
+        return sys.totem(NodeId{4}).operational() &&
+               sys.totem(NodeId{4}).view().members.size() == 4;
+      },
+      Duration(5'000'000'000)));
+
+  EXPECT_FALSE(sys.mech(NodeId{4}).hosts_operational(g));
+  EXPECT_EQ(sys.mech(NodeId{4}).groups().find(g), nullptr);
+  bool dead_recorded = false;
+  for (const obs::TraceEvent& ev : sys.trace()->snapshot()) {
+    if (ev.sim_time < healed_at || ev.node != NodeId{4} || ev.kind != "phase") continue;
+    dead_recorded |= ev.fields.num("replica") == minority_replica &&
+                     ev.fields.text("phase") == "dead";
+  }
+  EXPECT_TRUE(dead_recorded) << "the reset replica's phase=dead event is missing";
+
+  ref.invoke("inc", CounterServant::encode_i32(1), [&](const orb::ReplyOutcome&) { ++done; });
+  ASSERT_TRUE(sys.run_until([&] { return done == 2; }, Duration(2'000'000'000)));
+  EXPECT_EQ(servants[1]->value(), 2);
+  EXPECT_EQ(servants[2]->value(), 2);
+}
+
 TEST(Deployment, RunUntilTimesOutHonestly) {
   System sys(SystemConfig{.nodes = 2});
   const util::TimePoint before = sys.sim().now();

@@ -268,23 +268,24 @@ Outcome run_scenario(Scenario scenario, std::size_t concurrency, std::uint64_t s
   // ---- extraction ----
   out.trace_dropped = sys.trace()->dropped();
   out.violations = obs::InvariantChecker::check(*sys.trace());
-  std::map<std::string, std::size_t> ring_names;
+  std::map<std::uint64_t, std::size_t> ring_names;
   for (const obs::TraceEvent& ev : sys.trace()->snapshot()) {
+    const obs::Fields& f = ev.fields;
     if (ev.layer == obs::Layer::kMech && ev.kind == "enqueue") {
-      auto kv = obs::parse_detail(ev.detail);
-      out.enqueue_streams["replica" + kv["replica"]].push_back(kv["client"] + "#" +
-                                                               kv["op_seq"]);
+      out.enqueue_streams["replica" + std::to_string(f.num("replica"))].push_back(
+          std::to_string(f.num("client")) + "#" + std::to_string(f.num("op_seq")));
       continue;
     }
     if (ev.layer != obs::Layer::kTotem || ev.kind != "deliver") continue;
-    auto kv = obs::parse_detail(ev.detail);
-    const std::size_t ring = ring_names.try_emplace(kv["ring"], ring_names.size()).first->second;
+    const std::size_t ring =
+        ring_names.try_emplace(f.num("ring"), ring_names.size()).first->second;
     char digest[17];
-    std::snprintf(digest, sizeof digest, "%016llx", std::stoull(kv["digest"]));
-    out.per_node[ev.node.value].push_back("r" + std::to_string(ring) + " " +
-                                          std::to_string(ev.seq) + " " + kv["origin"] +
-                                          " " + digest + " " + kv["size"] + " @" +
-                                          std::to_string(ev.sim_time.count()));
+    std::snprintf(digest, sizeof digest, "%016llx",
+                  static_cast<unsigned long long>(f.num("digest")));
+    out.per_node[ev.node.value].push_back(
+        "r" + std::to_string(ring) + " " + std::to_string(ev.seq) + " " +
+        std::to_string(f.num("origin")) + " " + digest + " " + std::to_string(f.num("size")) +
+        " @" + std::to_string(ev.sim_time.count()));
   }
   for (std::uint32_t n = 1; n <= cfg.nodes; ++n) {
     const core::Mechanisms& mech = sys.mech(NodeId{n});

@@ -1,7 +1,7 @@
 // Unit tests for the observability subsystem (src/obs/): histogram bucket
-// boundaries, trace ring-buffer wraparound, JSON export round-trips, the
-// detail-string parser, the InvariantChecker rules on synthetic streams,
-// and the BENCH_*.json result-file writer.
+// boundaries, trace ring-buffer wraparound, JSON export round-trips, typed
+// trace fields and their rendering, the InvariantChecker rules on synthetic
+// streams, and the BENCH_*.json result-file writer.
 //
 // The round-trip tests bring their own strict recursive-descent JSON parser
 // (the emitter promises RFC 8259; the parser holds it to that), so every
@@ -402,15 +402,14 @@ TEST(MetricsRegistry, ToJsonRoundTrips) {
 
 // ------------------------------------------------------------ TraceBuffer
 
-TraceEvent make_event(std::uint64_t seq, std::uint32_t node = 1,
-                      std::string detail = std::string()) {
+TraceEvent make_event(std::uint64_t seq, std::uint32_t node = 1, Fields fields = {}) {
   TraceEvent ev;
   ev.sim_time = util::TimePoint(util::Duration(1000 * (std::int64_t)seq));
   ev.node = util::NodeId{node};
   ev.layer = Layer::kTotem;
   ev.kind = "deliver";
   ev.seq = seq;
-  ev.detail = std::move(detail);
+  ev.fields = fields;
   return ev;
 }
 
@@ -445,8 +444,8 @@ TEST(TraceBuffer, ExactlyFullBufferDropsNothing) {
 
 TEST(TraceBuffer, ToJsonRoundTrips) {
   TraceBuffer buf(8);
-  buf.push(make_event(1, 2, "ring=5.1 digest=abc"));
-  buf.push(make_event(2, 3, "ring=5.1 digest=\"quoted\""));
+  buf.push(make_event(1, 2, {{"ring", 5}, {"digest", "abc"}}));
+  buf.push(make_event(2, 3, {{"ring", 5}, {"digest", "\"quoted\""}}));
 
   const JsonValue doc = parse_json(buf.to_json());
   EXPECT_EQ(doc.at("capacity").number, 8.0);
@@ -459,175 +458,196 @@ TEST(TraceBuffer, ToJsonRoundTrips) {
   EXPECT_EQ(events[0].at("layer").string, "totem");
   EXPECT_EQ(events[0].at("kind").string, "deliver");
   EXPECT_EQ(events[0].at("seq").number, 1.0);
-  EXPECT_EQ(events[0].at("detail").string, "ring=5.1 digest=abc");
-  EXPECT_EQ(events[1].at("detail").string, "ring=5.1 digest=\"quoted\"");
+  EXPECT_EQ(events[0].at("detail").string, "ring=5 digest=abc");
+  EXPECT_EQ(events[1].at("detail").string, "ring=5 digest=\"quoted\"");
 }
 
-// ------------------------------------------------------------ parse_detail
-
-TEST(ParseDetail, SplitsKeyValuePairs) {
-  const auto kv = parse_detail("group=7 client=3 op_seq=12 phase=operational");
-  EXPECT_EQ(kv.at("group"), "7");
-  EXPECT_EQ(kv.at("client"), "3");
-  EXPECT_EQ(kv.at("op_seq"), "12");
-  EXPECT_EQ(kv.at("phase"), "operational");
+TEST(TraceBuffer, InternedNamesOutliveTheirSource) {
+  TraceBuffer buf(4);
+  std::string_view kept;
+  {
+    std::string name = "a-scenario-name-longer-than-any-small-string";
+    kept = buf.intern(name);
+    EXPECT_EQ(buf.intern(name).data(), kept.data()) << "one copy per distinct name";
+  }
+  EXPECT_EQ(kept, "a-scenario-name-longer-than-any-small-string");
 }
 
-TEST(ParseDetail, IgnoresMalformedTokens) {
-  const auto kv = parse_detail("bare =novalue ok=1  double==x");
-  EXPECT_EQ(kv.size(), 2u);
-  EXPECT_EQ(kv.at("ok"), "1");
-  EXPECT_EQ(kv.at("double"), "=x");
-  EXPECT_TRUE(parse_detail("").empty());
+// ------------------------------------------------------------ typed fields
+
+TEST(TraceFields, RenderKeepsCallSiteOrderAndSkipsAbsentFields) {
+  const Fields fields{{"ring", 7},
+                      obs::when(false, {"rix", 1}),
+                      {"phase", "operational"},
+                      Field::ratio("chunk", 3, 8),
+                      obs::when(true, {"batch", 2})};
+  EXPECT_EQ(fields.size(), 4u);
+  EXPECT_EQ(render(fields), "ring=7 phase=operational chunk=3/8 batch=2");
+  EXPECT_EQ(render(Fields{}), "");
+
+  EXPECT_EQ(fields.num("ring"), 7u);
+  EXPECT_EQ(fields.num("rix", 99), 99u) << "absent field falls back";
+  EXPECT_FALSE(fields.has("rix"));
+  EXPECT_EQ(fields.text("phase"), "operational");
+  EXPECT_EQ(fields.text("ring"), "") << "a number has no text";
+  ASSERT_NE(fields.find("chunk"), nullptr);
+  EXPECT_EQ(fields.find("chunk")->num(), 3u);
+  EXPECT_EQ(fields.find("chunk")->den(), 8u);
+}
+
+TEST(TraceFields, OverflowingTheInlineCapacityThrows) {
+  Fields fields;
+  for (std::size_t i = 0; i < Fields::kCapacity; ++i) fields.push({"k", i});
+  EXPECT_EQ(fields.size(), Fields::kCapacity);
+  EXPECT_THROW(fields.push({"k", 1}), std::length_error);
+  fields.push(Field());  // absent fields never count
 }
 
 // ------------------------------------------------------- InvariantChecker
 
-TraceEvent totem_deliver(std::uint32_t node, std::uint64_t seq,
-                         const std::string& ring, const std::string& digest) {
+TraceEvent totem_deliver(std::uint32_t node, std::uint64_t seq, std::uint64_t ring,
+                         std::uint64_t digest) {
   TraceEvent ev;
   ev.node = util::NodeId{node};
   ev.layer = Layer::kTotem;
   ev.kind = "deliver";
   ev.seq = seq;
-  ev.detail = "ring=" + ring + " view=3 origin=1 digest=" + digest + " size=64";
+  ev.fields = {{"ring", ring}, {"view", 3}, {"origin", 1}, {"digest", digest}, {"size", 64}};
   return ev;
 }
 
-TraceEvent totem_install(std::uint32_t node, const std::string& ring) {
+TraceEvent totem_install(std::uint32_t node, std::uint64_t ring) {
   TraceEvent ev;
   ev.node = util::NodeId{node};
   ev.layer = Layer::kTotem;
   ev.kind = "view_install";
   ev.seq = 0;
-  ev.detail = "ring=" + ring + " members=2";
+  ev.fields = {{"ring", ring}, {"members", 2}};
   return ev;
 }
 
-TraceEvent mech_event(std::uint32_t node, std::string_view kind,
-                      std::string detail) {
+TraceEvent mech_event(std::uint32_t node, std::string_view kind, Fields fields) {
   TraceEvent ev;
   ev.node = util::NodeId{node};
   ev.layer = Layer::kMech;
   ev.kind = kind;
-  ev.detail = std::move(detail);
+  ev.fields = fields;
   return ev;
+}
+
+/// An enqueue or request_inject of (client 9, op_seq) at `replica` of group 5.
+TraceEvent op_event(std::string_view kind, std::uint64_t replica, std::uint64_t op_seq) {
+  return mech_event(1, kind,
+                    {{"group", 5}, {"replica", replica}, {"client", 9}, {"op_seq", op_seq}});
+}
+
+/// A phase event of `replica` (on `node`) of group 5.
+template <std::size_t N, std::size_t M>
+TraceEvent phase_event(std::uint32_t node, std::uint64_t replica, const char (&phase)[N],
+                       const char (&style)[M]) {
+  return mech_event(node, "phase",
+                    {{"group", 5}, {"replica", replica}, {"phase", phase}, {"style", style}});
 }
 
 TEST(InvariantChecker, CleanStreamHasNoViolations) {
   std::vector<TraceEvent> events;
   for (std::uint32_t node : {1u, 2u}) {
-    events.push_back(totem_deliver(node, 10, "1.1", "aa"));
-    events.push_back(totem_deliver(node, 11, "1.1", "bb"));
-    events.push_back(totem_install(node, "2.1"));
-    events.push_back(totem_deliver(node, 30, "2.1", "cc"));
+    events.push_back(totem_deliver(node, 10, 11, 0xaa));
+    events.push_back(totem_deliver(node, 11, 11, 0xbb));
+    events.push_back(totem_install(node, 21));
+    events.push_back(totem_deliver(node, 30, 21, 0xcc));
   }
-  events.push_back(mech_event(1, "enqueue", "group=5 replica=r1 client=9 op_seq=1"));
-  events.push_back(mech_event(1, "enqueue", "group=5 replica=r1 client=9 op_seq=2"));
-  events.push_back(mech_event(1, "request_inject",
-                              "group=5 replica=r1 client=9 op_seq=1"));
-  events.push_back(mech_event(1, "request_inject",
-                              "group=5 replica=r1 client=9 op_seq=2"));
-  events.push_back(mech_event(1, "phase",
-                              "group=5 replica=r1 phase=operational style=warm-passive"));
-  events.push_back(mech_event(2, "phase",
-                              "group=5 replica=r2 phase=backup style=warm-passive"));
+  events.push_back(op_event("enqueue", 1, 1));
+  events.push_back(op_event("enqueue", 1, 2));
+  events.push_back(op_event("request_inject", 1, 1));
+  events.push_back(op_event("request_inject", 1, 2));
+  events.push_back(phase_event(1, 1, "operational", "warm-passive"));
+  events.push_back(phase_event(2, 2, "backup", "warm-passive"));
   const auto violations = InvariantChecker::check(events);
   EXPECT_TRUE(violations.empty()) << InvariantChecker::report(violations);
 }
 
 TEST(InvariantChecker, FlagsDeliveryGapWithoutInstall) {
-  std::vector<TraceEvent> events{totem_deliver(1, 10, "1.1", "aa"),
-                                 totem_deliver(1, 12, "1.1", "bb")};
+  std::vector<TraceEvent> events{totem_deliver(1, 10, 11, 0xaa),
+                                 totem_deliver(1, 12, 11, 0xbb)};
   const auto violations = InvariantChecker::check(events);
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_EQ(violations[0].rule, "delivery-gap");
 }
 
 TEST(InvariantChecker, ViewInstallLegitimisesSequenceJump) {
-  std::vector<TraceEvent> events{totem_deliver(1, 10, "1.1", "aa"),
-                                 totem_install(1, "2.1"),
-                                 totem_deliver(1, 25, "2.1", "bb")};
+  std::vector<TraceEvent> events{totem_deliver(1, 10, 11, 0xaa),
+                                 totem_install(1, 21),
+                                 totem_deliver(1, 25, 21, 0xbb)};
   EXPECT_TRUE(InvariantChecker::check(events).empty());
 
   // ...but only on the node that installed it.
-  events.push_back(totem_deliver(2, 10, "1.1", "aa"));
-  events.push_back(totem_deliver(2, 25, "2.1", "bb"));
+  events.push_back(totem_deliver(2, 10, 11, 0xaa));
+  events.push_back(totem_deliver(2, 25, 21, 0xbb));
   EXPECT_TRUE(InvariantChecker::check(events).empty())
       << "a ring change on the other node is not a same-ring gap";
-  events.push_back(totem_deliver(2, 27, "2.1", "cc"));
+  events.push_back(totem_deliver(2, 27, 21, 0xcc));
   const auto violations = InvariantChecker::check(events);
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_EQ(violations[0].rule, "delivery-gap");
 }
 
 TEST(InvariantChecker, FlagsCrossNodeIdentityDisagreement) {
-  std::vector<TraceEvent> events{totem_deliver(1, 10, "1.1", "aa"),
-                                 totem_deliver(2, 10, "1.1", "DIFFERENT")};
+  std::vector<TraceEvent> events{totem_deliver(1, 10, 11, 0xaa),
+                                 totem_deliver(2, 10, 11, 0xd1ff)};
   const auto violations = InvariantChecker::check(events);
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_EQ(violations[0].rule, "order-agreement");
 }
 
 TEST(InvariantChecker, FlagsDuplicateOperationPerIncarnation) {
-  std::vector<TraceEvent> events{
-      mech_event(1, "enqueue", "group=5 replica=r1 client=9 op_seq=1"),
-      mech_event(1, "request_inject", "group=5 replica=r1 client=9 op_seq=1"),
-      mech_event(1, "request_inject", "group=5 replica=r1 client=9 op_seq=1")};
+  std::vector<TraceEvent> events{op_event("enqueue", 1, 1), op_event("request_inject", 1, 1),
+                                 op_event("request_inject", 1, 1)};
   auto violations = InvariantChecker::check(events);
   ASSERT_FALSE(violations.empty());
   EXPECT_EQ(violations[0].rule, "duplicate-op");
 
   // A *new incarnation* (fresh ReplicaId) may legitimately re-execute the
   // operation after state transfer + replay.
-  std::vector<TraceEvent> relaunch{
-      mech_event(1, "enqueue", "group=5 replica=r1 client=9 op_seq=1"),
-      mech_event(1, "request_inject", "group=5 replica=r1 client=9 op_seq=1"),
-      mech_event(1, "enqueue", "group=5 replica=r2 client=9 op_seq=1"),
-      mech_event(1, "request_inject", "group=5 replica=r2 client=9 op_seq=1")};
+  std::vector<TraceEvent> relaunch{op_event("enqueue", 1, 1), op_event("request_inject", 1, 1),
+                                   op_event("enqueue", 2, 1), op_event("request_inject", 2, 1)};
   EXPECT_TRUE(InvariantChecker::check(relaunch).empty());
 }
 
 TEST(InvariantChecker, FlagsTwoConcurrentPrimaries) {
-  std::vector<TraceEvent> events{
-      mech_event(1, "phase", "group=5 replica=r1 phase=operational style=warm-passive"),
-      mech_event(2, "phase", "group=5 replica=r2 phase=operational style=warm-passive")};
+  std::vector<TraceEvent> events{phase_event(1, 1, "operational", "warm-passive"),
+                                 phase_event(2, 2, "operational", "warm-passive")};
   const auto violations = InvariantChecker::check(events);
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_EQ(violations[0].rule, "multi-primary");
 
   // Orderly failover: the old primary dies before the backup is promoted.
-  std::vector<TraceEvent> failover{
-      mech_event(1, "phase", "group=5 replica=r1 phase=operational style=warm-passive"),
-      mech_event(2, "phase", "group=5 replica=r2 phase=backup style=warm-passive"),
-      mech_event(1, "phase", "group=5 replica=r1 phase=dead style=warm-passive"),
-      mech_event(2, "phase", "group=5 replica=r2 phase=replaying style=warm-passive"),
-      mech_event(2, "phase", "group=5 replica=r2 phase=operational style=warm-passive")};
+  std::vector<TraceEvent> failover{phase_event(1, 1, "operational", "warm-passive"),
+                                   phase_event(2, 2, "backup", "warm-passive"),
+                                   phase_event(1, 1, "dead", "warm-passive"),
+                                   phase_event(2, 2, "replaying", "warm-passive"),
+                                   phase_event(2, 2, "operational", "warm-passive")};
   EXPECT_TRUE(InvariantChecker::check(failover).empty());
 }
 
 TEST(InvariantChecker, ActiveGroupsMayHaveManyOperationalReplicas) {
-  std::vector<TraceEvent> events{
-      mech_event(1, "phase", "group=5 replica=r1 phase=operational style=active"),
-      mech_event(2, "phase", "group=5 replica=r2 phase=operational style=active"),
-      mech_event(3, "phase", "group=5 replica=r3 phase=operational style=active")};
+  std::vector<TraceEvent> events{phase_event(1, 1, "operational", "active"),
+                                 phase_event(2, 2, "operational", "active"),
+                                 phase_event(3, 3, "operational", "active")};
   EXPECT_TRUE(InvariantChecker::check(events).empty());
 }
 
 TEST(InvariantChecker, FlagsExecutionOutOfEnqueueOrder) {
-  std::vector<TraceEvent> events{
-      mech_event(1, "enqueue", "group=5 replica=r1 client=9 op_seq=1"),
-      mech_event(1, "enqueue", "group=5 replica=r1 client=9 op_seq=2"),
-      mech_event(1, "request_inject", "group=5 replica=r1 client=9 op_seq=2"),
-      mech_event(1, "request_inject", "group=5 replica=r1 client=9 op_seq=1")};
+  std::vector<TraceEvent> events{op_event("enqueue", 1, 1), op_event("enqueue", 1, 2),
+                                 op_event("request_inject", 1, 2),
+                                 op_event("request_inject", 1, 1)};
   const auto violations = InvariantChecker::check(events);
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_EQ(violations[0].rule, "replay-order");
 }
 
 TEST(InvariantChecker, FlagsInjectionWithoutEnqueueRecord) {
-  std::vector<TraceEvent> events{
-      mech_event(1, "request_inject", "group=5 replica=r1 client=9 op_seq=1")};
+  std::vector<TraceEvent> events{op_event("request_inject", 1, 1)};
   const auto violations = InvariantChecker::check(events);
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_EQ(violations[0].rule, "replay-order");
@@ -637,13 +657,17 @@ TEST(InvariantChecker, ReplayOrderViolationCarriesEventIndexAndFomPhase) {
   // FOM-engine injections stamp fom_pos/fom_phase into request_inject; the
   // replay-order rule must report the offending event's index and the phase
   // the FOM was in, both in the Violation fields and in the message.
-  std::vector<TraceEvent> events{
-      mech_event(1, "enqueue", "group=5 replica=r1 client=9 op_seq=1"),
-      mech_event(1, "enqueue", "group=5 replica=r1 client=9 op_seq=2"),
-      mech_event(1, "request_inject",
-                 "group=5 replica=r1 client=9 op_seq=2 fom_pos=0 fom_phase=decode"),
-      mech_event(1, "request_inject",
-                 "group=5 replica=r1 client=9 op_seq=1 fom_pos=1 fom_phase=decode")};
+  const auto inject = [](std::uint64_t op_seq, std::uint64_t pos) {
+    return mech_event(1, "request_inject",
+                      {{"group", 5},
+                       {"replica", 1},
+                       {"client", 9},
+                       {"op_seq", op_seq},
+                       {"fom_pos", pos},
+                       {"fom_phase", "decode"}});
+  };
+  std::vector<TraceEvent> events{op_event("enqueue", 1, 1), op_event("enqueue", 1, 2),
+                                 inject(2, 0), inject(1, 1)};
   const auto violations = InvariantChecker::check(events);
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_EQ(violations[0].rule, "replay-order");
@@ -657,20 +681,6 @@ TEST(InvariantChecker, ReplayOrderViolationCarriesEventIndexAndFomPhase) {
   const std::string report =
       InvariantChecker::report_with_context(violations, events, 1);
   EXPECT_NE(report.find(">>> [3]"), std::string::npos) << report;
-}
-
-TEST(InvariantChecker, SyncUpcallInjectionsReportSyncPhase) {
-  // Streams recorded by the removed synchronous path stamp no fom_phase;
-  // the violation still carries an index and attributes the injection to
-  // "sync-upcall".
-  std::vector<TraceEvent> events{
-      mech_event(1, "request_inject", "group=5 replica=r1 client=9 op_seq=1")};
-  const auto violations = InvariantChecker::check(events);
-  ASSERT_EQ(violations.size(), 1u);
-  EXPECT_EQ(violations[0].event_index, 0u);
-  EXPECT_EQ(violations[0].phase, "sync-upcall");
-  EXPECT_NE(violations[0].message.find("injected in phase sync-upcall"),
-            std::string::npos);
 }
 
 TEST(InvariantChecker, RefusesToVouchForTruncatedBuffer) {

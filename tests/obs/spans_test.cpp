@@ -300,12 +300,7 @@ TEST(ReplicatedClientTrace, DuplicateCaptorsJoinOneSpanTree) {
       ++roots;
       // The bug's signature: a second root that nothing ever closes.
       EXPECT_FALSE(s->open) << "orphaned invocation root in trace " << trace;
-      const auto detail = parse_detail(s->detail);
-      const auto server = detail.find("server");
-      if (server != detail.end() &&
-          server->second == std::to_string(backend.value)) {
-        ++nested_roots;
-      }
+      if (s->fields.has("server") && s->fields.num("server") == backend.value) ++nested_roots;
     }
     EXPECT_LE(roots, 1) << "duplicate captors opened parallel roots in trace " << trace;
   }
@@ -363,7 +358,7 @@ TEST(FlightRecorder, RepeatRunsKeepBothDumpFiles) {
   // flight_chaos_<scenario>.json both times, clobbering the first dump.
   TraceBuffer trace(8);
   trace.push(TraceEvent{util::TimePoint{}, util::NodeId{1}, Layer::kSim, "chaos", 1,
-                        "scenario=regress action=noop"});
+                        {{"scenario", "regress"}, {"action", "noop"}}});
   FlightRecorder recorder(&trace, nullptr);
 
   const std::string first = FlightRecorder::unique_path("flight_overwrite_regress.json");

@@ -124,7 +124,7 @@ TEST(ChaosScript, FiredActionsAreTracedAndCounted) {
   for (const obs::TraceEvent& ev : trace.snapshot()) {
     if (ev.layer != obs::Layer::kSim || ev.kind != "chaos") continue;
     ++chaos_events;
-    EXPECT_NE(ev.detail.find("scenario=accounting"), std::string::npos) << ev.detail;
+    EXPECT_EQ(ev.fields.text("scenario"), "accounting");
   }
   EXPECT_EQ(chaos_events, 4u);
 
@@ -133,6 +133,27 @@ TEST(ChaosScript, FiredActionsAreTracedAndCounted) {
   EXPECT_EQ(metrics.counter("chaos.action.custom").value(), 1u);
   EXPECT_EQ(metrics.counter("chaos.action.tick#0").value(), 1u);
   EXPECT_EQ(metrics.counter("chaos.action.tick#2").value(), 1u);
+}
+
+TEST(ChaosScript, TraceOutlivesTheScriptThatNamedItsEvents) {
+  // Scenario and action names are run-time strings owned by the script; the
+  // trace interns them, so exporting after the script is gone reads no freed
+  // memory (the sanitizer stage runs this).
+  Rig rig;
+  obs::TraceBuffer trace(64);
+  rig.sim.recorder().attach_trace(&trace);
+  {
+    ChaosScript chaos(rig.sim, std::string("a-scenario-name-past-the-small-buffer"));
+    chaos.repeat(1 * kMs, 1 * kMs, 2, std::string("an-action-name-past-the-small-buffer"),
+                 [] {});
+    chaos.arm();
+    rig.sim.run();
+  }
+  EXPECT_FALSE(trace.to_json().empty());
+  const std::vector<obs::TraceEvent> events = trace.snapshot();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[1].fields.text("scenario"), "a-scenario-name-past-the-small-buffer");
+  EXPECT_EQ(events[1].fields.text("action"), "an-action-name-past-the-small-buffer#1");
 }
 
 TEST(ChaosScript, ArmingTwiceOrLateRegistrationThrows) {
