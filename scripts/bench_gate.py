@@ -72,6 +72,22 @@ GATES = {
             "bystander_p99_bulk_over_chunked": ("max", 0.50, 0.05),
         },
     },
+    "state_transfer": {
+        # Recovery rows key on (section, mode, state_bytes); bystander,
+        # claim and storage rows carry no state_bytes and key on
+        # (section, mode, None) — row_key reads a missing column as None.
+        "key": ["section", "mode", "state_bytes"],
+        "metrics": {
+            "recovery_ms": ("max", 0.50, 0.25),
+            "wire_bytes": ("max", 0.30, 0.0),
+            "p99_us": ("max", 0.50, 50.0),
+            "max_gap_ms": ("max", 0.50, 0.25),
+            # claim row: chunked transfers keep the bystander's p99 under
+            # 2x the fault-free baseline (1.42x when recorded).
+            "chunked_over_baseline": ("max", 0.30, 0.0),
+            "bytes_per_msg": ("max", 0.30, 0.0),     # append-only segment
+        },
+    },
     "throughput": {
         "key": ["system", "offered_per_s"],
         "metrics": {

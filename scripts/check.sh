@@ -41,6 +41,13 @@ echo "== bulk state-transfer bench (smoke) =="
 (cd build && ./bench/bench_bulk_transfer --smoke)
 
 echo
+echo "== fast-path state-transfer bench (smoke) =="
+# Seed/chunked/delta recovery sweep, bystander p99 under a concurrent
+# transfer, and stable-storage bytes per logged message; writes
+# BENCH_state_transfer.json for the gate below.
+(cd build && ./bench/bench_state_transfer --smoke)
+
+echo
 echo "== multi-ring scale-out bench (smoke) =="
 # 1/2/4-ring sweep plus the isolated-reform row; the binary exits non-zero
 # on an invariant violation, a missing reformation, a reformation leaking
@@ -63,7 +70,9 @@ echo "== critical-path attribution bench (smoke) =="
 echo
 echo "== bench regression gate =="
 # Diff the fresh smoke results against the committed baselines; fails on
-# any gated metric moving past its tolerance (scripts/bench_gate.py).
+# any gated metric moving past its tolerance (scripts/bench_gate.py). The
+# selftest first proves the gate's pass and fail paths still work.
+python3 scripts/bench_gate.py --selftest >/dev/null
 python3 scripts/bench_gate.py --results build --baselines bench/baselines
 
 if [[ "${1:-}" == "--fast" ]]; then
