@@ -45,6 +45,9 @@ Mechanisms::Mechanisms(sim::Simulator& sim, NodeId node, interceptor::Intercepto
     throw std::invalid_argument(
         "Mechanisms: placement names more rings than endpoints exist");
   }
+  if (config_.bulk_lane && config_.state_chunk_bytes == 0) {
+    throw std::invalid_argument("Mechanisms: bulk_lane needs state_chunk_bytes > 0");
+  }
   tap_.divert_to(*this);
   if (!config_.stable_storage_dir.empty()) {
     storage_ = std::make_unique<StableStorage>(config_.stable_storage_dir);
