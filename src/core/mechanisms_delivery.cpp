@@ -1,7 +1,7 @@
 // Delivery-side half of the Mechanisms: totally-ordered envelope handling,
-// the quiescence-gated per-replica queue, recovery completion, passive
-// logging/promotion with log replay, and fault detection. The state-transfer
-// protocol itself lives in mechanisms_transfer.cpp.
+// the per-replica queue, the control plane and fault detection. The
+// state-transfer protocol lives in mechanisms_transfer.cpp, recovery
+// completion and replica roles in mechanisms_recovery.cpp.
 #include <algorithm>
 
 #include "core/checkpointable.hpp"
@@ -350,55 +350,6 @@ void Mechanisms::deliver_reply(const EnvelopeView& e, const util::SharedSlice& d
   tap_.inject(from, reply);
 }
 
-void Mechanisms::finish_recovery(LocalReplica& r, const Envelope&) {
-  // Profiler boundary F: set_state applied. The backlog size fixes how many
-  // queue pops the replay phase spans (0 for passive styles, whose backlog
-  // lives in the message log instead of the pending queue).
-  if (obs::SpanStore* spans = rec_.spans()) {
-    spans->recovery().state_applied(r.group, r.id, sim_.now(), r.pending.size());
-  }
-  if (config_.transfer_infra_state && !r.pending_infra.empty()) {
-    install_infra_state(r.group, r.pending_infra);
-    r.pending_infra.clear();
-  }
-  assign_role_after_recovery(r);
-  stats_.state_transfers_completed += 1;
-  stats_.recoveries_completed += 1;
-  ctr_state_transfers_.add();
-  rec_.record(node_, obs::Layer::kMech, "recovered", r.id.value,
-              {{"group", r.group.value},
-               {"replica", r.id.value},
-               {"bytes", r.incoming_state_bytes}});
-
-  RecoveryRecord record;
-  record.group = r.group;
-  record.replica = r.id;
-  record.launched = r.launched_at;
-  record.get_state_delivered = r.get_state_at;
-  record.set_state_delivered = r.set_state_at;
-  record.operational = sim_.now();
-  record.app_state_bytes = r.incoming_state_bytes;
-  recoveries_.push_back(record);
-
-  ETERNAL_LOG(kDebug, kTag,
-              util::to_string(node_) << " replica " << util::to_string(r.id) << " of "
-                                     << util::to_string(r.group) << " recovered in "
-                                     << util::format_duration(record.recovery_time()));
-}
-
-void Mechanisms::assign_role_after_recovery(LocalReplica& r) {
-  const GroupEntry* entry = table_.find(r.group);
-  if (entry == nullptr) return;
-  if (entry->desc.properties.style == ReplicationStyle::kActive) {
-    set_phase(r, Phase::kOperational);
-    return;
-  }
-  const ReplicaInfo* primary = entry->primary();
-  set_phase(r, (primary != nullptr && primary->id == r.id) ? Phase::kOperational
-                                                           : Phase::kBackup);
-  maybe_start_checkpoint_timer(r);
-}
-
 // ----------------------------------------------------------- queue delivery
 
 void Mechanisms::log_message(const RetainedEnvelope& e) {
@@ -414,232 +365,6 @@ void Mechanisms::trace_enqueue(const LocalReplica& r, const EnvelopeHeader& e) {
                {"replica", r.id.value},
                {"client", e.client_group.value},
                {"op_seq", e.op_seq}});
-}
-
-void Mechanisms::inject_get_state(LocalReplica& r, const EnvelopeHeader& e) {
-  const GroupEntry* entry = table_.find(r.group);
-  if (entry == nullptr) return;
-
-  // Fast path: fabricate _get_delta instead of the full retrieval when the
-  // requester holds a usable base — its advertised log tip for a recovery,
-  // the log keepers' shared tip for a periodic checkpoint (unless the chain
-  // hit its cap and the next checkpoint must be full).
-  std::uint64_t since = 0;
-  if (config_.delta_chain_cap > 0) {
-    if (e.subject.value == 0) {
-      auto log_it = logs_.find(r.group.value);
-      if (log_it != logs_.end() && log_it->second.checkpoint().has_value() &&
-          log_it->second.chain_length() < config_.delta_chain_cap) {
-        since = log_it->second.tip_epoch();
-      }
-    } else {
-      auto base = recovery_base_.find({r.group.value, e.subject.value});
-      if (base != recovery_base_.end()) since = base->second;
-    }
-  }
-
-  giop::Request request;
-  request.request_id = static_cast<std::uint32_t>(e.op_seq);
-  request.response_expected = true;
-  request.object_key = util::bytes_of(entry->desc.object_id);
-  request.operation = since != 0 ? kGetDeltaOp : kGetStateOp;
-  if (since != 0) request.body = encode_delta_request(since);
-
-  // Profiler boundary C: the source replica has drained ahead of the
-  // get_state — the group is quiescent for this transfer (checkpoints have
-  // subject 0 and are not recovery transfers).
-  if (obs::SpanStore* spans = rec_.spans(); spans != nullptr && e.subject.value != 0) {
-    spans->recovery().quiescent(r.group, e.subject, sim_.now());
-  }
-
-  CurrentDispatch d;
-  d.kind = CurrentDispatch::Kind::kGetState;
-  d.op_seq = e.op_seq;
-  d.subject = e.subject;
-  d.checkpoint = e.subject.value == 0;
-  d.delta_since = since;
-  r.dispatch = d;
-  tap_.inject(recovery_endpoint(r.group), util::SharedSlice::copy_of(giop::encode(request)));
-}
-
-void Mechanisms::complete_dispatch(LocalReplica& r) {
-  r.dispatch.reset();
-  pump(r);
-}
-
-// -------------------------------------------------- passive logging / promo
-
-void Mechanisms::maybe_start_checkpoint_timer(LocalReplica& r) {
-  const GroupEntry* entry = table_.find(r.group);
-  if (entry == nullptr) return;
-  if (entry->desc.properties.style == ReplicationStyle::kActive) return;
-  const ReplicaInfo* primary = entry->primary();
-  if (primary == nullptr || primary->id != r.id) return;
-
-  const GroupId group = r.group;
-  const util::Duration interval = entry->desc.properties.checkpoint_interval;
-  sim_.cancel(r.checkpoint_timer);
-  auto tick = [this, group](auto&& self_fn) -> void {
-    LocalReplica* replica = local_replica(group);
-    if (replica == nullptr || replica->phase != Phase::kOperational) return;
-    const GroupEntry* e = table_.find(group);
-    if (e == nullptr) return;
-    const ReplicaInfo* p = e->primary();
-    if (p == nullptr || p->id != replica->id) return;
-    send_get_state(group, ReplicaId{0});  // subject 0 = periodic checkpoint
-    replica->checkpoint_timer =
-        sim_.schedule(e->desc.properties.checkpoint_interval,
-                      [this, self_fn] { self_fn(self_fn); });
-  };
-  r.checkpoint_timer = sim_.schedule(interval, [tick] { tick(tick); });
-}
-
-void Mechanisms::promote_local(GroupId group) {
-  const GroupEntry* entry = table_.find(group);
-  if (entry == nullptr) return;
-
-  const ReplicaInfo* primary = entry->primary();
-  if (primary != nullptr) {
-    // Warm passive: the next operational member takes over (§3.2). Its
-    // state already matches the last checkpoint; the logged messages since
-    // then are delivered to it before it becomes fully operational (§3.3).
-    LocalReplica* r = local_replica(group);
-    if (r != nullptr && r->id == primary->id && r->phase == Phase::kBackup) {
-      stats_.promotions += 1;
-      set_phase(*r, Phase::kReplaying);
-      ETERNAL_LOG(kDebug, kTag,
-                  util::to_string(node_) << " promoting backup of " << util::to_string(group));
-      // The promoted ORB missed every client-server handshake (§4.2.2);
-      // re-enact them ahead of the replayed and future requests.
-      inject_stored_handshakes(group);
-      // Live delta checkpoints the backup could not apply leave its servant
-      // behind the log tip; feed it the missing base/chain entries before
-      // the logged messages replay (fast path: already at the tip).
-      MessageLog& log = logs_[group.value];
-      if (r->applied_epoch < log.tip_epoch()) fill_restore_queue(*r, log, r->applied_epoch);
-      if (!r->restore_queue.empty()) {
-        apply_next_restore(*r);
-      } else {
-        replay_next(*r);
-      }
-    }
-    return;
-  }
-
-  // No operational member remains: cold-passive restart from the log
-  // (also the last resort for a warm group that lost every member, and for
-  // an orphaned recovery whose only state source died mid-transfer).
-  // Deterministic restoration site: the first backup-listed node that is in
-  // the current ring and whose table-visible member slot is absent or still
-  // recovering (every node evaluates the same agreed state; the chosen
-  // node additionally confirms its local replica really is restorable).
-  const auto& backups = entry->desc.backup_nodes;
-  const auto& ring = totem_for(group).view().members;
-  for (NodeId candidate : backups) {
-    if (std::find(ring.begin(), ring.end(), candidate) == ring.end()) continue;
-    const ReplicaInfo* slot = entry->replica_on(candidate);
-    if (slot != nullptr && slot->status != ReplicaStatus::kRecovering) continue;
-    if (candidate == node_ && factories_.count(group.value) > 0) {
-      const LocalReplica* mine = local_replica(group);
-      if (mine == nullptr || mine->phase == Phase::kRecovering) {
-        constexpr util::Duration kColdStartDelay = util::Duration(2'000'000);  ///< process spawn
-        sim_.schedule(kColdStartDelay, [this, group] { cold_restart(group); });
-      }
-    }
-    break;  // only the first eligible backup node restarts
-  }
-}
-
-void Mechanisms::cold_restart(GroupId group) {
-  GroupEntry* entry = table_.find_mutable(group);
-  if (entry == nullptr || entry->primary() != nullptr) return;
-
-  LocalReplica* r = local_replica(group);
-  if (r == nullptr) {
-    // Classic cold restart: launch the servant, announce membership.
-    stats_.promotions += 1;
-    const ReplicaId id = allocate_replica_id();
-    do_launch(group, id, /*as_recovering=*/true);
-    Envelope add;
-    add.kind = EnvelopeKind::kControl;
-    add.control_op = ControlOp::kAddReplica;
-    add.target_group = group;
-    add.subject = id;
-    add.subject_node = node_;
-    multicast(add);
-    r = local_replica(group);
-  } else if (r->phase == Phase::kRecovering) {
-    // Orphaned recovery: the state source died before publishing the
-    // set_state. Fall back to this node's own checkpoint+message log.
-    stats_.promotions += 1;
-  } else {
-    return;
-  }
-
-  set_phase(*r, Phase::kReplaying);
-  r->replay_cursor = 0;
-
-  MessageLog& log = logs_[group.value];
-  if (log.checkpoint().has_value()) {
-    // Apply the logged checkpoint first (§3.3: checkpoint, then messages —
-    // with any chained deltas between the base and the replay).
-    // Messages enqueued at an orphaned recovery that precede the restored
-    // state's get_state cut are covered by it (the chain tip is the newest
-    // state this log reconstructs).
-    auto cut = r->recovery_cuts.find(log.tip_epoch());
-    if (cut != r->recovery_cuts.end()) {
-      const std::size_t covered = std::min(cut->second, r->pending.size());
-      r->pending.erase(r->pending.begin(),
-                       r->pending.begin() + static_cast<std::ptrdiff_t>(covered));
-    }
-    r->recovery_cuts.clear();
-    fill_restore_queue(*r, log, 0);
-    apply_next_restore(*r);
-    inject_stored_handshakes(group);  // after the ORB-level state installed
-    // replay continues from complete_dispatch when set_state() returns
-  } else {
-    r->recovery_cuts.clear();
-    inject_stored_handshakes(group);
-    replay_next(*r);
-  }
-}
-
-void Mechanisms::replay_next(LocalReplica& r) {
-  // Read through the log without consuming it; the entries stay until the
-  // next checkpoint's mark truncates them. Replayed requests take the same
-  // admission path as live ones, so the engine's window paces the replay.
-  MessageLog& log = logs_[r.group.value];
-  while (r.phase == Phase::kReplaying && !r.dispatch) {
-    if (r.replay_cursor >= log.messages().size()) {
-      if (!r.engine.idle()) return;  // resumes when the last FOM retires
-      set_phase(r, Phase::kOperational);
-      Envelope e;
-      e.kind = EnvelopeKind::kControl;
-      e.control_op = ControlOp::kReplicaOperational;
-      e.target_group = r.group;
-      e.subject = r.id;
-      e.subject_node = node_;
-      multicast(e);
-      maybe_start_checkpoint_timer(r);
-      pump(r);
-      return;
-    }
-    const bool state_op = log.messages()[r.replay_cursor].kind == EnvelopeKind::kGetState;
-    if (state_op ? !r.engine.idle() : !r.engine.can_admit()) return;
-    RetainedEnvelope next = log.messages()[r.replay_cursor++];
-    stats_.log_replayed_messages += 1;
-    if (state_op) {
-      inject_get_state(r, next);
-      continue;  // exclusive: resumes from complete_dispatch
-    }
-    QueueItem item;
-    item.kind = QueueItem::Kind::kRequest;
-    item.env = std::move(next);
-    // The replayed log entry (re)enters this replica's execution order here —
-    // recorded so the checker sees injections follow the logged total order.
-    trace_enqueue(r, item.env);
-    admit(r, item);
-  }
 }
 
 // ------------------------------------------------------------ control plane
