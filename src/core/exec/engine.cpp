@@ -25,6 +25,9 @@ Fom* ReplicaEngine::match(const orb::Endpoint& reply_to, std::uint64_t op_seq) {
       return &fom;
     }
   }
+  if (barrier_ && barrier_->reply_to == reply_to && barrier_->op_seq == op_seq) {
+    return &*barrier_;
+  }
   return nullptr;
 }
 
@@ -38,6 +41,7 @@ Fom* ReplicaEngine::find(std::uint64_t position) {
 void ReplicaEngine::reset() {
   inflight_.clear();
   parked_.clear();
+  barrier_.reset();
   next_retire_ = next_position_;
 }
 

@@ -1,5 +1,5 @@
-// Per-replica locality scheduler for request FOMs: admission slots, the
-// position allocator, and the in-order reply sequencer.
+// Per-replica locality scheduler for FOMs: admission slots, the position
+// allocator, the in-order reply sequencer, and the state-op barrier.
 #pragma once
 
 #include <cstddef>
@@ -36,6 +36,11 @@ struct Reply {
 /// completions park, and the completion of the blocking position flushes
 /// them in order. The bookkeeping reuses vector capacity, so admitting and
 /// retiring in order allocates nothing once warm.
+///
+/// Quiescence (§5): a fabricated state operation runs as a barrier, admitted
+/// only when idle — no FOM executing (oneways in their grace period
+/// included), no reply parked. It takes no position, emits nothing and is
+/// not counted in Stats.
 class ReplicaEngine {
  public:
   struct Stats {
@@ -59,12 +64,16 @@ class ReplicaEngine {
   ReplicaEngine& operator=(const ReplicaEngine&) = delete;
 
   std::size_t concurrency() const noexcept { return concurrency_; }
+  /// Requests in flight (a barrier is not one).
   std::size_t inflight() const noexcept { return inflight_.size(); }
   std::size_t parked() const noexcept { return parked_.size(); }
-  bool can_admit() const noexcept { return inflight_.size() < concurrency_; }
-  /// No FOM executing and no reply parked: the replica is quiescent from the
-  /// engine's point of view (state-op barrier condition).
-  bool idle() const noexcept { return inflight_.empty() && parked_.empty(); }
+  /// Nothing executing and no reply parked: the replica is quiescent.
+  bool idle() const noexcept { return !barrier_ && inflight_.empty() && parked_.empty(); }
+  /// Whether a FOM of `kind` may start now: a request needs a free slot, a
+  /// state op (barrier) needs idle(); nothing starts beside a barrier.
+  bool can_admit(FomKind kind = FomKind::kRequest) const noexcept {
+    return kind == FomKind::kRequest ? !barrier_ && inflight_.size() < concurrency_ : idle();
+  }
   const Stats& stats() const noexcept { return stats_; }
 
   /// Admits the next run-queue item as a FOM at `at` (its kDecode entry
@@ -75,8 +84,14 @@ class ReplicaEngine {
              const orb::Endpoint& reply_to, bool response_expected,
              util::TimePoint at);
 
-  /// The in-flight FOM a captured reply belongs to, by the ORB-visible
-  /// (reply endpoint, request id) pair; nullptr when none matches.
+  /// Admits `barrier`, a state-op FOM. Pre: idle().
+  void admit_barrier(const Fom& barrier) { barrier_ = barrier; }
+  /// Retires the barrier in flight and returns it.
+  Fom finish_barrier() { return *std::exchange(barrier_, std::nullopt); }
+
+  /// The in-flight FOM (request or barrier) a captured reply belongs to, by
+  /// the ORB-visible (reply endpoint, request id) pair; nullptr when none
+  /// matches.
   Fom* match(const orb::Endpoint& reply_to, std::uint64_t op_seq);
 
   /// The in-flight FOM at `position` (oneway grace retirement), or nullptr.
@@ -100,7 +115,8 @@ class ReplicaEngine {
     retire(position, at, std::nullopt, emit);
   }
 
-  /// The replica process died: drops every in-flight FOM and parked reply.
+  /// The replica process died: drops every in-flight FOM, the barrier and
+  /// every parked reply.
   void reset();
 
  private:
@@ -136,6 +152,7 @@ class ReplicaEngine {
   std::uint64_t next_retire_ = 0;    ///< lowest position not yet emitted
   std::vector<Fom> inflight_;        ///< admission order
   std::vector<Parked> parked_;       ///< ascending position
+  std::optional<Fom> barrier_;       ///< the state op in flight
   Stats stats_;
 };
 

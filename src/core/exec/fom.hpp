@@ -41,18 +41,31 @@ inline const char* to_string(FomPhase p) {
   return "?";
 }
 
-/// One in-flight request state machine. `position` is assigned at admission,
-/// strictly in run-queue (total-order) order, and is the key the in-order
-/// reply sequencer retires by.
+/// What a FOM runs: a request (an admission slot and a reply position) or a
+/// fabricated state operation (§5), which runs as the engine's barrier.
+enum class FomKind : std::uint8_t {
+  kRequest,      ///< a delivered client request
+  kGetState,     ///< _get_state / _get_delta: publishes the state at its epoch
+  kSetState,     ///< _set_state / _apply_delta that completes a recovery
+  kCheckpoint,   ///< _set_state / _apply_delta of a checkpoint
+  kRestoreStep,  ///< a restore-chain step with more of its chain queued
+};
+
+/// One in-flight state machine. A request's `position` is assigned at
+/// admission, strictly in run-queue (total-order) order, and is the key the
+/// in-order reply sequencer retires by.
 struct Fom {
   std::uint64_t position = 0;
+  FomKind kind = FomKind::kRequest;
   FomPhase phase = FomPhase::kDecode;
   util::GroupId client_group{};   ///< issuing client group (reply envelope)
-  std::uint64_t op_seq = 0;       ///< group-consistent request id
+  std::uint64_t op_seq = 0;       ///< group-consistent request id (state ops: epoch)
   orb::Endpoint reply_to{};       ///< endpoint the ORB addresses the reply to
   bool response_expected = true;  ///< false: oneway, retired by grace timer
   std::uint64_t trace = 0;        ///< causal trace id (obs/spans.hpp)
   std::uint64_t exec_span = 0;    ///< open "execute" span, closed at kLog
+  util::ReplicaId subject{};      ///< get_state: the recoverer (0: periodic checkpoint)
+  std::uint64_t delta_since = 0;  ///< get_state: _get_delta base epoch (0: full)
   /// Phase-entry instants, indexed by FomPhase. The engine folds the
   /// per-phase residencies into ReplicaEngine::Stats at retirement; the
   /// critical-path analyzer (src/obs/critpath.hpp) reads the matching spans.

@@ -1,7 +1,6 @@
 #include "core/mechanisms.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 #include "core/stable_storage.hpp"
@@ -16,10 +15,6 @@ constexpr const char* kTag = "eternal";
 
 GroupId group_of_endpoint(const orb::Endpoint& e) {
   return GroupId{e.host.value - orb::kGroupHostBase};
-}
-
-bool is_recovery_endpoint(const orb::Endpoint& e) {
-  return e.host.value >= 0xFE000000 && e.host.value < 0xFF000000;
 }
 
 }  // namespace
@@ -284,7 +279,6 @@ void Mechanisms::kill_replica(GroupId group) {
   tap_.orb().reset_connections();
   sim_.cancel(r->checkpoint_timer);
   set_phase(*r, Phase::kDead);
-  r->dispatch.reset();
   r->pending.clear();
   // In-flight FOMs and parked replies die with the process; a relaunch gets
   // a fresh engine (do_launch), so stale grace timers can never retire into
@@ -494,59 +488,6 @@ void Mechanisms::capture_request(const orb::Endpoint& to, util::Bytes iiop,
 
 void Mechanisms::capture_reply(const orb::Endpoint& to, util::Bytes iiop,
                                const giop::Inspection& info) {
-  // Fabricated get_state()/set_state() replies come back addressed to the
-  // Recovery Mechanisms' own endpoint.
-  if (is_recovery_endpoint(to)) {
-    const GroupId group{to.host.value - 0xFE000000};
-    LocalReplica* r = local_replica(group);
-    if (r == nullptr || !r->dispatch.has_value() ||
-        r->dispatch->op_seq != info.request_id) {
-      stats_.replies_unmatched_dropped += 1;
-      ETERNAL_LOG(kTrace, "eternal",
-                  util::to_string(node_) << " unmatched recovery-endpoint reply rid "
-                                         << info.request_id);
-      return;
-    }
-    const CurrentDispatch d = *r->dispatch;
-    if (d.kind == CurrentDispatch::Kind::kGetState) {
-      publish_state(*r, d, iiop);
-      complete_dispatch(*r);
-      return;
-    }
-    if (d.kind == CurrentDispatch::Kind::kSetState) {
-      std::optional<giop::Message> msg = giop::decode(iiop);
-      const bool ok = msg && msg->type() == giop::MsgType::kReply &&
-                      msg->as_reply().reply_status == giop::ReplyStatus::kNoException;
-      if (!ok) {
-        stats_.state_transfer_failures += 1;
-        ETERNAL_LOG(kWarn, kTag,
-                    util::to_string(node_) << " set_state raised an exception; replica of "
-                                           << util::to_string(group) << " not recovered");
-        r->restore_queue.clear();
-        r->dispatch.reset();
-        return;
-      }
-      r->applied_epoch = std::max(r->applied_epoch, d.op_seq);
-      if (!r->restore_queue.empty()) {
-        // Delta recovery: the local base and each chained delta apply as
-        // sequential fabricated dispatches; the final one (checkpoint=false)
-        // lands here again and completes the recovery below.
-        r->dispatch.reset();
-        apply_next_restore(*r);
-        return;
-      }
-      if (d.checkpoint) {
-        stats_.checkpoints_applied += 1;
-      } else {
-        finish_recovery(*r, Envelope{});
-      }
-      complete_dispatch(*r);
-      return;
-    }
-    stats_.replies_unmatched_dropped += 1;
-    return;
-  }
-
   // Handshake replies produced by the server-side ORB.
   auto hs = handshake_flights_.find(std::make_pair(to, info.request_id));
   if (hs != handshake_flights_.end() && !hs->second.empty()) {
@@ -568,13 +509,10 @@ void Mechanisms::capture_reply(const orb::Endpoint& to, util::Bytes iiop,
     return;
   }
 
-  // Normal replies from a local replica to a client group.
-  if (!orb::is_group_endpoint(to)) {
-    stats_.replies_unmatched_dropped += 1;
-    return;
-  }
-  if (capture_fom_reply(to, iiop, info)) return;
-  stats_.replies_unmatched_dropped += 1;
+  // Replies of a local replica's in-flight FOMs: requests answer a client
+  // group, fabricated state operations the Recovery Mechanisms' own
+  // endpoint.
+  capture_fom_reply(to, iiop, info);
 }
 
 }  // namespace eternal::core

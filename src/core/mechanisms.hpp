@@ -13,7 +13,8 @@
 //   - supports active, warm passive and cold passive replication (§3);
 //
 //   Recovery Mechanisms
-//   - tracks quiescence and serializes delivery per replica;
+//   - serializes delivery per replica; state operations wait for quiescence
+//     as barriers on the replica's execution engine;
 //   - enqueues normal messages for a recovering replica and replays them
 //     after state assignment (§3.3, §5.1 steps i–vi);
 //   - fabricates get_state()/set_state() invocations at the proper points of
@@ -314,19 +315,18 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
     /// `span` was swapped from "deliver" to an "admit-wait" span so
     /// queue-behind wait and admission wait attribute separately.
     bool admit_blocked = false;
+    /// What the item starts as on the engine; a discard takes a request's
+    /// turn.
+    exec::FomKind runs_as() const {
+      return kind == Kind::kGetState ? exec::FomKind::kGetState : exec::FomKind::kRequest;
+    }
   };
 
-  /// A fabricated state operation in flight at the servant. It is
-  /// exclusive: nothing else is admitted until its reply is captured.
-  struct CurrentDispatch {
-    enum class Kind { kGetState, kSetState } kind = Kind::kGetState;
-    std::uint64_t op_seq = 0;   ///< epoch (the fabricated request id)
-    ReplicaId subject;          ///< the recovering replica (0: checkpoint)
-    bool checkpoint = false;    ///< get_state for a periodic checkpoint
-    /// kGetState: non-zero when the fabricated retrieval is a _get_delta
-    /// since this epoch (the requester's advertised log tip); the published
-    /// state becomes a delta envelope unless the servant fell back full.
-    std::uint64_t delta_since = 0;
+  /// A state envelope bound for the servant and the set_state kind that
+  /// applies it.
+  struct RestoreStep {
+    Envelope state;
+    exec::FomKind kind;
   };
 
   struct LocalReplica {
@@ -341,7 +341,6 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
     /// incarnation starts from a fresh engine.
     exec::ReplicaEngine engine;
     std::deque<QueueItem> pending;
-    std::optional<CurrentDispatch> dispatch;
     util::TimePoint launched_at{};
     util::TimePoint get_state_at{};
     util::TimePoint set_state_at{};
@@ -351,10 +350,10 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
     /// (0 = none). Gates live delta-checkpoint application at warm backups
     /// and enables the promotion fast path.
     std::uint64_t applied_epoch = 0;
-    /// Recovery over a local base: remaining state envelopes (base
-    /// checkpoint, then chained deltas, then the wire delta) applied as
-    /// sequential fabricated dispatches before recovery finishes.
-    std::deque<Envelope> restore_queue;
+    /// Every state envelope bound for the servant — a recovery's set_state,
+    /// a warm checkpoint, a restore chain's base, deltas and wire delta —
+    /// applied in order, one barrier at a time (apply_next_restore).
+    std::deque<RestoreStep> restore_queue;
     /// Promotion replay position in the group's message log. Replay reads
     /// through the log without consuming it — the entries must survive until
     /// a later checkpoint covers them, or a subsequent restoration from this
@@ -402,23 +401,23 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
   /// and persists it.
   void log_message(const RetainedEnvelope& e);
   void deliver_get_state(const Envelope& e);
-  void deliver_set_state(const Envelope& e);
-  void deliver_checkpoint(const Envelope& e);
+  void deliver_set_state(Envelope e);
+  void deliver_checkpoint(Envelope e);
   void deliver_control(const Envelope& e);
   void react(const std::vector<TableEvent>& events);
 
   // ---- request execution (mechanisms_exec.cpp) ----
-  /// Pops run-queue items in total order while admission slots are free
-  /// (a kReplaying replica continues its log replay instead); state ops
-  /// wait for the engine to drain (exclusive barrier).
+  /// Pops run-queue items in total order while the engine admits them (a
+  /// kReplaying replica continues its log replay instead).
   void pump(LocalReplica& r);
-  /// Decode phase + injection of one request as a FOM (handshakes bypass
-  /// the engine: the ORB serves them without occupying the object).
+  /// Starts a run-queue item the engine admits: a request's decode phase and
+  /// injection as a FOM (handshakes bypass the engine: the ORB serves them
+  /// without occupying the object), a get_state's barrier, or a discard.
   void admit(LocalReplica& r, const QueueItem& item);
-  /// Matches a captured servant reply against the replicas' in-flight FOMs;
-  /// on a match the reply is sequenced through the in-order emitter.
-  /// Returns true when consumed.
-  bool capture_fom_reply(const orb::Endpoint& to, util::Bytes& iiop,
+  /// Matches a captured servant reply against the replicas' in-flight FOMs:
+  /// a request's reply is sequenced through the in-order emitter, a state op
+  /// completes, and a reply matching nothing is dropped.
+  void capture_fom_reply(const orb::Endpoint& to, util::Bytes& iiop,
                          const giop::Inspection& info);
   /// Multicasts a sequenced reply at its total-order position.
   void emit_reply(LocalReplica& r, exec::Reply& reply);
@@ -429,14 +428,21 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
   /// requires every injected request to appear here first, in order.
   void trace_enqueue(const LocalReplica& r, const EnvelopeHeader& e);
   void inject_get_state(LocalReplica& r, const EnvelopeHeader& e);
-  /// Ends the current state-op dispatch and resumes the queue (or replay).
-  void complete_dispatch(LocalReplica& r);
+  /// The one fabricator of state invocations: builds the GIOP request for
+  /// `op` (kind, epoch, get_state fields), admits it as the engine's
+  /// barrier and injects it.
+  void inject_state_op(LocalReplica& r, exec::Fom op, const std::string& object_id,
+                       const char* operation, Bytes body);
+  /// The barrier's reply arrived: a get_state publishes the state, a
+  /// set_state completes its step; then the next queued set_state and the
+  /// run queue continue.
+  void complete_state_op(LocalReplica& r, util::BytesView reply_iiop);
 
   // ---- state transfer (mechanisms_transfer.cpp) ----
   Bytes build_orb_snapshot(GroupId group);
   InfraLevelState build_infra_snapshot(GroupId group);
-  void publish_state(LocalReplica& r, const CurrentDispatch& d, util::BytesView reply_iiop);
-  void apply_state(LocalReplica& r, const Envelope& e, bool is_checkpoint);
+  void publish_state(LocalReplica& r, const exec::Fom& op, const Bytes& body);
+  void apply_state(LocalReplica& r, Envelope e, exec::FomKind kind);
   // A state envelope larger than state_chunk_bytes travels as one transfer,
   // keyed by (group, epoch): as kStateChunk multicasts every member
   // reassembles (the set_state delivers at the final chunk), or on the bulk
@@ -538,18 +544,19 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
   void handle_bulk_ack(const Envelope& e);
   void send_bulk_ack(const TransferKey& key, const Reassembly& re, std::size_t index);
 
-  /// Applies the next queued restore envelope (base checkpoint / chained
-  /// delta / wire state) as a fabricated dispatch; the last one completes
-  /// the recovery.
+  /// The one caller of apply_state: applies the front of the restore queue
+  /// once the engine is idle.
   void apply_next_restore(LocalReplica& r);
   /// Refills `r`'s restore queue from `log`: the base checkpoint
   /// (re-subjected to r's id) when its epoch is above `above`, then every
   /// chained delta above it. Epochs start at 1, so `above` = 0 takes all.
+  /// The last step finishes a recovery or, at a replaying replica, counts
+  /// as a checkpoint.
   void fill_restore_queue(LocalReplica& r, const MessageLog& log, std::uint64_t above);
   void install_orb_state(GroupId group, BytesView blob);
   void inject_stored_handshakes(GroupId group);
   void install_infra_state(GroupId group, BytesView blob);
-  void finish_recovery(LocalReplica& r, const Envelope& e);
+  void finish_recovery(LocalReplica& r);
 
   // ---- passive logging / promotion ----
   void maybe_start_checkpoint_timer(LocalReplica& r);

@@ -128,34 +128,25 @@ void Mechanisms::deliver_get_state(const Envelope& e) {
   pump(*r);
 }
 
-void Mechanisms::publish_state(LocalReplica& r, const CurrentDispatch& d,
-                               util::BytesView reply_iiop) {
-  std::optional<giop::Message> msg = giop::decode(reply_iiop);
-  if (!msg || msg->type() != giop::MsgType::kReply ||
-      msg->as_reply().reply_status != giop::ReplyStatus::kNoException) {
-    stats_.state_transfer_failures += 1;
-    ETERNAL_LOG(kWarn, kTag,
-                util::to_string(node_) << " get_state failed (NoStateAvailable?); transfer "
-                                       << "aborted for " << util::to_string(r.group));
-    return;
-  }
-
+void Mechanisms::publish_state(LocalReplica& r, const exec::Fom& op, const Bytes& body) {
   // §5.1(iii)-(iv): fabricate the set_state from the get_state return value
-  // and piggyback the ORB/POA-level and infrastructure-level state.
+  // and piggyback the ORB/POA-level and infrastructure-level state. Subject
+  // 0 is a periodic checkpoint.
+  const bool checkpoint = op.subject.value == 0;
   Envelope e;
-  e.kind = d.checkpoint ? EnvelopeKind::kCheckpoint : EnvelopeKind::kSetState;
+  e.kind = checkpoint ? EnvelopeKind::kCheckpoint : EnvelopeKind::kSetState;
   e.target_group = r.group;
-  e.op_seq = d.op_seq;
-  e.subject = d.subject;
+  e.op_seq = op.op_seq;
+  e.subject = op.subject;
   e.subject_node = node_;
-  e.payload = msg->as_reply().body;
-  if (d.delta_since != 0) {
+  e.payload = body;
+  if (op.delta_since != 0) {
     // _get_delta reply: either a real delta or the inline full-state
     // fallback; both arrive in the same totally-ordered round.
     try {
       auto [is_delta, state] = decode_delta_reply(e.payload);
       if (is_delta) {
-        e.delta_base = d.delta_since;
+        e.delta_base = op.delta_since;
         stats_.delta_states_published += 1;
       } else {
         stats_.delta_fallback_full += 1;
@@ -171,15 +162,15 @@ void Mechanisms::publish_state(LocalReplica& r, const CurrentDispatch& d,
   if (config_.transfer_infra_state) {
     e.infra_state = encode_infra_state(build_infra_snapshot(r.group));
   }
-  if (d.checkpoint) stats_.checkpoints_taken += 1;
-  if (obs::SpanStore* spans = rec_.spans(); spans != nullptr && !d.checkpoint) {
-    spans->recovery().state_captured(r.group, d.subject, sim_.now(), e.payload.size());
+  if (checkpoint) stats_.checkpoints_taken += 1;
+  if (obs::SpanStore* spans = rec_.spans(); spans != nullptr && !checkpoint) {
+    spans->recovery().state_captured(r.group, op.subject, sim_.now(), e.payload.size());
   }
   ETERNAL_LOG(kTrace, kTag,
-              util::to_string(node_) << " publishing " << (d.checkpoint ? "checkpoint" : "set_state")
-                                     << " epoch " << d.op_seq << " ("
+              util::to_string(node_) << " publishing " << (checkpoint ? "checkpoint" : "set_state")
+                                     << " epoch " << op.op_seq << " ("
                                      << e.payload.size() << "B app state)");
-  if (!d.checkpoint && config_.state_chunk_bytes > 0 &&
+  if (!checkpoint && config_.state_chunk_bytes > 0 &&
       e.payload.size() + e.orb_state.size() + e.infra_state.size() >
           config_.state_chunk_bytes) {
     start_transfer(r.group, e);
@@ -188,7 +179,7 @@ void Mechanisms::publish_state(LocalReplica& r, const CurrentDispatch& d,
   multicast(e);
 }
 
-void Mechanisms::deliver_set_state(const Envelope& e) {
+void Mechanisms::deliver_set_state(Envelope e) {
   if (!set_state_seen_[e.target_group.value].test_and_insert(e.op_seq)) return;
   ETERNAL_LOG(kTrace, kTag,
               util::to_string(node_) << " delivered set_state epoch " << e.op_seq << " for "
@@ -252,7 +243,7 @@ void Mechanisms::deliver_set_state(const Envelope& e) {
     if (e.delta_base != 0) {
       // The source shipped only the changes since our advertised log tip.
       // The full state is our logged base + chained deltas + this one,
-      // applied as sequential fabricated dispatches (restore queue).
+      // applied as a restore chain.
       if (log_it == logs_.end() || !log_it->second.set_checkpoint(e)) {
         stats_.state_transfer_failures += 1;
         ETERNAL_LOG(kWarn, kTag,
@@ -263,14 +254,14 @@ void Mechanisms::deliver_set_state(const Envelope& e) {
       }
       persist_log(e.target_group);
       fill_restore_queue(*r, log_it->second, 0);
-      apply_next_restore(*r);
-      return;
+    } else {
+      if (log_it != logs_.end()) {
+        log_it->second.set_checkpoint(e);
+        persist_log(e.target_group);
+      }
+      r->restore_queue.push_back({std::move(e), exec::FomKind::kSetState});
     }
-    if (log_it != logs_.end()) {
-      log_it->second.set_checkpoint(e);
-      persist_log(e.target_group);
-    }
-    apply_state(*r, e, /*is_checkpoint=*/false);
+    apply_next_restore(*r);
     return;
   }
 
@@ -285,7 +276,7 @@ void Mechanisms::deliver_set_state(const Envelope& e) {
   }
 }
 
-void Mechanisms::deliver_checkpoint(const Envelope& e) {
+void Mechanisms::deliver_checkpoint(Envelope e) {
   if (!checkpoint_seen_[e.target_group.value].test_and_insert(e.op_seq)) return;
   react(table_.apply_state_transfer(e));
 
@@ -312,22 +303,25 @@ void Mechanisms::deliver_checkpoint(const Envelope& e) {
   }
 
   // Warm passive: synchronize the backup replica's state with the
-  // primary's checkpoint as it arrives (§3.2). A delta only applies to a
-  // servant whose state already reflects the delta's base epoch.
+  // primary's checkpoint as it arrives (§3.2), after any checkpoint still
+  // being applied. A delta only applies to a servant whose state already
+  // reflects the delta's base epoch.
   if (r != nullptr && r->phase == Phase::kBackup) {
     if (e.delta_base != 0 && r->applied_epoch < e.delta_base) {
       stats_.delta_skipped_unappliable += 1;
     } else {
-      apply_state(*r, e, /*is_checkpoint=*/true);
+      r->restore_queue.push_back({std::move(e), exec::FomKind::kCheckpoint});
+      apply_next_restore(*r);
     }
   }
 }
 
-void Mechanisms::apply_state(LocalReplica& r, const Envelope& e, bool is_checkpoint) {
+void Mechanisms::apply_state(LocalReplica& r, Envelope e, exec::FomKind kind) {
   const GroupEntry* entry = table_.find(r.group);
   if (entry == nullptr) return;
+  const bool recovery = kind == exec::FomKind::kSetState;
   ETERNAL_LOG(kTrace, kTag,
-              util::to_string(node_) << " applying " << (is_checkpoint ? "checkpoint" : "state")
+              util::to_string(node_) << " applying " << (recovery ? "state" : "checkpoint")
                                      << " epoch " << e.op_seq << " to "
                                      << util::to_string(r.id));
 
@@ -341,30 +335,21 @@ void Mechanisms::apply_state(LocalReplica& r, const Envelope& e, bool is_checkpo
 
   // Server-side handshake replay (§4.2.2): inject each stored client
   // handshake into the fresh ORB *ahead of* any normal request from that
-  // client; the replies will be captured and discarded. (Periodic warm
-  // checkpoints skip this — the backup ORB gets the handshakes exactly once,
+  // client; the replies will be captured and discarded. (Checkpoint-style
+  // applies skip this — the backup ORB gets the handshakes exactly once,
   // at promotion, to keep its deterministic short-key assignment aligned.)
-  if (!is_checkpoint) inject_stored_handshakes(r.group);
+  if (recovery) inject_stored_handshakes(r.group);
 
   // Infrastructure-level state is assigned last (§4.3); stash it until the
   // set_state completes.
-  r.pending_infra = e.infra_state;
+  r.pending_infra = std::move(e.infra_state);
 
   // Application-level state: the fabricated set_state() invocation.
-  giop::Request request;
-  request.request_id = static_cast<std::uint32_t>(e.op_seq);
-  request.response_expected = true;
-  request.object_key = util::bytes_of(entry->desc.object_id);
-  request.operation = e.delta_base != 0 ? kApplyDeltaOp : kSetStateOp;
-  request.body = e.payload;
-
-  CurrentDispatch d;
-  d.kind = CurrentDispatch::Kind::kSetState;
-  d.op_seq = e.op_seq;
-  d.subject = e.subject;
-  d.checkpoint = is_checkpoint;
-  r.dispatch = d;
-  tap_.inject(recovery_endpoint(r.group), util::SharedSlice::copy_of(giop::encode(request)));
+  exec::Fom op;
+  op.kind = kind;
+  op.op_seq = e.op_seq;
+  inject_state_op(r, op, entry->desc.object_id,
+                  e.delta_base != 0 ? kApplyDeltaOp : kSetStateOp, std::move(e.payload));
 }
 
 void Mechanisms::fill_restore_queue(LocalReplica& r, const MessageLog& log,
@@ -373,22 +358,24 @@ void Mechanisms::fill_restore_queue(LocalReplica& r, const MessageLog& log,
   if (log.base_epoch() > above) {
     Envelope base = *log.checkpoint();
     base.subject = r.id;
-    r.restore_queue.push_back(std::move(base));
+    r.restore_queue.push_back({std::move(base), exec::FomKind::kRestoreStep});
   }
   for (const Envelope& d : log.delta_chain())
-    if (d.op_seq > above) r.restore_queue.push_back(d);
+    if (d.op_seq > above) r.restore_queue.push_back({d, exec::FomKind::kRestoreStep});
+  // The last step of a live recovery runs the full set_state epilogue; a
+  // replaying replica (cold restart / promotion) continues into its log
+  // replay instead, so its last step counts as a checkpoint.
+  if (!r.restore_queue.empty()) {
+    r.restore_queue.back().kind = r.phase == Phase::kRecovering ? exec::FomKind::kSetState
+                                                                : exec::FomKind::kCheckpoint;
+  }
 }
 
 void Mechanisms::apply_next_restore(LocalReplica& r) {
-  if (r.restore_queue.empty()) return;
-  Envelope next = std::move(r.restore_queue.front());
+  if (r.restore_queue.empty() || !r.engine.can_admit(r.restore_queue.front().kind)) return;
+  RestoreStep next = std::move(r.restore_queue.front());
   r.restore_queue.pop_front();
-  // Intermediate entries apply checkpoint-style (no handshake replay, no
-  // recovery completion); the final one of a live recovery runs the full
-  // set_state epilogue. A replaying replica (cold restart / promotion)
-  // continues into its log replay instead, so every entry is intermediate.
-  const bool final_step = r.restore_queue.empty() && r.phase == Phase::kRecovering;
-  apply_state(r, next, /*is_checkpoint=*/!final_step);
+  apply_state(r, std::move(next.state), next.kind);
 }
 
 void Mechanisms::inject_stored_handshakes(GroupId group) {
@@ -756,9 +743,9 @@ void Mechanisms::deliver_state_chunk(const Envelope& e) {
   // The inner envelope's logical delivery point is the final chunk's
   // total-order position — identical at every member.
   if (inner->kind == EnvelopeKind::kSetState) {
-    deliver_set_state(*inner);
+    deliver_set_state(std::move(*inner));
   } else {
-    deliver_checkpoint(*inner);
+    deliver_checkpoint(std::move(*inner));
   }
 }
 
@@ -961,7 +948,7 @@ void Mechanisms::deliver_bulk_marker(const Envelope& e) {
 
   if (inner.has_value()) {
     stats_.bulk_transfers_completed += 1;
-    deliver_set_state(*inner);
+    deliver_set_state(std::move(*inner));
     return;
   }
 
@@ -981,7 +968,7 @@ void Mechanisms::deliver_bulk_marker(const Envelope& e) {
     awaiting_get_state_[e.target_group.value].erase(e.subject.value);
     return;
   }
-  deliver_set_state(skeleton);
+  deliver_set_state(std::move(skeleton));
 }
 
 }  // namespace eternal::core

@@ -161,6 +161,21 @@ TEST(WarmPassive, RecoveredBackupPromotesWithoutReplayingCoveredMessages) {
   EXPECT_EQ(rig.servants[2]->value(), 6);
 }
 
+TEST(WarmPassive, BackToBackCheckpointsAllApplyAtBackup) {
+  // Checkpoints every 200 us: the backup is now and then delivered the next
+  // checkpoint while it is still applying the previous one. The later one
+  // must wait its turn, not replace the one in flight (whose reply would
+  // then match nothing and be dropped).
+  PassiveRig rig(ReplicationStyle::kWarmPassive, Duration(200'000));
+  ASSERT_TRUE(rig.invoke_and_wait(1));
+  rig.sys->run_for(Duration(20'000'000));
+
+  const core::MechanismsStats& backup = rig.sys->mech(NodeId{2}).stats();
+  ASSERT_GT(rig.servants[2]->set_state_calls(), 0u);
+  EXPECT_EQ(backup.checkpoints_applied, rig.servants[2]->set_state_calls());
+  EXPECT_EQ(backup.replies_unmatched_dropped, 0u);
+}
+
 TEST(ColdPassive, CheckpointTruncatesLog) {
   PassiveRig rig(ReplicationStyle::kColdPassive, Duration(10'000'000));
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(rig.invoke_and_wait(1));
