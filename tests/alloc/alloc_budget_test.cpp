@@ -478,6 +478,27 @@ TEST(AllocBudget, EngineAdmitAndInOrderFinishAllocateNothing) {
   EXPECT_TRUE(engine.idle());
 }
 
+TEST(AllocBudget, EngineBarrierAdmitAndFinishAllocateNothing) {
+  core::exec::ReplicaEngine engine(4);
+  core::exec::Fom op;
+  op.kind = core::exec::FomKind::kCheckpoint;
+  op.reply_to = orb::Endpoint{NodeId{0xFE000002}, 2809};
+  // One fabricated state op through the engine: admitted as the barrier at
+  // quiescence, matched by its reply, then retired.
+  auto one_state_op = [&] {
+    op.op_seq += 1;
+    engine.admit_barrier(op);
+    if (engine.match(op.reply_to, op.op_seq) != nullptr) op = engine.finish_barrier();
+  };
+  one_state_op();
+  EXPECT_EQ(allocs_of([&] {
+              for (int i = 0; i < 32; ++i) one_state_op();
+            }),
+            0u);
+  EXPECT_EQ(op.op_seq, 33u);
+  EXPECT_TRUE(engine.idle());
+}
+
 TEST(AllocBudget, SixFieldTraceRecordIntoAWrappedBufferAllocatesNothing) {
   obs::TraceBuffer trace(16);
   obs::Recorder rec;

@@ -1,7 +1,7 @@
 // exec::ReplicaEngine in isolation: admission window, the in-order reply
 // sequencer (inline emission, parking, flushing), grace retirement of a
-// middle position, per-phase statistics, and re-entrant admission from an
-// emit callback.
+// middle position, per-phase statistics, re-entrant admission from an emit
+// callback, and the state-op barrier.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -32,6 +32,16 @@ struct Emitted {
 /// Admits a two-way request whose op_seq equals its position.
 std::uint64_t admit(ReplicaEngine& engine, std::uint64_t op_seq, TimePoint when = {}) {
   return engine.admit(GroupId{2}, op_seq, kClient, true, when).position;
+}
+
+/// A fabricated get_state at `epoch`, answered to the recovery endpoint.
+const orb::Endpoint kRecovery{NodeId{0xFE000002}, 2809};
+Fom get_state(std::uint64_t epoch) {
+  Fom op;
+  op.kind = FomKind::kGetState;
+  op.op_seq = epoch;
+  op.reply_to = kRecovery;
+  return op;
 }
 
 Reply reply_for(std::uint64_t op_seq) {
@@ -211,6 +221,71 @@ TEST(ExecEngine, EmitMayReenterAdmission) {
   const Fom* first = engine.match(kClient, 100);
   ASSERT_NE(first, nullptr);
   EXPECT_EQ(first->position, 3u);
+}
+
+TEST(ExecEngine, BarrierWaitsForParkedRepliesAndOnewayGrace) {
+  ReplicaEngine engine(4);
+  Emitted emitted;
+  admit(engine, 0);
+  const std::uint64_t oneway =
+      engine.admit(GroupId{2}, 1, kClient, /*response_expected=*/false, at(0)).position;
+  admit(engine, 2);
+  EXPECT_FALSE(engine.can_admit(FomKind::kGetState)) << "FOMs executing";
+
+  engine.finish(0, at(1), reply_for(0), emitted.sink());
+  engine.finish(2, at(2), reply_for(2), emitted.sink());
+  EXPECT_EQ(engine.inflight(), 1u);
+  EXPECT_EQ(engine.parked(), 1u);
+  EXPECT_FALSE(engine.can_admit(FomKind::kSetState))
+      << "a oneway in its grace period holds reply 2 parked";
+
+  engine.retire_immediate(oneway, at(3), emitted.sink());
+  EXPECT_EQ(emitted.order, (std::vector<std::uint64_t>{0, 2}));
+  EXPECT_TRUE(engine.can_admit(FomKind::kGetState));
+  EXPECT_TRUE(engine.can_admit(FomKind::kCheckpoint));
+  EXPECT_TRUE(engine.can_admit(FomKind::kRestoreStep));
+}
+
+TEST(ExecEngine, BarrierBlocksAdmissionAndTakesNoPosition) {
+  ReplicaEngine engine(4);
+  Emitted emitted;
+  const std::uint64_t p0 = admit(engine, 0);
+  engine.finish(p0, at(1), reply_for(0), emitted.sink());
+
+  engine.admit_barrier(get_state(9));
+  EXPECT_FALSE(engine.can_admit()) << "nothing starts beside a barrier";
+  EXPECT_FALSE(engine.can_admit(FomKind::kGetState));
+  EXPECT_FALSE(engine.idle());
+  EXPECT_EQ(engine.inflight(), 0u) << "the barrier is not a request";
+
+  const Fom done = engine.finish_barrier();
+  EXPECT_EQ(done.kind, FomKind::kGetState);
+  EXPECT_EQ(done.op_seq, 9u);
+  EXPECT_TRUE(engine.idle());
+
+  // Request positions stay contiguous across the barrier, and it emitted
+  // nothing and counted nothing.
+  const std::uint64_t p1 = admit(engine, 1);
+  EXPECT_EQ(p1, p0 + 1);
+  engine.finish(p1, at(2), reply_for(1), emitted.sink());
+  EXPECT_EQ(emitted.order, (std::vector<std::uint64_t>{0, 1}));
+  EXPECT_EQ(engine.stats().admitted, 2u);
+  EXPECT_EQ(engine.stats().retired, 2u);
+  EXPECT_EQ(engine.stats().max_inflight, 1u);
+}
+
+TEST(ExecEngine, MatchFindsTheBarrierAndResetDropsIt) {
+  ReplicaEngine engine(4);
+  engine.admit_barrier(get_state(5));
+  ASSERT_NE(engine.match(kRecovery, 5), nullptr);
+  EXPECT_EQ(engine.match(kRecovery, 5)->kind, FomKind::kGetState);
+  EXPECT_EQ(engine.match(kRecovery, 6), nullptr) << "another epoch";
+  EXPECT_EQ(engine.match(kClient, 5), nullptr) << "another endpoint";
+
+  engine.reset();
+  EXPECT_TRUE(engine.idle());
+  EXPECT_EQ(engine.match(kRecovery, 5), nullptr);
+  EXPECT_EQ(admit(engine, 0), 0u);
 }
 
 }  // namespace
