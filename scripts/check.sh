@@ -99,7 +99,8 @@ cmake --build build-asan -j"$JOBS" --target \
   chaos_script_test fleet_stats_test trace_export_golden \
   sim_test totem_test totem_protocol_test util_test giop_test placement_test \
   core_unit_test passive_test stable_storage_test recovery_hazards_test \
-  fast_state_transfer_test critpath_test decode_fuzz_test lossy_network_test
+  fast_state_transfer_test critpath_test decode_fuzz_test lossy_network_test \
+  mechanisms_stats_test
 # sim_test: simulator slab + small-buffer callables, Ethernet in-flight slots;
 # totem_test/totem_protocol_test: frames and the seq-indexed frame store;
 # util_test/giop_test: CDR in-place readers, GIOP inspection, request-id
@@ -121,6 +122,9 @@ cmake --build build-asan -j"$JOBS" --target \
 # orb_state_test and three_kinds_state_test drive the fabricated set_state
 # with ORB/infrastructure piggyback and handshake replay (the state-op
 # barrier and the restore queue).
+# mechanisms_stats_test: the first delivered copy of an active group's reply
+# or replicated client's request withdraws its siblings, erasing from
+# Totem's send deque inside the delivery upcall.
 # Trace fields hold views of literals and of names the trace interns:
 # chaos_script_test exports a trace after its ChaosScript is destroyed, and
 # trace_export_golden renders every producer's fields.
@@ -128,7 +132,7 @@ for t in obs_test spans_test integration_smoke_test recovery_edge_test quiescenc
          orb_state_test three_kinds_state_test chaos_script_test fleet_stats_test trace_export_golden exec_engine_test \
          sim_test totem_test totem_protocol_test util_test giop_test placement_test \
          core_unit_test passive_test stable_storage_test recovery_hazards_test \
-         fast_state_transfer_test critpath_test lossy_network_test; do
+         fast_state_transfer_test critpath_test lossy_network_test mechanisms_stats_test; do
   "build-asan/tests/$t"
 done
 # Every decoder under the sanitizers, with the tier-1 fuzz budget.

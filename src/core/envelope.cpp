@@ -62,6 +62,11 @@ Bytes encode_envelope(const Envelope& e) {
                          e.control_data});
 }
 
+std::size_t encoded_size(const Envelope& e) {
+  return encoded_size(e, Blobs{e.extent_digests, e.payload, e.orb_state, e.infra_state,
+                               e.control_data});
+}
+
 Bytes encode_envelope(const RetainedEnvelope& e) {
   static const std::vector<std::uint64_t> kNoDigests;
   return encode(e, Blobs{kNoDigests, e.payload, {}, {}, {}});

@@ -189,6 +189,9 @@ struct RetainedEnvelope : EnvelopeHeader {
 /// Serializes an envelope for multicasting.
 Bytes encode_envelope(const Envelope& e);
 
+/// The size encode_envelope(e) has, without encoding.
+std::size_t encoded_size(const Envelope& e);
+
 /// Serializes a retained envelope: the bytes encode_envelope gives for an
 /// Envelope with the same header and payload and no other blob.
 Bytes encode_envelope(const RetainedEnvelope& e);

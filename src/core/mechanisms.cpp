@@ -144,7 +144,7 @@ bool Mechanisms::restore_from_storage(GroupId group) {
   return true;
 }
 
-void Mechanisms::multicast(Envelope& e) {
+std::uint64_t Mechanisms::multicast(Envelope& e) {
   // Every envelope about a group rides that group's ring and carries the
   // ring index on the wire — delivery rejects a stamp that does not match
   // the arrival ring, so a misrouted envelope can never slip into another
@@ -157,10 +157,34 @@ void Mechanisms::multicast(Envelope& e) {
     // work — checkpoint ticks, fault-detector probes — may still fire in
     // the simulation, but a dead endpoint puts nothing on the medium.
     stats_.outbound_unroutable += 1;
-    return;
+    return 0;
   }
   stats_.multicasts += 1;
-  endpoint.multicast(encode_envelope(e));
+  return endpoint.multicast(encode_envelope(e));
+}
+
+void Mechanisms::multicast_copy(Envelope& e, RacedStream* stream) {
+  const std::uint64_t handle = multicast(e);
+  if (stream != nullptr) stream->queued(e.op_seq, handle);
+}
+
+RacedStream* Mechanisms::raced_stream(const Envelope& e) {
+  const bool request = e.kind == EnvelopeKind::kRequest;
+  if (!raced(request ? e.client_group : e.target_group)) return nullptr;
+  return &(request ? req_seen_ : reply_seen_)[{e.client_group.value, e.target_group.value}];
+}
+
+bool Mechanisms::first_delivery(RacedStream& stream, GroupId group, std::uint64_t seq,
+                                std::uint64_t& withdrawn) {
+  return stream.deliver(seq, [&](std::uint64_t handle) {
+    if (totem_for(group).withdraw(handle)) withdrawn += 1;
+  });
+}
+
+bool Mechanisms::raced(GroupId group) const {
+  const GroupEntry* entry = table_.find(group);
+  return entry != nullptr && entry->desc.properties.style == ReplicationStyle::kActive &&
+         entry->members.size() > 1;
 }
 
 // ----------------------------------------------------------- deployment API
@@ -457,6 +481,19 @@ void Mechanisms::capture_request(const orb::Endpoint& to, util::Bytes iiop,
     conn.handshake_request = wire;
   }
 
+  Envelope e;
+  e.kind = EnvelopeKind::kRequest;
+  e.client_group = client_group;
+  e.target_group = server_group;
+  e.op_seq = group_rid;
+  // Every replica of an active client group issues the invocation; once a
+  // sibling's copy has delivered, this one stays off the ring.
+  RacedStream* const stream = raced_stream(e);
+  if (stream != nullptr && stream->delivered(group_rid)) {
+    stats_.requests_withdrawn += 1;
+    return;
+  }
+
   // Causal span tracing: open the invocation's root span here, at the point
   // of interception, and carry the trace id in a GIOP service context so
   // every later hop (ordering, delivery, execution, reply) can attach to the
@@ -477,13 +514,8 @@ void Mechanisms::capture_request(const orb::Endpoint& to, util::Bytes iiop,
     wire = giop::with_trace_context(wire, trace);
   }
 
-  Envelope e;
-  e.kind = EnvelopeKind::kRequest;
-  e.client_group = client_group;
-  e.target_group = server_group;
-  e.op_seq = group_rid;
   e.payload = std::move(wire);
-  multicast(e);
+  multicast_copy(e, stream);
 }
 
 void Mechanisms::capture_reply(const orb::Endpoint& to, util::Bytes iiop,
@@ -505,7 +537,12 @@ void Mechanisms::capture_reply(const orb::Endpoint& to, util::Bytes iiop,
     e.target_group = flight.server_group;
     e.op_seq = info.request_id;
     e.payload = std::move(iiop);
-    multicast(e);
+    RacedStream* const stream = raced_stream(e);
+    if (stream != nullptr && stream->delivered(e.op_seq)) {
+      stats_.replies_withdrawn += 1;
+      return;
+    }
+    multicast_copy(e, stream);
     return;
   }
 

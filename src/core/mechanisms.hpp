@@ -42,6 +42,7 @@
 #include "core/group_table.hpp"
 #include "core/placement.hpp"
 #include "core/message_log.hpp"
+#include "core/raced_stream.hpp"
 #include "core/seq_window.hpp"
 #include "core/state_snapshots.hpp"
 #include "interceptor/interceptor.hpp"
@@ -105,6 +106,13 @@ struct MechanismsStats {
   std::uint64_t multicasts = 0;
   std::uint64_t duplicate_requests_suppressed = 0;
   std::uint64_t duplicate_replies_suppressed = 0;
+  // Copies of an active group's outputs this node kept off the ring because
+  // another replica's copy delivered first (not sent, or withdrawn from the
+  // Totem send queue), or, for a set_state larger than one Totem fragment,
+  // because this replica is not the group's primary (core/raced_stream.hpp).
+  std::uint64_t requests_withdrawn = 0;
+  std::uint64_t replies_withdrawn = 0;
+  std::uint64_t set_states_withdrawn = 0;
   std::uint64_t requests_delivered = 0;
   std::uint64_t replies_delivered = 0;
   std::uint64_t enqueued_during_recovery = 0;
@@ -422,6 +430,23 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
   /// Multicasts a sequenced reply at its total-order position.
   void emit_reply(LocalReplica& r, exec::Reply& reply);
 
+  // ---- raced outputs (core/raced_stream.hpp) ----
+  /// The stream `e` is a replica's copy of, or nullptr when its group does
+  /// not race: requests of an active client group, replies of an active
+  /// server group. A copy whose stream already delivered stays off the ring.
+  RacedStream* raced_stream(const Envelope& e);
+  /// Records a delivered copy of `seq` on `stream`, a stream about `group`;
+  /// false for a duplicate. The first delivery withdraws this node's own
+  /// unsent copy from the group's ring (counted in `withdrawn`).
+  bool first_delivery(RacedStream& stream, GroupId group, std::uint64_t seq,
+                      std::uint64_t& withdrawn);
+  /// True when `group` is actively replicated by more than one replica:
+  /// its replicas race.
+  bool raced(GroupId group) const;
+  /// Multicasts `e`, remembering the copy on `stream` (if any) for
+  /// withdrawal.
+  void multicast_copy(Envelope& e, RacedStream* stream);
+
   // ---- per-replica queue (quiescence-gated delivery) ----
   /// Records a request joining a replica's execution order — from the live
   /// queue or the replayed log. The InvariantChecker's replay-order rule
@@ -573,8 +598,9 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
   void do_launch(GroupId group, ReplicaId id, bool as_recovering);
   /// Stamps e.ring with the target group's ring and multicasts on that
   /// ring's endpoint (mutates the envelope: re-multicast of a stored
-  /// envelope re-stamps the same value).
-  void multicast(Envelope& e);
+  /// envelope re-stamps the same value). Returns the Totem handle, 0 when
+  /// the endpoint is down.
+  std::uint64_t multicast(Envelope& e);
   /// Per-ring scoped reset of replicated state (fresh rejoin of ring
   /// `ring`): everything derived from that ring's history — groups,
   /// replicas, logs, duplicate filters, in-flight transfers — is dropped;
@@ -628,11 +654,13 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
   std::map<std::pair<orb::Endpoint, std::uint32_t>, std::vector<HandshakeFlight>>
       handshake_flights_;
 
-  // Duplicate-suppression windows (infrastructure-level state).
-  std::map<std::pair<std::uint32_t, std::uint32_t>, SeqWindow> req_seen_;
-  std::map<std::pair<std::uint32_t, std::uint32_t>, SeqWindow> reply_seen_;
+  // Duplicate-suppression windows (infrastructure-level state). Requests,
+  // replies and set_states are raced by active replicas: (client, server)
+  // and group keyed streams whose first delivered copy withdraws the rest.
+  std::map<std::pair<std::uint32_t, std::uint32_t>, RacedStream> req_seen_;
+  std::map<std::pair<std::uint32_t, std::uint32_t>, RacedStream> reply_seen_;
   std::unordered_map<std::uint32_t, SeqWindow> get_state_seen_;
-  std::unordered_map<std::uint32_t, SeqWindow> set_state_seen_;
+  std::unordered_map<std::uint32_t, RacedStream> set_state_seen_;
   std::unordered_map<std::uint32_t, SeqWindow> checkpoint_seen_;
 
   // Recovery coordination: group → subjects awaiting get_state dispatch.

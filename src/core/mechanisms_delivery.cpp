@@ -88,7 +88,10 @@ void Mechanisms::on_view_change_on(std::uint32_t ring, const totem::View& view) 
 
   // Replicas on departed processors are gone; apply deterministically.
   // Departure is a per-ring fact: a processor whose ring-r endpoint died
-  // keeps its replicas of every other ring's groups.
+  // keeps its replicas of every other ring's groups. A recovery whose
+  // coordinator or state source departed is re-issued by react's
+  // kReplicaRemoved (a coordinator hosts a replica); one whose processors
+  // all survive rides out the view change.
   std::vector<TableEvent> events;
   for (NodeId gone : view.departed) {
     auto sub = table_.remove_node(
@@ -96,19 +99,6 @@ void Mechanisms::on_view_change_on(std::uint32_t ring, const totem::View& view) 
     events.insert(events.end(), sub.begin(), sub.end());
   }
   react(events);
-
-  // If a recovery was waiting on a coordinator that departed, the new
-  // coordinator (possibly us) re-issues the get_state.
-  for (const auto& [gid, subjects] : awaiting_get_state_) {
-    if (ring_of(GroupId{gid}) != ring) continue;
-    const GroupEntry* entry = table_.find(GroupId{gid});
-    if (entry == nullptr) continue;
-    const auto coord = entry->coordinator();
-    if (!coord || *coord != node_) continue;
-    for (std::uint64_t subject : subjects) {
-      send_get_state(GroupId{gid}, ReplicaId{subject});
-    }
-  }
 }
 
 void Mechanisms::reset_ring_state(std::uint32_t ring) {
@@ -158,8 +148,8 @@ void Mechanisms::reset_ring_state(std::uint32_t ring) {
 // ------------------------------------------------------------------ routing
 
 void Mechanisms::deliver_request(const EnvelopeView& e, const util::SharedSlice& delivered) {
-  SeqWindow& seen = req_seen_[std::make_pair(e.client_group.value, e.target_group.value)];
-  if (!seen.test_and_insert(e.op_seq)) {
+  RacedStream& stream = req_seen_[std::make_pair(e.client_group.value, e.target_group.value)];
+  if (!first_delivery(stream, e.target_group, e.op_seq, stats_.requests_withdrawn)) {
     stats_.duplicate_requests_suppressed += 1;
     ctr_req_dup_.add();
     rec_.record(node_, obs::Layer::kMech, "request_dup", e.op_seq,
@@ -275,8 +265,8 @@ void Mechanisms::deliver_request(const EnvelopeView& e, const util::SharedSlice&
 }
 
 void Mechanisms::deliver_reply(const EnvelopeView& e, const util::SharedSlice& delivered) {
-  SeqWindow& seen = reply_seen_[std::make_pair(e.client_group.value, e.target_group.value)];
-  if (!seen.test_and_insert(e.op_seq)) {
+  RacedStream& stream = reply_seen_[std::make_pair(e.client_group.value, e.target_group.value)];
+  if (!first_delivery(stream, e.target_group, e.op_seq, stats_.replies_withdrawn)) {
     stats_.duplicate_replies_suppressed += 1;
     ctr_reply_dup_.add();
     rec_.record(node_, obs::Layer::kMech, "reply_dup", e.op_seq,
@@ -447,9 +437,10 @@ void Mechanisms::react(const std::vector<TableEvent>& events) {
         awaiting_get_state_[event.group.value].erase(event.replica.value);
         recovery_base_.erase({event.group.value, event.replica.value});
         // The removed replica may have been the state source of an ongoing
-        // recovery; the (possibly new) coordinator re-issues the retrieval
-        // for any subject still waiting (duplicate set_states are absorbed
-        // by the epoch windows).
+        // recovery — for a state larger than one Totem fragment, the only
+        // one; the (possibly new) coordinator re-issues the retrieval for
+        // any subject still waiting, and the new epoch is served by the
+        // surviving primary.
         // Survivors record the agreed death: a replica whose processor
         // crashed never writes its own final phase event, so trace
         // consumers (the multi-primary invariant) would keep counting it

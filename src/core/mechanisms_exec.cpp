@@ -192,20 +192,30 @@ void Mechanisms::capture_fom_reply(const orb::Endpoint& to, util::Bytes& iiop,
 }
 
 void Mechanisms::emit_reply(LocalReplica& r, exec::Reply& reply) {
-  if (obs::SpanStore* spans = rec_.spans(); spans != nullptr && reply.trace != 0) {
-    if (reply.park_span != 0) spans->end(reply.park_span, sim_.now());
-    // One logical "reply" span per invocation: active replicas racing to
-    // answer collapse onto the first opener (begin_named).
-    spans->begin_named(reply.trace, spans->find_named(reply.trace, "invocation"), node_,
-                       obs::Layer::kTotem, "reply", sim_.now(), {{"replica", r.id.value}});
-  }
   Envelope e;
   e.kind = EnvelopeKind::kReply;
   e.client_group = reply.client_group;
   e.target_group = r.group;
   e.op_seq = reply.op_seq;
+  // Every active replica answers; a replica whose sibling's copy already
+  // delivered here keeps its own off the ring.
+  RacedStream* const stream = raced_stream(e);
+  const bool withheld = stream != nullptr && stream->delivered(reply.op_seq);
+  if (obs::SpanStore* spans = rec_.spans(); spans != nullptr && reply.trace != 0) {
+    if (reply.park_span != 0) spans->end(reply.park_span, sim_.now());
+    // One logical "reply" span per invocation: active replicas racing to
+    // answer collapse onto the first opener (begin_named).
+    if (!withheld) {
+      spans->begin_named(reply.trace, spans->find_named(reply.trace, "invocation"), node_,
+                         obs::Layer::kTotem, "reply", sim_.now(), {{"replica", r.id.value}});
+    }
+  }
+  if (withheld) {
+    stats_.replies_withdrawn += 1;
+    return;
+  }
   e.payload = std::move(reply.payload);
-  multicast(e);
+  multicast_copy(e, stream);
 }
 
 // ------------------------------------------------------ fabricated state ops

@@ -112,7 +112,8 @@ void Mechanisms::deliver_get_state(const Envelope& e) {
 
   // §5.1(i): deliver get_state to the replicas holding the current state —
   // every operational replica for active replication, the primary for
-  // passive (their fabricated set_states are deduplicated by epoch).
+  // passive. Each active replica runs the retrieval at the same point of its
+  // order, but publish_state puts one copy of the set_state on the ring.
   if (r->phase == Phase::kReplaying) {
     // A promoted primary still replaying its log: the retrieval joins the
     // log at its totally-ordered position and is served after the replayed
@@ -162,6 +163,23 @@ void Mechanisms::publish_state(LocalReplica& r, const exec::Fom& op, const Bytes
   if (config_.transfer_infra_state) {
     e.infra_state = encode_infra_state(build_infra_snapshot(r.group));
   }
+  // One copy of a set_state on the ring. Active replicas all answer the
+  // retrieval: a state larger than one Totem fragment is published by the
+  // group's primary alone (rival copies would fragment the whole state onto
+  // the ring at once, each holding its node's replies behind it; if the
+  // primary dies first, kReplicaRemoved re-issues the retrieval), while a
+  // small one is raced and the first delivered copy withdraws the others.
+  RacedStream* stream = nullptr;
+  if (!checkpoint && raced(r.group)) {
+    stream = &set_state_seen_[r.group.value];
+    const ReplicaInfo* primary = table_.find(r.group)->primary();
+    const bool fragmented = encoded_size(e) > totem_for(r.group).fragment_capacity();
+    if (stream->delivered(e.op_seq) ||
+        (fragmented && (primary == nullptr || primary->id != r.id))) {
+      stats_.set_states_withdrawn += 1;
+      return;
+    }
+  }
   if (checkpoint) stats_.checkpoints_taken += 1;
   if (obs::SpanStore* spans = rec_.spans(); spans != nullptr && !checkpoint) {
     spans->recovery().state_captured(r.group, op.subject, sim_.now(), e.payload.size());
@@ -176,11 +194,14 @@ void Mechanisms::publish_state(LocalReplica& r, const exec::Fom& op, const Bytes
     start_transfer(r.group, e);
     return;
   }
-  multicast(e);
+  multicast_copy(e, stream);
 }
 
 void Mechanisms::deliver_set_state(Envelope e) {
-  if (!set_state_seen_[e.target_group.value].test_and_insert(e.op_seq)) return;
+  if (!first_delivery(set_state_seen_[e.target_group.value], e.target_group, e.op_seq,
+                      stats_.set_states_withdrawn)) {
+    return;
+  }
   ETERNAL_LOG(kTrace, kTag,
               util::to_string(node_) << " delivered set_state epoch " << e.op_seq << " for "
                                      << util::to_string(e.subject) << " ("
@@ -417,10 +438,10 @@ void Mechanisms::install_infra_state(GroupId group, BytesView blob) {
     return;
   }
   for (const auto& rf : state->requests_seen) {
-    req_seen_[std::make_pair(rf.client_group.value, group.value)] = rf.seen;
+    req_seen_[std::make_pair(rf.client_group.value, group.value)].restore(rf.seen);
   }
   for (const auto& rf : state->replies_seen) {
-    reply_seen_[std::make_pair(group.value, rf.server_group.value)] = rf.seen;
+    reply_seen_[std::make_pair(group.value, rf.server_group.value)].restore(rf.seen);
   }
 }
 
@@ -448,15 +469,15 @@ Bytes Mechanisms::build_orb_snapshot(GroupId group) {
 
 InfraLevelState Mechanisms::build_infra_snapshot(GroupId group) {
   InfraLevelState state;
-  for (const auto& [key, window] : req_seen_) {
+  for (const auto& [key, stream] : req_seen_) {
     if (key.second != group.value) continue;
     state.requests_seen.push_back(
-        InfraLevelState::RequestsFrom{GroupId{key.first}, window});
+        InfraLevelState::RequestsFrom{GroupId{key.first}, stream.window()});
   }
-  for (const auto& [key, window] : reply_seen_) {
+  for (const auto& [key, stream] : reply_seen_) {
     if (key.first != group.value) continue;
     state.replies_seen.push_back(
-        InfraLevelState::RepliesFrom{GroupId{key.second}, window});
+        InfraLevelState::RepliesFrom{GroupId{key.second}, stream.window()});
   }
   return state;
 }
@@ -702,11 +723,13 @@ void Mechanisms::deliver_state_chunk(const Envelope& e) {
     ra.sender = e.subject_node;
     ra.subject = e.subject;
   } else if (ra.sender != e.subject_node) {
-    // In active replication every operational member answers the same
-    // retrieval epoch; the copies need not be byte-identical (infra
-    // snapshots differ per node), so interleaving two senders' chunks into
-    // one buffer would reassemble garbage. First sender wins; rivals'
-    // chunks are redundant copies of the same logical transfer.
+    // Two active replicas may chunk the same retrieval epoch: a state that
+    // fits one Totem fragment is raced, and a removal racing the publish
+    // can leave two nodes each believing it is the primary. The copies need
+    // not be byte-identical (infra snapshots differ per node), so
+    // interleaving two senders' chunks into one buffer would reassemble
+    // garbage. First sender wins; rivals' chunks are redundant copies of
+    // the same logical transfer.
     stats_.state_chunk_duplicates += 1;
     return;
   }
@@ -758,8 +781,8 @@ void Mechanisms::deliver_bulk_descriptor(const Envelope& e) {
       out->second.streaming = true;
       pump_bulk_send(key, out->second);
     } else {
-      // In active replication every operational member answers the same
-      // retrieval; a rival's descriptor ordered before ours means the
+      // A rival source of the same retrieval (a removal raced the
+      // primary-only publish) ordered its descriptor before ours, so the
       // receiver keyed its reassembly to the rival. Stand down silently —
       // the rival's marker (or its fallback) completes the epoch.
       sweep_transfers([&](const TransferView& v) { return v.outgoing && v.key == key; },
@@ -775,7 +798,7 @@ void Mechanisms::deliver_bulk_descriptor(const Envelope& e) {
   // Only the recoverer assembles; everyone else needs just the marker.
   LocalReplica* r = local_replica(e.target_group);
   if (r == nullptr || r->id != e.subject || r->phase != Phase::kRecovering) return;
-  if (set_state_seen_[e.target_group.value].seen(e.op_seq)) return;  // already applied
+  if (set_state_seen_[e.target_group.value].delivered(e.op_seq)) return;  // already applied
   if (incoming_.count(key) > 0) return;  // first descriptor wins
 
   // A newer-epoch attempt supersedes stalled older ones for us; bank their
@@ -913,7 +936,7 @@ void Mechanisms::deliver_bulk_marker(const Envelope& e) {
     sim_.cancel(out->second.retry_timer);
     outgoing_.erase(out);
   }
-  if (set_state_seen_[e.target_group.value].seen(e.op_seq)) return;  // duplicate epoch
+  if (set_state_seen_[e.target_group.value].delivered(e.op_seq)) return;  // duplicate epoch
 
   // The recoverer substitutes the reassembled inner envelope; every other
   // node synthesizes a skeleton carrying the marker's metadata. Both run
@@ -963,7 +986,8 @@ void Mechanisms::deliver_bulk_marker(const Envelope& e) {
     // replica recovering. Protocol-unreachable — the marker follows the last
     // verified ack — so this trades a visible stall for silent corruption.
     if (!incomplete_at_recoverer) stats_.state_transfer_failures += 1;
-    set_state_seen_[e.target_group.value].test_and_insert(e.op_seq);
+    first_delivery(set_state_seen_[e.target_group.value], e.target_group, e.op_seq,
+                   stats_.set_states_withdrawn);
     react(table_.apply_state_transfer(skeleton));
     awaiting_get_state_[e.target_group.value].erase(e.subject.value);
     return;

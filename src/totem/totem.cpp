@@ -143,8 +143,7 @@ void TotemNode::crash() {
   store_.clear();
   partial_.clear();
   send_queue_.clear();
-  // msg_ids restart at 1 after a crash, so pending span bookkeeping must not
-  // survive into the next incarnation.
+  // Pending span bookkeeping does not survive into the next incarnation.
   if (obs::SpanStore* spans = rec_.spans()) {
     for (const auto& [msg, span] : frag_spans_)
       spans->end(span, sim_.now(), {{"crashed", 1}});
@@ -152,7 +151,6 @@ void TotemNode::crash() {
   }
   frag_spans_.clear();
   gather_span_ = 0;
-  next_msg_id_ = 1;
   highest_seen_seq_ = 0;
   drain_ewma16_ = 0;
   last_visit_delivered_ = 0;
@@ -169,7 +167,7 @@ void TotemNode::crash() {
   fresh_member_ = true;
 }
 
-void TotemNode::multicast(util::Bytes payload) {
+std::uint64_t TotemNode::multicast(util::Bytes payload) {
   if (state_ == State::kDown) throw std::logic_error("TotemNode: multicast() while down");
   const std::size_t cap = fragment_capacity();
   const std::uint64_t msg_id = next_msg_id_++;
@@ -198,6 +196,25 @@ void TotemNode::multicast(util::Bytes payload) {
         spans->begin(0, 0, node_, obs::Layer::kTotem, "fragmented-send", sim_.now(),
                      {{"msg", msg_id}, {"frags", count}, {"bytes", payload.size()}});
   }
+  return msg_id;
+}
+
+bool TotemNode::withdraw(std::uint64_t handle) {
+  // Sending pops from the front, so a handle below the front's was sent.
+  const auto first = std::lower_bound(
+      send_queue_.begin(), send_queue_.end(), handle,
+      [](const PendingFragment& f, std::uint64_t h) { return f.msg_id < h; });
+  if (first == send_queue_.end() || first->msg_id != handle || first->frag_index != 0) {
+    return false;
+  }
+  // A message's fragments are queued back to back.
+  send_queue_.erase(first, first + first->frag_count);
+  stats_.withdrawn += 1;
+  if (auto it = frag_spans_.find(handle); it != frag_spans_.end()) {
+    if (obs::SpanStore* spans = rec_.spans()) spans->end(it->second, sim_.now(), {{"withdrawn", 1}});
+    frag_spans_.erase(it);
+  }
+  return true;
 }
 
 // ---------------------------------------------------------------- frame I/O

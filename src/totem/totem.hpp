@@ -109,6 +109,7 @@ class TotemListener {
 /// Traffic/behaviour counters for the resource-usage experiments.
 struct TotemStats {
   std::uint64_t multicasts = 0;         ///< messages submitted locally
+  std::uint64_t withdrawn = 0;          ///< submitted messages dropped before sending
   std::uint64_t fragments_sent = 0;     ///< Data frames originated (no rtx)
   std::uint64_t retransmissions = 0;    ///< Data frames re-sent on request
   std::uint64_t deliveries = 0;         ///< messages delivered to listener
@@ -156,7 +157,16 @@ class TotemNode : public sim::Station {
 
   /// Queues a message for agreed delivery to all members (including self).
   /// Accepts any size; fragments as needed. Must not be called while down.
-  void multicast(util::Bytes payload);
+  /// Returns the message's handle for withdraw(): its msg_id, which this
+  /// endpoint never reuses, not even across crash().
+  std::uint64_t multicast(util::Bytes payload);
+
+  /// Drops a queued message, but only while none of its fragments has been
+  /// sent: a message partly on the ring stays, or its receivers would hold
+  /// a reassembly that never completes. True when the message was dropped;
+  /// false when it is already (partly) sent or unknown. Allocates nothing,
+  /// and may be called from inside a delivery upcall.
+  bool withdraw(std::uint64_t handle);
 
   /// Messages queued locally but not yet sequenced.
   std::size_t backlog() const noexcept { return send_queue_.size(); }
@@ -248,7 +258,11 @@ class TotemNode : public sim::Station {
   /// Reassembly: the fragments received so far of each message, by
   /// (origin, msg_id).
   std::map<std::pair<std::uint32_t, std::uint64_t>, std::vector<util::SharedSlice>> partial_;
+  /// In submission order, so msg_ids ascend along it (the unsent messages
+  /// an excluded member carries into its rejoin keep their place).
   std::deque<PendingFragment> send_queue_;
+  /// Not reset by crash(): a rejoining member's new messages must not alias
+  /// the unsent ones it carries, nor a withdraw() handle taken before.
   std::uint64_t next_msg_id_ = 1;
   std::uint64_t highest_seen_seq_ = 0;
 

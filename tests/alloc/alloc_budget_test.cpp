@@ -9,7 +9,9 @@
 // delivered bytes as slices, filtering duplicates, inspecting GIOP headers,
 // handing messages to Totem and the ORB, encoding small CDR bodies, looking
 // up a group's ring, the POA's ticket gate, sequencing a request through
-// its replica's execution engine and recording a typed trace event. A change that puts an allocation back on
+// its replica's execution engine, remembering and withdrawing an active
+// replica's redundant output copy, and recording a typed trace event. A
+// change that puts an allocation back on
 // one of these paths fails here instead of only moving the benchmark's
 // allocs_per_op.
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 #include "core/envelope.hpp"
 #include "core/exec/engine.hpp"
 #include "core/placement.hpp"
+#include "core/raced_stream.hpp"
 #include "core/seq_window.hpp"
 #include "giop/giop.hpp"
 #include "obs/trace.hpp"
@@ -280,6 +283,60 @@ TEST(AllocBudget, SingleFragmentMulticastMovesThePayload) {
   // Copying the payloads would cost 8; the send queue may add one block.
   EXPECT_LE(round(), 1u);
   EXPECT_EQ(sink.delivered, 2 * kMessages);
+}
+
+TEST(AllocBudget, RacedCopyEmitWithdrawAndDeliverAllocateNothing) {
+  // An active replica's reply copies: each is multicast and remembered on
+  // its stream (emit); a sibling's copy of the same reply delivers first and
+  // withdraws this node's unsent one (deliver-and-withdraw). A plain
+  // withdraw drops queued messages outright. Only these steps are counted,
+  // not the payloads the multicasts move into the send queue.
+  struct Sink : totem::TotemListener {
+    void on_deliver(const totem::Delivery&) override {}
+    void on_view_change(const totem::View&) override {}
+  };
+  sim::Simulator sim;
+  sim::Ethernet ether(sim, sim::EthernetConfig{});
+  Sink sink;
+  totem::TotemNode node(sim, ether, NodeId{1}, totem::TotemConfig{}, &sink);
+  node.start({NodeId{1}});
+  sim.run_for(Duration(500'000));
+  core::RacedStream stream;
+  constexpr std::size_t kCopies = 8;
+  std::uint64_t seq = 0;
+  std::uint64_t withdrawn = 0;
+  std::vector<std::uint64_t> handles(kCopies);
+  auto round = [&](std::uint64_t& emit, std::uint64_t& deliver, std::uint64_t& withdraw) {
+    for (std::uint64_t& h : handles) h = node.multicast(Bytes(200, 0x5A));
+    emit += allocs_of([&] {
+      for (std::size_t i = 0; i < kCopies; ++i) stream.queued(seq + i, handles[i]);
+    });
+    deliver += allocs_of([&] {
+      for (std::size_t i = 0; i < kCopies; ++i) {
+        stream.deliver(seq + i, [&](std::uint64_t h) { withdrawn += node.withdraw(h) ? 1 : 0; });
+      }
+    });
+    seq += kCopies;
+    for (std::uint64_t& h : handles) h = node.multicast(Bytes(200, 0x5A));
+    withdraw += allocs_of([&] {  // newest first: erases behind queued messages
+      for (auto h = handles.rbegin(); h != handles.rend(); ++h) {
+        withdrawn += node.withdraw(*h) ? 1 : 0;
+      }
+    });
+  };
+  std::uint64_t emit = 0;
+  std::uint64_t deliver = 0;
+  std::uint64_t withdraw = 0;
+  round(emit, deliver, withdraw);  // warm-up: the stream's FIFO grows
+  emit = deliver = withdraw = 0;
+  round(emit, deliver, withdraw);
+  EXPECT_EQ(emit, 0u);
+  EXPECT_EQ(deliver, 0u);
+  EXPECT_EQ(withdraw, 0u);
+  EXPECT_EQ(withdrawn, 4 * kCopies);
+  EXPECT_EQ(node.backlog(), 0u);
+  EXPECT_EQ(node.stats().withdrawn, 4 * kCopies);
+  EXPECT_TRUE(stream.delivered(seq - 1));
 }
 
 TEST(AllocBudget, OrbKeepsOneCopyOfAnInjectedMessage) {

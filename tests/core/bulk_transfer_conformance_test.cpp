@@ -222,22 +222,24 @@ Outcome run_scenario(Scenario scenario, bool bulk, std::uint64_t seed) {
     sys.run_for(5 * kMs);
     sys.bulk_lane().set_enabled(false);
   } else if (scenario == Scenario::kMediaSwitch) {
-    // Nodes 1 and 3 both answer the get_state; the first descriptor in the
-    // total order wins the lane and the rival stands down. Kill the lane
-    // once the winner is streaming: it exhausts its retries and falls back
-    // to ring chunks under the same epoch. Crash it mid-chunk and bring
-    // the lane back — the coordinator re-issues the retrieval, and the
-    // surviving source serves the new epoch over the lane, resuming from
-    // the extents the recoverer banked from the first attempt.
-    auto streaming_source = [&] {
-      for (std::uint32_t n : {1u, 3u}) {
-        if (sys.mech(NodeId{n}).stats().bulk_extents_sent > 0) return NodeId{n};
-      }
-      return NodeId{};
-    };
-    EXPECT_TRUE(sys.run_until([&] { return streaming_source().value != 0; },
-                              Duration(1'000'000'000)));
-    const NodeId source = streaming_source();
+    // Nodes 1 and 3 both run the get_state, but a state larger than one
+    // Totem fragment is served by the group's primary alone. Kill the lane
+    // once the primary is streaming: it exhausts its retries and falls back
+    // to ring chunks under the same epoch. Crash it mid-chunk and bring the
+    // lane back — the coordinator re-issues the retrieval, and the surviving
+    // replica, now the primary, serves the new epoch over the lane, resuming
+    // from the extents the recoverer banked from the first attempt.
+    const core::GroupEntry* entry = sys.mech(NodeId{1}).groups().find(server);
+    const core::ReplicaInfo* primary = entry != nullptr ? entry->primary() : nullptr;
+    EXPECT_NE(primary, nullptr);
+    const NodeId source = primary != nullptr ? primary->node : NodeId{1};
+    const NodeId standby{source == NodeId{1} ? 3u : 1u};
+    EXPECT_TRUE(sys.run_until(
+        [&] { return sys.mech(source).stats().bulk_extents_sent > 0; },
+        Duration(1'000'000'000)))
+        << "the primary never streamed the state";
+    EXPECT_EQ(sys.mech(standby).stats().bulk_transfers_started, 0u)
+        << "a second source put the state on the lane";
     sys.run_for(5 * kMs);
     sys.bulk_lane().set_enabled(false);
     EXPECT_TRUE(sys.run_until(
@@ -498,20 +500,22 @@ TEST(BulkConformanceFast, MediaSwitchSurvivesFallbackSourceCrash) {
   EXPECT_EQ(recoverer.bulk_transfers_completed, 1u);
 
   // Pinned: the counters of this exact schedule, per node.
+  // Node 1, the primary, streams, falls back to chunks and crashes; node 3
+  // serves the re-issued epoch alone.
   const std::vector<std::string> expected = {
       "",
-      "chunks_sent=0 chunks_received=4 chunk_duplicates=0 chunk_aborts=1"
-      " chunk_sends_aborted=0 bulk_started=3 bulk_completed=0 extents_sent=21"
-      " extents_received=0 extent_retries=1 extents_resumed=0 digest_mismatches=0"
-      " bulk_aborted=1 fallbacks_chunked=0 transfers_completed=0 transfer_failures=0",
-      "chunks_sent=0 chunks_received=4 chunk_duplicates=0 chunk_aborts=1"
-      " chunk_sends_aborted=0 bulk_started=0 bulk_completed=1 extents_sent=0"
-      " extents_received=10 extent_retries=0 extents_resumed=36 digest_mismatches=0"
-      " bulk_aborted=2 fallbacks_chunked=0 transfers_completed=1 transfer_failures=0",
       "chunks_sent=8 chunks_received=4 chunk_duplicates=0 chunk_aborts=0"
       " chunk_sends_aborted=0 bulk_started=1 bulk_completed=0 extents_sent=40"
       " extents_received=0 extent_retries=9 extents_resumed=0 digest_mismatches=0"
       " bulk_aborted=1 fallbacks_chunked=1 transfers_completed=0 transfer_failures=0",
+      "chunks_sent=0 chunks_received=4 chunk_duplicates=0 chunk_aborts=1"
+      " chunk_sends_aborted=0 bulk_started=0 bulk_completed=1 extents_sent=0"
+      " extents_received=10 extent_retries=0 extents_resumed=18 digest_mismatches=0"
+      " bulk_aborted=1 fallbacks_chunked=0 transfers_completed=1 transfer_failures=0",
+      "chunks_sent=0 chunks_received=4 chunk_duplicates=0 chunk_aborts=1"
+      " chunk_sends_aborted=0 bulk_started=1 bulk_completed=0 extents_sent=22"
+      " extents_received=0 extent_retries=2 extents_resumed=0 digest_mismatches=0"
+      " bulk_aborted=0 fallbacks_chunked=0 transfers_completed=0 transfer_failures=0",
       "chunks_sent=0 chunks_received=4 chunk_duplicates=0 chunk_aborts=1"
       " chunk_sends_aborted=0 bulk_started=0 bulk_completed=0 extents_sent=0"
       " extents_received=0 extent_retries=0 extents_resumed=0 digest_mismatches=0"

@@ -50,15 +50,19 @@ TEST(MechanismsStats, DuplicateSuppressionCountsForReplicatedClient) {
   }
   sys.run_for(Duration(50'000'000));
 
-  // Each logical operation was executed once, the twin copy suppressed at
-  // the server's node (6 ops: handshake + 5 increments).
+  // Each logical operation was executed once (6 ops: handshake + 5
+  // increments). Each op's twin copy is redundant: either kept off the ring
+  // by a client node (the other copy delivered first) or sent and then
+  // suppressed at the server's node.
   EXPECT_EQ(servant->value(), 5);
-  EXPECT_GE(sys.mech(NodeId{3}).stats().duplicate_requests_suppressed, 5u);
-  // Replies: both server-side copies... there is one server replica, but
-  // every client node suppresses the duplicate *reply* stream? No — replies
-  // are multicast once; nothing to suppress. The client nodes each deliver
-  // their own copy of the single reply.
+  const std::uint64_t withdrawn = sys.mech(NodeId{1}).stats().requests_withdrawn +
+                                  sys.mech(NodeId{2}).stats().requests_withdrawn;
+  EXPECT_EQ(withdrawn + sys.mech(NodeId{3}).stats().duplicate_requests_suppressed, 6u);
+  EXPECT_GT(withdrawn, 0u) << "every twin request reached the ring";
+  // Replies: there is one server replica, so each reply is multicast once
+  // and both client nodes deliver that one copy; nothing to suppress.
   EXPECT_EQ(sys.mech(NodeId{1}).stats().duplicate_replies_suppressed, 0u);
+  EXPECT_EQ(sys.mech(NodeId{3}).stats().replies_withdrawn, 0u);
 }
 
 TEST(MechanismsStats, DuplicateReplySuppressionForReplicatedServer) {
@@ -83,10 +87,14 @@ TEST(MechanismsStats, DuplicateReplySuppressionForReplicatedServer) {
   }
   sys.run_for(Duration(50'000'000));
 
-  // Three replicas each multicast a reply per operation; the duplicates are
-  // suppressed consistently at delivery (2 per operation, system-wide view
-  // at the client's node).
-  EXPECT_GE(sys.mech(NodeId{4}).stats().duplicate_replies_suppressed, 8u);
+  // Three replicas each answer every operation (5 ops: handshake + 4
+  // increments); the first copy in the total order wins. Each of the two
+  // redundant copies per op is either kept off the ring by its server node
+  // or multicast and suppressed at the client's node.
+  std::uint64_t withdrawn = 0;
+  for (std::uint32_t n = 1; n <= 3; ++n) withdrawn += sys.mech(NodeId{n}).stats().replies_withdrawn;
+  EXPECT_EQ(withdrawn + sys.mech(NodeId{4}).stats().duplicate_replies_suppressed, 2u * 5u);
+  EXPECT_GT(withdrawn, 0u) << "every redundant reply reached the ring";
   EXPECT_EQ(sys.orb(NodeId{4}).stats().replies_discarded_request_id, 0u);
 }
 

@@ -1,5 +1,6 @@
 // Recovery edge cases: recovery onto a brand-new node, state-source death
-// mid-transfer, NoStateAvailable, killing a replica while it recovers.
+// mid-transfer (including the one source of a large state), NoStateAvailable,
+// killing a replica while it recovers.
 #include <gtest/gtest.h>
 
 #include "core/deployment.hpp"
@@ -19,7 +20,9 @@ using util::GroupId;
 using util::NodeId;
 
 struct EdgeRig {
-  EdgeRig() {
+  /// `pad` bytes of servant state; past one Totem fragment, only the group's
+  /// primary publishes it.
+  explicit EdgeRig(std::size_t pad = 256) {
     SystemConfig cfg;
     cfg.nodes = 5;
     cfg.trace_capacity = 1u << 20;  // whole-run trace for the invariant check
@@ -30,8 +33,8 @@ struct EdgeRig {
     props.minimum_replicas = 1;
     props.fault_monitoring_interval = Duration(5'000'000);
     group = sys->deploy("svc", "IDL:Svc:1.0", props, {NodeId{1}, NodeId{2}},
-                        [this](NodeId n) {
-                          auto s = std::make_shared<CounterServant>(sys->sim(), 256,
+                        [this, pad](NodeId n) {
+                          auto s = std::make_shared<CounterServant>(sys->sim(), pad,
                                                                     Duration(200'000));
                           servants[n.value] = s;
                           return s;
@@ -123,6 +126,50 @@ TEST(RecoveryEdge, StateSourceKilledMidTransferIsRetried) {
   EXPECT_EQ(rig.servants[3]->value(), 3);
   ASSERT_TRUE(rig.invoke(1));
   EXPECT_EQ(rig.servants[3]->value(), 4);
+  test_support::expect_invariants_hold(*rig.sys);
+}
+
+TEST(RecoveryEdge, LargeStateSourceKilledAfterGetStateIsReissued) {
+  // A state larger than one Totem fragment has one source, the group's
+  // primary: the other replica runs the same get_state but publishes
+  // nothing. Kill the primary while its get_state runs (no invocation is in
+  // flight, so its engine is busy with that barrier alone), so the retrieval
+  // dies with it; the fault detector's removal makes the coordinator
+  // re-issue it, and the surviving replica serves the new epoch.
+  constexpr std::size_t kPad = 20'000;
+  EdgeRig rig(kPad);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(rig.invoke(1));
+  const auto* entry = rig.sys->mech(NodeId{1}).groups().find(rig.group);
+  ASSERT_NE(entry, nullptr);
+  ASSERT_NE(entry->primary(), nullptr);
+  const NodeId source = entry->primary()->node;
+  const NodeId survivor{source == NodeId{1} ? 2u : 1u};
+
+  rig.sys->mech(NodeId{3}).register_factory(rig.group, [&] {
+    auto s = std::make_shared<CounterServant>(rig.sys->sim(), kPad, Duration(200'000));
+    rig.servants[3] = s;
+    return s;
+  });
+  rig.sys->mech(NodeId{3}).launch_replica(rig.group);
+  const core::exec::ReplicaEngine* engine = rig.sys->mech(source).engine_of(rig.group);
+  ASSERT_NE(engine, nullptr);
+  ASSERT_TRUE(rig.sys->run_until([&] { return !engine->idle(); }, Duration(1'000'000'000),
+                                 Duration(1'000)));
+  const util::TimePoint killed_at = rig.sys->sim().now();
+  rig.sys->kill_replica(source, rig.group);
+
+  ASSERT_TRUE(rig.sys->run_until(
+      [&] { return rig.sys->mech(NodeId{3}).hosts_operational(rig.group); },
+      Duration(3'000'000'000)));
+  // The state the recoverer applied was retrieved after the kill: the first
+  // epoch never reached the ring, from either replica.
+  ASSERT_EQ(rig.sys->mech(NodeId{3}).recoveries().size(), 1u);
+  EXPECT_GT(rig.sys->mech(NodeId{3}).recoveries().front().get_state_delivered, killed_at);
+  EXPECT_GE(rig.sys->mech(survivor).stats().set_states_withdrawn, 1u);
+  EXPECT_EQ(rig.servants[3]->value(), 3);
+  ASSERT_TRUE(rig.invoke(1));
+  EXPECT_EQ(rig.servants[3]->value(), 4);
+  EXPECT_EQ(rig.servants[survivor.value]->value(), 4);
   test_support::expect_invariants_hold(*rig.sys);
 }
 

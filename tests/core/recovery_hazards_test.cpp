@@ -12,6 +12,7 @@
 
 #include "core/deployment.hpp"
 #include "core/message_log.hpp"
+#include "core/raced_stream.hpp"
 #include "core/seq_window.hpp"
 #include "core/stable_storage.hpp"
 #include "support/counter_servant.hpp"
@@ -210,6 +211,41 @@ TEST(SeqWindowEdge, EncodeDecodeRoundTripNearCapacity) {
   util::CdrReader r(w.bytes(), w.order());
   SeqWindow copy = SeqWindow::decode(r);
   EXPECT_EQ(copy, win);
+}
+
+// ---- raced output streams ------------------------------------------------
+
+TEST(RacedStream, FirstDeliveryWithdrawsOnlyThisNodesCopyOfThatSeq) {
+  core::RacedStream stream;
+  std::vector<std::uint64_t> withdrawn;
+  const auto withdraw = [&](std::uint64_t handle) { withdrawn.push_back(handle); };
+  stream.queued(0, 10);
+  stream.queued(1, 11);
+  stream.queued(2, 12);
+  stream.queued(3, 0);  // nothing reached Totem: nothing to withdraw
+  EXPECT_FALSE(stream.delivered(1));
+
+  // A sibling's copy of 1 is ordered first: our copy of 1 is withdrawn, our
+  // copy of 0 (older, so already delivered somewhere) is forgotten.
+  EXPECT_TRUE(stream.deliver(1, withdraw));
+  EXPECT_EQ(withdrawn, std::vector<std::uint64_t>{11});
+  EXPECT_TRUE(stream.delivered(1));
+  EXPECT_FALSE(stream.deliver(1, withdraw));  // a later copy is a duplicate
+  EXPECT_TRUE(stream.deliver(0, withdraw));
+  EXPECT_TRUE(stream.deliver(3, withdraw));  // passes over 2 without withdrawing it
+  EXPECT_TRUE(stream.deliver(2, withdraw));
+  EXPECT_EQ(withdrawn, std::vector<std::uint64_t>{11});
+  EXPECT_EQ(stream.window().contiguous_prefix(), 4u);
+
+  // The filter transfers with a recovering replica's state; a restored
+  // window keeps this node's queued copies.
+  core::SeqWindow transferred;
+  for (std::uint64_t s = 0; s < 6; ++s) transferred.test_and_insert(s);
+  stream.queued(6, 16);
+  stream.restore(transferred);
+  EXPECT_TRUE(stream.delivered(5));
+  EXPECT_TRUE(stream.deliver(6, withdraw));
+  EXPECT_EQ(withdrawn, (std::vector<std::uint64_t>{11, 16}));
 }
 
 // ---- stable-storage write failure contract ------------------------------

@@ -1,5 +1,6 @@
 // Deeper Totem protocol behaviour: stats, garbage collection, concurrent
-// crashes, interrupted large transfers, backlog handling, view metadata.
+// crashes, interrupted large transfers, withdrawal, backlog handling, view
+// metadata.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -131,6 +132,30 @@ TEST(TotemProtocol, SenderCrashMidLargeTransferDropsPartialEverywhere) {
   ring.nodes[1]->multicast(util::bytes_of("alive"));
   ring.sim.run_for(Duration(5'000'000));
   EXPECT_EQ(util::text_of(ring.sinks[2].delivered.back().payload), "alive");
+}
+
+TEST(TotemProtocol, WithdrawDropsOnlyMessagesWithNothingSent) {
+  TotemConfig cfg;
+  cfg.max_frags_per_token = 2;  // the large message takes many token visits
+  Ring ring(3, cfg);
+  TotemNode& node = *ring.nodes[0];
+  const std::uint64_t big = node.multicast(Bytes(50'000, 0xAA));  // ~35 fragments
+  const std::uint64_t dropped = node.multicast(util::bytes_of("dropped"));
+  const std::uint64_t kept = node.multicast(util::bytes_of("kept"));
+  ring.sim.run_for(Duration(1'500'000));  // some of big's fragments sequenced
+  ASSERT_GT(node.stats().fragments_sent, 0u);
+  EXPECT_FALSE(node.withdraw(big)) << "a partly sent message must stay";
+  EXPECT_TRUE(node.withdraw(dropped));
+  EXPECT_FALSE(node.withdraw(dropped)) << "already withdrawn";
+  EXPECT_FALSE(node.withdraw(kept + 1)) << "never submitted";
+  ring.sim.run_for(Duration(100'000'000));
+  EXPECT_FALSE(node.withdraw(kept)) << "already sent";
+  EXPECT_EQ(node.stats().withdrawn, 1u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    ASSERT_EQ(ring.sinks[i].delivered.size(), 2u) << "node " << i;
+    EXPECT_EQ(ring.sinks[i].delivered[0].payload.size(), 50'000u);
+    EXPECT_EQ(util::text_of(ring.sinks[i].delivered[1].payload), "kept");
+  }
 }
 
 TEST(TotemProtocol, StoreGarbageCollectedByTokenAru) {
