@@ -341,15 +341,16 @@ int main(int argc, char** argv) {
       "one ring's token rotation caps the classic system; sharding the group "
       "space over N rings multiplies ordering capacity, per-group order intact");
 
-  // A single 4-node ring saturates near 21k ops/s; the ladder crosses that
-  // knee early so every ring count shows both its linear region and its
-  // ceiling. The smoke ladder keeps the endpoints only — it must still
-  // saturate all three ring counts or the gated scale-up ratio would
-  // measure the offered load, not the system.
+  // A single 4-node ring saturates near 36k ops/s (one reply copy per
+  // invocation reaches the ring); the ladder crosses that knee early so
+  // every ring count shows both its linear region and its ceiling. The
+  // smoke ladder keeps the endpoints only — it must still saturate all
+  // three ring counts or the gated scale-up ratio would measure the offered
+  // load, not the system.
   const std::vector<std::size_t> ring_counts = {1, 2, 4};
   const std::vector<double> rates =
-      g_smoke ? std::vector<double>{12000.0, 96000.0}
-              : std::vector<double>{6000.0, 12000.0, 24000.0, 48000.0, 96000.0};
+      g_smoke ? std::vector<double>{12000.0, 192000.0}
+              : std::vector<double>{6000.0, 12000.0, 24000.0, 48000.0, 96000.0, 192000.0};
 
   bench::BenchResultWriter results("multi_ring");
   bool ok = true;
