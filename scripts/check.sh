@@ -100,7 +100,7 @@ cmake --build build-asan -j"$JOBS" --target \
   sim_test totem_test totem_protocol_test util_test giop_test placement_test \
   core_unit_test passive_test stable_storage_test recovery_hazards_test \
   fast_state_transfer_test critpath_test decode_fuzz_test lossy_network_test \
-  mechanisms_stats_test
+  mechanisms_stats_test deployment_test
 # sim_test: simulator slab + small-buffer callables, Ethernet in-flight slots;
 # totem_test/totem_protocol_test: frames and the seq-indexed frame store;
 # util_test/giop_test: CDR in-place readers, GIOP inspection, request-id
@@ -125,6 +125,12 @@ cmake --build build-asan -j"$JOBS" --target \
 # mechanisms_stats_test: the first delivered copy of an active group's reply
 # or replicated client's request withdraws its siblings, erasing from
 # Totem's send deque inside the delivery upcall.
+# recovery_hazards_test (InfraStateRestore.*) and core_unit_test
+# (SeqWindow.MergeMatchesSetUnionReference): a recovered replica's
+# duplicate filters are merged with its node's own, not replaced.
+# deployment_test: a partitioned node that rejoins the ring fresh drops
+# the ring's state (reset_ring_state), filters included, which a later
+# recovery's merge fills in again.
 # Trace fields hold views of literals and of names the trace interns:
 # chaos_script_test exports a trace after its ChaosScript is destroyed, and
 # trace_export_golden renders every producer's fields.
@@ -132,7 +138,8 @@ for t in obs_test spans_test integration_smoke_test recovery_edge_test quiescenc
          orb_state_test three_kinds_state_test chaos_script_test fleet_stats_test trace_export_golden exec_engine_test \
          sim_test totem_test totem_protocol_test util_test giop_test placement_test \
          core_unit_test passive_test stable_storage_test recovery_hazards_test \
-         fast_state_transfer_test critpath_test lossy_network_test mechanisms_stats_test; do
+         fast_state_transfer_test critpath_test lossy_network_test mechanisms_stats_test \
+         deployment_test; do
   "build-asan/tests/$t"
 done
 # Every decoder under the sanitizers, with the tier-1 fuzz budget.

@@ -311,9 +311,7 @@ void Mechanisms::kill_replica(GroupId group) {
   // The dead process's local request ids are meaningless now; the group-
   // level counters and handshake material survive in the mechanisms.
   for (auto& [key, conn] : outbound_) {
-    if (key.first != group.value) continue;
-    conn.local_to_group.clear();
-    conn.group_to_local.clear();
+    if (key.first == group.value) conn.group_to_local.clear();
   }
   ETERNAL_LOG(kDebug, kTag,
               util::to_string(node_) << " replica of " << util::to_string(group) << " killed");
@@ -454,8 +452,12 @@ void Mechanisms::capture_request(const orb::Endpoint& to, util::Bytes iiop,
     group_rid = info.request_id;
     conn.next_group_rid = std::max(conn.next_group_rid, group_rid + 1);
   }
-  conn.local_to_group[info.request_id] = group_rid;
-  conn.group_to_local[group_rid] = info.request_id;
+  // The reply retires the translation at its first delivery; a slow sibling
+  // whose reply was delivered before it issued the request keeps none.
+  auto replies = reply_seen_.find(std::make_pair(client_group.value, server_group.value));
+  if (replies == reply_seen_.end() || !replies->second.delivered(group_rid)) {
+    conn.group_to_local.insert_or_assign(group_rid, info.request_id);
+  }
   if (!is_handshake) {
     rec_.record(node_, obs::Layer::kMech, "rid_translate", group_rid,
                 {{"client", client_group.value},
@@ -468,10 +470,9 @@ void Mechanisms::capture_request(const orb::Endpoint& to, util::Bytes iiop,
   // answered locally instead of re-invoking the servers.
   LocalReplica* issuer = local_replica(client_group);
   if (issuer != nullptr && issuer->phase == Phase::kReplaying) {
-    auto cached = conn.reply_cache.find(group_rid);
-    if (cached != conn.reply_cache.end()) {
+    if (const util::SharedSlice* cached = conn.reply_cache.find(group_rid)) {
       stats_.replies_answered_from_cache += 1;
-      tap_.inject(to, giop::copy_with_request_id(cached->second, info.request_id));
+      tap_.inject(to, giop::copy_with_request_id(*cached, info.request_id));
       return;
     }
   }

@@ -43,6 +43,7 @@
 #include "core/placement.hpp"
 #include "core/message_log.hpp"
 #include "core/raced_stream.hpp"
+#include "core/seq_map.hpp"
 #include "core/seq_window.hpp"
 #include "core/state_snapshots.hpp"
 #include "interceptor/interceptor.hpp"
@@ -378,17 +379,21 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
 
   // ---- client-role connection state (discovered from the wire) ----
   struct OutboundConn {
+    static constexpr std::size_t kReplyCacheCap = 1024;
     GroupId client_group;
     GroupId server_group;
     std::uint64_t next_group_rid = 0;
-    std::unordered_map<std::uint32_t, std::uint64_t> local_to_group;
-    std::unordered_map<std::uint64_t, std::uint32_t> group_to_local;
+    /// group rid → the local ORB's request id, for each invocation issued
+    /// here whose reply has not been delivered yet: the first delivery of the
+    /// reply retires it.
+    SeqMap<std::uint32_t> group_to_local;
     bool handshake_done = false;
     std::optional<std::uint64_t> handshake_group_rid;
     Bytes handshake_request;  ///< group-form request bytes
     util::SharedSlice handshake_reply;  ///< stored server answer (group-form reply)
-    /// group rid → reply bytes, retained from the delivery.
-    std::map<std::uint64_t, util::SharedSlice> reply_cache;
+    /// group rid → reply bytes, retained from the delivery: the latest
+    /// kReplyCacheCap replies, for passive-promotion replay.
+    SeqMap<util::SharedSlice> reply_cache;
   };
 
   // ---- outbound capture ----

@@ -293,6 +293,8 @@ void Mechanisms::deliver_reply(const EnvelopeView& e, const util::SharedSlice& d
   if (!hosts_client && !log_role_for_client) return;
 
   OutboundConn& conn = outbound_conn(e.client_group, e.target_group);
+  // This is the reply's only delivery: its request-id translation retires.
+  const std::optional<std::uint32_t> local_rid = conn.group_to_local.take(e.op_seq);
   const util::SharedSlice reply = delivered.sub(e.payload);
   if (conn.handshake_group_rid.has_value() && *conn.handshake_group_rid == e.op_seq) {
     conn.handshake_reply = reply;
@@ -300,11 +302,8 @@ void Mechanisms::deliver_reply(const EnvelopeView& e, const util::SharedSlice& d
   }
   // Cache for passive-promotion replay (re-issued invocations are answered
   // from here instead of re-executing at the servers).
-  constexpr std::size_t kReplyCacheCap = 1024;  ///< per-connection replay reply cache
-  conn.reply_cache[e.op_seq] = reply;
-  while (conn.reply_cache.size() > kReplyCacheCap) {
-    conn.reply_cache.erase(conn.reply_cache.begin());
-  }
+  conn.reply_cache.insert_or_assign(e.op_seq, reply);
+  conn.reply_cache.trim(OutboundConn::kReplyCacheCap);
 
   LocalReplica* r = local_replica(e.client_group);
   if (r == nullptr) return;
@@ -329,12 +328,11 @@ void Mechanisms::deliver_reply(const EnvelopeView& e, const util::SharedSlice& d
   // own ORB assigned (§4.2.1). If this replica never issued the operation,
   // the reply goes in untranslated and the ORB's own matching applies.
   const orb::Endpoint from = orb::group_endpoint(e.target_group);
-  auto local_it = conn.group_to_local.find(e.op_seq);
-  if (config_.sync_request_ids && local_it != conn.group_to_local.end() && info &&
-      info->type == giop::MsgType::kReply && info->request_id != local_it->second) {
+  if (config_.sync_request_ids && local_rid && info && info->type == giop::MsgType::kReply &&
+      info->request_id != *local_rid) {
     // The retained bytes are shared (the reply cache, every ring member's
     // store), so the translation writes a copy: the one copy on this path.
-    tap_.inject(from, giop::copy_with_request_id(reply, local_it->second));
+    tap_.inject(from, giop::copy_with_request_id(reply, *local_rid));
     return;
   }
   tap_.inject(from, reply);

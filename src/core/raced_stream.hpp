@@ -59,7 +59,10 @@ class RacedStream {
   /// The duplicate filter: infrastructure-level state (§4.3), transferred
   /// with a recovering replica's state.
   const SeqWindow& window() const noexcept { return seen_; }
-  void restore(const SeqWindow& window) { seen_ = window; }
+  /// Installs a transferred filter as a union with this node's own: the
+  /// snapshot was taken at get_state, and every copy delivered here since
+  /// then (before the set_state) must stay a duplicate.
+  void restore(const SeqWindow& window) { seen_.merge(window); }
 
  private:
   struct Copy {

@@ -43,6 +43,19 @@ class SeqWindow {
 
   std::size_t sparse_size() const noexcept { return sparse_.size(); }
 
+  /// Adds every number `other` has seen: afterwards this window has seen the
+  /// union of both sets.
+  void merge(const SeqWindow& other) {
+    if (other.next_ > next_) {
+      next_ = other.next_;
+      sparse_.erase(sparse_.begin(), sparse_.lower_bound(next_));
+    }
+    for (auto it = other.sparse_.lower_bound(next_); it != other.sparse_.end(); ++it) {
+      sparse_.insert(*it);
+    }
+    compact();
+  }
+
   void encode(util::CdrWriter& w) const {
     w.put_u64(next_);
     w.put_u32(static_cast<std::uint32_t>(sparse_.size()));

@@ -33,9 +33,9 @@ util::Duration Ethernet::frame_tx_time(std::size_t payload_bytes) const noexcept
   return util::Duration(static_cast<std::int64_t>(seconds * 1e9));
 }
 
-void Ethernet::broadcast(NodeId from, Bytes payload) {
+void Ethernet::broadcast(NodeId from, BytesView payload) {
   if (std::optional<std::uint32_t> slot = transmit(from, payload.size())) {
-    in_flight_[*slot].payload = std::move(payload);
+    in_flight_[*slot].payload.assign(payload.begin(), payload.end());
   }
 }
 
@@ -95,7 +95,7 @@ std::optional<std::uint32_t> Ethernet::transmit(NodeId from, std::size_t size) {
 void Ethernet::deliver(std::uint32_t slot, NodeId from, NodeId to) {
   if (auto it = stations_.find(to); it != stations_.end()) {  // else crashed before arrival
     // on_frame may broadcast and grow in_flight_, so the frame is pinned by
-    // a reference (or, for plain Bytes, by the moved-from vector's buffer
+    // a reference (or, for plain bytes, by the moved-from vector's buffer
     // surviving the move) rather than by the slot.
     const util::SharedBytes shared = in_flight_[slot].shared;
     const BytesView frame = shared.empty() ? BytesView(in_flight_[slot].payload) : shared.view();
@@ -105,7 +105,7 @@ void Ethernet::deliver(std::uint32_t slot, NodeId from, NodeId to) {
   }
   InFlight& frame = in_flight_[slot];
   if (--frame.receivers == 0) {
-    frame.payload = Bytes{};
+    frame.payload.clear();  // keeps its capacity for the slot's next frame
     frame.shared = util::SharedBytes{};
     free_slots_.push_back(slot);
   }

@@ -85,8 +85,10 @@ class Ethernet {
   /// Queues `payload` (must fit one frame) for broadcast. Delivery happens
   /// to every other attached station in the sender's partition component,
   /// after medium-serialization plus propagation. The sender does NOT
-  /// receive its own frame (Totem handles self-delivery logically).
-  void broadcast(NodeId from, Bytes payload);
+  /// receive its own frame (Totem handles self-delivery logically). The
+  /// bytes are copied into the in-flight slot's buffer, which keeps its
+  /// capacity from frame to frame: a small frame costs no allocation.
+  void broadcast(NodeId from, BytesView payload);
 
   /// Same, for a frame built in a shared buffer: the in-flight slot holds a
   /// reference, and receivers can take one too (lent_frame) instead of
@@ -94,7 +96,7 @@ class Ethernet {
   void broadcast(NodeId from, util::SharedBytes frame);
 
   /// While a Station::on_frame call is running: the shared buffer the frame
-  /// handed to it lives in, or nullptr when it was broadcast as plain Bytes.
+  /// handed to it lives in, or nullptr when it was broadcast as plain bytes.
   /// A station that keeps part of the frame compares the view it was handed
   /// with this buffer and references it on a match.
   const util::SharedBytes* lent_frame() const noexcept { return lent_; }
@@ -132,7 +134,7 @@ class Ethernet {
   /// A frame on the wire: its bytes (one of the two, by how it was
   /// broadcast) plus the arrival events still to fire. Slots are reused once
   /// every receiver has had the frame, so the per-receiver events carry only
-  /// an index.
+  /// an index; `payload` keeps its capacity across the slot's frames.
   struct InFlight {
     Bytes payload;
     util::SharedBytes shared;

@@ -28,8 +28,8 @@ std::size_t nodes_bound(const std::vector<NodeId>& nodes) {
   return 4 + 4 * nodes.size() + kMaxSeqsPad;  // a u64 always follows
 }
 
-CdrWriter begin_frame(NodeId sender, FrameType type, std::size_t size) {
-  CdrWriter w(util::host_byte_order(), size);
+CdrWriter begin_frame(NodeId sender, FrameType type, std::size_t size, Bytes reuse = {}) {
+  CdrWriter w(util::host_byte_order(), size, std::move(reuse));
   w.put_u8(static_cast<std::uint8_t>(w.order()));
   w.put_u8(static_cast<std::uint8_t>(type));
   w.put_u16(kMagic);
@@ -118,8 +118,9 @@ Bytes encode_frame(NodeId sender, const DataFrame& f) {
   return out;
 }
 
-Bytes encode_frame(NodeId sender, const TokenFrame& f) {
-  CdrWriter w = begin_frame(sender, FrameType::kToken, kTokenFixedBytes + 8 * f.rtr.size());
+Bytes encode_frame(NodeId sender, const TokenFrame& f, Bytes reuse) {
+  CdrWriter w = begin_frame(sender, FrameType::kToken, kTokenFixedBytes + 8 * f.rtr.size(),
+                            std::move(reuse));
   w.put_u64(f.view.value);
   w.put_u64(f.ring_id);
   w.put_u32(f.target.value);

@@ -164,7 +164,9 @@ util::SharedBytes encode_data_frame(NodeId sender, const DataFrame& f, BytesView
 
 /// Encodes a frame for the wire.
 Bytes encode_frame(NodeId sender, const DataFrame& f);
-Bytes encode_frame(NodeId sender, const TokenFrame& f);
+/// A Token frame is encoded into `reuse`'s storage: a node that passes the
+/// token again and again hands back the buffer of its previous pass.
+Bytes encode_frame(NodeId sender, const TokenFrame& f, Bytes reuse = {});
 Bytes encode_frame(NodeId sender, const JoinFrame& f);
 Bytes encode_frame(NodeId sender, const CommitFrame& f);
 Bytes encode_frame(NodeId sender, const ReadyFrame& f);

@@ -84,7 +84,7 @@ std::size_t TotemNode::fragment_capacity() const {
   return max_payload - overhead;
 }
 
-void TotemNode::broadcast(util::Bytes frame) { ethernet_.broadcast(node_, std::move(frame)); }
+void TotemNode::broadcast(util::BytesView frame) { ethernet_.broadcast(node_, frame); }
 
 void TotemNode::broadcast(util::SharedBytes frame) {
   ethernet_.broadcast(node_, std::move(frame));
@@ -614,27 +614,27 @@ NodeId TotemNode::successor_of(NodeId node) const {
 void TotemNode::pass_token(TokenFrame token, bool idle) {
   token.round += 1;
   token.target = successor_of(node_);
-  const Duration delay = idle ? kIdlePassDelay : Duration::zero();
+  // Single-member ring: the token cannot traverse the medium back to us, so
+  // it always waits the idle hold before we handle it again.
+  const bool to_self = token.target == node_;
+  const Duration delay = idle || to_self ? kIdlePassDelay : Duration::zero();
   const ViewId expected_view = view_.id;
-  if (token.target == node_) {
-    // Single-member ring: the token cannot traverse the medium back to us, so
-    // it waits in held_token_ (cleared by gather and crash, like the timer).
-    held_token_ = std::move(token);
-    pass_timer_ = sim_.schedule(std::max(delay, kIdlePassDelay), [this, expected_view] {
-      if (state_ == State::kOperational && view_.id == expected_view && held_token_) {
-        TokenFrame parked = std::move(*held_token_);
-        held_token_.reset();
-        arm_token_timer();
-        handle_token(node_, std::move(parked));
-      }
-    });
-    return;
-  }
-  // Encoded now, sent when the timer fires: the event then carries only the
-  // wire bytes. The token cannot change in between, so the bytes are the same.
-  pass_timer_ = sim_.schedule(delay, [this, wire = encode_frame(node_, token),
-                                      expected_view]() mutable {
-    if (state_ == State::kOperational && view_.id == expected_view) broadcast(std::move(wire));
+  // The token waits in held_token_ (cleared by gather and crash, like the
+  // timer) and is encoded when the timer fires, into the buffer of the
+  // previous pass: the event carries no bytes, and a pass allocates nothing.
+  held_token_ = std::move(token);
+  pass_timer_ = sim_.schedule(delay, [this, expected_view] {
+    if (state_ != State::kOperational || view_.id != expected_view || !held_token_) return;
+    if (held_token_->target == node_) {
+      TokenFrame parked = std::move(*held_token_);
+      held_token_.reset();
+      arm_token_timer();
+      handle_token(node_, std::move(parked));
+      return;
+    }
+    token_wire_ = encode_frame(node_, *held_token_, std::move(token_wire_));
+    held_token_.reset();
+    broadcast(token_wire_);
   });
 }
 

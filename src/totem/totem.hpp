@@ -217,7 +217,7 @@ class TotemNode : public sim::Station {
   void pass_token(TokenFrame token, bool idle);
   NodeId successor_of(NodeId node) const;
   void arm_token_timer();
-  void broadcast(util::Bytes frame);
+  void broadcast(util::BytesView frame);
   void broadcast(util::SharedBytes frame);
 
   // ---- membership ----
@@ -278,7 +278,8 @@ class TotemNode : public sim::Station {
   // Token state.
   sim::EventId token_timer_{};
   sim::EventId pass_timer_{};
-  std::optional<TokenFrame> held_token_;  ///< single-member ring: token waiting to self-pass
+  std::optional<TokenFrame> held_token_;  ///< token waiting for pass_timer_ to pass it on
+  util::Bytes token_wire_;  ///< the last pass's encoded token, reused by the next
 
   // Gather/recovery state.
   std::set<NodeId> gather_alive_;

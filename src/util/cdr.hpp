@@ -49,8 +49,13 @@ class CdrWriter {
   /// exact size, or an upper bound, allocates the buffer once instead of
   /// growing it through every power of two. 0 means kFirstReserve on the
   /// first write.
-  explicit CdrWriter(ByteOrder order = host_byte_order(), std::size_t capacity = 0)
-      : order_(order) {
+  /// `reuse` is a buffer to write into: its bytes are discarded and its
+  /// capacity kept, so an encoder that runs again and again into the same
+  /// buffer (take() hands it back) stops allocating once it has grown.
+  explicit CdrWriter(ByteOrder order = host_byte_order(), std::size_t capacity = 0,
+                     Bytes reuse = {})
+      : order_(order), buf_(std::move(reuse)) {
+    buf_.clear();
     if (capacity != 0) buf_.reserve(capacity);
   }
 

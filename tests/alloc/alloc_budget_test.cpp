@@ -10,8 +10,9 @@
 // handing messages to Totem and the ORB, encoding small CDR bodies, looking
 // up a group's ring, the POA's ticket gate, sequencing a request through
 // its replica's execution engine, remembering and withdrawing an active
-// replica's redundant output copy, and recording a typed trace event. A
-// change that puts an allocation back on
+// replica's redundant output copy, passing and receiving the Totem token,
+// a client connection's request-id translations and reply cache, and
+// recording a typed trace event. A change that puts an allocation back on
 // one of these paths fails here instead of only moving the benchmark's
 // allocs_per_op.
 #include <gtest/gtest.h>
@@ -27,6 +28,7 @@
 #include "core/exec/engine.hpp"
 #include "core/placement.hpp"
 #include "core/raced_stream.hpp"
+#include "core/seq_map.hpp"
 #include "core/seq_window.hpp"
 #include "giop/giop.hpp"
 #include "obs/trace.hpp"
@@ -427,6 +429,67 @@ TEST(AllocBudget, ReceivingADataFrameAtFourStationsAllocatesNothing) {
     EXPECT_EQ(sinks[i].delivered, seq) << "station " << i;
     EXPECT_EQ(sinks[i].last, payload);
   }
+}
+
+TEST(AllocBudget, PassingAndReceivingTheTokenAtFourStationsAllocatesNothing) {
+  // An idle four-member ring: every event is a token pass (encode, put on
+  // the segment) or its receipt at the other three members (decode, handle,
+  // re-arm the loss timer). Once the pass buffers and the segment's slots
+  // have grown, a rotation allocates nothing.
+  struct Sink : totem::TotemListener {
+    void on_deliver(const totem::Delivery&) override {}
+    void on_view_change(const totem::View&) override {}
+  };
+  sim::Simulator sim;
+  sim::Ethernet ether(sim, sim::EthernetConfig{});
+  Sink sinks[4];
+  std::vector<std::unique_ptr<totem::TotemNode>> nodes;
+  const std::vector<NodeId> members{NodeId{1}, NodeId{2}, NodeId{3}, NodeId{4}};
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    nodes.push_back(
+        std::make_unique<totem::TotemNode>(sim, ether, members[i], totem::TotemConfig{}, &sinks[i]));
+  }
+  for (auto& node : nodes) node->start(members);
+  sim.run_for(Duration(5'000'000));  // warm-up: the ring forms and the token circulates
+  const std::uint64_t tokens_before = nodes[0]->stats().tokens_handled;
+  EXPECT_EQ(allocs_of([&] { sim.run_for(Duration(10'000'000)); }), 0u);
+  // A hop is the 20 µs idle hold plus the frame's wire time: about 50 µs.
+  EXPECT_GT(nodes[0]->stats().tokens_handled - tokens_before, 40u);
+  for (const auto& node : nodes) EXPECT_EQ(node->view().members.size(), 4u);
+}
+
+TEST(AllocBudget, InvocationBookkeepingAllocatesNothingInSteadyState) {
+  // A client connection's per-invocation bookkeeping: the group → local
+  // request-id translation, inserted at capture and retired at the reply's
+  // first delivery, and the bounded reply cache the reply enters. Eight
+  // invocations are outstanding at a time, and their replies arrive in
+  // swapped pairs (1, 0, 3, 2, ...): half retire from the front, half from
+  // behind it.
+  constexpr std::size_t kReplyCacheCap = 1024;  // Mechanisms' per-connection cap
+  core::SeqMap<std::uint32_t> group_to_local;
+  core::SeqMap<util::SharedSlice> reply_cache;
+  const util::SharedSlice reply = util::SharedSlice::copy_of(Bytes(64, 0x2B));
+  std::uint64_t next_rid = 0;
+  std::uint64_t translated = 0;
+  auto invocations = [&](std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t rid = next_rid++;
+      group_to_local.insert_or_assign(rid, static_cast<std::uint32_t>(rid + 7));
+      if (rid < 8) continue;
+      const std::uint64_t replied = (rid - 8) ^ 1;
+      if (const std::optional<std::uint32_t> local = group_to_local.take(replied)) {
+        translated += *local == replied + 7 ? 1 : 0;
+      }
+      reply_cache.insert_or_assign(replied, reply);
+      reply_cache.trim(kReplyCacheCap);
+    }
+  };
+  invocations(3 * kReplyCacheCap);  // warm-up: both vectors reach their span
+  EXPECT_EQ(allocs_of([&] { invocations(4 * kReplyCacheCap); }), 0u);
+  EXPECT_EQ(reply_cache.size(), kReplyCacheCap);
+  EXPECT_EQ(group_to_local.size(), 8u);
+  EXPECT_EQ(translated, next_rid - 8);
+  EXPECT_EQ(reply.owner().use_count(), 1u + kReplyCacheCap);  // evictions release
 }
 
 TEST(AllocBudget, DeliveryToQueueItemToOrbEventAllocatesNothing) {

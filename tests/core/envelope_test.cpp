@@ -4,13 +4,13 @@
 
 #include <iterator>
 #include <limits>
-#include <map>
 #include <optional>
 #include <set>
 
 #include "core/envelope.hpp"
 #include "core/group_table.hpp"
 #include "core/message_log.hpp"
+#include "core/seq_map.hpp"
 #include "core/seq_window.hpp"
 #include "core/state_snapshots.hpp"
 #include "giop/giop.hpp"
@@ -349,6 +349,55 @@ TEST(SeqWindow, MatchesSetReference) {
   }
 }
 
+TEST(SeqWindow, MergeMatchesSetUnionReference) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  util::Rng rng(0x3E76);
+  // A window and its reference, fed `count` numbers around `base`: in order,
+  // duplicates, reordering and gaps.
+  const auto build = [&](std::uint64_t base, std::uint64_t span, int count,
+                         std::vector<std::uint64_t>& fed) {
+    SeqWindow w = window_at(base);
+    SeqReference ref{base, {}};
+    for (int i = 0; i < count; ++i) {
+      const std::uint64_t s = base - std::min<std::uint64_t>(base, 3) +
+                              rng.below(std::min<std::uint64_t>(span, kMax - base) + 4);
+      fed.push_back(s);
+      EXPECT_EQ(w.test_and_insert(s), ref.test_and_insert(s));
+    }
+    return std::make_pair(w, ref);
+  };
+  const auto check = [&](std::uint64_t base_a, std::uint64_t base_b, std::uint64_t span,
+                         int count) {
+    std::vector<std::uint64_t> probes{base_a, base_b, base_a + 1, base_b + 1};
+    auto [a, ref_a] = build(base_a, span, count, probes);
+    auto [b, ref_b] = build(base_b, span, count, probes);
+    SeqReference ref_union{std::max(ref_a.base, ref_b.base), ref_a.seen_above};
+    ref_union.seen_above.insert(ref_b.seen_above.begin(), ref_b.seen_above.end());
+    SeqWindow ab = a;
+    ab.merge(b);
+    expect_matches(ab, ref_union, probes);
+    SeqWindow ba = b;
+    ba.merge(a);
+    EXPECT_EQ(ba, ab);  // the union does not depend on the order
+    SeqWindow again = ab;
+    again.merge(b);
+    EXPECT_EQ(again, ab);  // nor on merging a window twice
+  };
+  for (int round = 0; round < 200; ++round) {
+    const std::uint64_t base_a = rng.below(40);
+    const std::uint64_t base_b = rng.below(40);
+    check(base_a, base_b, 40, static_cast<int>(rng.below(60)));
+  }
+  // One window far ahead of the other: the larger prefix covers the other's
+  // sparse numbers below it.
+  check(0, 500, 40, 50);
+  check(500, 0, 40, 50);
+  // The top of the sequence space, where the prefix saturates.
+  for (int round = 0; round < 20; ++round) {
+    check(kMax - rng.below(10), kMax - rng.below(10), 10, static_cast<int>(rng.below(20)));
+  }
+}
+
 TEST(MessageLog, CheckpointOverwritesAndTruncates) {
   MessageLog log;
   Envelope m1, m2;
@@ -660,7 +709,7 @@ TEST_P(RetainedDelivery, HolderOutlivesFrameSlotStoreEntryAndReplacement) {
 
   std::optional<RetainedEnvelope> queue_item;
   MessageLog log;
-  std::map<std::uint64_t, util::SharedSlice> reply_cache;
+  core::SeqMap<util::SharedSlice> reply_cache;
   {
     // The delivery: decode a view, keep what this holder keeps.
     const util::SharedSlice delivered = store.find(1)->payload;
@@ -669,7 +718,9 @@ TEST_P(RetainedDelivery, HolderOutlivesFrameSlotStoreEntryAndReplacement) {
     switch (GetParam()) {
       case Holder::kQueueItem: queue_item.emplace(*view, delivered); break;
       case Holder::kLogEntry: log.append(RetainedEnvelope(*view, delivered)); break;
-      case Holder::kReplyCache: reply_cache[view->op_seq] = delivered.sub(view->payload); break;
+      case Holder::kReplyCache:
+        reply_cache.insert_or_assign(view->op_seq, delivered.sub(view->payload));
+        break;
       case Holder::kOrbEvent:
         orb.on_message(orb::Endpoint{NodeId{1}}, delivered.sub(view->payload));
         break;
@@ -697,7 +748,10 @@ TEST_P(RetainedDelivery, HolderOutlivesFrameSlotStoreEntryAndReplacement) {
       EXPECT_EQ(log.messages()[0].payload, iiop);
       EXPECT_EQ(encode_envelope(log.messages()[0]), encode_envelope(e));
       break;
-    case Holder::kReplyCache: EXPECT_EQ(reply_cache[11], iiop); break;
+    case Holder::kReplyCache:
+      ASSERT_NE(reply_cache.find(11), nullptr);
+      EXPECT_EQ(*reply_cache.find(11), iiop);
+      break;
     case Holder::kOrbEvent: break;
   }
   sim.run();  // a pending ORB event decodes the bytes it holds

@@ -1,8 +1,9 @@
 // Recovery-path hazards flushed out by the chaos suite (bench_chaos):
 // delta-chain cap boundaries in both off-by-one directions, seq-window
 // saturation at the top of the sequence space, the stable-storage write
-// failure contract, and ring reformation landing while a chunked state
-// transfer is partially reassembled.
+// failure contract, ring reformation landing while a chunked state
+// transfer is partially reassembled, and the duplicate filter a recovered
+// replica's live node keeps across the infrastructure-state restore.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +12,8 @@
 #include <unistd.h>
 
 #include "core/deployment.hpp"
+#include "core/envelope.hpp"
+#include "giop/giop.hpp"
 #include "core/message_log.hpp"
 #include "core/raced_stream.hpp"
 #include "core/seq_window.hpp"
@@ -246,6 +249,149 @@ TEST(RacedStream, FirstDeliveryWithdrawsOnlyThisNodesCopyOfThatSeq) {
   EXPECT_TRUE(stream.delivered(5));
   EXPECT_TRUE(stream.deliver(6, withdraw));
   EXPECT_EQ(withdrawn, (std::vector<std::uint64_t>{11, 16}));
+}
+
+// ---- infrastructure-state restore on a live node -------------------------
+
+// A replica killed and relaunched on a live node recovers on a node whose
+// Mechanisms kept delivering the group's requests all along. Its duplicate
+// filter already holds every request delivered since the get_state-time
+// snapshot that the set_state carries; installing that snapshot must add
+// to the filter, not replace it. A replacement forgot those requests: their
+// late copies passed the filter, and the window's prefix stopped advancing
+// at the hole, so every later request grew its sparse set and every later
+// set_state sourced there (about 8 B per request served since).
+struct ActiveRecoveryRig {
+  ActiveRecoveryRig() : sys(config()) {
+    FtProperties props;
+    props.style = ReplicationStyle::kActive;
+    props.initial_replicas = 3;
+    props.minimum_replicas = 2;
+    props.fault_monitoring_interval = Duration(5'000'000);
+    group = sys.deploy("svc", "IDL:Svc:1.0", props, {NodeId{1}, NodeId{2}, NodeId{3}},
+                       [this](NodeId n) {
+                         auto s = std::make_shared<CounterServant>(sys.sim(), /*pad_bytes=*/4'000);
+                         servants[n.value] = s;
+                         return s;
+                       });
+    client = sys.deploy_client("app", NodeId{4}, {group});
+    ref = sys.client(NodeId{4}, group);
+  }
+
+  static SystemConfig config() {
+    SystemConfig cfg;
+    cfg.nodes = 4;
+    cfg.trace_capacity = 1u << 16;
+    return cfg;
+  }
+
+  /// Closed-loop invokers: `loops` invocations outstanding at a time.
+  void start_traffic(int loops) {
+    for (int i = 0; i < loops; ++i) issue();
+  }
+  void issue() {
+    ref.invoke("inc", CounterServant::encode_i32(1), [this](const orb::ReplyOutcome&) {
+      ++replies;
+      if (running) issue();
+    });
+  }
+
+  /// Kills the replica on `node` and relaunches it there once its removal
+  /// is agreed; returns the recovery's set_state size.
+  std::size_t kill_and_recover(NodeId node) {
+    const std::size_t before = sys.mech(node).recoveries().size();
+    sys.kill_replica(node, group);
+    EXPECT_TRUE(sys.run_until(
+        [&] {
+          const auto* e = sys.mech(NodeId{4}).groups().find(group);
+          return e != nullptr && e->replica_on(node) == nullptr;
+        },
+        Duration(2'000'000'000)));
+    sys.relaunch_replica(node, group);
+    EXPECT_TRUE(sys.run_until(
+        [&] {
+          return sys.mech(node).hosts_operational(group) &&
+                 sys.mech(node).recoveries().size() > before;
+        },
+        Duration(2'000'000'000)));
+    return sys.mech(node).recoveries().empty() ? 0
+                                               : sys.mech(node).recoveries().back().app_state_bytes;
+  }
+
+  System sys;
+  GroupId group;
+  GroupId client;
+  orb::ObjectRef ref;
+  std::shared_ptr<CounterServant> servants[4];
+  int replies = 0;
+  bool running = true;
+};
+
+TEST(InfraStateRestore, SetStateSizeStaysFlatAcrossRecoveryCycles) {
+  ActiveRecoveryRig rig;
+  rig.start_traffic(3);
+  ASSERT_TRUE(rig.sys.run_until([&] { return rig.replies >= 30; }, Duration(1'000'000'000)));
+
+  // Every node's replica is killed and recovered twice, so later recoveries
+  // are sourced at nodes that recovered before.
+  std::vector<std::size_t> sizes;
+  for (int cycle = 0; cycle < 6; ++cycle) {
+    const NodeId node{static_cast<std::uint32_t>(cycle % 3 + 1)};
+    sizes.push_back(rig.kill_and_recover(node));
+    const int served = rig.replies;
+    ASSERT_TRUE(
+        rig.sys.run_until([&] { return rig.replies >= served + 40; }, Duration(1'000'000'000)));
+  }
+  for (std::size_t cycle = 1; cycle < sizes.size(); ++cycle) {
+    EXPECT_EQ(sizes[cycle], sizes[0]) << "cycle " << cycle;
+  }
+  rig.running = false;
+  rig.sys.run_for(Duration(50'000'000));
+  for (std::uint32_t n = 2; n <= 3; ++n) {
+    EXPECT_EQ(rig.servants[n]->value(), rig.servants[1]->value()) << "node " << n;
+  }
+  test_support::expect_invariants_hold(rig.sys);
+}
+
+TEST(InfraStateRestore, LateDuplicateOfARequestDeliveredDuringTransferIsSuppressed) {
+  ActiveRecoveryRig rig;
+  rig.start_traffic(3);
+  ASSERT_TRUE(rig.sys.run_until([&] { return rig.replies >= 30; }, Duration(1'000'000'000)));
+  rig.kill_and_recover(NodeId{2});
+  // Requests were delivered at node 2 between the get_state and the
+  // set_state: they are not in the transferred snapshot.
+  ASSERT_GT(rig.sys.mech(NodeId{2}).stats().enqueued_during_recovery, 0u);
+  rig.running = false;
+  rig.sys.run_for(Duration(50'000'000));
+
+  // A late copy of every request served so far reaches the ring: each is a
+  // duplicate at every node, the recovered one included.
+  std::uint64_t suppressed_before[4] = {};
+  for (std::uint32_t n = 1; n <= 3; ++n) {
+    suppressed_before[n] = rig.sys.mech(NodeId{n}).stats().duplicate_requests_suppressed;
+  }
+  const auto served = static_cast<std::uint64_t>(rig.replies);
+  for (std::uint64_t seq = 0; seq < served; ++seq) {
+    giop::Request request;
+    request.request_id = static_cast<std::uint32_t>(seq);
+    request.object_key = util::bytes_of("svc");
+    request.operation = "inc";
+    request.body = CounterServant::encode_i32(1);
+    Envelope copy;
+    copy.kind = EnvelopeKind::kRequest;
+    copy.client_group = rig.client;
+    copy.target_group = rig.group;
+    copy.op_seq = seq;
+    copy.payload = giop::encode(request);
+    rig.sys.totem(NodeId{4}).multicast(core::encode_envelope(copy));
+  }
+  rig.sys.run_for(Duration(50'000'000));
+  for (std::uint32_t n = 1; n <= 3; ++n) {
+    EXPECT_EQ(rig.sys.mech(NodeId{n}).stats().duplicate_requests_suppressed - suppressed_before[n],
+              served)
+        << "node " << n;
+    EXPECT_EQ(rig.servants[n]->value(), static_cast<std::int32_t>(served)) << "node " << n;
+  }
 }
 
 // ---- stable-storage write failure contract ------------------------------
