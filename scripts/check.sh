@@ -100,7 +100,7 @@ cmake --build build-asan -j"$JOBS" --target \
   sim_test totem_test totem_protocol_test util_test giop_test placement_test \
   core_unit_test passive_test stable_storage_test recovery_hazards_test \
   fast_state_transfer_test critpath_test decode_fuzz_test lossy_network_test \
-  mechanisms_stats_test deployment_test
+  mechanisms_stats_test deployment_test orb_test orb_locate_test transport_test
 # sim_test: simulator slab + small-buffer callables, Ethernet in-flight slots;
 # totem_test/totem_protocol_test: frames and the seq-indexed frame store;
 # util_test/giop_test: CDR in-place readers, GIOP inspection, request-id
@@ -131,6 +131,11 @@ cmake --build build-asan -j"$JOBS" --target \
 # deployment_test: a partitioned node that rejoins the ring fresh drops
 # the ring's state (reset_ring_state), filters included, which a later
 # recovery's merge fills in again.
+# orb_test, orb_locate_test and transport_test: the ORB reads each inbound
+# message in place and a dispatched request keeps a view of its arguments
+# into the inbound frame's shared buffer across scheduled events, until the
+# servant completes it; a request that kept a plain view instead would read
+# freed memory (OrbSharedFrame.ArgsOutliveEveryOtherHolderOfTheFrame).
 # Trace fields hold views of literals and of names the trace interns:
 # chaos_script_test exports a trace after its ChaosScript is destroyed, and
 # trace_export_golden renders every producer's fields.
@@ -139,7 +144,7 @@ for t in obs_test spans_test integration_smoke_test recovery_edge_test quiescenc
          sim_test totem_test totem_protocol_test util_test giop_test placement_test \
          core_unit_test passive_test stable_storage_test recovery_hazards_test \
          fast_state_transfer_test critpath_test lossy_network_test mechanisms_stats_test \
-         deployment_test; do
+         deployment_test orb_test orb_locate_test transport_test; do
   "build-asan/tests/$t"
 done
 # Every decoder under the sanitizers, with the tier-1 fuzz budget.

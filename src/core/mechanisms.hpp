@@ -51,6 +51,7 @@
 #include "orb/orb.hpp"
 #include "sim/bulk_lane.hpp"
 #include "totem/totem.hpp"
+#include "util/fifo.hpp"
 
 namespace eternal::core {
 
@@ -269,6 +270,12 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
   /// Pending (not yet delivered) messages of the local replica of `group`.
   std::size_t queued_messages(GroupId group) const;
 
+  /// Request-id translations held here for replies not yet delivered.
+  std::size_t pending_translations(GroupId client_group, GroupId server_group) const {
+    auto it = outbound_.find({client_group.value, server_group.value});
+    return it == outbound_.end() ? 0 : it->second.group_to_local.size();
+  }
+
   /// Registers an observer for group-table events (the Replication/Resource
   /// Manager's placement policy, the Fault Notifier's consumers, tests).
   /// Observers run after the table applied the event, on every node, in
@@ -349,7 +356,7 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
     /// kOperational and from the message log while kReplaying. A relaunched
     /// incarnation starts from a fresh engine.
     exec::ReplicaEngine engine;
-    std::deque<QueueItem> pending;
+    util::Fifo<QueueItem> pending;
     util::TimePoint launched_at{};
     util::TimePoint get_state_at{};
     util::TimePoint set_state_at{};
@@ -471,7 +478,7 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
   // ---- state transfer (mechanisms_transfer.cpp) ----
   Bytes build_orb_snapshot(GroupId group);
   InfraLevelState build_infra_snapshot(GroupId group);
-  void publish_state(LocalReplica& r, const exec::Fom& op, const Bytes& body);
+  void publish_state(LocalReplica& r, const exec::Fom& op, util::BytesView body);
   void apply_state(LocalReplica& r, Envelope e, exec::FomKind kind);
   // A state envelope larger than state_chunk_bytes travels as one transfer,
   // keyed by (group, epoch): as kStateChunk multicasts every member

@@ -268,14 +268,16 @@ void Mechanisms::inject_state_op(LocalReplica& r, exec::Fom op, const std::strin
   request.body = std::move(body);
   op.reply_to = recovery_endpoint(r.group);
   r.engine.admit_barrier(op);
-  tap_.inject(op.reply_to, util::SharedSlice::copy_of(giop::encode(request)));
+  tap_.inject(op.reply_to, giop::encode_shared(request));
 }
 
 void Mechanisms::complete_state_op(LocalReplica& r, util::BytesView reply_iiop) {
   const exec::Fom op = r.engine.finish_barrier();
-  std::optional<giop::Message> msg = giop::decode(reply_iiop);
-  if (!msg || msg->type() != giop::MsgType::kReply ||
-      msg->as_reply().reply_status != giop::ReplyStatus::kNoException) {
+  // Read in place: a get_state reply's body is the whole state, and
+  // publish_state copies it once, into the set_state envelope.
+  const std::optional<giop::Inspection> reply = giop::inspect(reply_iiop);
+  if (!reply || reply->type != giop::MsgType::kReply ||
+      reply->status != static_cast<std::uint32_t>(giop::ReplyStatus::kNoException)) {
     // A failed get_state (NoStateAvailable?) aborts its transfer; a failed
     // set_state abandons the rest of its restore chain and leaves the
     // replica where it is.
@@ -288,7 +290,7 @@ void Mechanisms::complete_state_op(LocalReplica& r, util::BytesView reply_iiop) 
       return;
     }
   } else if (op.kind == exec::FomKind::kGetState) {
-    publish_state(r, op, msg->as_reply().body);
+    publish_state(r, op, reply->body);
   } else {
     r.applied_epoch = std::max(r.applied_epoch, op.op_seq);
     if (op.kind == exec::FomKind::kCheckpoint) stats_.checkpoints_applied += 1;

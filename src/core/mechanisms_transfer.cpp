@@ -129,7 +129,7 @@ void Mechanisms::deliver_get_state(const Envelope& e) {
   pump(*r);
 }
 
-void Mechanisms::publish_state(LocalReplica& r, const exec::Fom& op, const Bytes& body) {
+void Mechanisms::publish_state(LocalReplica& r, const exec::Fom& op, util::BytesView body) {
   // §5.1(iii)-(iv): fabricate the set_state from the get_state return value
   // and piggyback the ORB/POA-level and infrastructure-level state. Subject
   // 0 is a periodic checkpoint.
@@ -140,12 +140,13 @@ void Mechanisms::publish_state(LocalReplica& r, const exec::Fom& op, const Bytes
   e.op_seq = op.op_seq;
   e.subject = op.subject;
   e.subject_node = node_;
-  e.payload = body;
-  if (op.delta_since != 0) {
+  if (op.delta_since == 0) {
+    e.payload.assign(body.begin(), body.end());
+  } else {
     // _get_delta reply: either a real delta or the inline full-state
     // fallback; both arrive in the same totally-ordered round.
     try {
-      auto [is_delta, state] = decode_delta_reply(e.payload);
+      auto [is_delta, state] = decode_delta_reply(body);
       if (is_delta) {
         e.delta_base = op.delta_since;
         stats_.delta_states_published += 1;

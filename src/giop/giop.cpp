@@ -93,6 +93,21 @@ std::optional<FrameInfo> read_frame_header(CdrReader& r, BytesView data) {
   return FrameInfo{order, static_cast<MsgType>(type_raw), size};
 }
 
+/// A Request up to its body, in a writer with room for `body_room` more.
+CdrWriter begin_request(const Request& m, ByteOrder order, std::size_t body_room) {
+  CdrWriter w = begin_message(
+      MsgType::kRequest, order,
+      contexts_bound(m.service_context) + kPad + 4 + 1 + octets_bound(m.object_key.size()) +
+          octets_bound(m.operation.size() + 1) + octets_bound(0) + body_room);
+  put_contexts(w, m.service_context);
+  w.put_u32(m.request_id);
+  w.put_bool(m.response_expected);
+  w.put_octets(m.object_key);
+  w.put_string(m.operation);
+  w.put_octets(Bytes{});  // deprecated Principal
+  return w;
+}
+
 }  // namespace
 
 bool is_giop(BytesView data) noexcept {
@@ -106,18 +121,20 @@ bool is_giop(BytesView data) noexcept {
 }
 
 Bytes encode(const Request& m, ByteOrder order) {
-  CdrWriter w = begin_message(
-      MsgType::kRequest, order,
-      contexts_bound(m.service_context) + kPad + 4 + 1 + octets_bound(m.object_key.size()) +
-          octets_bound(m.operation.size() + 1) + octets_bound(0) + m.body.size());
-  put_contexts(w, m.service_context);
-  w.put_u32(m.request_id);
-  w.put_bool(m.response_expected);
-  w.put_octets(m.object_key);
-  w.put_string(m.operation);
-  w.put_octets(Bytes{});  // deprecated Principal
+  CdrWriter w = begin_request(m, order, m.body.size());
   w.put_raw(m.body);
   return end_message(std::move(w));
+}
+
+util::SharedSlice encode_shared(const Request& m, ByteOrder order) {
+  // The body is raw bytes at the end (no alignment), so the header fields
+  // are encoded on their own and the body copied straight after them.
+  CdrWriter w = begin_request(m, order, 0);
+  const std::size_t size = w.size() + m.body.size();
+  w.patch_u32(kSizeOffset, static_cast<std::uint32_t>(size - kFrameHeaderSize));
+  return util::SharedSlice(util::SharedBytes::build(size, [&](std::uint8_t* out) {
+    std::copy(m.body.begin(), m.body.end(), std::copy(w.bytes().begin(), w.bytes().end(), out));
+  }));
 }
 
 Bytes encode(const Reply& m, ByteOrder order) {
@@ -206,19 +223,6 @@ std::optional<Message> decode(BytesView data) {
       return out;
   }
   return std::nullopt;
-}
-
-template <typename Fn>
-void Inspection::for_each_context(Fn&& fn) const {
-  if (contexts_at_ == 0) return;
-  // inspect() validated the list, so this re-walk cannot run off the end.
-  CdrReader r(message_, order);
-  (void)r.get_raw_view(contexts_at_);
-  const std::uint32_t n = r.get_u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint32_t id = r.get_u32();
-    if (!fn(id, r.get_octets_view())) return;
-  }
 }
 
 bool Inspection::has_context(std::uint32_t context_id) const noexcept {

@@ -141,6 +141,10 @@ Bytes encode(const LocateReply& m, ByteOrder order = util::host_byte_order());
 Bytes encode(const CloseConnection& m, ByteOrder order = util::host_byte_order());
 Bytes encode(const MessageError& m, ByteOrder order = util::host_byte_order());
 
+/// Encodes a Request into a fresh shared buffer, byte for byte what encode()
+/// returns: the body is copied once, straight into place.
+util::SharedSlice encode_shared(const Request& m, ByteOrder order = util::host_byte_order());
+
 /// Decodes a framed GIOP message; nullopt on malformed input.
 std::optional<Message> decode(BytesView data);
 
@@ -168,10 +172,24 @@ struct Inspection {
   /// Copies the service-context list out (Request / Reply only).
   ServiceContextList service_contexts() const;
 
+  /// Calls `fn(context_id, data)` for each service context in wire order,
+  /// `data` a view into the inspected buffer, until `fn` returns false.
+  /// Allocates nothing.
+  template <typename Fn>
+  void for_each_context(Fn&& fn) const {
+    if (contexts_at_ == 0) return;
+    // inspect() validated the list, so this re-walk cannot run off the end.
+    util::CdrReader r(message_, order);
+    (void)r.get_raw_view(contexts_at_);
+    const std::uint32_t n = r.get_u32();
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const std::uint32_t id = r.get_u32();
+      if (!fn(id, r.get_octets_view())) return;
+    }
+  }
+
  private:
   friend std::optional<Inspection> inspect(BytesView data);
-  template <typename Fn>
-  void for_each_context(Fn&& fn) const;
 
   BytesView message_;            ///< the whole framed message
   std::size_t contexts_at_ = 0;  ///< offset of the context count, 0 = none

@@ -16,8 +16,9 @@ const util::Bytes kHandshakeKey{0xFD};
 /// First byte of every negotiated short object key.
 constexpr std::uint8_t kShortKeyPrefix = 0xFE;
 
-std::string key_string(util::BytesView key) {
-  return std::string(reinterpret_cast<const char*>(key.data()), key.size());
+/// An object key as the string its POA table is keyed by.
+std::string_view key_chars(util::BytesView key) {
+  return std::string_view(reinterpret_cast<const char*>(key.data()), key.size());
 }
 
 bool is_short_key(util::BytesView key) noexcept {
@@ -131,7 +132,6 @@ giop::Ior Poa::activate(const std::string& object_id, std::shared_ptr<Servant> s
   }
   ActiveObject obj;
   obj.servant = std::move(servant);
-  obj.type_id = type_id;
   objects_[object_id] = std::move(obj);
 
   giop::Ior ior;
@@ -146,61 +146,63 @@ giop::Ior Poa::activate(const std::string& object_id, std::shared_ptr<Servant> s
 
 void Poa::deactivate(const std::string& object_id) { objects_.erase(object_id); }
 
-bool Poa::is_active(const std::string& object_id) const {
-  return objects_.count(object_id) > 0;
+bool Poa::is_active(std::string_view object_id) const {
+  return objects_.find(object_id) != objects_.end();
 }
 
-void Poa::dispatch(const Endpoint& from, giop::Request request) {
-  const std::string key = key_string(request.object_key);
-  auto it = objects_.find(key);
-  if (it == objects_.end()) {
+Poa::ActiveObject* Poa::find(std::string_view object_id) {
+  auto it = objects_.find(object_id);
+  return it == objects_.end() ? nullptr : &it->second;
+}
+
+void Poa::dispatch(ServerRequestPtr request) {
+  ActiveObject* obj = find(request->object_id_);
+  if (obj == nullptr) {
     ETERNAL_LOG(kDebug, kTag, "POA: no active object for key; OBJECT_NOT_EXIST");
-    if (request.response_expected) {
+    if (request->response_expected_) {
       util::CdrWriter w;
       w.put_u8(static_cast<std::uint8_t>(w.order()));
       w.put_string("IDL:omg.org/CORBA/OBJECT_NOT_EXIST:1.0");
-      giop::Reply reply;
-      reply.request_id = request.request_id;
-      reply.reply_status = giop::ReplyStatus::kSystemException;
-      reply.body = std::move(w).take();
-      orb_.stats_.replies_sent += 1;
-      orb_.transport_->send(from, giop::encode(reply));
+      orb_.send_reply(request->reply_to_, request->request_id_,
+                      giop::ReplyStatus::kSystemException, std::move(w).take());
     }
     return;
   }
-  ActiveObject& obj = it->second;
   const std::size_t max_inflight =
       std::max<std::size_t>(1, orb_.config().poa_max_inflight);
-  if (obj.inflight >= max_inflight) {
+  if (obj->inflight >= max_inflight) {
     // SINGLE_THREAD_MODEL (max_inflight == 1) or a full admission window:
     // serialize the overflow per object.
-    obj.queue.push_back(PendingDispatch{from, std::move(request)});
+    obj->queue.push_back(std::move(request));
     return;
   }
-  obj.inflight += 1;
-  const std::uint64_t ticket = obj.next_ticket++;
-
-  const std::uint32_t request_id = request.request_id;
-  const bool response_expected = request.response_expected;
-  const Endpoint reply_to = from;
-  auto completion = [this, key, ticket, request_id, response_expected, reply_to](
-                        bool user_exception, util::Bytes body) {
-    if (response_expected) {
-      orb_.send_reply(reply_to, request_id, user_exception, std::move(body));
-    }
-    finish_ticket(key, ticket);
-  };
+  obj->inflight += 1;
+  request->ticket_ = obj->next_ticket++;
   orb_.stats_.requests_dispatched += 1;
-  auto server_request = std::make_shared<ServerRequest>(
-      std::move(request.operation), std::move(request.body), std::move(completion));
-  // The gate keeps overlapped invocations' state mutations in admission
-  // order: a servant that wraps its body in run_when_clear executes only
-  // when every earlier admitted invocation has completed.
-  server_request->set_execution_gate(
-      [this, key, ticket](std::function<void()> body) {
-        gate_run(key, ticket, std::move(body));
-      });
-  obj.servant->invoke(std::move(server_request));
+  obj->servant->invoke(std::move(request));
+}
+
+bool ServerRequest::at_execution_front() const {
+  const Poa::ActiveObject* obj = poa_->find(object_id_);
+  // Deactivated mid-flight: nothing is left to order against.
+  return obj == nullptr || obj->gate.next() == ticket_;
+}
+
+void ServerRequest::park(std::function<void()> body) {
+  // Only reached when at_execution_front() found the object behind others.
+  poa_->find(object_id_)->parked.emplace(ticket_, std::move(body));
+}
+
+void ServerRequest::complete(bool user_exception, util::Bytes body) {
+  if (completed_) return;
+  completed_ = true;
+  if (response_expected_) {
+    poa_->orb_.send_reply(reply_to_, request_id_,
+                          user_exception ? giop::ReplyStatus::kUserException
+                                         : giop::ReplyStatus::kNoException,
+                          std::move(body));
+  }
+  poa_->finish_ticket(object_id_, ticket_);
 }
 
 void TicketGate::complete(std::uint64_t ticket) {
@@ -219,52 +221,28 @@ void TicketGate::complete(std::uint64_t ticket) {
   }
 }
 
-void Poa::finish_ticket(const std::string& key, std::uint64_t ticket) {
-  auto it = objects_.find(key);
-  if (it == objects_.end()) return;  // deactivated mid-flight
-  ActiveObject& obj = it->second;
-  if (obj.inflight > 0) obj.inflight -= 1;
-  obj.gate.complete(ticket);
-  if (!obj.queue.empty() &&
-      obj.inflight < std::max<std::size_t>(1, orb_.config().poa_max_inflight)) {
-    PendingDispatch next = std::move(obj.queue.front());
-    obj.queue.pop_front();
-    dispatch(next.from, std::move(next.request));
+void Poa::finish_ticket(std::string_view object_id, std::uint64_t ticket) {
+  ActiveObject* obj = find(object_id);
+  if (obj == nullptr) return;  // deactivated mid-flight
+  if (obj->inflight > 0) obj->inflight -= 1;
+  obj->gate.complete(ticket);
+  if (!obj->queue.empty() &&
+      obj->inflight < std::max<std::size_t>(1, orb_.config().poa_max_inflight)) {
+    ServerRequestPtr next = std::move(obj->queue.front());
+    obj->queue.pop_front();
+    dispatch(std::move(next));
+    obj = find(object_id);
   }
-  drain_gate(key);
-}
-
-void Poa::gate_run(const std::string& key, std::uint64_t ticket,
-                   std::function<void()> body) {
-  auto it = objects_.find(key);
-  if (it == objects_.end()) {
-    body();  // deactivated mid-flight: nothing left to order against
-    return;
-  }
-  ActiveObject& obj = it->second;
-  if (ticket != obj.gate.next()) {
-    obj.parked.emplace(ticket, std::move(body));
-    return;
-  }
-  body();
-}
-
-void Poa::drain_gate(const std::string& key) {
-  auto it = objects_.find(key);
-  if (it == objects_.end()) return;
-  ActiveObject& obj = it->second;
-  auto ready = obj.parked.find(obj.gate.next());
-  if (ready == obj.parked.end()) return;
+  if (obj == nullptr || !obj->parked.contains(obj->gate.next())) return;
   // One parked body per simulator event: a long stall releasing a backlog
   // drains deterministically (FIFO at this instant) without re-entrancy.
-  orb_.sim_.defer([this, key] {
-    auto it2 = objects_.find(key);
-    if (it2 == objects_.end()) return;
-    ActiveObject& obj2 = it2->second;
-    auto front = obj2.parked.find(obj2.gate.next());
-    if (front == obj2.parked.end()) return;
+  orb_.sim_.defer([this, key = std::string(object_id)] {
+    ActiveObject* later = find(key);
+    if (later == nullptr) return;
+    auto front = later->parked.find(later->gate.next());
+    if (front == later->parked.end()) return;
     std::function<void()> body = std::move(front->second);
-    obj2.parked.erase(front);
+    later->parked.erase(front);
     body();
   });
 }
@@ -397,27 +375,28 @@ void Orb::on_message(const Endpoint& from, BytesView iiop) {
 
 void Orb::on_message(const Endpoint& from, util::SharedSlice iiop) {
   // Model the ORB's demarshal/dispatch CPU cost as a scheduling delay. The
-  // event keeps the message alive by its reference until it runs.
+  // event keeps the message alive by its reference until it runs; the
+  // message is then read in place, and a dispatched request keeps the
+  // reference for as long as its servant works on it.
   constexpr util::Duration kDispatchOverhead = util::Duration(10'000);  ///< 10 us per message
   sim_.schedule(kDispatchOverhead, [this, from, iiop = std::move(iiop)] {
-    std::optional<giop::Message> msg = giop::decode(iiop);
+    const std::optional<giop::Inspection> msg = giop::inspect(iiop);
     if (!msg) {
       stats_.decode_errors += 1;
       return;
     }
-    switch (msg->type()) {
+    switch (msg->type) {
       case giop::MsgType::kRequest:
-        handle_request(from, std::move(std::get<giop::Request>(msg->body)));
+        handle_request(from, iiop, *msg);
         break;
       case giop::MsgType::kReply:
-        handle_reply(from, std::move(std::get<giop::Reply>(msg->body)));
+        handle_reply(from, *msg);
         break;
       case giop::MsgType::kLocateRequest: {
         // GIOP object location: OBJECT_HERE when the POA has it active.
-        const auto& m = std::get<giop::LocateRequest>(msg->body);
         giop::LocateReply reply;
-        reply.request_id = m.request_id;
-        reply.locate_status = poa_.is_active(key_string(m.object_key)) ? 1u : 0u;
+        reply.request_id = msg->request_id;
+        reply.locate_status = poa_.is_active(key_chars(msg->object_key)) ? 1u : 0u;
         transport_->send(from, giop::encode(reply));
         break;
       }
@@ -427,29 +406,33 @@ void Orb::on_message(const Endpoint& from, util::SharedSlice iiop) {
   });
 }
 
-void Orb::handle_request(const Endpoint& from, giop::Request request) {
+void Orb::handle_request(const Endpoint& from, const util::SharedSlice& message,
+                         const giop::Inspection& request) {
   // In-ORB session negotiation service.
-  if (request.object_key == kHandshakeKey) {
+  if (std::ranges::equal(request.object_key, kHandshakeKey)) {
     serve_handshake(from, request);
     return;
   }
 
   ServerConnection& sconn = server_conns_[from];
 
-  // Record the peer's code-set choice (first-request ServiceContext).
-  for (const auto& sc : request.service_context) {
-    if (sc.context_id == giop::kCodeSetsContextId && sc.data.size() >= 9) {
-      util::CdrReader r(sc.data, static_cast<util::ByteOrder>(sc.data[0] & 1));
+  // Record the peer's code-set choice (first-request ServiceContext); a
+  // context too short to hold both code sets is ignored.
+  request.for_each_context([&](std::uint32_t id, util::BytesView data) {
+    if (id == giop::kCodeSetsContextId && data.size() >= 12) {
+      util::CdrReader r(data, static_cast<util::ByteOrder>(data[0] & 1));
       (void)r.get_u8();
       sconn.char_code_set = static_cast<giop::CodeSet>(r.get_u32());
       sconn.wchar_code_set = static_cast<giop::CodeSet>(r.get_u32());
     }
-  }
+    return true;
+  });
 
   // Vendor shortcut resolution: a short key from a client this ORB never
   // handshook with is uninterpretable — the request is discarded (§4.2.2).
-  if (is_short_key(request.object_key)) {
-    auto it = sconn.short_to_full.find(key_string(request.object_key));
+  util::BytesView object_key = request.object_key;
+  if (is_short_key(object_key)) {
+    auto it = sconn.short_to_full.find(key_chars(object_key));
     if (it == sconn.short_to_full.end()) {
       stats_.requests_discarded_unknown_key += 1;
       ctr_key_discards_.add();
@@ -459,20 +442,21 @@ void Orb::handle_request(const Endpoint& from, giop::Request request) {
                   util::to_string(node_) << " discarding request with unknown short key");
       return;
     }
-    request.object_key = it->second;
+    object_key = it->second;
   }
 
-  poa_.dispatch(from, std::move(request));
+  poa_.dispatch(std::make_shared<ServerRequest>(
+      poa_, key_chars(object_key), request.operation, message.sub(request.body), from,
+      request.request_id, request.response_expected));
 }
 
-void Orb::serve_handshake(const Endpoint& from, const giop::Request& request) {
+void Orb::serve_handshake(const Endpoint& from, const giop::Inspection& request) {
   std::optional<HandshakeOffer> offer;
-  for (const auto& sc : request.service_context) {
-    if (sc.context_id == giop::kVendorHandshakeContextId) {
-      offer = decode_handshake_offer(sc.data);
-      break;
-    }
-  }
+  request.for_each_context([&](std::uint32_t id, util::BytesView data) {
+    if (id != giop::kVendorHandshakeContextId) return true;
+    offer = decode_handshake_offer(data);
+    return false;
+  });
   if (!offer) {
     stats_.decode_errors += 1;
     return;
@@ -480,7 +464,6 @@ void Orb::serve_handshake(const Endpoint& from, const giop::Request& request) {
 
   ServerConnection& sconn = server_conns_[from];
   sconn.handshaken = true;
-  sconn.peer_vendor = offer->vendor;
   sconn.char_code_set =
       supports(config_.code_sets, offer->char_cs) ? offer->char_cs : giop::CodeSet::kIso8859_1;
   sconn.wchar_code_set = offer->wchar_cs;
@@ -491,7 +474,7 @@ void Orb::serve_handshake(const Endpoint& from, const giop::Request& request) {
   util::CdrWriter idw;
   idw.put_u32(sconn.next_short_id++);
   util::append(short_key, idw.bytes());
-  sconn.short_to_full[key_string(short_key)] = offer->full_key;
+  sconn.short_to_full[std::string(key_chars(short_key))] = offer->full_key;
 
   giop::Reply reply;
   reply.request_id = request.request_id;
@@ -504,7 +487,7 @@ void Orb::serve_handshake(const Endpoint& from, const giop::Request& request) {
   transport_->send(from, giop::encode(reply));
 }
 
-void Orb::handle_reply(const Endpoint& from, giop::Reply reply) {
+void Orb::handle_reply(const Endpoint& from, const giop::Inspection& reply) {
   auto conn_it = client_conns_.find(from);
   if (conn_it == client_conns_.end()) {
     stats_.replies_discarded_request_id += 1;
@@ -517,7 +500,7 @@ void Orb::handle_reply(const Endpoint& from, giop::Reply reply) {
 
   if (conn.handshake == HandshakeState::kPending &&
       reply.request_id == conn.handshake_request_id) {
-    complete_handshake(from, conn, reply);
+    complete_handshake(from, conn, reply.body);
     return;
   }
 
@@ -539,14 +522,15 @@ void Orb::handle_reply(const Endpoint& from, giop::Reply reply) {
   stats_.replies_received += 1;
   hist_rtt_.observe(static_cast<std::uint64_t>((sim_.now() - pending.sent).count()));
   if (pending.handler) {
-    ReplyOutcome outcome{reply.reply_status, std::move(reply.body)};
+    ReplyOutcome outcome{static_cast<giop::ReplyStatus>(reply.status),
+                         util::Bytes(reply.body.begin(), reply.body.end())};
     pending.handler(outcome);
   }
 }
 
 void Orb::complete_handshake(const Endpoint& from, ClientConnection& conn,
-                             const giop::Reply& reply) {
-  std::optional<HandshakeAnswer> answer = decode_handshake_answer(reply.body);
+                             util::BytesView answer_body) {
+  std::optional<HandshakeAnswer> answer = decode_handshake_answer(answer_body);
   if (!answer) {
     stats_.decode_errors += 1;
     return;
@@ -564,12 +548,11 @@ void Orb::complete_handshake(const Endpoint& from, ClientConnection& conn,
   }
 }
 
-void Orb::send_reply(const Endpoint& to, std::uint32_t request_id, bool user_exception,
+void Orb::send_reply(const Endpoint& to, std::uint32_t request_id, giop::ReplyStatus status,
                      util::Bytes body) {
   giop::Reply reply;
   reply.request_id = request_id;
-  reply.reply_status =
-      user_exception ? giop::ReplyStatus::kUserException : giop::ReplyStatus::kNoException;
+  reply.reply_status = status;
   reply.body = std::move(body);
   stats_.replies_sent += 1;
   transport_->send(to, giop::encode(reply));
@@ -605,6 +588,13 @@ std::optional<giop::CodeSet> OrbProbe::client_char_code_set(const Orb& orb,
 bool OrbProbe::server_handshaken(const Orb& orb, const Endpoint& client) {
   auto it = orb.server_conns_.find(client);
   return it != orb.server_conns_.end() && it->second.handshaken;
+}
+
+std::optional<giop::CodeSet> OrbProbe::server_char_code_set(const Orb& orb,
+                                                            const Endpoint& client) {
+  auto it = orb.server_conns_.find(client);
+  if (it == orb.server_conns_.end()) return std::nullopt;
+  return it->second.char_code_set;
 }
 
 }  // namespace testing

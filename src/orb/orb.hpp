@@ -28,6 +28,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -37,6 +38,7 @@
 #include "orb/servant.hpp"
 #include "orb/transport.hpp"
 #include "sim/simulator.hpp"
+#include "util/fifo.hpp"
 #include "util/shared_bytes.hpp"
 
 namespace eternal::orb {
@@ -126,6 +128,17 @@ class TicketGate {
   std::vector<std::uint64_t> ahead_;
 };
 
+/// A map keyed by object key strings that is searched with a view of the
+/// key (heterogeneous lookup), so no string is built per message.
+struct KeyHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view key) const noexcept {
+    return std::hash<std::string_view>{}(key);
+  }
+};
+template <typename V>
+using KeyMap = std::unordered_map<std::string, V, KeyHash, std::equal_to<>>;
+
 /// The Portable Object Adapter: activation map + per-object single-threaded
 /// dispatch (its queues and activation table are ORB/POA-level state).
 class Poa {
@@ -138,39 +151,33 @@ class Poa {
   /// Removes an object; subsequent requests for it are discarded.
   void deactivate(const std::string& object_id);
 
-  bool is_active(const std::string& object_id) const;
+  bool is_active(std::string_view object_id) const;
 
  private:
   friend class Orb;
+  friend class ServerRequest;
   friend class testing::OrbProbe;
   explicit Poa(Orb& orb) : orb_(orb) {}
 
-  struct PendingDispatch {
-    Endpoint from;
-    giop::Request request;
-  };
   struct ActiveObject {
     std::shared_ptr<Servant> servant;
-    std::string type_id;
     std::size_t inflight = 0;        ///< admitted, not yet completed
     std::uint64_t next_ticket = 0;   ///< admission order of dispatches
     TicketGate gate;                 ///< completion order of the tickets
     std::map<std::uint64_t, std::function<void()>> parked;  ///< gated bodies
-    std::deque<PendingDispatch> queue;
+    util::Fifo<ServerRequestPtr> queue;  ///< awaiting an admission slot
   };
-
-  void dispatch(const Endpoint& from, giop::Request request);
+  ActiveObject* find(std::string_view object_id);
+  /// Admits `request` on its object (or queues it behind a full admission
+  /// window); an unknown object answers OBJECT_NOT_EXIST.
+  void dispatch(ServerRequestPtr request);
   /// Completion of the dispatch holding `ticket`: frees its admission slot,
   /// admits queued work, advances the execution gate past every
   /// consecutively completed ticket and releases parked bodies.
-  void finish_ticket(const std::string& key, std::uint64_t ticket);
-  /// Runs `body` if `ticket` is the execution front, parks it otherwise.
-  void gate_run(const std::string& key, std::uint64_t ticket,
-                std::function<void()> body);
-  void drain_gate(const std::string& key);
+  void finish_ticket(std::string_view object_id, std::uint64_t ticket);
 
   Orb& orb_;
-  std::unordered_map<std::string, ActiveObject> objects_;
+  KeyMap<ActiveObject> objects_;
 };
 
 /// The ORB. One per simulated processor.
@@ -220,6 +227,7 @@ class Orb : public MessageSink {
 
  private:
   friend class Poa;
+  friend class ServerRequest;
   friend class ObjectRef;
   friend class testing::OrbProbe;
 
@@ -253,10 +261,9 @@ class Orb : public MessageSink {
   // ---- server side ----
   struct ServerConnection {
     bool handshaken = false;
-    std::uint32_t peer_vendor = 0;
     giop::CodeSet char_code_set = giop::CodeSet::kIso8859_1;
     giop::CodeSet wchar_code_set = giop::CodeSet::kUtf16;
-    std::unordered_map<std::string, util::Bytes> short_to_full;
+    KeyMap<util::Bytes> short_to_full;
     std::uint32_t next_short_id = 1;
   };
 
@@ -264,12 +271,15 @@ class Orb : public MessageSink {
                        bool response_expected, ReplyHandler handler);
   void transmit_invocation(const Endpoint& to, ClientConnection& conn, QueuedInvocation inv);
   void begin_handshake(const Endpoint& to, ClientConnection& conn, const giop::Ior& ior);
-  void handle_request(const Endpoint& from, giop::Request request);
-  void handle_reply(const Endpoint& from, giop::Reply reply);
-  void serve_handshake(const Endpoint& from, const giop::Request& request);
+  /// The server path: `request` inspects `message`, whose buffer the
+  /// dispatched ServerRequest keeps.
+  void handle_request(const Endpoint& from, const util::SharedSlice& message,
+                      const giop::Inspection& request);
+  void handle_reply(const Endpoint& from, const giop::Inspection& reply);
+  void serve_handshake(const Endpoint& from, const giop::Inspection& request);
   void complete_handshake(const Endpoint& from, ClientConnection& conn,
-                          const giop::Reply& reply);
-  void send_reply(const Endpoint& to, std::uint32_t request_id, bool user_exception,
+                          util::BytesView answer);
+  void send_reply(const Endpoint& to, std::uint32_t request_id, giop::ReplyStatus status,
                   util::Bytes body);
   ClientConnection& connection_to(const Endpoint& server, const giop::Ior& ior);
 
@@ -303,6 +313,8 @@ class OrbProbe {
   static std::optional<giop::CodeSet> client_char_code_set(const Orb& orb,
                                                            const Endpoint& server);
   static bool server_handshaken(const Orb& orb, const Endpoint& client);
+  static std::optional<giop::CodeSet> server_char_code_set(const Orb& orb,
+                                                           const Endpoint& client);
 };
 
 }  // namespace testing

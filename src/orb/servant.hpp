@@ -7,44 +7,54 @@
 // after nested invocations on other objects (multi-tier scenarios).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 
+#include "orb/transport.hpp"
 #include "util/bytes.hpp"
+#include "util/shared_bytes.hpp"
 #include "util/time.hpp"
 
 namespace eternal::orb {
 
-/// An in-progress invocation on a servant.
+class Poa;
+
+/// An in-progress invocation on a servant: the POA's one record of a
+/// dispatch. It holds a reference to the inbound GIOP frame's shared buffer
+/// and args() views the request body in it, so the arguments stay readable
+/// until the record is released, whoever else held the frame.
 class ServerRequest {
  public:
-  using CompletionFn = std::function<void(bool user_exception, util::Bytes body)>;
-
-  ServerRequest(std::string operation, util::Bytes args, CompletionFn on_complete)
-      : operation_(std::move(operation)),
+  ServerRequest(Poa& poa, std::string_view object_id, std::string_view operation,
+                util::SharedSlice args, const Endpoint& reply_to, std::uint32_t request_id,
+                bool response_expected)
+      : poa_(&poa),
+        object_id_(object_id),
+        operation_(operation),
         args_(std::move(args)),
-        on_complete_(std::move(on_complete)) {}
+        reply_to_(reply_to),
+        request_id_(request_id),
+        response_expected_(response_expected) {}
 
   const std::string& operation() const noexcept { return operation_; }
-  const util::Bytes& args() const noexcept { return args_; }
+  util::BytesView args() const noexcept { return args_.view(); }
 
-  using ExecutionGate = std::function<void(std::function<void()>)>;
-
-  /// Installed by the POA before invoke(): defers a body passed to
-  /// run_when_clear() until every invocation admitted earlier on the same
-  /// object has completed, so overlapped dispatches mutate state in
-  /// admission order. Absent a gate, bodies run immediately.
-  void set_execution_gate(ExecutionGate gate) { gate_ = std::move(gate); }
-
-  /// Runs `body` once this request reaches the front of its object's
-  /// admission order (immediately when no gate is installed). Servants with
-  /// order-sensitive state run their serve+reply step through this.
-  void run_when_clear(std::function<void()> body) {
-    if (gate_) {
-      gate_(std::move(body));
-    } else {
+  /// Runs `body` once every invocation admitted earlier on the same object
+  /// has completed, so overlapped dispatches (POA admission window > 1)
+  /// mutate state in admission order. At the front of that order — the
+  /// common case — the body runs right here; only a body that must wait is
+  /// stored. Servants with order-sensitive state run their serve+reply step
+  /// through this.
+  template <typename Body>
+  void run_when_clear(Body&& body) {
+    if (at_execution_front()) {
       body();
+    } else {
+      park(std::function<void()>(std::forward<Body>(body)));
     }
   }
 
@@ -58,16 +68,22 @@ class ServerRequest {
   bool completed() const noexcept { return completed_; }
 
  private:
-  void complete(bool user_exception, util::Bytes body) {
-    if (completed_) return;  // idempotent: late duplicate completions ignored
-    completed_ = true;
-    if (on_complete_) on_complete_(user_exception, std::move(body));
-  }
+  friend class Poa;
 
+  bool at_execution_front() const;
+  void park(std::function<void()> body);
+  /// Sends the reply (two-way only) and frees the admission slot; late
+  /// duplicate completions are ignored.
+  void complete(bool user_exception, util::Bytes body);
+
+  Poa* poa_;
+  std::string object_id_;  ///< the full object key the request resolved to
   std::string operation_;
-  util::Bytes args_;
-  CompletionFn on_complete_;
-  ExecutionGate gate_;
+  util::SharedSlice args_;
+  Endpoint reply_to_;
+  std::uint32_t request_id_;
+  bool response_expected_;
+  std::uint64_t ticket_ = 0;  ///< admission order on the object
   bool completed_ = false;
 };
 

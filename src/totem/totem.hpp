@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <set>
@@ -31,6 +30,7 @@
 #include "sim/simulator.hpp"
 #include "totem/frames.hpp"
 #include "totem/seq_store.hpp"
+#include "util/fifo.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 
@@ -260,7 +260,7 @@ class TotemNode : public sim::Station {
   std::map<std::pair<std::uint32_t, std::uint64_t>, std::vector<util::SharedSlice>> partial_;
   /// In submission order, so msg_ids ascend along it (the unsent messages
   /// an excluded member carries into its rejoin keep their place).
-  std::deque<PendingFragment> send_queue_;
+  util::Fifo<PendingFragment> send_queue_;
   /// Not reset by crash(): a rejoining member's new messages must not alias
   /// the unsent ones it carries, nor a withdraw() handle taken before.
   std::uint64_t next_msg_id_ = 1;

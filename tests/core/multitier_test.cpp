@@ -87,6 +87,86 @@ TEST(MultiTier, ActiveMiddleTierForwardsExactlyOnce) {
   EXPECT_EQ(rig.backend_servant->value(), 11);
 }
 
+/// A middle tier that answers each invocation at once with its forward
+/// count and issues the nested call `lag` later — the first one without
+/// lag, so both replicas' ORBs negotiate the connection together. A replica
+/// with a long lag then issues each nested call after a sibling's copy of it
+/// has already been answered.
+class LaggingForwarder : public orb::Servant {
+ public:
+  LaggingForwarder(sim::Simulator& sim, orb::ObjectRef backend, Duration lag)
+      : sim_(sim), backend_(std::move(backend)), lag_(lag) {}
+
+  void invoke(orb::ServerRequestPtr request) override {
+    const Duration lag = forwarded_++ == 0 ? Duration(0) : lag_;
+    sim_.schedule(lag, [this, args = util::Bytes(request->args().begin(),
+                                                  request->args().end())]() mutable {
+      backend_.invoke("inc", std::move(args), [](const orb::ReplyOutcome&) {});
+    });
+    request->reply(CounterServant::encode_i32(static_cast<std::int32_t>(forwarded_)));
+  }
+
+ private:
+  sim::Simulator& sim_;
+  orb::ObjectRef backend_;
+  Duration lag_;
+  std::uint64_t forwarded_ = 0;
+};
+
+TEST(MultiTier, SlowActiveSiblingCapturingAfterTheReplyKeepsNoTranslation) {
+  // The middle tier is active on nodes 1 and 2; after the first call, node
+  // 2's replica issues its nested calls 20 ms late, long after node 1's
+  // copies were executed by the backend and their replies delivered on
+  // node 2. Node 2's late copy stays off
+  // the ring, and it must keep no request-id translation either: nothing
+  // would ever retire it, so every slow capture would grow the connection's
+  // bookkeeping for good.
+  SystemConfig cfg;
+  cfg.nodes = 4;
+  System sys(cfg);
+  FtProperties backend_props;
+  backend_props.style = ReplicationStyle::kActive;
+  backend_props.initial_replicas = 1;
+  backend_props.minimum_replicas = 1;
+  std::shared_ptr<CounterServant> backend_servant;
+  const GroupId backend = sys.deploy("backend", "IDL:Backend:1.0", backend_props, {NodeId{3}},
+                                     [&](NodeId) {
+                                       backend_servant =
+                                           std::make_shared<CounterServant>(sys.sim());
+                                       return backend_servant;
+                                     });
+  FtProperties middle_props;
+  middle_props.style = ReplicationStyle::kActive;
+  middle_props.initial_replicas = 2;
+  middle_props.minimum_replicas = 1;
+  const GroupId middle =
+      sys.deploy("middle", "IDL:Middle:1.0", middle_props, {NodeId{1}, NodeId{2}},
+                 [&](NodeId n) {
+                   const Duration lag = n == NodeId{2} ? Duration(20'000'000) : Duration(0);
+                   return std::make_shared<LaggingForwarder>(sys.sim(),
+                                                             sys.client(n, backend), lag);
+                 });
+  sys.bind_client(NodeId{1}, middle, backend);
+  sys.bind_client(NodeId{2}, middle, backend);
+  sys.deploy_client("app", NodeId{4}, {middle});
+  orb::ObjectRef ref = sys.client(NodeId{4}, middle);
+
+  constexpr int kCalls = 6;
+  for (int i = 0; i < kCalls; ++i) {
+    bool done = false;
+    ref.invoke("forward", CounterServant::encode_i32(1),
+               [&done](const orb::ReplyOutcome&) { done = true; });
+    ASSERT_TRUE(sys.run_until([&] { return done; }, Duration(500'000'000)));
+  }
+  sys.sim().run_for(Duration(100'000'000));  // every late capture has happened
+
+  EXPECT_EQ(backend_servant->value(), kCalls);  // executed once per call
+  EXPECT_GE(sys.mech(NodeId{2}).stats().requests_withdrawn,
+            static_cast<std::uint64_t>(kCalls - 1));
+  EXPECT_EQ(sys.mech(NodeId{1}).pending_translations(middle, backend), 0u);
+  EXPECT_EQ(sys.mech(NodeId{2}).pending_translations(middle, backend), 0u);
+}
+
 TEST(MultiTier, MiddleTierActiveReplicaFailureMasked) {
   TierRig rig(ReplicationStyle::kActive);
   ASSERT_TRUE(rig.invoke(1));

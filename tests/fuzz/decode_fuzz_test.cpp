@@ -6,6 +6,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "core/envelope.hpp"
 #include "core/group_table.hpp"
@@ -13,6 +16,9 @@
 #include "core/state_snapshots.hpp"
 #include "giop/giop.hpp"
 #include "giop/ior.hpp"
+#include "orb/orb.hpp"
+#include "orb/sync_servant.hpp"
+#include "sim/simulator.hpp"
 #include "totem/frames.hpp"
 #include "util/any.hpp"
 #include "util/cdr.hpp"
@@ -69,18 +75,80 @@ TEST_P(DecodeFuzz, RandomBytesNeverCrashDecoders) {
   }
 }
 
-TEST_P(DecodeFuzz, MutatedValidGiopNeverCrashes) {
-  Rng rng(GetParam() ^ 0xFACE);
+/// Returns its arguments; reads them when its modelled execution ends.
+class EchoServant : public orb::SyncServant {
+ public:
+  using orb::SyncServant::SyncServant;
+
+ protected:
+  Bytes serve(const std::string&, BytesView args) override {
+    return Bytes(args.begin(), args.end());
+  }
+};
+
+/// Counts and drops what an ORB writes.
+struct DropTransport : orb::Transport {
+  std::uint64_t sent = 0;
+  void send(const orb::Endpoint&, Bytes) override { ++sent; }
+};
+
+/// Valid frames of every kind the ORB's inbound path reads: a request for an
+/// active object with a context, a handshake offer to the in-ORB session
+/// service, a short-key request, a reply and a locate request.
+std::vector<Bytes> valid_giop_frames() {
+  std::vector<Bytes> frames;
   giop::Request req;
   req.request_id = 7;
   req.object_key = util::bytes_of("object-key");
   req.operation = "operation_name";
   req.service_context.push_back(giop::ServiceContext{1, Bytes{1, 2, 3, 4}});
   req.body = Bytes(64, 0x5A);
-  const Bytes valid = giop::encode(req);
+  frames.push_back(giop::encode(req));
+
+  giop::Request offer;
+  offer.request_id = 8;
+  offer.object_key = Bytes{0xFD};
+  offer.operation = "_negotiate_session";
+  util::CdrWriter w;
+  w.put_u8(static_cast<std::uint8_t>(w.order()));
+  w.put_u32(0xE7E41001);
+  w.put_u32(static_cast<std::uint32_t>(giop::CodeSet::kUtf8));
+  w.put_u32(static_cast<std::uint32_t>(giop::CodeSet::kUtf16));
+  w.put_octets(util::bytes_of("object-key"));
+  offer.service_context.push_back(
+      giop::ServiceContext{giop::kVendorHandshakeContextId, std::move(w).take()});
+  frames.push_back(giop::encode(offer));
+
+  giop::Request short_key = req;
+  short_key.request_id = 9;
+  short_key.object_key = Bytes{0xFE, 0, 0, 0, 1};
+  short_key.service_context.clear();
+  frames.push_back(giop::encode(short_key));
+
+  giop::Reply reply;
+  reply.request_id = 3;
+  reply.body = Bytes(16, 0x33);
+  frames.push_back(giop::encode(reply));
+  frames.push_back(giop::encode(giop::LocateRequest{4, util::bytes_of("object-key")}));
+  return frames;
+}
+
+TEST_P(DecodeFuzz, MutatedValidGiopNeverCrashes) {
+  // Each mutated frame also goes through a live ORB's inbound path, which
+  // reads it in place and keeps a dispatched request's arguments as a view
+  // into it: frames are injected in shared buffers nobody else keeps, and
+  // several are in flight at once.
+  Rng rng(GetParam() ^ 0xFACE);
+  const std::vector<Bytes> valid = valid_giop_frames();
+  sim::Simulator sim;
+  orb::Orb orb(sim, util::NodeId{2}, orb::OrbConfig{});
+  DropTransport wire;
+  orb.plug_transport(wire);
+  orb.root_poa().activate("object-key", std::make_shared<EchoServant>(sim), "IDL:Echo:1.0");
+  std::uint64_t rejected = 0;
 
   for (int i = 0; i < fuzz_iters(); ++i) {
-    Bytes mutated = valid;
+    Bytes mutated = valid[static_cast<std::size_t>(i) % valid.size()];
     const std::size_t flips = 1 + rng.below(4);
     for (std::size_t f = 0; f < flips; ++f) {
       mutated[rng.below(mutated.size())] ^= static_cast<std::uint8_t>(1 + rng.below(255));
@@ -91,8 +159,15 @@ TEST_P(DecodeFuzz, MutatedValidGiopNeverCrashes) {
       // enough to re-encode without throwing.
       (void)giop::encode(decoded->as_request());
     }
-    (void)giop::inspect(mutated);
+    rejected += giop::inspect(mutated).has_value() ? 0 : 1;
+    orb.on_message(orb::Endpoint{util::NodeId{1 + rng.below(3)}},
+                   util::SharedSlice::copy_of(mutated));
+    if (i % 8 == 7) sim.run();
   }
+  sim.run();
+  // Every frame inspect() rejects is a decode error; a malformed handshake
+  // offer counts as one too.
+  EXPECT_GE(orb.stats().decode_errors, rejected);
 }
 
 TEST_P(DecodeFuzz, MutatedValidTotemFramesNeverCrash) {

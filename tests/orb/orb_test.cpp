@@ -4,6 +4,10 @@
 // exceptions, oneways.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
+#include "giop/giop.hpp"
 #include "orb/orb.hpp"
 #include "orb/sync_servant.hpp"
 #include "orb/transport.hpp"
@@ -273,6 +277,160 @@ TEST(Orb, MalformedInboundCountsDecodeError) {
   pair.server.on_message(Endpoint{NodeId{1}, 2809}, util::bytes_of("garbage"));
   pair.sim.run_until(pair.sim.now() + Duration(1'000'000));
   EXPECT_EQ(pair.server.stats().decode_errors, 1u);
+}
+
+// ---- The server path on a shared inbound frame (the Interceptor's path):
+// the ORB reads the message in place and the dispatched request keeps the
+// frame's buffer, so these outcomes must match the copying path above.
+
+/// Records what the server ORB writes.
+struct CaptureTransport : Transport {
+  std::vector<Bytes> sent;
+  void send(const Endpoint&, Bytes iiop) override { sent.push_back(std::move(iiop)); }
+};
+
+struct SharedFrameRig {
+  SharedFrameRig() {
+    server.plug_transport(wire);
+    server.root_poa().activate("echo", servant, "IDL:Echo:1.0");
+  }
+
+  /// Hands the server `frame` in a shared buffer of its own, keeps no
+  /// reference to it, and runs the simulation to quiescence.
+  void inject(const Bytes& frame) {
+    server.on_message(client, util::SharedSlice::copy_of(frame));
+    sim.run();
+  }
+
+  giop::Message last_sent() const {
+    EXPECT_FALSE(wire.sent.empty());
+    std::optional<giop::Message> msg = giop::decode(wire.sent.back());
+    EXPECT_TRUE(msg.has_value());
+    return msg.value_or(giop::Message{});
+  }
+
+  static giop::Request request(const std::string& key, std::uint32_t rid, Bytes body) {
+    giop::Request req;
+    req.request_id = rid;
+    req.object_key = util::bytes_of(key);
+    req.operation = "echo";
+    req.body = std::move(body);
+    return req;
+  }
+
+  sim::Simulator sim;
+  Orb server{sim, NodeId{2}, OrbConfig{}};
+  CaptureTransport wire;
+  std::shared_ptr<EchoServant> servant = std::make_shared<EchoServant>(sim);
+  const Endpoint client{NodeId{1}, 2809};
+};
+
+TEST(OrbSharedFrame, RequestIsServedAndAnswered) {
+  SharedFrameRig rig;
+  rig.inject(giop::encode(SharedFrameRig::request("echo", 5, util::bytes_of("args"))));
+  ASSERT_EQ(rig.wire.sent.size(), 1u);
+  const giop::Message sent = rig.last_sent();
+  const giop::Reply& reply = sent.as_reply();
+  EXPECT_EQ(reply.request_id, 5u);
+  EXPECT_EQ(reply.reply_status, giop::ReplyStatus::kNoException);
+  EXPECT_EQ(util::text_of(reply.body), "args");
+  EXPECT_EQ(rig.server.stats().requests_dispatched, 1u);
+}
+
+TEST(OrbSharedFrame, UnknownShortKeyIsDiscarded) {
+  SharedFrameRig rig;
+  giop::Request req = SharedFrameRig::request("echo", 7, Bytes{1});
+  req.object_key = Bytes{0xFE, 0, 0, 0, 1};
+  rig.inject(giop::encode(req));
+  EXPECT_EQ(rig.server.stats().requests_discarded_unknown_key, 1u);
+  EXPECT_EQ(rig.servant->calls, 0);
+  EXPECT_TRUE(rig.wire.sent.empty());
+}
+
+TEST(OrbSharedFrame, CodeSetContextIsRecorded) {
+  SharedFrameRig rig;
+  util::CdrWriter w;
+  w.put_u8(static_cast<std::uint8_t>(w.order()));
+  w.put_u32(static_cast<std::uint32_t>(giop::CodeSet::kUtf8));
+  w.put_u32(static_cast<std::uint32_t>(giop::CodeSet::kUtf16));
+  giop::Request req = SharedFrameRig::request("echo", 1, Bytes{1});
+  req.service_context.push_back(giop::ServiceContext{giop::kCodeSetsContextId, w.bytes()});
+  rig.inject(giop::encode(req));
+  EXPECT_EQ(testing::OrbProbe::server_char_code_set(rig.server, rig.client),
+            giop::CodeSet::kUtf8);
+  EXPECT_EQ(rig.servant->calls, 1);
+}
+
+TEST(OrbSharedFrame, TruncatedCodeSetContextIsIgnored) {
+  // Nine bytes: the order flag and one code set but not the second. The
+  // request is still served and the connection keeps its default.
+  SharedFrameRig rig;
+  giop::Request req = SharedFrameRig::request("echo", 1, Bytes{1});
+  req.service_context.push_back(
+      giop::ServiceContext{giop::kCodeSetsContextId, Bytes{1, 0, 0, 0, 1, 0, 1, 5, 0}});
+  rig.inject(giop::encode(req));
+  EXPECT_EQ(testing::OrbProbe::server_char_code_set(rig.server, rig.client),
+            giop::CodeSet::kIso8859_1);
+  EXPECT_EQ(rig.servant->calls, 1);
+}
+
+TEST(OrbSharedFrame, InactiveKeyAnswersObjectNotExist) {
+  SharedFrameRig rig;
+  rig.inject(giop::encode(SharedFrameRig::request("gone", 9, Bytes{})));
+  ASSERT_EQ(rig.wire.sent.size(), 1u);
+  const giop::Message sent = rig.last_sent();
+  const giop::Reply& reply = sent.as_reply();
+  EXPECT_EQ(reply.request_id, 9u);
+  EXPECT_EQ(reply.reply_status, giop::ReplyStatus::kSystemException);
+  util::CdrReader r(reply.body, static_cast<util::ByteOrder>(reply.body[0] & 1));
+  (void)r.get_u8();
+  EXPECT_EQ(r.get_string(), "IDL:omg.org/CORBA/OBJECT_NOT_EXIST:1.0");
+  EXPECT_EQ(rig.server.stats().requests_dispatched, 0u);
+}
+
+TEST(OrbSharedFrame, LocateRequestIsAnswered) {
+  SharedFrameRig rig;
+  giop::LocateRequest here{11, util::bytes_of("echo")};
+  giop::LocateRequest absent{12, util::bytes_of("gone")};
+  rig.inject(giop::encode(here));
+  rig.inject(giop::encode(absent));
+  ASSERT_EQ(rig.wire.sent.size(), 2u);
+  const auto first = giop::decode(rig.wire.sent[0]);
+  const auto second = giop::decode(rig.wire.sent[1]);
+  ASSERT_TRUE(first && second);
+  EXPECT_EQ(std::get<giop::LocateReply>(first->body), (giop::LocateReply{11, 1}));
+  EXPECT_EQ(std::get<giop::LocateReply>(second->body), (giop::LocateReply{12, 0}));
+}
+
+TEST(OrbSharedFrame, MalformedFrameCountsDecodeError) {
+  SharedFrameRig rig;
+  Bytes frame = giop::encode(SharedFrameRig::request("echo", 1, Bytes{1, 2, 3}));
+  frame.pop_back();  // the size field no longer matches
+  rig.inject(frame);
+  EXPECT_EQ(rig.server.stats().decode_errors, 1u);
+  EXPECT_EQ(rig.servant->calls, 0);
+  EXPECT_TRUE(rig.wire.sent.empty());
+}
+
+TEST(OrbSharedFrame, ArgsOutliveEveryOtherHolderOfTheFrame) {
+  // The servant reads its arguments 100 us after dispatch. By then the
+  // injector's reference and the dispatch event's are gone: only the
+  // request record still holds the frame's buffer.
+  SharedFrameRig rig;
+  const Bytes args = util::bytes_of("arguments that outlive the frame's other holders");
+  util::SharedSlice frame =
+      util::SharedSlice::copy_of(giop::encode(SharedFrameRig::request("echo", 3, args)));
+  const util::SharedBytes* buffer = &frame.owner();
+  rig.server.on_message(rig.client, frame);
+  EXPECT_EQ(buffer->use_count(), 2u);  // ours and the dispatch event's
+  rig.sim.run_until(rig.sim.now() + Duration(50'000));  // dispatched, executing
+  EXPECT_EQ(rig.servant->calls, 0);
+  EXPECT_EQ(buffer->use_count(), 2u);  // ours and the request record's
+  frame = util::SharedSlice{};
+  rig.sim.run();
+  EXPECT_EQ(rig.servant->calls, 1);
+  ASSERT_EQ(rig.wire.sent.size(), 1u);
+  EXPECT_EQ(rig.last_sent().as_reply().body, args);
 }
 
 }  // namespace

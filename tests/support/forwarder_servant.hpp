@@ -33,7 +33,7 @@ class ForwarderServant : public orb::Servant {
       return;
     }
     ++forwarded_;
-    util::Bytes args = request->args();
+    util::Bytes args(request->args().begin(), request->args().end());
     backend_.invoke(forward_op_, std::move(args), [request](const orb::ReplyOutcome& out) {
       if (out.status == giop::ReplyStatus::kNoException) {
         request->reply(out.body);
