@@ -100,7 +100,8 @@ cmake --build build-asan -j"$JOBS" --target \
   sim_test totem_test totem_protocol_test util_test giop_test placement_test \
   core_unit_test passive_test stable_storage_test recovery_hazards_test \
   fast_state_transfer_test critpath_test decode_fuzz_test lossy_network_test \
-  mechanisms_stats_test deployment_test orb_test orb_locate_test transport_test
+  mechanisms_stats_test deployment_test orb_test orb_locate_test transport_test \
+  multitier_test
 # sim_test: simulator slab + small-buffer callables, Ethernet in-flight slots;
 # totem_test/totem_protocol_test: frames and the seq-indexed frame store;
 # util_test/giop_test: CDR in-place readers, GIOP inspection, request-id
@@ -136,6 +137,8 @@ cmake --build build-asan -j"$JOBS" --target \
 # into the inbound frame's shared buffer across scheduled events, until the
 # servant completes it; a request that kept a plain view instead would read
 # freed memory (OrbSharedFrame.ArgsOutliveEveryOtherHolderOfTheFrame).
+# multitier_test: a slow active sibling's late nested call is answered
+# from the reply cache, a retained slice of an earlier delivery.
 # Trace fields hold views of literals and of names the trace interns:
 # chaos_script_test exports a trace after its ChaosScript is destroyed, and
 # trace_export_golden renders every producer's fields.
@@ -144,7 +147,7 @@ for t in obs_test spans_test integration_smoke_test recovery_edge_test quiescenc
          sim_test totem_test totem_protocol_test util_test giop_test placement_test \
          core_unit_test passive_test stable_storage_test recovery_hazards_test \
          fast_state_transfer_test critpath_test lossy_network_test mechanisms_stats_test \
-         deployment_test orb_test orb_locate_test transport_test; do
+         deployment_test orb_test orb_locate_test transport_test multitier_test; do
   "build-asan/tests/$t"
 done
 # Every decoder under the sanitizers, with the tier-1 fuzz budget.

@@ -48,6 +48,9 @@ System::System(SystemConfig config)
     void on_view_change(const totem::View& v) override {
       if (target != nullptr) target->on_view_change_on(ring, v);
     }
+    bool output_imminent() const override {
+      return target != nullptr && target->output_imminent_on(ring);
+    }
   };
 
   slots_.reserve(config_.nodes);

@@ -67,6 +67,14 @@ class ReplicaEngine {
   /// Requests in flight (a barrier is not one).
   std::size_t inflight() const noexcept { return inflight_.size(); }
   std::size_t parked() const noexcept { return parked_.size(); }
+  /// A two-way request is executing: its reply is still to come. A oneway
+  /// holding its slot through the grace period produces none.
+  bool awaiting_reply() const noexcept {
+    for (const Fom& fom : inflight_) {
+      if (fom.response_expected) return true;
+    }
+    return false;
+  }
   /// Nothing executing and no reply parked: the replica is quiescent.
   bool idle() const noexcept { return !barrier_ && inflight_.empty() && parked_.empty(); }
   /// Whether a FOM of `kind` may start now: a request needs a free slot, a

@@ -455,9 +455,8 @@ void Mechanisms::capture_request(const orb::Endpoint& to, util::Bytes iiop,
   // The reply retires the translation at its first delivery; a slow sibling
   // whose reply was delivered before it issued the request keeps none.
   auto replies = reply_seen_.find(std::make_pair(client_group.value, server_group.value));
-  if (replies == reply_seen_.end() || !replies->second.delivered(group_rid)) {
-    conn.group_to_local.insert_or_assign(group_rid, info.request_id);
-  }
+  const bool answered = replies != reply_seen_.end() && replies->second.delivered(group_rid);
+  if (!answered) conn.group_to_local.insert_or_assign(group_rid, info.request_id);
   if (!is_handshake) {
     rec_.record(node_, obs::Layer::kMech, "rid_translate", group_rid,
                 {{"client", client_group.value},
@@ -492,6 +491,16 @@ void Mechanisms::capture_request(const orb::Endpoint& to, util::Bytes iiop,
   RacedStream* const stream = raced_stream(e);
   if (stream != nullptr && stream->delivered(group_rid)) {
     stats_.requests_withdrawn += 1;
+    // A slow sibling whose reply was delivered here before its ORB sent the
+    // request: that reply went in untranslated and found no request. It
+    // answers the late copy now, like a replayed invocation. Only a
+    // group-consistent id names the same invocation as the cached reply's.
+    if (answered && config_.sync_request_ids) {
+      if (const util::SharedSlice* cached = conn.reply_cache.find(group_rid)) {
+        stats_.replies_answered_from_cache += 1;
+        tap_.inject(to, giop::copy_with_request_id(*cached, info.request_id));
+      }
+    }
     return;
   }
 

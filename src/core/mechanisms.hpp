@@ -292,6 +292,10 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
   // so deliveries and membership changes arrive ring-attributed.
   void on_deliver_on(std::uint32_t ring, const totem::Delivery& delivery);
   void on_view_change_on(std::uint32_t ring, const totem::View& view);
+  /// TotemListener::output_imminent for ring `ring`: a local replica that is
+  /// its group's sole replier (a passive primary, or an active group's only
+  /// operational member) on that ring is executing a two-way request.
+  bool output_imminent_on(std::uint32_t ring) const;
 
   // -------------------------------------------------------------- multi-ring
   /// Ring index ordering every envelope about `group` (0 when no placement).

@@ -29,6 +29,25 @@ const exec::ReplicaEngine* Mechanisms::engine_of(GroupId group) const {
   return r == nullptr ? nullptr : &r->engine;
 }
 
+bool Mechanisms::output_imminent_on(std::uint32_t ring) const {
+  for (const auto& [gid, replica] : replicas_) {
+    const LocalReplica& r = *replica;
+    if (r.phase != Phase::kOperational || !r.engine.awaiting_reply()) continue;
+    if (ring_of(r.group) != ring) continue;
+    // Only a sole replier's reply is certain to go out: with several active
+    // replicas, a busy one's copy is withdrawn once a sibling's delivers.
+    // Either kind of sole replier is its group's primary.
+    const GroupEntry* entry = table_.find(r.group);
+    const ReplicaInfo* primary = entry == nullptr ? nullptr : entry->primary();
+    if (primary == nullptr || primary->id != r.id) continue;
+    if (entry->desc.properties.style != ReplicationStyle::kActive ||
+        entry->operational_count() == 1) {
+      return true;
+    }
+  }
+  return false;
+}
+
 void Mechanisms::pump(LocalReplica& r) {
   if (r.phase == Phase::kReplaying) {
     replay_next(r);

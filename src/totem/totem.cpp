@@ -16,6 +16,7 @@ constexpr const char* kTag = "totem";
 // DESIGN.md ("Multicast batching and token flow control") says why each
 // value holds.
 constexpr Duration kIdlePassDelay = Duration(20'000);          ///< 20 us token hold when idle
+constexpr Duration kOutputHoldCap = Duration(200'000);          ///< longest hold for local output
 constexpr Duration kTokenTimeout = Duration(5'000'000);         ///< 5 ms: no token/frame → gather
 constexpr Duration kJoinSettle = Duration(1'000'000);           ///< 1 ms gossip settle
 constexpr Duration kJoinRebroadcast = Duration(300'000);        ///< re-gossip interval in gather
@@ -157,6 +158,7 @@ void TotemNode::crash() {
   recovery_stalls_ = 0;
   last_stall_missing_ = 0;
   held_token_.reset();
+  hold_ = Hold::kNone;
   gather_alive_.clear();
   gather_highest_seq_ = 0;
   gather_highest_view_ = 0;
@@ -189,6 +191,13 @@ std::uint64_t TotemNode::multicast(util::Bytes payload) {
     send_queue_.push_back(std::move(frag));
   }
   stats_.multicasts += 1;
+  if (hold_ == Hold::kHeld) {
+    // The output the token was kept for. The release runs as an event of its
+    // own, never inline: multicast() is called from inside delivery upcalls.
+    hold_ = Hold::kWoken;
+    sim_.cancel(pass_timer_);
+    pass_timer_ = sim_.schedule(Duration::zero(), [this] { release_hold(); });
+  }
   if (obs::SpanStore* spans = rec_.spans(); spans != nullptr && count > 1) {
     // Track a fragmented message (a large state transfer, typically) from
     // submission until its last fragment is originated on the ring.
@@ -411,6 +420,20 @@ void TotemNode::handle_token(NodeId /*from*/, TokenFrame token) {
   did_work |= token.next_seq != before_seq;
 
   // 4. All-received-up-to bookkeeping (drives garbage collection).
+  update_aru(token);
+
+  // 5. Pass to the successor. An idle visit while a local sole replier is
+  // computing its reply keeps the token instead: the reply goes out on this
+  // visit rather than one rotation later.
+  const bool idle = !did_work && send_queue_.empty();
+  if (idle && view_.members.size() > 1 && listener_->output_imminent()) {
+    hold_for_output(std::move(token));
+    return;
+  }
+  pass_token(std::move(token), idle);
+}
+
+void TotemNode::update_aru(TokenFrame& token) {
   if (delivered_up_to_ < token.aru) {
     token.aru = delivered_up_to_;
     token.aru_setter = node_;
@@ -418,9 +441,25 @@ void TotemNode::handle_token(NodeId /*from*/, TokenFrame token) {
     token.aru = delivered_up_to_;
   }
   if (token.aru > config_.gc_margin) store_.erase_below(token.aru - config_.gc_margin);
+}
 
-  // 5. Pass to the successor.
-  pass_token(std::move(token), /*idle=*/!did_work && send_queue_.empty());
+void TotemNode::hold_for_output(TokenFrame token) {
+  stats_.output_holds += 1;
+  held_token_ = std::move(token);
+  hold_ = Hold::kHeld;
+  pass_timer_ = sim_.schedule(kOutputHoldCap, [this] { release_hold(); });
+}
+
+void TotemNode::release_hold() {
+  // Gather and crash cancel the timer and clear the hold together.
+  if (hold_ == Hold::kNone) return;
+  hold_ = Hold::kNone;
+  TokenFrame token = std::move(*held_token_);
+  held_token_.reset();
+  // The rest of the visit the hold interrupted, under the same flow budget.
+  send_fragments(token);
+  update_aru(token);
+  pass_token(std::move(token), /*idle=*/false);
 }
 
 void TotemNode::send_fragments(TokenFrame& token) {
@@ -673,6 +712,7 @@ void TotemNode::enter_gather() {
   sim_.cancel(rebroadcast_timer_);
   sim_.cancel(recovery_timer_);
   held_token_.reset();
+  hold_ = Hold::kNone;
   commit_.reset();
   ready_members_.clear();
   requested_missing_check_.clear();

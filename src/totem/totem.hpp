@@ -104,6 +104,12 @@ class TotemListener {
   virtual ~TotemListener() = default;
   virtual void on_deliver(const Delivery& delivery) = 0;
   virtual void on_view_change(const View& view) = 0;
+  /// Asked on a token visit that would pass on idle: true when this node is
+  /// about to multicast an output that no other member will send instead
+  /// (a sole replier computing its reply). The endpoint then keeps the
+  /// token until that multicast, or for at most a fixed cap. Must not
+  /// allocate: it runs on every idle visit.
+  virtual bool output_imminent() const { return false; }
 };
 
 /// Traffic/behaviour counters for the resource-usage experiments.
@@ -115,6 +121,7 @@ struct TotemStats {
   std::uint64_t deliveries = 0;         ///< messages delivered to listener
   std::uint64_t view_changes = 0;
   std::uint64_t tokens_handled = 0;
+  std::uint64_t output_holds = 0;       ///< idle visits that kept the token for local output
   std::uint64_t batches_sent = 0;       ///< Data frames carrying >= 2 messages
   std::uint64_t batched_messages = 0;   ///< messages that travelled inside a batch
   std::uint64_t backpressure_sets = 0;  ///< token visits where we imposed a budget
@@ -171,6 +178,10 @@ class TotemNode : public sim::Station {
   /// Messages queued locally but not yet sequenced.
   std::size_t backlog() const noexcept { return send_queue_.size(); }
 
+  /// True while this endpoint keeps the token for the listener's imminent
+  /// output (TotemListener::output_imminent).
+  bool holding_for_output() const noexcept { return hold_ != Hold::kNone; }
+
   const View& view() const noexcept { return view_; }
   const TotemStats& stats() const noexcept { return stats_; }
 
@@ -211,6 +222,14 @@ class TotemNode : public sim::Station {
   /// Encodes `f` carrying `payload` into one shared buffer, broadcasts it
   /// and keeps a slice of it as the self-delivery store entry.
   void originate(DataFrame f, util::BytesView payload);
+  /// Step 4 of a visit: the all-received-up-to watermark and the store's
+  /// garbage collection below it.
+  void update_aru(TokenFrame& token);
+  /// Keeps an idle visit's token, unpassed, until the next multicast wakes
+  /// it or kOutputHoldCap elapses.
+  void hold_for_output(TokenFrame token);
+  /// Ends a hold: the visit's sends, its aru step, and an immediate pass.
+  void release_hold();
   void apply_backpressure(TokenFrame& token);
   void serve_retransmissions(std::vector<std::uint64_t>& rtr);
   void request_missing(TokenFrame& token);
@@ -279,6 +298,11 @@ class TotemNode : public sim::Station {
   sim::EventId token_timer_{};
   sim::EventId pass_timer_{};
   std::optional<TokenFrame> held_token_;  ///< token waiting for pass_timer_ to pass it on
+  /// An output hold: held_token_ is this visit's token, not yet passed;
+  /// pass_timer_ is the cap (kHeld) or the wake a multicast scheduled
+  /// (kWoken). Cleared with held_token_ by gather and crash.
+  enum class Hold : std::uint8_t { kNone, kHeld, kWoken };
+  Hold hold_ = Hold::kNone;
   util::Bytes token_wire_;  ///< the last pass's encoded token, reused by the next
 
   // Gather/recovery state.

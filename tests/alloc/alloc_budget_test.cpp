@@ -572,6 +572,65 @@ TEST(AllocBudget, PassingAndReceivingTheTokenAtFourStationsAllocatesNothing) {
   for (const auto& node : nodes) EXPECT_EQ(node->view().members.size(), 4u);
 }
 
+TEST(AllocBudget, HeldThenWokenTokenPassAllocatesNothing) {
+  // A member whose listener reports imminent output keeps the idle token
+  // until its next multicast, or until the cap. Keeping it, the wake event,
+  // the rest of the visit and the pass allocate nothing: a woken cycle's one
+  // allocation is its Data frame's shared buffer, as for any send, and a
+  // cycle the cap ends allocates nothing at all.
+  struct Sink : totem::TotemListener {
+    bool imminent = false;
+    void on_deliver(const totem::Delivery&) override {}
+    void on_view_change(const totem::View&) override {}
+    bool output_imminent() const override { return imminent; }
+  };
+  sim::Simulator sim;
+  sim::Ethernet ether(sim, sim::EthernetConfig{});
+  totem::TotemConfig cfg;
+  cfg.gc_margin = 8;  // GC recycles the store's blocks within the test
+  Sink sinks[4];
+  sinks[0].imminent = true;
+  std::vector<std::unique_ptr<totem::TotemNode>> nodes;
+  const std::vector<NodeId> members{NodeId{1}, NodeId{2}, NodeId{3}, NodeId{4}};
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    nodes.push_back(std::make_unique<totem::TotemNode>(sim, ether, members[i], cfg, &sinks[i]));
+  }
+  for (auto& node : nodes) node->start(members);
+  totem::TotemNode& holder = *nodes[0];
+  const auto until_held = [&] {
+    while (!holder.holding_for_output()) ASSERT_TRUE(sim.step());
+  };
+
+  // Warm-up: three of the store's 64-frame blocks, so the counted cycles
+  // only reuse blocks, queue capacity and segment slots.
+  constexpr int kWarm = 192, kWoken = 64, kCapped = 32;
+  std::vector<Bytes> payloads(kWarm + kWoken, Bytes(100, 0x52));  // built before counting
+  for (int i = 0; i < kWarm; ++i) {
+    until_held();
+    holder.multicast(std::move(payloads[i]));
+    sim.run_for(Duration(300'000));
+  }
+  std::uint64_t woken = 0;
+  for (int i = kWarm; i < kWarm + kWoken; ++i) {
+    until_held();
+    woken += allocs_of([&] {
+      holder.multicast(std::move(payloads[i]));
+      sim.run_until(sim.now());  // the wake, the send and the pass
+    });
+    EXPECT_FALSE(holder.holding_for_output());
+  }
+  EXPECT_EQ(woken, static_cast<std::uint64_t>(kWoken)) << "one Data frame buffer per cycle";
+  std::uint64_t capped = 0;
+  for (int i = 0; i < kCapped; ++i) {
+    until_held();
+    capped += allocs_of([&] { sim.run_for(Duration(200'000)); });
+  }
+  EXPECT_EQ(capped, 0u);
+  EXPECT_EQ(holder.stats().output_holds,
+            static_cast<std::uint64_t>(kWarm + kWoken + kCapped));
+  for (const auto& node : nodes) EXPECT_EQ(node->view().id.value, 1u);
+}
+
 TEST(AllocBudget, InvocationBookkeepingAllocatesNothingInSteadyState) {
   // A client connection's per-invocation bookkeeping: the group → local
   // request-id translation, inserted at capture and retired at the reply's

@@ -101,24 +101,29 @@ class LaggingForwarder : public orb::Servant {
     const Duration lag = forwarded_++ == 0 ? Duration(0) : lag_;
     sim_.schedule(lag, [this, args = util::Bytes(request->args().begin(),
                                                   request->args().end())]() mutable {
-      backend_.invoke("inc", std::move(args), [](const orb::ReplyOutcome&) {});
+      backend_.invoke("inc", std::move(args),
+                      [this](const orb::ReplyOutcome&) { answered_ += 1; });
     });
     request->reply(CounterServant::encode_i32(static_cast<std::int32_t>(forwarded_)));
   }
+
+  /// Nested calls whose reply reached this replica's ORB.
+  std::uint64_t answered() const { return answered_; }
 
  private:
   sim::Simulator& sim_;
   orb::ObjectRef backend_;
   Duration lag_;
   std::uint64_t forwarded_ = 0;
+  std::uint64_t answered_ = 0;
 };
 
 TEST(MultiTier, SlowActiveSiblingCapturingAfterTheReplyKeepsNoTranslation) {
   // The middle tier is active on nodes 1 and 2; after the first call, node
   // 2's replica issues its nested calls 20 ms late, long after node 1's
   // copies were executed by the backend and their replies delivered on
-  // node 2. Node 2's late copy stays off
-  // the ring, and it must keep no request-id translation either: nothing
+  // node 2. Node 2's late copy stays off the ring and is answered from the
+  // reply cache. It must keep no request-id translation either: nothing
   // would ever retire it, so every slow capture would grow the connection's
   // bookkeeping for good.
   SystemConfig cfg;
@@ -139,12 +144,14 @@ TEST(MultiTier, SlowActiveSiblingCapturingAfterTheReplyKeepsNoTranslation) {
   middle_props.style = ReplicationStyle::kActive;
   middle_props.initial_replicas = 2;
   middle_props.minimum_replicas = 1;
+  std::array<std::shared_ptr<LaggingForwarder>, 3> forwarders{};
   const GroupId middle =
       sys.deploy("middle", "IDL:Middle:1.0", middle_props, {NodeId{1}, NodeId{2}},
                  [&](NodeId n) {
                    const Duration lag = n == NodeId{2} ? Duration(20'000'000) : Duration(0);
-                   return std::make_shared<LaggingForwarder>(sys.sim(),
-                                                             sys.client(n, backend), lag);
+                   forwarders[n.value] = std::make_shared<LaggingForwarder>(
+                       sys.sim(), sys.client(n, backend), lag);
+                   return forwarders[n.value];
                  });
   sys.bind_client(NodeId{1}, middle, backend);
   sys.bind_client(NodeId{2}, middle, backend);
@@ -165,6 +172,14 @@ TEST(MultiTier, SlowActiveSiblingCapturingAfterTheReplyKeepsNoTranslation) {
             static_cast<std::uint64_t>(kCalls - 1));
   EXPECT_EQ(sys.mech(NodeId{1}).pending_translations(middle, backend), 0u);
   EXPECT_EQ(sys.mech(NodeId{2}).pending_translations(middle, backend), 0u);
+  // Both replicas' ORBs got every nested reply, the slow one's late copies
+  // from the reply cache, and neither waits for one.
+  EXPECT_EQ(forwarders[1]->answered(), static_cast<std::uint64_t>(kCalls));
+  EXPECT_EQ(forwarders[2]->answered(), static_cast<std::uint64_t>(kCalls));
+  EXPECT_GE(sys.mech(NodeId{2}).stats().replies_answered_from_cache,
+            static_cast<std::uint64_t>(kCalls - 1));
+  EXPECT_EQ(sys.orb(NodeId{1}).outstanding_requests(), 0u);
+  EXPECT_EQ(sys.orb(NodeId{2}).outstanding_requests(), 0u);
 }
 
 TEST(MultiTier, MiddleTierActiveReplicaFailureMasked) {

@@ -1,13 +1,16 @@
 // The Totem-like total-order multicast protocol: agreed delivery, self-
 // delivery, fragmentation, retransmission under loss, membership changes,
-// rejoin, and determinism properties.
+// rejoin, determinism properties, and the output-aware token hold.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 
+#include "core/deployment.hpp"
 #include "obs/trace.hpp"
 #include "sim/ethernet.hpp"
+#include "support/counter_servant.hpp"
 #include "totem/totem.hpp"
 
 namespace eternal::totem {
@@ -28,10 +31,12 @@ struct Sink : TotemListener {
   };
   std::vector<Rec> delivered;
   std::vector<View> views;
+  bool imminent = false;  ///< what output_imminent answers
   void on_deliver(const Delivery& d) override {
     delivered.push_back(Rec{d.sender, d.seq, Bytes(d.payload.begin(), d.payload.end())});
   }
   void on_view_change(const View& v) override { views.push_back(v); }
+  bool output_imminent() const override { return imminent; }
 };
 
 struct Ring {
@@ -396,6 +401,262 @@ TEST(Totem, DeterministicAcrossRuns) {
   EXPECT_EQ(run(), run());
 }
 
+
+// ------------------------------------------------------- output-aware hold
+
+/// A station off the ring that sees every frame on the segment and keeps
+/// the tokens: when each arrived, from whom, for whom, in which view.
+struct TokenProbe : sim::Station {
+  struct Seen {
+    util::TimePoint at;
+    NodeId from;
+    NodeId target;
+    ViewId view;
+  };
+  explicit TokenProbe(Ring& ring) : sim(&ring.sim) { ring.ether->attach(NodeId{99}, this); }
+  Simulator* sim;
+  std::vector<Seen> tokens;
+  void on_frame(NodeId from, util::BytesView frame) override {
+    const std::optional<Frame> f = decode_frame(frame);
+    if (!f) return;
+    if (const auto* token = std::get_if<TokenFrame>(&f->body)) {
+      tokens.push_back(Seen{sim->now(), from, token->target, token->view});
+    }
+  }
+  std::size_t sent_by(NodeId node) const {
+    return static_cast<std::size_t>(std::count_if(
+        tokens.begin(), tokens.end(), [node](const Seen& t) { return t.from == node; }));
+  }
+};
+
+/// Steps `ring` until node `i` keeps the token for its listener's output.
+bool step_until_holding(Ring& ring, std::size_t i) {
+  for (int n = 0; n < 100'000; ++n) {
+    if (ring.node(i).holding_for_output()) return true;
+    if (!ring.sim.step()) return false;
+  }
+  return false;
+}
+
+TEST(TotemOutputHold, HeldTokenLeavesAtTheInstantOfTheWakingMulticast) {
+  Ring ring(4);
+  TokenProbe probe(ring);
+  ring.sink(0).imminent = true;
+  ASSERT_TRUE(step_until_holding(ring, 0));
+  EXPECT_EQ(ring.node(0).stats().output_holds, 1u);
+
+  // Some time into the hold the reply is submitted; the token leaves in the
+  // same virtual instant, right behind the Data frame carrying it.
+  ring.sim.run_for(Duration(57'000));
+  ASSERT_TRUE(ring.node(0).holding_for_output());
+  ring.sink(0).imminent = false;
+  const util::TimePoint woken = ring.sim.now();
+  const std::uint64_t frames_before = ring.ether->stats().frames_sent;
+  const std::size_t tokens_before = probe.sent_by(NodeId{1});
+  ring.node(0).multicast(util::bytes_of("reply"));
+  EXPECT_TRUE(ring.node(0).holding_for_output()) << "the wake must not run inline";
+  ring.sim.run_until(woken);  // only the events of this same instant
+  EXPECT_FALSE(ring.node(0).holding_for_output());
+  EXPECT_EQ(ring.ether->stats().frames_sent, frames_before + 2) << "the Data frame and the token";
+  EXPECT_EQ(ring.node(0).backlog(), 0u);
+
+  ring.sim.run_for(Duration(1'000'000));
+  ASSERT_GT(probe.sent_by(NodeId{1}), tokens_before);
+  const auto pass = std::find_if(probe.tokens.begin(), probe.tokens.end(),
+                                 [&](const TokenProbe::Seen& t) {
+                                   return t.from == NodeId{1} && t.at > woken;
+                                 });
+  ASSERT_NE(pass, probe.tokens.end());
+  EXPECT_EQ(pass->target, NodeId{2});
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(delivered_texts(ring.sink(i)), std::vector<std::string>{"reply"}) << "node " << i;
+  }
+}
+
+TEST(TotemOutputHold, CapReleasesAHoldThatNoMulticastEnds) {
+  Ring ring(4);
+  ring.sink(0).imminent = true;
+  ASSERT_TRUE(step_until_holding(ring, 0));
+  ring.sink(0).imminent = false;
+  const util::TimePoint held = ring.sim.now();
+  const std::uint64_t frames_before = ring.ether->stats().frames_sent;
+
+  ring.sim.run_until(held + Duration(199'999));
+  EXPECT_TRUE(ring.node(0).holding_for_output());
+  EXPECT_EQ(ring.ether->stats().frames_sent, frames_before) << "the token left before the cap";
+  ring.sim.run_until(held + Duration(200'000));
+  EXPECT_FALSE(ring.node(0).holding_for_output());
+  EXPECT_EQ(ring.ether->stats().frames_sent, frames_before + 1) << "the cap passes the token";
+
+  // The ring carries on: a later message from another member delivers.
+  ring.node(2).multicast(util::bytes_of("after"));
+  ring.sim.run_for(Duration(2'000'000));
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(delivered_texts(ring.sink(i)), std::vector<std::string>{"after"}) << "node " << i;
+  }
+  EXPECT_EQ(ring.node(0).stats().output_holds, 1u);
+}
+
+TEST(TotemOutputHold, CrashDuringAHoldLeavesNoStalePass) {
+  Ring ring(4);
+  TokenProbe probe(ring);
+  ring.sink(0).imminent = true;
+  ASSERT_TRUE(step_until_holding(ring, 0));
+  const ViewId old_view = ring.node(0).view().id;
+
+  // The holder crashes and at once starts rejoining, well inside the cap:
+  // neither the cap nor a multicast may pass the old visit's token.
+  ring.node(0).crash();
+  EXPECT_FALSE(ring.node(0).holding_for_output());
+  ring.node(0).join();
+  ring.sim.run_for(Duration(300'000));
+  for (const TokenProbe::Seen& t : probe.tokens) {
+    if (t.from == NodeId{1}) {
+      EXPECT_NE(t.view, old_view) << "a stale pass at " << t.at.count();
+    }
+  }
+
+  // The survivors reform (the rejoiner with them) and agree.
+  ring.sink(0).imminent = false;
+  ring.sim.run_for(Duration(60'000'000));
+  for (std::size_t i = 0; i < 4; ++i) ASSERT_TRUE(ring.node(i).operational()) << "node " << i;
+  ring.node(1).multicast(util::bytes_of("after"));
+  ring.sim.run_for(Duration(5'000'000));
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(delivered_texts(ring.sink(i)).back(), "after") << "node " << i;
+  }
+}
+
+TEST(TotemOutputHold, GatherDuringAHoldLeavesNoStalePass) {
+  Ring ring(4);
+  TokenProbe probe(ring);
+  Sink joiner_sink;
+  TotemNode joiner(ring.sim, *ring.ether, NodeId{5}, TotemConfig{}, &joiner_sink);
+  ring.sink(0).imminent = true;
+  ASSERT_TRUE(step_until_holding(ring, 0));
+  const ViewId old_view = ring.node(0).view().id;
+
+  // A new member asks to join; its request reaches the holder inside the cap
+  // and sends the ring into gather.
+  joiner.join();
+  ring.sim.run_for(Duration(100'000));
+  EXPECT_FALSE(ring.node(0).operational());
+  EXPECT_FALSE(ring.node(0).holding_for_output());
+  const util::TimePoint gathered = ring.sim.now();
+  ring.sim.run_for(Duration(60'000'000));
+  for (const TokenProbe::Seen& t : probe.tokens) {
+    if (t.at > gathered) {
+      EXPECT_NE(t.view, old_view) << "a stale pass at " << t.at.count();
+    }
+  }
+  ASSERT_TRUE(joiner.operational());
+  for (std::size_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(ring.node(i).operational()) << "node " << i;
+    EXPECT_EQ(ring.node(i).view().members.size(), 5u) << "node " << i;
+  }
+  ring.sink(0).imminent = false;
+  ring.node(0).multicast(util::bytes_of("after"));
+  ring.sim.run_for(Duration(5'000'000));
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(delivered_texts(ring.sink(i)).back(), "after") << "node " << i;
+  }
+  EXPECT_EQ(delivered_texts(joiner_sink).back(), "after");
+}
+
+TEST(TotemOutputHold, NoTokenLossTimerFiresUnderRepeatedHolds) {
+  // Two members keep the token on every visit, one until the cap and one
+  // until its next multicast: every rotation holds, and no member's 5 ms
+  // token-loss timer may take that for a lost token.
+  Ring ring(4);
+  ring.sink(0).imminent = true;
+  ring.sink(2).imminent = true;
+  int sent = 0;
+  for (int round = 0; round < 200; ++round) {
+    ring.sim.run_for(Duration(437'000));
+    if (ring.node(2).holding_for_output()) {
+      ring.node(2).multicast(util::bytes_of("m" + std::to_string(sent++)));
+    }
+  }
+  ring.sink(0).imminent = false;
+  ring.sink(2).imminent = false;
+  ring.sim.run_for(Duration(2'000'000));
+  EXPECT_GT(ring.node(0).stats().output_holds, 100u);
+  EXPECT_GT(sent, 20);
+  const std::vector<std::string> reference = delivered_texts(ring.sink(0));
+  EXPECT_EQ(reference.size(), static_cast<std::size_t>(sent));
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(ring.sink(i).views.size(), 1u) << "node " << i << " reformed";
+    EXPECT_EQ(delivered_texts(ring.sink(i)), reference) << "node " << i;
+  }
+}
+
+/// A deployed system: the sole replier's endpoint holds for its two-way
+/// replies only.
+struct HoldRig {
+  explicit HoldRig(core::ReplicationStyle style, std::vector<NodeId> placement) {
+    core::SystemConfig cfg;
+    cfg.nodes = 4;
+    sys = std::make_unique<core::System>(cfg);
+    core::FtProperties props;
+    props.style = style;
+    props.initial_replicas = placement.size();
+    props.minimum_replicas = 1;
+    group = sys->deploy("svc", "IDL:Svc:1.0", props, placement, [this](NodeId) {
+      return std::make_shared<test_support::CounterServant>(sys->sim());
+    });
+    sys->deploy_client("app", NodeId{4}, {group});
+    ref = sys->client(NodeId{4}, group);
+  }
+
+  bool invoke() {
+    bool done = false;
+    ref.invoke("inc", test_support::CounterServant::encode_i32(1),
+               [&done](const orb::ReplyOutcome&) { done = true; });
+    return sys->run_until([&done] { return done; }, Duration(100'000'000));
+  }
+
+  std::uint64_t holds() {
+    std::uint64_t total = 0;
+    for (NodeId n : sys->all_nodes()) total += sys->totem(n).stats().output_holds;
+    return total;
+  }
+
+  std::unique_ptr<core::System> sys;
+  util::GroupId group;
+  orb::ObjectRef ref;
+};
+
+TEST(TotemOutputHold, PassivePrimaryHoldsForTwoWayRepliesOnly) {
+  HoldRig rig(core::ReplicationStyle::kWarmPassive, {NodeId{1}, NodeId{2}});
+  // A oneway holds its engine slot for a grace period but never answers: no
+  // endpoint may keep the token for it.
+  const std::uint64_t before = rig.holds();
+  for (int i = 0; i < 5; ++i) {
+    rig.ref.oneway("note", test_support::CounterServant::encode_i32(0));
+    rig.sys->run_for(Duration(2'000'000));
+  }
+  EXPECT_EQ(rig.holds(), before);
+
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(rig.invoke());
+  EXPECT_GE(rig.sys->totem(NodeId{1}).stats().output_holds, 5u) << "the primary";
+  EXPECT_EQ(rig.sys->totem(NodeId{2}).stats().output_holds, 0u) << "the backup";
+  for (NodeId n : rig.sys->all_nodes()) EXPECT_EQ(rig.sys->totem(n).view().id.value, 1u);
+}
+
+TEST(TotemOutputHold, ActiveGroupHoldsOnlyWithOneOperationalReplica) {
+  HoldRig rig(core::ReplicationStyle::kActive, {NodeId{1}, NodeId{2}, NodeId{3}});
+  // Three busy replicas race one reply; none of them holds for it.
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(rig.invoke());
+  EXPECT_EQ(rig.holds(), 0u);
+
+  rig.sys->kill_replica(NodeId{2}, rig.group);
+  rig.sys->kill_replica(NodeId{3}, rig.group);
+  ASSERT_TRUE(rig.sys->run_until(
+      [&] { return rig.sys->mech(NodeId{1}).groups().find(rig.group)->members.size() == 1; },
+      Duration(100'000'000)));
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(rig.invoke());
+  EXPECT_GE(rig.sys->totem(NodeId{1}).stats().output_holds, 5u) << "the sole replier";
+}
 
 // ------------------------------------------------ shared frame buffer lifetime
 
