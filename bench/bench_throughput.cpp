@@ -12,6 +12,7 @@
 // throughput, mean and p99 latency, and in-flight backlog at the end.
 #include <cmath>
 
+#include "alloc_counter.hpp"
 #include "support.hpp"
 #include "obs/critpath.hpp"
 #include "workload/drivers.hpp"
@@ -57,6 +58,24 @@ struct Row {
   double residual_us_mean = -1.0;
   std::uint64_t cp_analyzed = 0;
   std::uint64_t cp_partial = 0;
+  // Heap allocations per completed invocation while the load runs and
+  // drains (a deterministic host-cost proxy); -1 where not counted (the
+  // sanitizer build).
+  double allocs_per_op = -1.0;
+};
+
+/// Counts the heap allocations of one load phase.
+class AllocWindow {
+ public:
+  AllocWindow() : start_(bench::alloc_count()) {}
+  double per_op(std::uint64_t completed) const {
+    const std::optional<std::uint64_t> now = bench::alloc_count();
+    if (!start_ || !now || completed == 0) return -1.0;
+    return static_cast<double>(*now - *start_) / static_cast<double>(completed);
+  }
+
+ private:
+  std::optional<std::uint64_t> start_;
 };
 
 void fill_critpath(const obs::SpanStore& spans, Row& row) {
@@ -105,12 +124,14 @@ Row run_eternal(double rate, std::size_t replicas) {
 
   OpenLoopDriver driver(sys.sim(), sys.client(client_node, group), "inc",
                         CounterServant::encode_i32(1), rate);
+  const AllocWindow allocs;
   driver.start();
   sys.run_for(kRun);
   driver.stop();
   sys.run_for(Duration(50'000'000));  // drain
 
   Row row{};
+  row.allocs_per_op = allocs.per_op(driver.completed());
   row.offered = rate;
   row.achieved = static_cast<double>(driver.completed()) /
                  (static_cast<double>(kRun.count()) / 1e9);
@@ -140,12 +161,14 @@ Row run_baseline(double rate) {
 
   OpenLoopDriver driver(sim, client_orb.resolve(ior), "inc",
                         CounterServant::encode_i32(1), rate);
+  const AllocWindow allocs;
   driver.start();
   sim.run_until(sim.now() + kRun);
   driver.stop();
   sim.run_until(sim.now() + Duration(50'000'000));
 
   Row row{};
+  row.allocs_per_op = allocs.per_op(driver.completed());
   row.offered = rate;
   row.achieved =
       static_cast<double>(driver.completed()) / (static_cast<double>(kRun.count()) / 1e9);
@@ -267,7 +290,8 @@ int main(int argc, char** argv) {
         .col("reply_wire_us_mean", r.reply_wire_us_mean)
         .col("residual_us_mean", r.residual_us_mean)
         .col("cp_analyzed", r.cp_analyzed)
-        .col("cp_partial", r.cp_partial);
+        .col("cp_partial", r.cp_partial)
+        .col("allocs_per_op", r.allocs_per_op);
   };
 
   std::printf("%12s %10s %10s %9s %9s %9s %9s %9s\n", "system", "offered/s",

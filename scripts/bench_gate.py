@@ -99,6 +99,10 @@ GATES = {
             "achieved_per_s": ("min", 0.15, 0.0),
             "p99_ms": ("max", 0.50, 0.20),
             "cp_partial": ("max", 0.0, 0.0),
+            # Heap allocations per invocation: a deterministic host-cost
+            # proxy, so the tolerance is tight. One allocation put back on
+            # the per-operation path (about 4 % of the replicated rows) fails.
+            "allocs_per_op": ("max", 0.02, 0.0),
         },
     },
     "exec_engine": {
@@ -239,16 +243,22 @@ def selftest():
 
     baseline = [
         {"system": "eternal-1", "offered_per_s": 500.0,
-         "achieved_per_s": 500.0, "p99_ms": 0.8, "cp_partial": 0},
+         "achieved_per_s": 500.0, "p99_ms": 0.8, "cp_partial": 0,
+         "allocs_per_op": 27.7},
         {"system": "eternal-1", "offered_per_s": 2400.0,
-         "achieved_per_s": 2400.0, "p99_ms": 2.0, "cp_partial": 0},
+         "achieved_per_s": 2400.0, "p99_ms": 2.0, "cp_partial": 0,
+         "allocs_per_op": 28.2},
     ]
     regressed = [
         {"system": "eternal-1", "offered_per_s": 500.0,
-         "achieved_per_s": 500.0, "p99_ms": 0.8, "cp_partial": 0},
+         "achieved_per_s": 500.0, "p99_ms": 0.8, "cp_partial": 0,
+         "allocs_per_op": 27.7},
         {"system": "eternal-1", "offered_per_s": 2400.0,
-         "achieved_per_s": 1100.0, "p99_ms": 9.0, "cp_partial": 0},  # both gates
+         "achieved_per_s": 1100.0, "p99_ms": 9.0, "cp_partial": 0,
+         "allocs_per_op": 28.2},  # both gates
     ]
+    # One more allocation per invocation on an otherwise unchanged row.
+    allocs = [dict(baseline[0]), dict(baseline[1], allocs_per_op=29.2)]
     # A chaos row whose median returns to a whole token rotation (0.274 ->
     # 0.355 ms) fails on p50_ms alone: its tail stays inside p99_ms's
     # looser tolerance.
@@ -259,13 +269,16 @@ def selftest():
     with tempfile.TemporaryDirectory() as base_dir, \
             tempfile.TemporaryDirectory() as good_dir, \
             tempfile.TemporaryDirectory() as bad_dir, \
-            tempfile.TemporaryDirectory() as bad_p50_dir:
+            tempfile.TemporaryDirectory() as bad_p50_dir, \
+            tempfile.TemporaryDirectory() as bad_allocs_dir:
         write(base_dir, baseline)
         write(good_dir, baseline)
         write(bad_dir, regressed)
         write(bad_p50_dir, baseline)
+        write(bad_allocs_dir, allocs)
         for dirname, rows in ((base_dir, chaos), (good_dir, chaos),
-                              (bad_dir, chaos), (bad_p50_dir, chaos_p50)):
+                              (bad_dir, chaos), (bad_p50_dir, chaos_p50),
+                              (bad_allocs_dir, chaos)):
             write(dirname, rows, bench="chaos")
         print("-- selftest: identical results must pass")
         ok_pass = run_gate(good_dir, base_dir) == 0
@@ -273,14 +286,17 @@ def selftest():
         ok_fail = run_gate(bad_dir, base_dir) != 0
         print("-- selftest: a regressed chaos median must fail")
         ok_p50 = run_gate(bad_p50_dir, base_dir) != 0
+        print("-- selftest: one more allocation per op must fail")
+        ok_allocs = run_gate(bad_allocs_dir, base_dir) != 0
         print("-- selftest: missing result file must fail")
         with tempfile.TemporaryDirectory() as empty_dir:
             ok_missing = run_gate(empty_dir, base_dir) != 0
-    if ok_pass and ok_fail and ok_p50 and ok_missing:
+    if ok_pass and ok_fail and ok_p50 and ok_allocs and ok_missing:
         print("bench_gate: selftest OK (pass path passes, fail paths fail)")
         return 0
     print("bench_gate: selftest FAILED "
-          f"(pass={ok_pass} fail={ok_fail} p50={ok_p50} missing={ok_missing})")
+          f"(pass={ok_pass} fail={ok_fail} p50={ok_p50} allocs={ok_allocs} "
+          f"missing={ok_missing})")
     return 1
 
 

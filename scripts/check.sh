@@ -101,7 +101,7 @@ cmake --build build-asan -j"$JOBS" --target \
   core_unit_test passive_test stable_storage_test recovery_hazards_test \
   fast_state_transfer_test critpath_test decode_fuzz_test lossy_network_test \
   mechanisms_stats_test deployment_test orb_test orb_locate_test transport_test \
-  multitier_test
+  multitier_test interceptor_test property_test workload_test checkpointable_test
 # sim_test: simulator slab + small-buffer callables, Ethernet in-flight slots;
 # totem_test/totem_protocol_test: frames and the seq-indexed frame store;
 # util_test/giop_test: CDR in-place readers, GIOP inspection, request-id
@@ -139,6 +139,11 @@ cmake --build build-asan -j"$JOBS" --target \
 # freed memory (OrbSharedFrame.ArgsOutliveEveryOtherHolderOfTheFrame).
 # multitier_test: a slow active sibling's late nested call is answered
 # from the reply cache, a retained slice of an earlier delivery.
+# A client's ReplyOutcome body is a slice of the inbound reply, and a queued
+# Totem message keeps its body until its last fragment is sent:
+# interceptor_test, property_test, workload_test and checkpointable_test
+# consume replies through the whole stack, so a handler that kept a view of
+# a reply, or a body freed before its last fragment, reads freed memory.
 # Trace fields hold views of literals and of names the trace interns:
 # chaos_script_test exports a trace after its ChaosScript is destroyed, and
 # trace_export_golden renders every producer's fields.
@@ -147,7 +152,8 @@ for t in obs_test spans_test integration_smoke_test recovery_edge_test quiescenc
          sim_test totem_test totem_protocol_test util_test giop_test placement_test \
          core_unit_test passive_test stable_storage_test recovery_hazards_test \
          fast_state_transfer_test critpath_test lossy_network_test mechanisms_stats_test \
-         deployment_test orb_test orb_locate_test transport_test multitier_test; do
+         deployment_test orb_test orb_locate_test transport_test multitier_test \
+         interceptor_test property_test workload_test checkpointable_test; do
   "build-asan/tests/$t"
 done
 # Every decoder under the sanitizers, with the tier-1 fuzz budget.

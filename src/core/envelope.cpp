@@ -1,6 +1,7 @@
 #include "core/envelope.hpp"
 
 #include <algorithm>
+#include <array>
 
 namespace eternal::core {
 
@@ -16,6 +17,12 @@ struct Blobs {
   BytesView control_data;
 };
 
+const std::vector<std::uint64_t> kNoDigests;
+
+Blobs blobs_of(const Envelope& e) {
+  return Blobs{e.extent_digests, e.payload, e.orb_state, e.infra_state, e.control_data};
+}
+
 /// Exact encoded size, so encode allocates once: 56 header bytes (80 plus
 /// the digests for bulk kinds), then four aligned octet sequences.
 std::size_t encoded_size(const EnvelopeHeader& h, const Blobs& b) {
@@ -26,50 +33,78 @@ std::size_t encoded_size(const EnvelopeHeader& h, const Blobs& b) {
   return n;
 }
 
-Bytes encode(const EnvelopeHeader& e, const Blobs& b) {
-  util::CdrWriter w(util::host_byte_order(), encoded_size(e, b));
-  w.put_u8(static_cast<std::uint8_t>(w.order()));
-  w.put_u8(static_cast<std::uint8_t>(e.kind));
-  w.put_u16(kMagic);
-  w.put_u32(e.ring);
-  w.put_u32(e.client_group.value);
-  w.put_u32(e.target_group.value);
-  w.put_u64(e.op_seq);
-  w.put_u64(e.subject.value);
-  w.put_u32(e.subject_node.value);
-  w.put_u8(static_cast<std::uint8_t>(e.control_op));
-  w.put_u64(e.delta_base);
-  w.put_u32(e.chunk_index);
-  w.put_u32(e.chunk_count);
+// The one envelope writer, in two halves around the payload bytes, so an
+// envelope can be laid out around a payload it does not copy.
+
+/// Everything before the payload bytes: the header, the bulk fields and
+/// digests, and the payload's length.
+void write_head(util::CdrSpanWriter& w, const EnvelopeHeader& e, const Blobs& b) {
+  w.put(static_cast<std::uint8_t>(util::host_byte_order()));
+  w.put(static_cast<std::uint8_t>(e.kind));
+  w.put(kMagic);
+  w.put(e.ring);
+  w.put(e.client_group.value);
+  w.put(e.target_group.value);
+  w.put(e.op_seq);
+  w.put(e.subject.value);
+  w.put(e.subject_node.value);
+  w.put(static_cast<std::uint8_t>(e.control_op));
+  w.put(e.delta_base);
+  w.put(e.chunk_index);
+  w.put(e.chunk_count);
   if (e.kind >= EnvelopeKind::kStateBulkDescriptor) {
-    w.put_u64(e.transfer_id);
-    w.put_u64(e.total_bytes);
-    w.put_u32(e.extent_bytes);
-    w.put_u32(static_cast<std::uint32_t>(b.digests.size()));
-    for (std::uint64_t d : b.digests) w.put_u64(d);
+    w.put(e.transfer_id);
+    w.put(e.total_bytes);
+    w.put(e.extent_bytes);
+    w.put(static_cast<std::uint32_t>(b.digests.size()));
+    for (std::uint64_t d : b.digests) w.put(d);
   }
-  w.put_octets(b.payload);
+  w.put(static_cast<std::uint32_t>(b.payload.size()));
+}
+
+/// Everything after the payload bytes: the other three blobs.
+void write_tail(util::CdrSpanWriter& w, const Blobs& b) {
   w.put_octets(b.orb_state);
   w.put_octets(b.infra_state);
   w.put_octets(b.control_data);
-  return std::move(w).take();
+}
+
+Bytes encode(const EnvelopeHeader& e, const Blobs& b) {
+  Bytes out(encoded_size(e, b));
+  util::CdrSpanWriter w(out.data());
+  write_head(w, e, b);
+  w.put_raw(b.payload);
+  write_tail(w, b);
+  return out;
 }
 
 }  // namespace
 
-Bytes encode_envelope(const Envelope& e) {
-  return encode(e, Blobs{e.extent_digests, e.payload, e.orb_state, e.infra_state,
-                         e.control_data});
-}
+Bytes encode_envelope(const Envelope& e) { return encode(e, blobs_of(e)); }
 
-std::size_t encoded_size(const Envelope& e) {
-  return encoded_size(e, Blobs{e.extent_digests, e.payload, e.orb_state, e.infra_state,
-                               e.control_data});
-}
+std::size_t encoded_size(const Envelope& e) { return encoded_size(e, blobs_of(e)); }
 
 Bytes encode_envelope(const RetainedEnvelope& e) {
-  static const std::vector<std::uint64_t> kNoDigests;
   return encode(e, Blobs{kNoDigests, e.payload, {}, {}, {}});
+}
+
+totem::Outbound to_outbound(Envelope&& e) {
+  const Blobs b = blobs_of(e);
+  if (e.kind >= EnvelopeKind::kStateBulkDescriptor || !e.orb_state.empty() ||
+      !e.infra_state.empty() || !e.control_data.empty()) {
+    return totem::Outbound(encode(e, b));
+  }
+  // The fixed header and the payload length in front (56 + 4 bytes), the
+  // payload's padding and three empty blob counts behind (at most 15).
+  std::array<std::uint8_t, 60> head;
+  util::CdrSpanWriter hw(head.data());
+  write_head(hw, e, b);
+  const std::size_t tail_at = hw.position() + e.payload.size();
+  std::array<std::uint8_t, 15> tail;
+  util::CdrSpanWriter tw(tail.data(), tail_at);
+  write_tail(tw, b);
+  return totem::Outbound(BytesView(head.data(), hw.position()), std::move(e.payload),
+                         BytesView(tail.data(), tw.position() - tail_at));
 }
 
 std::optional<EnvelopeView> decode_envelope_view(BytesView data) {

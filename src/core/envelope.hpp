@@ -12,6 +12,7 @@
 #include <optional>
 #include <vector>
 
+#include "totem/frames.hpp"
 #include "util/bytes.hpp"
 #include "util/cdr.hpp"
 #include "util/ids.hpp"
@@ -191,6 +192,14 @@ Bytes encode_envelope(const Envelope& e);
 
 /// The size encode_envelope(e) has, without encoding.
 std::size_t encoded_size(const Envelope& e);
+
+/// The envelope as a Totem message carrying encode_envelope(e)'s bytes. A
+/// request, reply, marker or control envelope with no blob but its payload
+/// moves the payload in as the message body, the header in front of it and
+/// the empty blob counts behind: no byte is encoded until Totem writes the
+/// message's frames, so a copy withdrawn before sending is never encoded.
+/// Any other envelope is encoded flat as the body.
+totem::Outbound to_outbound(Envelope&& e);
 
 /// Serializes a retained envelope: the bytes encode_envelope gives for an
 /// Envelope with the same header and payload and no other blob.

@@ -144,7 +144,7 @@ bool Mechanisms::restore_from_storage(GroupId group) {
   return true;
 }
 
-std::uint64_t Mechanisms::multicast(Envelope& e) {
+std::uint64_t Mechanisms::multicast(Envelope&& e) {
   // Every envelope about a group rides that group's ring and carries the
   // ring index on the wire — delivery rejects a stamp that does not match
   // the arrival ring, so a misrouted envelope can never slip into another
@@ -160,12 +160,13 @@ std::uint64_t Mechanisms::multicast(Envelope& e) {
     return 0;
   }
   stats_.multicasts += 1;
-  return endpoint.multicast(encode_envelope(e));
+  return endpoint.multicast(to_outbound(std::move(e)));
 }
 
-void Mechanisms::multicast_copy(Envelope& e, RacedStream* stream) {
-  const std::uint64_t handle = multicast(e);
-  if (stream != nullptr) stream->queued(e.op_seq, handle);
+void Mechanisms::multicast_copy(Envelope&& e, RacedStream* stream) {
+  const std::uint64_t op_seq = e.op_seq;
+  const std::uint64_t handle = multicast(std::move(e));
+  if (stream != nullptr) stream->queued(op_seq, handle);
 }
 
 RacedStream* Mechanisms::raced_stream(const Envelope& e) {
@@ -208,7 +209,7 @@ void Mechanisms::create_group(const GroupDescriptor& desc,
   members.reserve(initial_members.size());
   for (const ReplicaInfo& m : initial_members) members.push_back(InitialMember{m.id, m.node});
   e.payload = encode_initial_members(members);
-  multicast(e);
+  multicast(std::move(e));
 }
 
 ReplicaId Mechanisms::launch_replica(GroupId group) {
@@ -227,7 +228,7 @@ ReplicaId Mechanisms::launch_replica(GroupId group) {
     auto log_it = logs_.find(group.value);
     if (log_it != logs_.end()) e.delta_base = log_it->second.tip_epoch();
   }
-  multicast(e);
+  multicast(std::move(e));
   return id;
 }
 
@@ -252,7 +253,7 @@ void Mechanisms::do_launch(GroupId group, ReplicaId id, bool as_recovering) {
       remove.target_group = group;
       remove.subject = existing->id;
       remove.subject_node = node_;
-      multicast(remove);
+      multicast(std::move(remove));
     }
     sim_.cancel(existing->checkpoint_timer);
     sim_.cancel(existing->detector_timer);
@@ -323,7 +324,7 @@ void Mechanisms::request_launch(GroupId group, NodeId node) {
   e.control_op = ControlOp::kLaunchReplica;
   e.target_group = group;
   e.subject_node = node;
-  multicast(e);
+  multicast(std::move(e));
 }
 
 giop::Ior Mechanisms::group_ior(GroupId group) const {
@@ -525,7 +526,7 @@ void Mechanisms::capture_request(const orb::Endpoint& to, util::Bytes iiop,
   }
 
   e.payload = std::move(wire);
-  multicast_copy(e, stream);
+  multicast_copy(std::move(e), stream);
 }
 
 void Mechanisms::capture_reply(const orb::Endpoint& to, util::Bytes iiop,
@@ -552,7 +553,7 @@ void Mechanisms::capture_reply(const orb::Endpoint& to, util::Bytes iiop,
       stats_.replies_withdrawn += 1;
       return;
     }
-    multicast_copy(e, stream);
+    multicast_copy(std::move(e), stream);
     return;
   }
 

@@ -43,7 +43,7 @@
 #include "core/placement.hpp"
 #include "core/message_log.hpp"
 #include "core/raced_stream.hpp"
-#include "core/seq_map.hpp"
+#include "util/seq_map.hpp"
 #include "core/seq_window.hpp"
 #include "core/state_snapshots.hpp"
 #include "interceptor/interceptor.hpp"
@@ -397,14 +397,14 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
     /// group rid → the local ORB's request id, for each invocation issued
     /// here whose reply has not been delivered yet: the first delivery of the
     /// reply retires it.
-    SeqMap<std::uint32_t> group_to_local;
+    util::SeqMap<std::uint32_t> group_to_local;
     bool handshake_done = false;
     std::optional<std::uint64_t> handshake_group_rid;
     Bytes handshake_request;  ///< group-form request bytes
     util::SharedSlice handshake_reply;  ///< stored server answer (group-form reply)
     /// group rid → reply bytes, retained from the delivery: the latest
     /// kReplyCacheCap replies, for passive-promotion replay.
-    SeqMap<util::SharedSlice> reply_cache;
+    util::SeqMap<util::SharedSlice> reply_cache;
   };
 
   // ---- outbound capture ----
@@ -461,7 +461,7 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
   bool raced(GroupId group) const;
   /// Multicasts `e`, remembering the copy on `stream` (if any) for
   /// withdrawal.
-  void multicast_copy(Envelope& e, RacedStream* stream);
+  void multicast_copy(Envelope&& e, RacedStream* stream);
 
   // ---- per-replica queue (quiescence-gated delivery) ----
   /// Records a request joining a replica's execution order — from the live
@@ -613,10 +613,10 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
   void arm_fault_detector(LocalReplica& r);
   void do_launch(GroupId group, ReplicaId id, bool as_recovering);
   /// Stamps e.ring with the target group's ring and multicasts on that
-  /// ring's endpoint (mutates the envelope: re-multicast of a stored
-  /// envelope re-stamps the same value). Returns the Totem handle, 0 when
+  /// ring's endpoint, consuming the envelope: its payload moves into the
+  /// Totem message unencoded (to_outbound). Returns the Totem handle, 0 when
   /// the endpoint is down.
-  std::uint64_t multicast(Envelope& e);
+  std::uint64_t multicast(Envelope&& e);
   /// Per-ring scoped reset of replicated state (fresh rejoin of ring
   /// `ring`): everything derived from that ring's history — groups,
   /// replicas, logs, duplicate filters, in-flight transfers — is dropped;

@@ -513,7 +513,7 @@ void Mechanisms::arm_fault_detector(LocalReplica& r) {
       e.target_group = group;
       e.subject = replica->id;
       e.subject_node = node_;
-      multicast(e);
+      multicast(std::move(e));
       return;  // the replica entry is erased when the removal delivers
     }
     replica->detector_timer =

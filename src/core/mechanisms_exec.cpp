@@ -234,7 +234,7 @@ void Mechanisms::emit_reply(LocalReplica& r, exec::Reply& reply) {
     return;
   }
   e.payload = std::move(reply.payload);
-  multicast_copy(e, stream);
+  multicast_copy(std::move(e), stream);
 }
 
 // ------------------------------------------------------ fabricated state ops

@@ -158,7 +158,7 @@ void Mechanisms::cold_restart(GroupId group) {
     add.target_group = group;
     add.subject = id;
     add.subject_node = node_;
-    multicast(add);
+    multicast(std::move(add));
     r = local_replica(group);
   } else if (r->phase == Phase::kRecovering) {
     // Orphaned recovery: the state source died before publishing the
@@ -207,7 +207,7 @@ void Mechanisms::replay_next(LocalReplica& r) {
       e.target_group = r.group;
       e.subject = r.id;
       e.subject_node = node_;
-      multicast(e);
+      multicast(std::move(e));
       maybe_start_checkpoint_timer(r);
       pump(r);
       return;

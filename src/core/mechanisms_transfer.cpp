@@ -63,7 +63,7 @@ void Mechanisms::send_get_state(GroupId group, ReplicaId subject) {
               util::to_string(node_) << " get_state epoch " << epoch << " for "
                                      << util::to_string(subject) << " of "
                                      << util::to_string(group));
-  multicast(e);
+  multicast(std::move(e));
 }
 
 void Mechanisms::deliver_get_state(const Envelope& e) {
@@ -195,7 +195,7 @@ void Mechanisms::publish_state(LocalReplica& r, const exec::Fom& op, util::Bytes
     start_transfer(r.group, e);
     return;
   }
-  multicast_copy(e, stream);
+  multicast_copy(std::move(e), stream);
 }
 
 void Mechanisms::deliver_set_state(Envelope e) {
@@ -578,7 +578,7 @@ void Mechanisms::open_send(const TransferKey& key, OutgoingTransfer& t) {
                                      << util::to_string(t.to));
   stats_.bulk_transfers_started += 1;
   Envelope descriptor = transfer_envelope(key, t, EnvelopeKind::kStateBulkDescriptor);
-  multicast(descriptor);
+  multicast(std::move(descriptor));
   // Streaming starts when the descriptor self-delivers (and was first for
   // its epoch in the total order); the timer covers a descriptor that never
   // comes back (ring reformation ate it).
@@ -617,7 +617,7 @@ Envelope Mechanisms::transfer_envelope(const TransferKey& key, const OutgoingTra
 void Mechanisms::send_chunks(const TransferKey& key, OutgoingTransfer& t, std::size_t upto) {
   while (t.next < t.count() && t.next < upto) {
     Envelope chunk = transfer_envelope(key, t, EnvelopeKind::kStateChunk, t.next++);
-    multicast(chunk);
+    multicast(std::move(chunk));
     stats_.state_chunks_sent += 1;
   }
 }
@@ -636,7 +636,7 @@ void Mechanisms::pump_bulk_send(const TransferKey& key, OutgoingTransfer& t) {
       t.marker_sent = true;
       sim_.cancel(t.retry_timer);
       Envelope marker = transfer_envelope(key, t, EnvelopeKind::kStateBulkComplete);
-      multicast(marker);
+      multicast(std::move(marker));
     }
     return;
   }

@@ -44,13 +44,13 @@ constexpr std::size_t kPad = 3;
 
 std::size_t octets_bound(std::size_t n) { return kPad + 4 + n; }
 
-std::size_t contexts_bound(const ServiceContextList& contexts) {
+std::size_t contexts_bound(std::span<const ServiceContext> contexts) {
   std::size_t n = kPad + 4;
   for (const auto& sc : contexts) n += kPad + 4 + octets_bound(sc.data.size());
   return n;
 }
 
-void put_contexts(CdrWriter& w, const ServiceContextList& contexts) {
+void put_contexts(CdrWriter& w, std::span<const ServiceContext> contexts) {
   w.put_u32(static_cast<std::uint32_t>(contexts.size()));
   for (const auto& sc : contexts) {
     w.put_u32(sc.context_id);
@@ -94,7 +94,7 @@ std::optional<FrameInfo> read_frame_header(CdrReader& r, BytesView data) {
 }
 
 /// A Request up to its body, in a writer with room for `body_room` more.
-CdrWriter begin_request(const Request& m, ByteOrder order, std::size_t body_room) {
+CdrWriter begin_request(const RequestView& m, ByteOrder order, std::size_t body_room) {
   CdrWriter w = begin_message(
       MsgType::kRequest, order,
       contexts_bound(m.service_context) + kPad + 4 + 1 + octets_bound(m.object_key.size()) +
@@ -120,16 +120,24 @@ bool is_giop(BytesView data) noexcept {
   }
 }
 
-Bytes encode(const Request& m, ByteOrder order) {
+Bytes encode(const RequestView& m, ByteOrder order) {
   CdrWriter w = begin_request(m, order, m.body.size());
   w.put_raw(m.body);
   return end_message(std::move(w));
 }
 
+Bytes encode(const Request& m, ByteOrder order) {
+  return encode(RequestView{m.service_context, m.request_id, m.response_expected, m.object_key,
+                            m.operation, m.body},
+                order);
+}
+
 util::SharedSlice encode_shared(const Request& m, ByteOrder order) {
   // The body is raw bytes at the end (no alignment), so the header fields
   // are encoded on their own and the body copied straight after them.
-  CdrWriter w = begin_request(m, order, 0);
+  CdrWriter w = begin_request(RequestView{m.service_context, m.request_id, m.response_expected,
+                                          m.object_key, m.operation, {}},
+                              order, 0);
   const std::size_t size = w.size() + m.body.size();
   w.patch_u32(kSizeOffset, static_cast<std::uint32_t>(size - kFrameHeaderSize));
   return util::SharedSlice(util::SharedBytes::build(size, [&](std::uint8_t* out) {

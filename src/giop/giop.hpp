@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -82,6 +83,18 @@ struct Request {
   bool operator==(const Request&) const = default;
 };
 
+/// A Request's fields as views of bytes the encoder does not own: a client
+/// ORB encodes each invocation from its connection's keys and the caller's
+/// arguments without first gathering copies of them into a Request.
+struct RequestView {
+  std::span<const ServiceContext> service_context;
+  std::uint32_t request_id = 0;
+  bool response_expected = true;
+  BytesView object_key;
+  std::string_view operation;
+  BytesView body;  ///< already-CDR-encoded in/inout arguments
+};
+
 /// GIOP Reply message.
 struct Reply {
   ServiceContextList service_context;
@@ -133,6 +146,8 @@ struct Message {
 };
 
 /// Encodes a message with full GIOP framing, in the given byte order.
+/// encode(const Request&) is encode(const RequestView&) of its fields.
+Bytes encode(const RequestView& m, ByteOrder order = util::host_byte_order());
 Bytes encode(const Request& m, ByteOrder order = util::host_byte_order());
 Bytes encode(const Reply& m, ByteOrder order = util::host_byte_order());
 Bytes encode(const CancelRequest& m, ByteOrder order = util::host_byte_order());

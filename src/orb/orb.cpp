@@ -292,24 +292,19 @@ void Orb::send_invocation(const giop::Ior& ior, const std::string& operation,
   const Endpoint server{ior.host, ior.port};
   ClientConnection& conn = connection_to(server, ior);
 
-  QueuedInvocation inv;
-  inv.object_key = ior.object_key;
-  inv.operation = operation;
-  inv.args = std::move(args);
-  inv.response_expected = response_expected;
-  inv.handler = std::move(handler);
-
   switch (conn.handshake) {
     case HandshakeState::kRequired:
-      conn.awaiting_handshake.push_back(std::move(inv));
-      begin_handshake(server, conn, ior);
+    case HandshakeState::kPending: {
+      const bool start = conn.handshake == HandshakeState::kRequired;
+      conn.awaiting_handshake.push_back(QueuedInvocation{
+          ior.object_key, operation, std::move(args), response_expected, std::move(handler)});
+      if (start) begin_handshake(server, conn, ior);
       return;
-    case HandshakeState::kPending:
-      conn.awaiting_handshake.push_back(std::move(inv));
-      return;
+    }
     case HandshakeState::kNotNeeded:
     case HandshakeState::kDone:
-      transmit_invocation(server, conn, std::move(inv));
+      transmit_invocation(server, conn, ior.object_key, operation, args, response_expected,
+                          std::move(handler));
       return;
   }
 }
@@ -335,33 +330,33 @@ void Orb::begin_handshake(const Endpoint& to, ClientConnection& conn, const giop
 }
 
 void Orb::transmit_invocation(const Endpoint& to, ClientConnection& conn,
-                              QueuedInvocation inv) {
-  giop::Request request;
+                              util::BytesView object_key, std::string_view operation,
+                              util::BytesView args, bool response_expected,
+                              ReplyHandler handler) {
+  giop::RequestView request;
   request.request_id = conn.next_request_id++;
-  request.response_expected = inv.response_expected;
-  request.operation = std::move(inv.operation);
-  request.body = std::move(inv.args);
+  request.response_expected = response_expected;
+  request.operation = operation;
+  request.body = args;
 
   // Vendor shortcut: after the handshake, the negotiated short key replaces
   // the full key it covers (this is the §4.2.2 hazard carrier).
-  if (conn.handshake == HandshakeState::kDone && inv.object_key == conn.negotiated_full_key &&
-      !conn.negotiated_short_key.empty()) {
-    request.object_key = conn.negotiated_short_key;
-  } else {
-    request.object_key = std::move(inv.object_key);
-  }
+  const bool shortcut = conn.handshake == HandshakeState::kDone &&
+                        std::ranges::equal(object_key, conn.negotiated_full_key) &&
+                        !conn.negotiated_short_key.empty();
+  request.object_key = shortcut ? util::BytesView(conn.negotiated_short_key) : object_key;
 
   // Code-set ServiceContext rides only on the connection's first request.
+  giop::ServiceContext code_sets;
   if (!conn.first_request_sent) {
     conn.first_request_sent = true;
-    request.service_context.push_back(giop::ServiceContext{
-        giop::kCodeSetsContextId,
-        encode_codeset_context(conn.char_code_set, conn.wchar_code_set)});
+    code_sets = giop::ServiceContext{
+        giop::kCodeSetsContextId, encode_codeset_context(conn.char_code_set, conn.wchar_code_set)};
+    request.service_context = std::span(&code_sets, 1);
   }
 
-  if (inv.response_expected) {
-    conn.pending.emplace(request.request_id,
-                         PendingReply{std::move(inv.handler), request.operation, sim_.now()});
+  if (response_expected) {
+    conn.pending.insert_or_assign(request.request_id, PendingReply{std::move(handler), sim_.now()});
     stats_.requests_sent += 1;
   } else {
     stats_.oneways_sent += 1;
@@ -390,7 +385,7 @@ void Orb::on_message(const Endpoint& from, util::SharedSlice iiop) {
         handle_request(from, iiop, *msg);
         break;
       case giop::MsgType::kReply:
-        handle_reply(from, *msg);
+        handle_reply(from, iiop, *msg);
         break;
       case giop::MsgType::kLocateRequest: {
         // GIOP object location: OBJECT_HERE when the POA has it active.
@@ -487,7 +482,8 @@ void Orb::serve_handshake(const Endpoint& from, const giop::Inspection& request)
   transport_->send(from, giop::encode(reply));
 }
 
-void Orb::handle_reply(const Endpoint& from, const giop::Inspection& reply) {
+void Orb::handle_reply(const Endpoint& from, const util::SharedSlice& message,
+                       const giop::Inspection& reply) {
   auto conn_it = client_conns_.find(from);
   if (conn_it == client_conns_.end()) {
     stats_.replies_discarded_request_id += 1;
@@ -504,8 +500,8 @@ void Orb::handle_reply(const Endpoint& from, const giop::Inspection& reply) {
     return;
   }
 
-  auto pending_it = conn.pending.find(reply.request_id);
-  if (pending_it == conn.pending.end()) {
+  std::optional<PendingReply> pending = conn.pending.take(reply.request_id);
+  if (!pending) {
     // The Fig. 4 failure mode: the reply is valid but its request_id matches
     // no outstanding request on this connection, so the ORB drops it.
     stats_.replies_discarded_request_id += 1;
@@ -517,14 +513,12 @@ void Orb::handle_reply(const Endpoint& from, const giop::Inspection& reply) {
                                        << reply.request_id << " (no matching request)");
     return;
   }
-  PendingReply pending = std::move(pending_it->second);
-  conn.pending.erase(pending_it);
   stats_.replies_received += 1;
-  hist_rtt_.observe(static_cast<std::uint64_t>((sim_.now() - pending.sent).count()));
-  if (pending.handler) {
-    ReplyOutcome outcome{static_cast<giop::ReplyStatus>(reply.status),
-                         util::Bytes(reply.body.begin(), reply.body.end())};
-    pending.handler(outcome);
+  hist_rtt_.observe(static_cast<std::uint64_t>((sim_.now() - pending->sent).count()));
+  if (pending->handler) {
+    const ReplyOutcome outcome{static_cast<giop::ReplyStatus>(reply.status),
+                               message.sub(reply.body)};
+    pending->handler(outcome);
   }
 }
 
@@ -544,7 +538,8 @@ void Orb::complete_handshake(const Endpoint& from, ClientConnection& conn,
   while (!conn.awaiting_handshake.empty()) {
     QueuedInvocation inv = std::move(conn.awaiting_handshake.front());
     conn.awaiting_handshake.pop_front();
-    transmit_invocation(from, conn, std::move(inv));
+    transmit_invocation(from, conn, inv.object_key, inv.operation, inv.args,
+                        inv.response_expected, std::move(inv.handler));
   }
 }
 

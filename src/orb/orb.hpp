@@ -39,6 +39,7 @@
 #include "orb/transport.hpp"
 #include "sim/simulator.hpp"
 #include "util/fifo.hpp"
+#include "util/seq_map.hpp"
 #include "util/shared_bytes.hpp"
 
 namespace eternal::orb {
@@ -51,9 +52,12 @@ class Orb;
 class Poa;
 
 /// Outcome of a two-way invocation, delivered to the client's ReplyHandler.
+/// The body is a slice of the inbound reply message, not a copy: a handler
+/// that keeps it (or a sub-slice) keeps that message's buffer alive, and a
+/// view taken from it is valid only while such a slice is held.
 struct ReplyOutcome {
   giop::ReplyStatus status = giop::ReplyStatus::kNoException;
-  util::Bytes body;
+  util::SharedSlice body;
 };
 using ReplyHandler = std::function<void(const ReplyOutcome&)>;
 
@@ -234,10 +238,11 @@ class Orb : public MessageSink {
   // ---- client side ----
   struct PendingReply {
     ReplyHandler handler;
-    std::string operation;
     util::TimePoint sent{};  ///< for the request→reply latency histogram
   };
   enum class HandshakeState { kNotNeeded, kRequired, kPending, kDone };
+  /// An invocation issued before its connection's handshake completed: it
+  /// keeps copies of what transmit_invocation later encodes from.
   struct QueuedInvocation {
     util::Bytes object_key;
     std::string operation;
@@ -254,7 +259,10 @@ class Orb : public MessageSink {
     util::Bytes negotiated_short_key;  ///< assigned by the server ORB
     giop::CodeSet char_code_set = giop::CodeSet::kIso8859_1;
     giop::CodeSet wchar_code_set = giop::CodeSet::kUtf16;
-    std::map<std::uint32_t, PendingReply> pending;
+    /// Request id → its awaited reply. Ids are issued in ascending order,
+    /// so a connection in steady state inserts and retires without
+    /// allocating.
+    util::SeqMap<PendingReply> pending;
     std::deque<QueuedInvocation> awaiting_handshake;
   };
 
@@ -269,13 +277,20 @@ class Orb : public MessageSink {
 
   void send_invocation(const giop::Ior& ior, const std::string& operation, util::Bytes args,
                        bool response_expected, ReplyHandler handler);
-  void transmit_invocation(const Endpoint& to, ClientConnection& conn, QueuedInvocation inv);
+  /// Encodes and sends one invocation straight from views of its object key
+  /// (replaced by the connection's negotiated short key when that covers
+  /// it), operation and arguments.
+  void transmit_invocation(const Endpoint& to, ClientConnection& conn, util::BytesView object_key,
+                           std::string_view operation, util::BytesView args,
+                           bool response_expected, ReplyHandler handler);
   void begin_handshake(const Endpoint& to, ClientConnection& conn, const giop::Ior& ior);
   /// The server path: `request` inspects `message`, whose buffer the
   /// dispatched ServerRequest keeps.
   void handle_request(const Endpoint& from, const util::SharedSlice& message,
                       const giop::Inspection& request);
-  void handle_reply(const Endpoint& from, const giop::Inspection& reply);
+  /// The client path: a matched reply's handler gets a slice of `message`.
+  void handle_reply(const Endpoint& from, const util::SharedSlice& message,
+                    const giop::Inspection& reply);
   void serve_handshake(const Endpoint& from, const giop::Inspection& request);
   void complete_handshake(const Endpoint& from, ClientConnection& conn,
                           util::BytesView answer);

@@ -1,5 +1,6 @@
 #include "totem/frames.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -63,28 +64,38 @@ std::vector<std::uint64_t> get_seqs(CdrReader& r) {
   return out;
 }
 
-// Data frames are written straight into their final buffer (a shared one on
-// the send path), so their header is laid out here rather than by a growing
-// CdrWriter: the same CDR alignment, host byte order, zeroed padding.
-class DataHeaderWriter {
- public:
-  explicit DataHeaderWriter(std::uint8_t* out) : out_(out) {}
-  template <typename T>
-  void put(T v) {
-    while (pos_ % sizeof(T) != 0) out_[pos_++] = 0;
-    std::memcpy(out_ + pos_, &v, sizeof(T));
-    pos_ += sizeof(T);
+}  // namespace
+
+Outbound::Outbound(BytesView head, Bytes body, BytesView tail)
+    : head_size_(static_cast<std::uint8_t>(head.size())),
+      tail_size_(static_cast<std::uint8_t>(tail.size())),
+      body_(std::move(body)) {
+  assert(head.size() <= kMaxHead && tail.size() <= kMaxTail);
+  std::copy(head.begin(), head.end(), head_.begin());
+  std::copy(tail.begin(), tail.end(), tail_.begin());
+}
+
+void Outbound::copy(std::size_t begin, std::size_t n, std::uint8_t* out) const noexcept {
+  // Each part contributes the overlap of [begin, begin + n) with its range.
+  const std::size_t end = begin + n;
+  std::size_t at = 0;
+  for (BytesView part : {BytesView(head_.data(), head_size_), BytesView(body_),
+                         BytesView(tail_.data(), tail_size_)}) {
+    const std::size_t lo = std::max(begin, at);
+    const std::size_t hi = std::min(end, at + part.size());
+    if (lo < hi) {
+      std::memcpy(out, part.data() + (lo - at), hi - lo);
+      out += hi - lo;
+    }
+    at += part.size();
   }
-  std::size_t size() const noexcept { return pos_; }
+}
 
- private:
-  std::uint8_t* out_;
-  std::size_t pos_ = 0;
-};
-
-void write_data_frame(std::uint8_t* out, NodeId sender, const DataFrame& f,
-                      BytesView payload) {
-  DataHeaderWriter w(out);
+// Data frames are written straight into their final buffer (a shared one on
+// the send path), in host byte order like every frame.
+void write_data_header(std::uint8_t* out, NodeId sender, const DataFrame& f,
+                       std::size_t payload_size) {
+  util::CdrSpanWriter w(out);
   w.put(static_cast<std::uint8_t>(util::host_byte_order()));
   w.put(static_cast<std::uint8_t>(FrameType::kData));
   w.put(kMagic);
@@ -99,22 +110,20 @@ void write_data_frame(std::uint8_t* out, NodeId sender, const DataFrame& f,
   w.put(f.batch_count);
   w.put(static_cast<std::uint8_t>(f.retransmission ? 1 : 0));
   w.put(static_cast<std::uint8_t>(f.authoritative ? 1 : 0));
-  w.put(static_cast<std::uint32_t>(payload.size()));
-  assert(w.size() == kDataHeaderBytes);
-  if (!payload.empty()) std::memcpy(out + kDataHeaderBytes, payload.data(), payload.size());
+  w.put(static_cast<std::uint32_t>(payload_size));
+  assert(w.position() == kDataHeaderBytes);
 }
 
-}  // namespace
-
 util::SharedBytes encode_data_frame(NodeId sender, const DataFrame& f, BytesView payload) {
-  return util::SharedBytes::build(kDataHeaderBytes + payload.size(), [&](std::uint8_t* out) {
-    write_data_frame(out, sender, f, payload);
+  return encode_data_frame(sender, f, payload.size(), [&](std::uint8_t* out) {
+    if (!payload.empty()) std::memcpy(out, payload.data(), payload.size());
   });
 }
 
 Bytes encode_frame(NodeId sender, const DataFrame& f) {
   Bytes out(kDataHeaderBytes + f.payload.size());
-  write_data_frame(out.data(), sender, f, f.payload);
+  write_data_header(out.data(), sender, f, f.payload.size());
+  std::copy(f.payload.begin(), f.payload.end(), out.begin() + kDataHeaderBytes);
   return out;
 }
 
@@ -292,9 +301,23 @@ std::size_t data_frame_overhead() { return kDataHeaderBytes; }
 Bytes pack_batch(const std::vector<Bytes>& messages) {
   std::size_t size = 0;
   for (const Bytes& m : messages) size = packed_batch_size(size, m.size());
-  CdrWriter w(util::ByteOrder::kLittle, size);
-  for (const Bytes& m : messages) w.put_octets(m);
-  return std::move(w).take();
+  Bytes out(size);
+  std::size_t pos = 0;
+  for (const Bytes& m : messages) {
+    pos = put_batch_prefix(out.data(), pos, m.size());
+    std::copy(m.begin(), m.end(), out.begin() + static_cast<std::ptrdiff_t>(pos));
+    pos += m.size();
+  }
+  return out;
+}
+
+std::size_t put_batch_prefix(std::uint8_t* out, std::size_t current_bytes,
+                             std::size_t message_bytes) {
+  std::size_t pos = current_bytes;
+  while (pos % 4 != 0) out[pos++] = 0;
+  const auto length = static_cast<std::uint32_t>(message_bytes);
+  for (std::size_t i = 0; i < 4; ++i) out[pos++] = static_cast<std::uint8_t>(length >> (8 * i));
+  return pos;
 }
 
 bool batch_well_formed(BytesView packed, std::uint32_t count) noexcept {

@@ -13,6 +13,7 @@
 // All frames are CDR-encoded; every frame begins with (magic, type, sender).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <variant>
@@ -157,9 +158,59 @@ struct Frame {
   FrameType type() const noexcept { return static_cast<FrameType>(body.index() + 1); }
 };
 
-/// Encodes a Data frame carrying `payload` (f.payload is not read) straight
-/// into a shared buffer: the one allocation a frame costs on its way from
-/// sender to every store and delivery.
+/// A message queued for multicast, as the bytes it puts on the ring: a short
+/// inline head, a body and a short inline tail, concatenated. The layer
+/// above frames its own header around a body this way (an Eternal envelope
+/// around the ORB's GIOP bytes), so the body is moved in, never copied, and
+/// the message's one encode is the Data frames it travels in.
+class Outbound {
+ public:
+  static constexpr std::size_t kMaxHead = 64;
+  static constexpr std::size_t kMaxTail = 16;
+
+  Outbound() = default;
+  /// A message that is `body` alone.
+  Outbound(Bytes body) noexcept : body_(std::move(body)) {}  // NOLINT(google-explicit-constructor)
+  /// `head`, then `body`, then `tail` (at most kMaxHead and kMaxTail bytes).
+  Outbound(BytesView head, Bytes body, BytesView tail);
+
+  std::size_t size() const noexcept { return head_size_ + body_.size() + tail_size_; }
+
+  /// Copies the `n` message bytes from offset `begin` on to `out`.
+  void copy(std::size_t begin, std::size_t n, std::uint8_t* out) const noexcept;
+
+ private:
+  std::array<std::uint8_t, kMaxHead> head_;
+  std::array<std::uint8_t, kMaxTail> tail_;
+  std::uint8_t head_size_ = 0;
+  std::uint8_t tail_size_ = 0;
+  Bytes body_;
+};
+
+/// Bytes of Totem header per Data frame (used by the fragmenter to size
+/// fragment payloads against the Ethernet MTU).
+std::size_t data_frame_overhead();
+
+/// Writes a Data frame's header for a payload of `payload_size` bytes into
+/// the data_frame_overhead() bytes at `out` (f.payload is not read). The
+/// one Data header writer.
+void write_data_header(std::uint8_t* out, NodeId sender, const DataFrame& f,
+                       std::size_t payload_size);
+
+/// Encodes a Data frame whose payload, `payload_size` bytes, `fill(out)`
+/// writes, straight into a shared buffer: the one allocation a frame costs
+/// on its way from sender to every store and delivery.
+template <typename Fill>
+util::SharedBytes encode_data_frame(NodeId sender, const DataFrame& f, std::size_t payload_size,
+                                    Fill&& fill) {
+  return util::SharedBytes::build(data_frame_overhead() + payload_size, [&](std::uint8_t* out) {
+    write_data_header(out, sender, f, payload_size);
+    fill(out + data_frame_overhead());
+  });
+}
+
+/// Encodes a Data frame carrying a copy of `payload` (f.payload is not
+/// read) into a shared buffer.
 util::SharedBytes encode_data_frame(NodeId sender, const DataFrame& f, BytesView payload);
 
 /// Encodes a frame for the wire.
@@ -183,10 +234,6 @@ std::optional<Frame> decode_frame(BytesView data);
 /// form accepts.
 std::optional<Frame> decode_frame(const util::SharedBytes& frame);
 
-/// Bytes of Totem header per Data frame (used by the fragmenter to size
-/// fragment payloads against the Ethernet MTU).
-std::size_t data_frame_overhead();
-
 // ---- batch packing -----------------------------------------------------
 // A batched DataFrame's payload is the CDR concatenation of its messages,
 // each a sequence<octet> (4-byte length, bytes, aligned to 4). The message
@@ -195,6 +242,12 @@ std::size_t data_frame_overhead();
 
 /// Packs complete messages (submission order) into one batch payload.
 Bytes pack_batch(const std::vector<Bytes>& messages);
+
+/// Writes the alignment padding and length prefix of a `message_bytes`
+/// message appended to a batch payload that is `current_bytes` long at
+/// `out`; returns the offset its bytes go at. The one batch writer.
+std::size_t put_batch_prefix(std::uint8_t* out, std::size_t current_bytes,
+                             std::size_t message_bytes);
 
 /// True when `packed` holds exactly `count` messages: no truncated blob,
 /// count/length mismatch or trailing garbage. Allocates nothing.

@@ -169,27 +169,14 @@ void TotemNode::crash() {
   fresh_member_ = true;
 }
 
-std::uint64_t TotemNode::multicast(util::Bytes payload) {
+std::uint64_t TotemNode::multicast(Outbound message) {
   if (state_ == State::kDown) throw std::logic_error("TotemNode: multicast() while down");
   const std::size_t cap = fragment_capacity();
   const std::uint64_t msg_id = next_msg_id_++;
-  const std::size_t count = payload.empty() ? 1 : (payload.size() + cap - 1) / cap;
-  for (std::size_t i = 0; i < count; ++i) {
-    PendingFragment frag;
-    frag.msg_id = msg_id;
-    frag.frag_index = static_cast<std::uint32_t>(i);
-    frag.frag_count = static_cast<std::uint32_t>(count);
-    if (count == 1) {
-      frag.payload = std::move(payload);  // the common case: no copy
-    } else {
-      const std::size_t begin = i * cap;
-      const std::size_t end = std::min(payload.size(), begin + cap);
-      frag.payload.assign(payload.begin() + static_cast<std::ptrdiff_t>(begin),
-                          payload.begin() + static_cast<std::ptrdiff_t>(end));
-    }
-    frag.enqueued_at = sim_.now();
-    send_queue_.push_back(std::move(frag));
-  }
+  const std::size_t bytes = message.size();
+  const std::size_t count = bytes == 0 ? 1 : (bytes + cap - 1) / cap;
+  send_queue_.push_back(PendingMessage{msg_id, static_cast<std::uint32_t>(count), 0,
+                                       std::move(message), sim_.now()});
   stats_.multicasts += 1;
   if (hold_ == Hold::kHeld) {
     // The output the token was kept for. The release runs as an event of its
@@ -203,7 +190,7 @@ std::uint64_t TotemNode::multicast(util::Bytes payload) {
     // submission until its last fragment is originated on the ring.
     frag_spans_[msg_id] =
         spans->begin(0, 0, node_, obs::Layer::kTotem, "fragmented-send", sim_.now(),
-                     {{"msg", msg_id}, {"frags", count}, {"bytes", payload.size()}});
+                     {{"msg", msg_id}, {"frags", count}, {"bytes", bytes}});
   }
   return msg_id;
 }
@@ -212,18 +199,23 @@ bool TotemNode::withdraw(std::uint64_t handle) {
   // Sending pops from the front, so a handle below the front's was sent.
   const auto first = std::lower_bound(
       send_queue_.begin(), send_queue_.end(), handle,
-      [](const PendingFragment& f, std::uint64_t h) { return f.msg_id < h; });
-  if (first == send_queue_.end() || first->msg_id != handle || first->frag_index != 0) {
+      [](const PendingMessage& m, std::uint64_t h) { return m.msg_id < h; });
+  if (first == send_queue_.end() || first->msg_id != handle || first->next_frag != 0) {
     return false;
   }
-  // A message's fragments are queued back to back.
-  send_queue_.erase(first, first + first->frag_count);
+  send_queue_.erase(first, first + 1);
   stats_.withdrawn += 1;
   if (auto it = frag_spans_.find(handle); it != frag_spans_.end()) {
     if (obs::SpanStore* spans = rec_.spans()) spans->end(it->second, sim_.now(), {{"withdrawn", 1}});
     frag_spans_.erase(it);
   }
   return true;
+}
+
+std::size_t TotemNode::backlog() const noexcept {
+  std::size_t fragments = 0;
+  for (const PendingMessage& m : send_queue_) fragments += m.frag_count - m.next_frag;
+  return fragments;
 }
 
 // ---------------------------------------------------------------- frame I/O
@@ -462,6 +454,18 @@ void TotemNode::release_hold() {
   pass_token(std::move(token), /*idle=*/false);
 }
 
+template <typename Fill>
+void TotemNode::originate(DataFrame f, std::size_t payload_size, Fill&& fill) {
+  // One buffer for the frame: the wire, every member's store (receivers
+  // reference it through the segment) and our own self-delivery entry.
+  util::SharedBytes frame = encode_data_frame(node_, f, payload_size, fill);
+  f.payload = util::SharedSlice(frame, frame.view().subspan(data_frame_overhead()));
+  broadcast(std::move(frame));
+  stats_.fragments_sent += 1;
+  highest_seen_seq_ = std::max(highest_seen_seq_, f.seq);
+  store_.insert(std::move(f));  // self-delivery
+}
+
 void TotemNode::send_fragments(TokenFrame& token) {
   // A foreign flow budget caps how many frames we may originate this visit
   // (we honour our own budget too: our sends feed the same backlog).
@@ -469,106 +473,95 @@ void TotemNode::send_fragments(TokenFrame& token) {
   const bool foreign_budget = token.flow_budget != 0 && token.flow_setter != node_;
   if (token.flow_budget != 0) budget = std::min(budget, std::size_t{token.flow_budget});
 
-  const std::size_t window = config_.max_batch_msgs;
-  const std::size_t byte_limit = fragment_capacity();
-
   std::size_t sent = 0;
-  while (!send_queue_.empty() && sent < budget) {
-    // Multi-fragment messages always travel alone: reassembly keys on
-    // (origin, msg_id), and a batch carries complete messages only.
-    if (window <= 1 || send_queue_.front().frag_count > 1) {
-      PendingFragment frag = std::move(send_queue_.front());
-      send_queue_.pop_front();
-      DataFrame f;
-      f.view = view_.id;
-      f.ring_id = view_.ring_id;
-      f.origin = node_;
-      f.seq = token.next_seq++;
-      f.msg_id = frag.msg_id;
-      f.frag_index = frag.frag_index;
-      f.frag_count = frag.frag_count;
-      const bool last_fragment = f.frag_index + 1 == f.frag_count;
-      const std::uint64_t msg_id = f.msg_id;
-      hist_batch_msgs_.observe(1);
-      hist_batch_bytes_.observe(frag.payload.size());
-      originate(std::move(f), frag.payload);
-      if (last_fragment) {
-        if (auto it = frag_spans_.find(msg_id); it != frag_spans_.end()) {
-          if (obs::SpanStore* spans = rec_.spans())
-            spans->end(it->second, sim_.now());
-          frag_spans_.erase(it);
-        }
-      }
-      ++sent;
-      continue;
-    }
-
-    // Batch path: greedily coalesce queued complete messages, FIFO, until the
-    // window or the frame fills or a fragmented message blocks the queue.
-    std::vector<util::Bytes> msgs;
-    std::uint64_t first_msg_id = 0;
-    TimePoint oldest{};
-    std::size_t packed = 0;
-    while (!send_queue_.empty() && msgs.size() < window &&
-           send_queue_.front().frag_count <= 1) {
-      const std::size_t grown = packed_batch_size(packed, send_queue_.front().payload.size());
-      if (!msgs.empty() && grown > byte_limit) break;
-      PendingFragment frag = std::move(send_queue_.front());
-      send_queue_.pop_front();
-      if (msgs.empty()) {
-        first_msg_id = frag.msg_id;
-        oldest = frag.enqueued_at;
-      }
-      packed = grown;
-      msgs.push_back(std::move(frag.payload));
-      // A lone message the wrapping would push past the limit travels as a
-      // plain frame below (no length prefix, so it still fits the MTU).
-      if (packed > byte_limit) break;
-    }
-
-    DataFrame f;
-    f.view = view_.id;
-    f.ring_id = view_.ring_id;
-    f.origin = node_;
-    f.seq = token.next_seq++;
-    f.msg_id = first_msg_id;
-    util::Bytes payload;
-    if (msgs.size() == 1) {
-      payload = std::move(msgs.front());  // wire-identical to an unbatched send
-    } else {
-      f.batch_count = static_cast<std::uint32_t>(msgs.size());
-      payload = pack_batch(msgs);
-      stats_.batches_sent += 1;
-      stats_.batched_messages += msgs.size();
-      if (obs::SpanStore* spans = rec_.spans()) {
-        // The batch span covers the coalescing window: oldest member's
-        // submission until the whole batch is originated here.
-        const std::uint64_t span = spans->begin(
-            0, 0, node_, obs::Layer::kTotem, "batch", oldest,
-            {{"msgs", msgs.size()}, {"bytes", payload.size()}});
-        spans->end(span, sim_.now());
-      }
-    }
-    hist_batch_msgs_.observe(msgs.size());
-    hist_batch_bytes_.observe(payload.size());
-    originate(std::move(f), payload);
-    ++sent;
-  }
+  for (; !send_queue_.empty() && sent < budget; ++sent) send_next(token);
   if (foreign_budget && sent >= budget && !send_queue_.empty()) {
     stats_.backpressure_throttled += 1;
   }
   advance_delivery();
 }
 
-void TotemNode::originate(DataFrame f, util::BytesView payload) {
-  // One buffer for the frame: the wire, every member's store (receivers
-  // reference it through the segment) and our own self-delivery entry.
-  util::SharedBytes frame = encode_data_frame(node_, f, payload);
-  f.payload = util::SharedSlice(frame, frame.view().subspan(data_frame_overhead()));
-  broadcast(std::move(frame));
-  stats_.fragments_sent += 1;
-  highest_seen_seq_ = std::max(highest_seen_seq_, f.seq);
-  store_.insert(std::move(f));  // self-delivery
+void TotemNode::send_next(TokenFrame& token) {
+  const std::size_t cap = fragment_capacity();
+  PendingMessage& front = send_queue_.front();
+  DataFrame f;
+  f.view = view_.id;
+  f.ring_id = view_.ring_id;
+  f.origin = node_;
+  f.seq = token.next_seq++;
+  f.msg_id = front.msg_id;
+
+  // Multi-fragment messages always travel alone: reassembly keys on
+  // (origin, msg_id), and a batch carries complete messages only. Each
+  // fragment's frame is filled from its byte range of the queued message.
+  if (front.frag_count > 1) {
+    f.frag_index = front.next_frag;
+    f.frag_count = front.frag_count;
+    const std::size_t begin = std::size_t{f.frag_index} * cap;
+    const std::size_t n = std::min(cap, front.message.size() - begin);
+    const bool last_fragment = f.frag_index + 1 == f.frag_count;
+    const std::uint64_t msg_id = f.msg_id;
+    hist_batch_msgs_.observe(1);
+    hist_batch_bytes_.observe(n);
+    originate(std::move(f), n,
+              [&](std::uint8_t* out) { front.message.copy(begin, n, out); });
+    if (!last_fragment) {
+      send_queue_.front().next_frag += 1;
+      return;
+    }
+    send_queue_.pop_front();
+    if (auto it = frag_spans_.find(msg_id); it != frag_spans_.end()) {
+      if (obs::SpanStore* spans = rec_.spans()) spans->end(it->second, sim_.now());
+      frag_spans_.erase(it);
+    }
+    return;
+  }
+
+  // Whole messages: greedily coalesce queued ones, FIFO, until the batching
+  // window or the frame fills or a fragmented message blocks the queue.
+  const std::size_t window = std::max<std::size_t>(1, config_.max_batch_msgs);
+  std::size_t count = 0;
+  std::size_t packed = 0;
+  while (count < send_queue_.size() && count < window && send_queue_[count].frag_count <= 1) {
+    const std::size_t grown = packed_batch_size(packed, send_queue_[count].message.size());
+    if (count > 0 && grown > cap) break;
+    packed = grown;
+    ++count;
+    // A lone message the wrapping would push past the limit travels as a
+    // plain frame (no length prefix, so it still fits the MTU).
+    if (packed > cap) break;
+  }
+
+  if (count == 1) {
+    const std::size_t n = front.message.size();
+    hist_batch_msgs_.observe(1);
+    hist_batch_bytes_.observe(n);
+    originate(std::move(f), n, [&](std::uint8_t* out) { front.message.copy(0, n, out); });
+  } else {
+    f.batch_count = static_cast<std::uint32_t>(count);
+    stats_.batches_sent += 1;
+    stats_.batched_messages += count;
+    if (obs::SpanStore* spans = rec_.spans()) {
+      // The batch span covers the coalescing window: oldest member's
+      // submission until the whole batch is originated here.
+      const std::uint64_t span =
+          spans->begin(0, 0, node_, obs::Layer::kTotem, "batch", front.enqueued_at,
+                       {{"msgs", count}, {"bytes", packed}});
+      spans->end(span, sim_.now());
+    }
+    hist_batch_msgs_.observe(count);
+    hist_batch_bytes_.observe(packed);
+    originate(std::move(f), packed, [&](std::uint8_t* out) {
+      std::size_t pos = 0;
+      for (std::size_t i = 0; i < count; ++i) {
+        const Outbound& m = send_queue_[i].message;
+        pos = put_batch_prefix(out, pos, m.size());
+        m.copy(0, m.size(), out + pos);
+        pos += m.size();
+      }
+    });
+  }
+  for (std::size_t i = 0; i < count; ++i) send_queue_.pop_front();
 }
 
 void TotemNode::apply_backpressure(TokenFrame& token) {

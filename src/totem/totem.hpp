@@ -164,9 +164,12 @@ class TotemNode : public sim::Station {
 
   /// Queues a message for agreed delivery to all members (including self).
   /// Accepts any size; fragments as needed. Must not be called while down.
+  /// The message stays one queue entry, its body untouched, until its last
+  /// fragment is sent: each Data frame is written straight from it, so a
+  /// message costs one allocation per frame and none while it waits.
   /// Returns the message's handle for withdraw(): its msg_id, which this
   /// endpoint never reuses, not even across crash().
-  std::uint64_t multicast(util::Bytes payload);
+  std::uint64_t multicast(Outbound message);
 
   /// Drops a queued message, but only while none of its fragments has been
   /// sent: a message partly on the ring stays, or its receivers would hold
@@ -175,8 +178,8 @@ class TotemNode : public sim::Station {
   /// and may be called from inside a delivery upcall.
   bool withdraw(std::uint64_t handle);
 
-  /// Messages queued locally but not yet sequenced.
-  std::size_t backlog() const noexcept { return send_queue_.size(); }
+  /// Fragments queued locally but not yet sequenced.
+  std::size_t backlog() const noexcept;
 
   /// True while this endpoint keeps the token for the listener's imminent
   /// output (TotemListener::output_imminent).
@@ -194,11 +197,14 @@ class TotemNode : public sim::Station {
  private:
   enum class State { kDown, kJoining, kOperational, kGather, kRecovery };
 
-  struct PendingFragment {
-    std::uint64_t msg_id;
-    std::uint32_t frag_index;
-    std::uint32_t frag_count;
-    util::Bytes payload;
+  /// A queued message and its fragment cursor: fragments [0, next_frag)
+  /// are on the ring. A message batches only whole, so only a fragmented
+  /// message ever has a cursor past 0.
+  struct PendingMessage {
+    std::uint64_t msg_id = 0;
+    std::uint32_t frag_count = 1;
+    std::uint32_t next_frag = 0;
+    Outbound message;
     TimePoint enqueued_at{};  ///< submission time (start of a batch span)
   };
 
@@ -219,9 +225,14 @@ class TotemNode : public sim::Station {
   /// record (nullptr: the caller records its own).
   void retransmit(DataFrame& held, const char* trace);
   void send_fragments(TokenFrame& token);
-  /// Encodes `f` carrying `payload` into one shared buffer, broadcasts it
-  /// and keeps a slice of it as the self-delivery store entry.
-  void originate(DataFrame f, util::BytesView payload);
+  /// Encodes `f` with the `payload_size`-byte payload `fill` writes into
+  /// one shared buffer, broadcasts it and keeps a slice of it as the
+  /// self-delivery store entry.
+  template <typename Fill>
+  void originate(DataFrame f, std::size_t payload_size, Fill&& fill);
+  /// Sends the next fragment of the queue's front message, a batch of the
+  /// queue's whole messages from the front, or the front message alone.
+  void send_next(TokenFrame& token);
   /// Step 4 of a visit: the all-received-up-to watermark and the store's
   /// garbage collection below it.
   void update_aru(TokenFrame& token);
@@ -279,7 +290,7 @@ class TotemNode : public sim::Station {
   std::map<std::pair<std::uint32_t, std::uint64_t>, std::vector<util::SharedSlice>> partial_;
   /// In submission order, so msg_ids ascend along it (the unsent messages
   /// an excluded member carries into its rejoin keep their place).
-  util::Fifo<PendingFragment> send_queue_;
+  util::Fifo<PendingMessage> send_queue_;
   /// Not reset by crash(): a rejoining member's new messages must not alias
   /// the unsent ones it carries, nor a withdraw() handle taken before.
   std::uint64_t next_msg_id_ = 1;

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -102,6 +103,48 @@ class CdrWriter {
 
   ByteOrder order_;
   Bytes buf_;
+};
+
+/// Serializes values in host byte order straight into a buffer the caller
+/// has sized: CdrWriter's alignment and zeroed padding, with no growth and
+/// no allocation. Encoders that know their exact size (a Totem Data frame,
+/// an Eternal envelope) write through it into their one final buffer.
+class CdrSpanWriter {
+ public:
+  /// Writes from `out` on; `offset` is out's distance from the start of the
+  /// encapsulation, which alignment is relative to.
+  explicit CdrSpanWriter(std::uint8_t* out, std::size_t offset = 0)
+      : out_(out), pos_(offset) {}
+
+  template <typename T>
+  void put(T v) {
+    align(sizeof(T));
+    std::memcpy(out_, &v, sizeof(T));
+    out_ += sizeof(T);
+    pos_ += sizeof(T);
+  }
+  void put_octets(BytesView data) {
+    put(static_cast<std::uint32_t>(data.size()));
+    put_raw(data);
+  }
+  void put_raw(BytesView data) {
+    if (!data.empty()) std::memcpy(out_, data.data(), data.size());
+    out_ += data.size();
+    pos_ += data.size();
+  }
+  void align(std::size_t n) {
+    while (pos_ % n != 0) {
+      *out_++ = 0;
+      ++pos_;
+    }
+  }
+
+  /// Offset of the next byte from the start of the encapsulation.
+  std::size_t position() const noexcept { return pos_; }
+
+ private:
+  std::uint8_t* out_;
+  std::size_t pos_;
 };
 
 /// Deserializes values from a buffer, tracking alignment from the buffer's

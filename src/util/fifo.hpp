@@ -6,7 +6,7 @@
 // and frees it again when it drains; a Fifo keeps its items in one vector
 // with a head index, so once it has grown to its working depth, pushing and
 // popping allocate nothing. Popped items leave a consumed prefix that is
-// dropped once it is at least half the vector (as core::SeqMap does), and
+// dropped once it is at least half the vector (as util::SeqMap does), and
 // the vector is emptied in place whenever the queue drains.
 //
 // Iterators cover the live items, front to back. Like a vector's, they and

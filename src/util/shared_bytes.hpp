@@ -116,6 +116,7 @@ class SharedSlice {
   bool empty() const noexcept { return view_.empty(); }
   const std::uint8_t* begin() const noexcept { return view_.data(); }
   const std::uint8_t* end() const noexcept { return view_.data() + view_.size(); }
+  const std::uint8_t& operator[](std::size_t i) const noexcept { return view_[i]; }
   BytesView view() const noexcept { return view_; }
   operator BytesView() const noexcept { return view_; }
   /// Copies the bytes out, for code that needs an owning, mutable vector.

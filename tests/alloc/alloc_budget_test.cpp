@@ -12,13 +12,16 @@
 // the ORB and POA to a servant and its reply back out, the capacity-keeping
 // run and send queues, sequencing a request through its replica's execution
 // engine, remembering and withdrawing an active replica's redundant output
-// copy, passing and receiving the Totem token,
-// a client connection's request-id translations and reply cache, and
-// recording a typed trace event. A change that puts an allocation back on
+// copy (never encoded), sending a message (one allocation per Data frame,
+// fragments included), passing and receiving the Totem token, a client
+// connection's request-id translations and reply cache, a client ORB's
+// two-way call (its GIOP encode) and reply (nothing), and recording a typed
+// trace event. A change that puts an allocation back on
 // one of these paths fails here instead of only moving the benchmark's
 // allocs_per_op.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -30,7 +33,6 @@
 #include "core/exec/engine.hpp"
 #include "core/placement.hpp"
 #include "core/raced_stream.hpp"
-#include "core/seq_map.hpp"
 #include "core/seq_window.hpp"
 #include "giop/giop.hpp"
 #include "obs/trace.hpp"
@@ -42,14 +44,19 @@
 #include "totem/totem.hpp"
 #include "util/cdr.hpp"
 #include "util/fifo.hpp"
+#include "util/seq_map.hpp"
 #include "util/shared_bytes.hpp"
 
 namespace {
 
 std::uint64_t g_allocs = 0;
+/// Allocations of at least g_large_from bytes (frame- and message-sized).
+std::size_t g_large_from = static_cast<std::size_t>(-1);
+std::uint64_t g_large = 0;
 
 void* counted_alloc(std::size_t n) {
   ++g_allocs;
+  if (n >= g_large_from) ++g_large;
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
@@ -147,6 +154,14 @@ TEST(AllocBudget, FrameAndEnvelopeEncodersAllocateOnce) {
   EXPECT_EQ(allocs_of([&] { (void)totem::encode_frame(NodeId{2}, data); }), 1u);
   // The shared form keeps its reference count inside the one allocation.
   EXPECT_EQ(allocs_of([&] { (void)totem::encode_data_frame(NodeId{2}, data, payload); }), 1u);
+  // The send path's form: the payload is written in place from the queue.
+  const totem::Outbound queued(Bytes(8, 0x11), Bytes(payload), Bytes(4, 0x22));
+  EXPECT_EQ(allocs_of([&] {
+              (void)totem::encode_data_frame(NodeId{2}, data, queued.size(), [&](std::uint8_t* out) {
+                queued.copy(0, queued.size(), out);
+              });
+            }),
+            1u);
 
   totem::TokenFrame token;
   token.view = util::ViewId{3};
@@ -181,10 +196,16 @@ TEST(AllocBudget, FrameAndEnvelopeEncodersAllocateOnce) {
   e.op_seq = 5;
   e.payload = Bytes(150, 0xEE);
   EXPECT_EQ(allocs_of([&] { (void)core::encode_envelope(e); }), 1u);
+  // As a Totem message a request envelope moves its payload in unencoded.
+  core::Envelope moved = e;
+  EXPECT_EQ(allocs_of([&] { (void)core::to_outbound(std::move(moved)); }), 0u);
   e.kind = core::EnvelopeKind::kStateBulkDescriptor;
   e.extent_digests = {1, 2, 3};
   e.orb_state = Bytes(13, 1);
   EXPECT_EQ(allocs_of([&] { (void)core::encode_envelope(e); }), 1u);
+  // An envelope with digests or other blobs is encoded flat, once.
+  moved = e;
+  EXPECT_EQ(allocs_of([&] { (void)core::to_outbound(std::move(moved)); }), 1u);
 }
 
 TEST(AllocBudget, GiopEncodeAllocatesOnceAndInspectNever) {
@@ -276,19 +297,223 @@ TEST(AllocBudget, SingleFragmentMulticastMovesThePayload) {
   node.start({NodeId{1}});
   sim.run_for(Duration(500'000));
   constexpr std::size_t kMessages = 8;
-  std::vector<Bytes> payloads;
+  std::vector<core::Envelope> envelopes;
   auto round = [&] {
-    payloads.assign(kMessages, Bytes(200, 0x3C));
+    envelopes.assign(kMessages, core::Envelope{});
+    for (core::Envelope& e : envelopes) e.payload = Bytes(200, 0x3C);
     const std::uint64_t allocs = allocs_of([&] {
-      for (Bytes& p : payloads) node.multicast(std::move(p));
+      for (core::Envelope& e : envelopes) node.multicast(core::to_outbound(std::move(e)));
     });
     sim.run_for(Duration(50'000));
     return allocs;
   };
   round();
-  // Copying the payloads would cost 8; the send queue keeps its capacity.
+  // Copying or encoding the payloads would cost 8; the send queue keeps its
+  // capacity.
   EXPECT_EQ(round(), 0u);
   EXPECT_EQ(sink.delivered, 2 * kMessages);
+}
+
+/// A single-member ring whose store recycles its blocks within a test.
+struct LoneRing {
+  struct Sink : totem::TotemListener {
+    std::size_t delivered = 0;
+    std::size_t bytes = 0;
+    void on_deliver(const totem::Delivery& d) override {
+      ++delivered;
+      bytes += d.payload.size();
+    }
+    void on_view_change(const totem::View&) override {}
+  };
+  static totem::TotemConfig config() {
+    totem::TotemConfig cfg;
+    cfg.gc_margin = 8;
+    return cfg;
+  }
+  sim::Simulator sim;
+  sim::Ethernet ether{sim, sim::EthernetConfig{}};
+  Sink sink;
+  totem::TotemNode node{sim, ether, NodeId{1}, config(), &sink};
+  LoneRing() {
+    node.start({NodeId{1}});
+    sim.run_for(Duration(500'000));
+  }
+};
+
+/// A reply envelope around GIOP bytes the ORB has already encoded.
+core::Envelope reply_envelope(std::uint64_t op_seq) {
+  giop::Reply reply;
+  reply.request_id = static_cast<std::uint32_t>(op_seq);
+  reply.body = Bytes(9, 0x4D);
+  core::Envelope e;
+  e.kind = core::EnvelopeKind::kReply;
+  e.client_group = util::GroupId{7};
+  e.target_group = util::GroupId{9};
+  e.op_seq = op_seq;
+  e.payload = giop::encode(reply);
+  return e;
+}
+
+TEST(AllocBudget, WithdrawnReplyCopyIsNeverEncoded) {
+  // An active replica's reply copy that a sibling's copy beats to delivery:
+  // multicast, then withdrawn before the token comes. Past the ORB's GIOP
+  // encode it costs nothing: no envelope, no frame.
+  LoneRing ring;
+  constexpr std::size_t kCopies = 8;
+  std::vector<core::Envelope> copies;
+  std::vector<std::uint64_t> handles(kCopies);
+  std::uint64_t seq = 0;
+  auto round = [&] {
+    copies.clear();
+    for (std::size_t i = 0; i < kCopies; ++i) copies.push_back(reply_envelope(seq++));
+    const std::uint64_t allocs = allocs_of([&] {
+      for (std::size_t i = 0; i < kCopies; ++i) {
+        handles[i] = ring.node.multicast(core::to_outbound(std::move(copies[i])));
+      }
+      for (std::uint64_t h : handles) EXPECT_TRUE(ring.node.withdraw(h));
+    });
+    ring.sim.run_for(Duration(50'000));
+    return allocs;
+  };
+  round();  // warm-up: the send queue grows
+  EXPECT_EQ(round(), 0u);
+  EXPECT_EQ(ring.node.stats().withdrawn, 2 * kCopies);
+  EXPECT_EQ(ring.node.stats().fragments_sent, 0u);
+  EXPECT_EQ(ring.sink.delivered, 0u);
+}
+
+TEST(AllocBudget, SentUnfragmentedMessageCostsItsFrameOnly) {
+  // From multicast to self-delivery: the message's one allocation is the
+  // Data frame its bytes are written into.
+  LoneRing ring;
+  constexpr std::size_t kMessages = 8;
+  std::vector<core::Envelope> envelopes;
+  std::uint64_t seq = 0;
+  auto round = [&] {
+    envelopes.clear();
+    for (std::size_t i = 0; i < kMessages; ++i) envelopes.push_back(reply_envelope(seq++));
+    return allocs_of([&] {
+      for (core::Envelope& e : envelopes) ring.node.multicast(core::to_outbound(std::move(e)));
+      ring.sim.run_for(Duration(50'000));
+    });
+  };
+  for (int i = 0; i < 24; ++i) round();  // warm-up: three store blocks, queue, slots
+  std::uint64_t allocs = 0;
+  for (int i = 0; i < 8; ++i) allocs += round();
+  EXPECT_EQ(allocs, 8 * kMessages) << "one Data frame per message";
+  EXPECT_EQ(ring.sink.delivered, 32 * kMessages);
+  EXPECT_EQ(ring.node.stats().fragments_sent, 32 * kMessages);
+}
+
+TEST(AllocBudget, FragmentedMessageCostsOneAllocationPerFrame) {
+  // A message of N fragments stays one queue entry: multicast copies
+  // nothing, and each fragment's frame is filled from its byte range of the
+  // queued body. The send allocates N frames and nothing else of fragment
+  // size; the one other large allocation is the self-delivery's reassembled
+  // message.
+  LoneRing ring;
+  const std::size_t cap = ring.node.fragment_capacity();
+  constexpr std::size_t kFragments = 4;
+  core::Envelope e = reply_envelope(1);
+  e.payload.resize(kFragments * cap - 100, 0x6A);
+  const std::size_t bytes = core::encoded_size(e);
+  ASSERT_LE(bytes, kFragments * cap);
+  // Even the last fragment's frame counts as large below.
+  ASSERT_GE(bytes - (kFragments - 1) * cap + totem::data_frame_overhead(), cap);
+  auto send = [&](std::uint64_t& multicast_allocs, std::uint64_t& large_allocs) {
+    totem::Outbound message = core::to_outbound(core::Envelope(e));
+    multicast_allocs = allocs_of([&] { ring.node.multicast(std::move(message)); });
+    EXPECT_EQ(ring.node.backlog(), kFragments);
+    g_large_from = cap;  // the last fragment's frame is larger, its payload smaller
+    g_large = 0;
+    ring.sim.run_for(Duration(200'000));
+    g_large_from = static_cast<std::size_t>(-1);
+    large_allocs = g_large;
+  };
+  std::uint64_t multicast_allocs = 0;
+  std::uint64_t large_allocs = 0;
+  send(multicast_allocs, large_allocs);  // warm-up: the store's block
+  send(multicast_allocs, large_allocs);
+  EXPECT_EQ(multicast_allocs, 0u);
+  EXPECT_EQ(large_allocs, kFragments + 1) << "N frames plus the reassembled message";
+  EXPECT_EQ(ring.node.stats().fragments_sent, 2 * kFragments);
+  ASSERT_EQ(ring.sink.delivered, 2u);
+  EXPECT_EQ(ring.sink.bytes, 2 * bytes);
+}
+
+TEST(AllocBudget, ClientTwoWayCallCostsItsGiopEncodeAndItsReplyNothing) {
+  // A client ORB's steady-state two-way invocation on a connection whose
+  // vendor handshake is done: the request is encoded from views of the
+  // object key (replaced by the negotiated short key), operation and
+  // arguments, and the awaited reply is filed in the connection's
+  // capacity-keeping map. The reply's handler gets a slice of the inbound
+  // message.
+  struct Wire : orb::Transport {
+    Bytes last;
+    void send(const orb::Endpoint&, Bytes iiop) override { last = std::move(iiop); }
+  };
+  sim::Simulator sim;
+  orb::Orb client(sim, NodeId{1}, orb::OrbConfig{});
+  orb::Orb server(sim, NodeId{2}, orb::OrbConfig{});
+  Wire to_server;
+  Wire to_client;
+  client.plug_transport(to_server);
+  server.plug_transport(to_client);
+  giop::Ior ior;
+  ior.host = NodeId{2};
+  ior.object_key = util::bytes_of("counter");
+  ior.orb_vendor = orb::OrbConfig{}.vendor_id;
+  ior.code_sets = orb::OrbConfig{}.code_sets;
+  const orb::ObjectRef ref = client.resolve(ior);
+  const orb::Endpoint server_ep{ior.host, ior.port};
+
+  std::uint64_t reply_bytes = 0;
+  // First contact queues the call behind the handshake the server answers.
+  ref.invoke("inc", Bytes(8, 1), [&](const orb::ReplyOutcome& out) { reply_bytes += out.body.size(); });
+  server.on_message(client.local_endpoint(), util::BytesView(to_server.last));
+  sim.run();
+  client.on_message(server_ep, util::BytesView(to_client.last));
+  sim.run();
+  ASSERT_TRUE(orb::testing::OrbProbe::negotiated_short_key(client, server_ep).has_value());
+
+  std::uint64_t invoke_allocs = 0;
+  std::uint64_t reply_allocs = 0;
+  auto reply_to_last = [&] {
+    const std::optional<giop::Inspection> request = giop::inspect(to_server.last);
+    ASSERT_TRUE(request.has_value());
+    giop::Reply reply;
+    reply.request_id = request->request_id;
+    reply.body = Bytes(9, 2);
+    const util::SharedSlice wire = util::SharedSlice::copy_of(giop::encode(reply));
+    reply_allocs += allocs_of([&] {
+      client.on_message(server_ep, wire);
+      sim.run();
+    });
+  };
+  auto call = [&] {
+    Bytes args(8, 1);
+    orb::ReplyHandler handler = [&reply_bytes](const orb::ReplyOutcome& out) {
+      reply_bytes += out.body.size();
+    };
+    invoke_allocs += allocs_of([&] { ref.invoke("inc", std::move(args), std::move(handler)); });
+    reply_to_last();
+  };
+  reply_to_last();  // the call the handshake held back
+  for (int i = 0; i < 4; ++i) call();  // warm-up: the pending map and event slab
+  invoke_allocs = reply_allocs = 0;
+  reply_bytes = 0;
+  constexpr int kCalls = 16;
+  for (int i = 0; i < kCalls; ++i) call();
+  EXPECT_EQ(invoke_allocs, static_cast<std::uint64_t>(kCalls)) << "the GIOP encode only";
+  EXPECT_EQ(reply_allocs, 0u);
+  EXPECT_EQ(reply_bytes, 9u * kCalls);
+  EXPECT_EQ(client.outstanding_requests(), 0u);
+  EXPECT_EQ(client.stats().replies_discarded_request_id, 0u);
+  // The request carried the negotiated short key, not the full one.
+  const std::optional<giop::Inspection> last = giop::inspect(to_server.last);
+  ASSERT_TRUE(last.has_value());
+  EXPECT_TRUE(std::ranges::equal(
+      last->object_key, *orb::testing::OrbProbe::negotiated_short_key(client, server_ep)));
 }
 
 TEST(AllocBudget, RacedCopyEmitWithdrawAndDeliverAllocateNothing) {
@@ -639,8 +864,8 @@ TEST(AllocBudget, InvocationBookkeepingAllocatesNothingInSteadyState) {
   // swapped pairs (1, 0, 3, 2, ...): half retire from the front, half from
   // behind it.
   constexpr std::size_t kReplyCacheCap = 1024;  // Mechanisms' per-connection cap
-  core::SeqMap<std::uint32_t> group_to_local;
-  core::SeqMap<util::SharedSlice> reply_cache;
+  util::SeqMap<std::uint32_t> group_to_local;
+  util::SeqMap<util::SharedSlice> reply_cache;
   const util::SharedSlice reply = util::SharedSlice::copy_of(Bytes(64, 0x2B));
   std::uint64_t next_rid = 0;
   std::uint64_t translated = 0;

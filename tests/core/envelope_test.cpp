@@ -10,7 +10,6 @@
 #include "core/envelope.hpp"
 #include "core/group_table.hpp"
 #include "core/message_log.hpp"
-#include "core/seq_map.hpp"
 #include "core/seq_window.hpp"
 #include "core/state_snapshots.hpp"
 #include "giop/giop.hpp"
@@ -18,7 +17,9 @@
 #include "sim/ethernet.hpp"
 #include "totem/frames.hpp"
 #include "totem/seq_store.hpp"
+#include "totem/totem.hpp"
 #include "util/rng.hpp"
+#include "util/seq_map.hpp"
 
 namespace eternal::core {
 namespace {
@@ -709,7 +710,7 @@ TEST_P(RetainedDelivery, HolderOutlivesFrameSlotStoreEntryAndReplacement) {
 
   std::optional<RetainedEnvelope> queue_item;
   MessageLog log;
-  core::SeqMap<util::SharedSlice> reply_cache;
+  util::SeqMap<util::SharedSlice> reply_cache;
   {
     // The delivery: decode a view, keep what this holder keeps.
     const util::SharedSlice delivered = store.find(1)->payload;
@@ -761,6 +762,171 @@ TEST_P(RetainedDelivery, HolderOutlivesFrameSlotStoreEntryAndReplacement) {
 INSTANTIATE_TEST_SUITE_P(Holders, RetainedDelivery,
                          ::testing::Values(Holder::kQueueItem, Holder::kLogEntry,
                                            Holder::kReplyCache, Holder::kOrbEvent));
+
+// ------------------------------------------------ one encode per ring message
+
+/// Envelopes of every kind, each with payloads of 0-9 bytes (every tail
+/// padding), with and without the blobs that make an envelope encode flat,
+/// plus messages of several fragments in both shapes.
+std::vector<Envelope> wire_identity_cases(std::size_t fragment_capacity) {
+  std::vector<Envelope> cases;
+  for (std::uint8_t k = 1; k <= 11; ++k) {
+    for (std::size_t len = 0; len <= 9; ++len) {
+      Envelope e;
+      e.kind = static_cast<EnvelopeKind>(k);
+      e.ring = k % 3;
+      e.client_group = GroupId{3};
+      e.target_group = GroupId{static_cast<std::uint32_t>(10 + k)};
+      e.op_seq = 1000 * k + len;
+      e.subject = ReplicaId{len};
+      e.subject_node = NodeId{2};
+      e.delta_base = len % 2;
+      e.chunk_index = static_cast<std::uint32_t>(len % 2);
+      e.chunk_count = 2;
+      e.payload = Bytes(len, static_cast<std::uint8_t>(0x30 + len));
+      if (e.kind >= EnvelopeKind::kStateBulkDescriptor) {
+        e.transfer_id = 77;
+        e.total_bytes = 2 * len + 1;
+        e.extent_bytes = static_cast<std::uint32_t>(len + 1);
+        if (e.kind == EnvelopeKind::kStateBulkDescriptor) e.extent_digests = {11, 22};
+      }
+      if (len % 3 == 1 && (e.kind == EnvelopeKind::kSetState ||
+                           e.kind == EnvelopeKind::kCheckpoint)) {
+        e.orb_state = Bytes(len, 0xA1);
+        e.infra_state = Bytes(len + 1, 0xA2);
+      }
+      if (len % 3 == 2 && e.kind == EnvelopeKind::kControl) e.control_data = Bytes(len, 0xC0);
+      cases.push_back(std::move(e));
+    }
+  }
+  Envelope big;
+  big.kind = EnvelopeKind::kSetState;
+  big.target_group = GroupId{5};
+  big.op_seq = 9;
+  big.payload = Bytes(3 * fragment_capacity + 5, 0x5E);  // moved as the body
+  cases.push_back(big);
+  big.orb_state = Bytes(7, 0x0B);  // encoded flat
+  cases.push_back(big);
+  big = Envelope{};
+  big.kind = EnvelopeKind::kRequest;
+  big.payload = Bytes(2 * fragment_capacity - 72, 0x7A);  // two fragments, the last near full
+  cases.push_back(std::move(big));
+  return cases;
+}
+
+class WireIdentity : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(WireIdentity, FramesMatchTheEncodedEnvelopeFragmentedTheOldWay) {
+  // The send path lays each envelope out around its moved payload and
+  // writes it straight into its Data frames. The oracle is the composition
+  // it replaces: encode_envelope, then each fragment (or batch of whole
+  // messages, packed) framed by encode_data_frame. Frame headers are taken
+  // from the wire; every payload byte, and the grouping of messages into
+  // frames, must match the oracle's.
+  struct Sniffer : sim::Station {
+    std::vector<Bytes> frames;
+    void on_frame(NodeId, util::BytesView frame) override {
+      std::optional<totem::Frame> decoded = totem::decode_frame(frame);
+      if (decoded && decoded->type() == totem::FrameType::kData) {
+        frames.emplace_back(frame.begin(), frame.end());
+      }
+    }
+  } sniffer;
+  struct Sink : totem::TotemListener {
+    std::size_t delivered = 0;
+    void on_deliver(const totem::Delivery&) override { ++delivered; }
+    void on_view_change(const totem::View&) override {}
+  } sink;
+  const std::size_t window = GetParam();
+  sim::Simulator sim;
+  sim::Ethernet ether(sim, sim::EthernetConfig{});
+  totem::TotemConfig cfg;
+  cfg.max_batch_msgs = window;
+  totem::TotemNode node(sim, ether, NodeId{1}, cfg, &sink);
+  ether.attach(NodeId{2}, &sniffer);
+  node.start({NodeId{1}});
+  sim.run_for(util::Duration(500'000));
+
+  const std::size_t cap = node.fragment_capacity();
+  const std::vector<Envelope> cases = wire_identity_cases(cap);
+  std::vector<Bytes> encoded;  // the oracle's one encode per message
+  std::uint64_t first_id = 0;
+  for (const Envelope& e : cases) {
+    encoded.push_back(encode_envelope(e));
+    const std::uint64_t id = node.multicast(to_outbound(Envelope(e)));
+    if (first_id == 0) first_id = id;
+    ASSERT_EQ(id, first_id + encoded.size() - 1);
+  }
+  sim.run_for(util::Duration(50'000'000));
+  ASSERT_EQ(node.backlog(), 0u);
+  ASSERT_EQ(sink.delivered, cases.size());
+
+  // The frames the old send path made of the queue, in order: the messages
+  // each carries (first index, count) and its fragment index.
+  struct Expected {
+    std::size_t first;
+    std::size_t count;
+    std::uint32_t frag_index;
+  };
+  std::vector<Expected> expected;
+  for (std::size_t i = 0; i < encoded.size();) {
+    const std::size_t frags = std::max<std::size_t>(1, (encoded[i].size() + cap - 1) / cap);
+    if (frags > 1) {
+      for (std::uint32_t f = 0; f < frags; ++f) expected.push_back({i, 1, f});
+      ++i;
+      continue;
+    }
+    std::size_t count = 0;
+    std::size_t packed = 0;
+    while (i + count < encoded.size() && count < std::max<std::size_t>(1, window) &&
+           encoded[i + count].size() <= cap) {
+      const std::size_t grown = totem::packed_batch_size(packed, encoded[i + count].size());
+      if (count > 0 && grown > cap) break;
+      packed = grown;
+      ++count;
+      if (packed > cap) break;
+    }
+    expected.push_back({i, count, 0});
+    i += count;
+  }
+
+  ASSERT_EQ(sniffer.frames.size(), expected.size());
+  std::size_t batched = 0;
+  for (std::size_t n = 0; n < expected.size(); ++n) {
+    const Expected& x = expected[n];
+    const std::optional<totem::Frame> frame = totem::decode_frame(sniffer.frames[n]);
+    ASSERT_TRUE(frame.has_value());
+    const auto& f = std::get<totem::DataFrame>(frame->body);
+    ASSERT_EQ(f.msg_id, first_id + x.first) << "frame " << n;
+    ASSERT_EQ(f.batch_count, x.count) << "frame " << n;
+    ASSERT_EQ(f.frag_index, x.frag_index) << "frame " << n;
+    Bytes payload;
+    if (x.count > 1) {
+      payload = totem::pack_batch(std::vector<Bytes>(
+          encoded.begin() + static_cast<std::ptrdiff_t>(x.first),
+          encoded.begin() + static_cast<std::ptrdiff_t>(x.first + x.count)));
+      batched += x.count;
+    } else {
+      const Bytes& m = encoded[x.first];
+      const std::size_t begin = std::size_t{x.frag_index} * cap;
+      payload.assign(m.begin() + static_cast<std::ptrdiff_t>(begin),
+                     m.begin() + static_cast<std::ptrdiff_t>(std::min(m.size(), begin + cap)));
+    }
+    const util::SharedBytes oracle = totem::encode_data_frame(frame->sender, f, payload);
+    ASSERT_TRUE(std::ranges::equal(oracle.view(), sniffer.frames[n]))
+        << "frame " << n << ": message " << x.first << " (kind "
+        << static_cast<int>(cases[x.first].kind) << ", " << cases[x.first].payload.size()
+        << "-byte payload), fragment " << x.frag_index;
+  }
+  // The batching window was exercised when there was one.
+  if (window > 1) {
+    EXPECT_GT(batched, cases.size() / 2);
+  } else {
+    EXPECT_EQ(batched, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BatchWindows, WireIdentity, ::testing::Values(1u, 4u));
 
 }  // namespace
 }  // namespace eternal::core
