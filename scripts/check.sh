@@ -110,7 +110,9 @@ cmake --build build-asan -j"$JOBS" --target \
 # a view kept past its callback is a use-after-free: core_unit_test (the
 # envelope view and SeqWindow), passive_test and stable_storage_test (logged
 # and persisted messages), recovery_hazards_test and fast_state_transfer_test
-# (state, chunk and bulk envelopes), critpath_test (traced replies).
+# (state, chunk and bulk envelopes), critpath_test (traced replies, and the
+# span-on/span-off neutrality run over an active and a log-replaying
+# passive group).
 # What is kept past a delivery is a slice of the frame's one shared buffer:
 # core_unit_test (RetainedDelivery: a queue item, a log entry, the reply
 # cache and a pending ORB event each outlive the frame's Ethernet slot,

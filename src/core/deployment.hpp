@@ -67,11 +67,11 @@ struct SystemConfig {
   /// Metrics are always collected; tracing is what this opts into.
   std::size_t trace_capacity = 0;
   /// When non-zero, the System owns a SpanStore of this many spans: each
-  /// client invocation gets a causal trace id carried in a GIOP service
-  /// context through ordering, delivery and reply, and every recovery is
-  /// profiled into Figure-5 phase spans. Off by default — attaching spans
-  /// adds a trace-id service context to request/reply wire images, so only
-  /// span-aware runs pay (or see) it.
+  /// client invocation gets a causal trace id, which every hop derives from
+  /// the envelope it handles through ordering, delivery and reply, and every
+  /// recovery is profiled into Figure-5 phase spans. Off by default; a
+  /// span-on run sends the same bytes at the same virtual times as a
+  /// span-off one.
   std::size_t span_capacity = 0;
 };
 

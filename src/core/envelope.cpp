@@ -23,6 +23,8 @@ Blobs blobs_of(const Envelope& e) {
   return Blobs{e.extent_digests, e.payload, e.orb_state, e.infra_state, e.control_data};
 }
 
+Blobs blobs_of(const RetainedEnvelope& e) { return Blobs{kNoDigests, e.payload, {}, {}, {}}; }
+
 /// Exact encoded size, so encode allocates once: 56 header bytes (80 plus
 /// the digests for bulk kinds), then four aligned octet sequences.
 std::size_t encoded_size(const EnvelopeHeader& h, const Blobs& b) {
@@ -69,12 +71,17 @@ void write_tail(util::CdrSpanWriter& w, const Blobs& b) {
   w.put_octets(b.control_data);
 }
 
-Bytes encode(const EnvelopeHeader& e, const Blobs& b) {
-  Bytes out(encoded_size(e, b));
-  util::CdrSpanWriter w(out.data());
+/// The whole envelope, into encoded_size(e, b) bytes at `out`.
+void write(const EnvelopeHeader& e, const Blobs& b, std::uint8_t* out) {
+  util::CdrSpanWriter w(out);
   write_head(w, e, b);
   w.put_raw(b.payload);
   write_tail(w, b);
+}
+
+Bytes encode(const EnvelopeHeader& e, const Blobs& b) {
+  Bytes out(encoded_size(e, b));
+  write(e, b, out.data());
   return out;
 }
 
@@ -84,8 +91,12 @@ Bytes encode_envelope(const Envelope& e) { return encode(e, blobs_of(e)); }
 
 std::size_t encoded_size(const Envelope& e) { return encoded_size(e, blobs_of(e)); }
 
-Bytes encode_envelope(const RetainedEnvelope& e) {
-  return encode(e, Blobs{kNoDigests, e.payload, {}, {}, {}});
+Bytes encode_envelope(const RetainedEnvelope& e) { return encode(e, blobs_of(e)); }
+
+std::size_t encoded_size(const RetainedEnvelope& e) { return encoded_size(e, blobs_of(e)); }
+
+void encode_envelope_to(const RetainedEnvelope& e, std::uint8_t* out) {
+  write(e, blobs_of(e), out);
 }
 
 totem::Outbound to_outbound(Envelope&& e) {

@@ -205,6 +205,14 @@ totem::Outbound to_outbound(Envelope&& e);
 /// Envelope with the same header and payload and no other blob.
 Bytes encode_envelope(const RetainedEnvelope& e);
 
+/// The size encode_envelope(e) has, without encoding.
+std::size_t encoded_size(const RetainedEnvelope& e);
+
+/// Writes encode_envelope(e)'s bytes to `out`, which holds encoded_size(e)
+/// bytes: a record that frames an envelope (a stable-storage segment entry)
+/// encodes it once, in place.
+void encode_envelope_to(const RetainedEnvelope& e, std::uint8_t* out);
+
 /// Parses in place; allocates nothing. nullopt on malformed bytes. This is
 /// the one envelope parser: decode_envelope is its owning form.
 std::optional<EnvelopeView> decode_envelope_view(BytesView data);

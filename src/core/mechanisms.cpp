@@ -411,6 +411,16 @@ void Mechanisms::on_outbound(const orb::Endpoint& to, util::Bytes iiop) {
   }
 }
 
+std::uint64_t Mechanisms::trace_of(const EnvelopeHeader& e,
+                                   const giop::Inspection& info) const {
+  if (rec_.spans() == nullptr || info.has_context(giop::kVendorHandshakeContextId)) return 0;
+  // Minted deterministically, not with new_trace(): every replica of an
+  // actively replicated client derives the same id for the same logical
+  // invocation, so the duplicates' root spans collapse via begin_named and
+  // the first delivered copy closes the one tree (no orphaned second root).
+  return obs::derived_trace_id(e.client_group, e.target_group, e.op_seq);
+}
+
 void Mechanisms::capture_request(const orb::Endpoint& to, util::Bytes iiop,
                                  const giop::Inspection& info) {
   if (!orb::is_group_endpoint(to)) {
@@ -506,23 +516,16 @@ void Mechanisms::capture_request(const orb::Endpoint& to, util::Bytes iiop,
   }
 
   // Causal span tracing: open the invocation's root span here, at the point
-  // of interception, and carry the trace id in a GIOP service context so
-  // every later hop (ordering, delivery, execution, reply) can attach to the
-  // same tree. Only while a SpanStore is attached — otherwise the wire bytes
-  // are untouched.
-  if (obs::SpanStore* spans = rec_.spans(); spans != nullptr && !is_handshake) {
-    // Minted deterministically, not with new_trace(): every replica of an
-    // actively replicated client derives the same id for the same logical
-    // invocation, so the duplicates' root spans collapse via begin_named and
-    // the first delivered copy closes the one tree (no orphaned second root).
-    const obs::TraceId trace =
-        obs::derived_trace_id(client_group, server_group, group_rid);
+  // of interception. Every later hop (ordering, delivery, execution, reply)
+  // derives the same trace id from the envelope it handles and attaches to
+  // the same tree; the wire bytes are the same with spans on or off.
+  if (const obs::TraceId trace = trace_of(e, info)) {
+    obs::SpanStore* const spans = rec_.spans();
     const obs::SpanId root = spans->begin_named(
         trace, 0, node_, obs::Layer::kMech, "invocation", sim_.now(),
         {{"client", client_group.value}, {"server", server_group.value}, {"op_seq", group_rid}});
     spans->begin_named(trace, root, node_, obs::Layer::kTotem, "order-wait",
                        sim_.now());
-    wire = giop::with_trace_context(wire, trace);
   }
 
   e.payload = std::move(wire);

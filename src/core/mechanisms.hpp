@@ -414,6 +414,12 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
                      const giop::Inspection& info);
   OutboundConn& outbound_conn(GroupId client_group, GroupId server_group);
   GroupId client_group_for(GroupId server_group);
+  /// The causal trace id (obs/spans.hpp) of the invocation a request or
+  /// reply belongs to, derived from its envelope header at every hop, so
+  /// nothing carries it: 0 while no SpanStore is attached, and for a
+  /// client-server handshake or its reply (`info` carries the vendor
+  /// handshake context), which stay untraced.
+  std::uint64_t trace_of(const EnvelopeHeader& e, const giop::Inspection& info) const;
 
   // ---- delivery ----
   // Requests and replies are dispatched as views into the Totem delivery

@@ -156,7 +156,7 @@ void Mechanisms::deliver_request(const EnvelopeView& e, const util::SharedSlice&
                 {{"client", e.client_group.value}, {"group", e.target_group.value}});
     if (obs::SpanStore* spans = rec_.spans()) {
       if (auto dup = giop::inspect(e.payload)) {
-        if (const obs::TraceId t = dup->trace_context()) {
+        if (const obs::TraceId t = trace_of(e, *dup)) {
           spans->instant(t, node_, obs::Layer::kMech, "request-dup", sim_.now(),
                          {{"op_seq", e.op_seq}});
         }
@@ -188,8 +188,7 @@ void Mechanisms::deliver_request(const EnvelopeView& e, const util::SharedSlice&
   // span ends at the first delivering node (first close wins), and a
   // per-replica "deliver" span opens for the quiescence-gated queue wait.
   obs::SpanStore* const spans = rec_.spans();
-  const obs::TraceId trace =
-      (spans != nullptr && info) ? info->trace_context() : 0;
+  const obs::TraceId trace = info ? trace_of(e, *info) : 0;
   if (trace != 0) spans->end_named(trace, "order-wait", sim_.now());
 
   const bool passive = entry->desc.properties.style != ReplicationStyle::kActive;
@@ -272,8 +271,13 @@ void Mechanisms::deliver_reply(const EnvelopeView& e, const util::SharedSlice& d
     rec_.record(node_, obs::Layer::kMech, "reply_dup", e.op_seq,
                 {{"client", e.client_group.value}, {"group", e.target_group.value}});
     if (obs::SpanStore* spans = rec_.spans()) {
-      if (auto dup = giop::inspect(e.payload)) {
-        if (const obs::TraceId t = dup->trace_context()) {
+      // Active replicas' racing replies are traced; a passive group's
+      // duplicate reply is a promoted primary's log replay, which is not.
+      const GroupEntry* server = table_.find(e.target_group);
+      const bool replayed =
+          server != nullptr && server->desc.properties.style != ReplicationStyle::kActive;
+      if (auto dup = giop::inspect(e.payload); dup && !replayed) {
+        if (const obs::TraceId t = trace_of(e, *dup)) {
           spans->instant(t, node_, obs::Layer::kMech, "reply-dup", sim_.now(),
                          {{"op_seq", e.op_seq}});
         }
@@ -318,11 +322,11 @@ void Mechanisms::deliver_reply(const EnvelopeView& e, const util::SharedSlice& d
   const std::optional<giop::Inspection> info = giop::inspect(e.payload);
   // The first client replica to hand the reply to its ORB completes the
   // invocation's span tree (duplicates at other clients are suppressed above).
-  if (obs::SpanStore* spans = rec_.spans(); spans != nullptr && info) {
-    if (const obs::TraceId t = info->trace_context()) {
-      spans->end_named(t, "reply", sim_.now());
-      spans->end_named(t, "invocation", sim_.now());
-    }
+  // Only a reply that opened a "reply" span closes it: one a promoted
+  // primary's log replay produced is untraced and leaves the tree open.
+  if (const obs::TraceId t = info ? trace_of(e, *info) : 0) {
+    obs::SpanStore* const spans = rec_.spans();
+    if (spans->end_named(t, "reply", sim_.now())) spans->end_named(t, "invocation", sim_.now());
   }
   // Translate the group-consistent request_id back to the id this replica's
   // own ORB assigned (§4.2.1). If this replica never issued the operation,

@@ -197,7 +197,6 @@ void Mechanisms::capture_fom_reply(const orb::Endpoint& to, util::Bytes& iiop,
       // position has emitted; zero-length when it emits immediately.
       reply.park_span = spans->begin(reply.trace, parent, node_, obs::Layer::kMech,
                                      "reply-park", sim_.now(), {{"pos", fom->position}});
-      reply.payload = giop::with_trace_context(reply.payload, reply.trace);
     }
     // ---- reply: built and handed to the sequencer; emitted now if this is
     // the lowest outstanding position, parked otherwise.

@@ -30,12 +30,12 @@ std::optional<Envelope> get_blob(util::CdrReader& r) {
 constexpr std::size_t kEntryHeader = 4 + 8 + 4;
 constexpr std::size_t kEntryTrailer = 8;
 
-void put_le32(Bytes& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+void put_le32(std::uint8_t* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
-void put_le64(Bytes& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+void put_le64(std::uint8_t* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
 std::uint32_t get_le32(const std::uint8_t* p) {
@@ -50,14 +50,17 @@ std::uint64_t get_le64(const std::uint8_t* p) {
   return v;
 }
 
-Bytes encode_segment_entry(std::uint64_t generation, const Bytes& payload) {
-  Bytes out;
-  out.reserve(kEntryHeader + payload.size() + kEntryTrailer);
-  put_le32(out, kEntryMagic);
-  put_le64(out, generation);
-  put_le32(out, static_cast<std::uint32_t>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  put_le64(out, util::fnv1a(payload));
+/// A logged message's segment entry; the envelope is encoded once, straight
+/// into place between the entry header and the trailer.
+Bytes encode_segment_entry(std::uint64_t generation, const RetainedEnvelope& message) {
+  const std::size_t len = encoded_size(message);
+  Bytes out(kEntryHeader + len + kEntryTrailer);
+  std::uint8_t* const payload = out.data() + kEntryHeader;
+  put_le32(out.data(), kEntryMagic);
+  put_le64(out.data() + 4, generation);
+  put_le32(out.data() + 12, static_cast<std::uint32_t>(len));
+  encode_envelope_to(message, payload);
+  put_le64(payload + len, util::fnv1a(BytesView(payload, len)));
   return out;
 }
 
@@ -216,7 +219,7 @@ bool StableStorage::append(const GroupDescriptor& descriptor, const MessageLog& 
   }
 
   OpenSegment& seg = open_segment(descriptor.id, generation);
-  const Bytes entry = encode_segment_entry(generation, encode_envelope(message));
+  const Bytes entry = encode_segment_entry(generation, message);
 
   if (faults_.fail_appends > 0) {
     // The write never reaches the medium (e.g. ENOSPC before any byte).

@@ -242,16 +242,6 @@ bool Inspection::has_context(std::uint32_t context_id) const noexcept {
   return found;
 }
 
-std::uint64_t Inspection::trace_context() const noexcept {
-  std::uint64_t trace = 0;
-  for_each_context([&](std::uint32_t id, BytesView data) {
-    if (id != kTraceContextId || data.size() != 8) return true;
-    for (std::size_t i = 0; i < 8; ++i) trace |= std::uint64_t{data[i]} << (8 * i);
-    return false;
-  });
-  return trace;
-}
-
 ServiceContextList Inspection::service_contexts() const {
   std::size_t count = 0;
   for_each_context([&](std::uint32_t, BytesView) { return ++count, true; });
@@ -328,29 +318,6 @@ std::optional<Inspection> inspect(BytesView data) {
   }
 }
 
-namespace {
-
-ServiceContext make_trace_context(std::uint64_t trace_id) {
-  ServiceContext sc;
-  sc.context_id = kTraceContextId;
-  sc.data.reserve(8);
-  for (int i = 0; i < 8; ++i)
-    sc.data.push_back(static_cast<std::uint8_t>((trace_id >> (8 * i)) & 0xff));
-  return sc;
-}
-
-void set_trace_context(ServiceContextList& contexts, std::uint64_t trace_id) {
-  for (auto& sc : contexts) {
-    if (sc.context_id == kTraceContextId) {
-      sc = make_trace_context(trace_id);
-      return;
-    }
-  }
-  contexts.push_back(make_trace_context(trace_id));
-}
-
-}  // namespace
-
 bool set_request_id(std::span<std::uint8_t> framed, std::uint32_t request_id) {
   const std::optional<Inspection> info = inspect(framed);
   if (!info || (info->type != MsgType::kRequest && info->type != MsgType::kReply)) {
@@ -368,21 +335,6 @@ util::SharedSlice copy_with_request_id(BytesView framed, std::uint32_t request_i
     std::copy(framed.begin(), framed.end(), out);
     set_request_id(std::span<std::uint8_t>(out, framed.size()), request_id);
   }));
-}
-
-Bytes with_trace_context(BytesView framed, std::uint64_t trace_id) {
-  std::optional<Message> msg = decode(framed);
-  if (msg) {
-    if (auto* req = std::get_if<Request>(&msg->body)) {
-      set_trace_context(req->service_context, trace_id);
-      return encode(*req, msg->order);
-    }
-    if (auto* rep = std::get_if<Reply>(&msg->body)) {
-      set_trace_context(rep->service_context, trace_id);
-      return encode(*rep, msg->order);
-    }
-  }
-  return Bytes(framed.begin(), framed.end());
 }
 
 }  // namespace eternal::giop

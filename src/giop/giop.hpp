@@ -64,13 +64,6 @@ constexpr std::uint32_t kCodeSetsContextId = 1;
 /// Vendor-specific handshake context used by our mini-ORB to negotiate a
 /// short object key on first contact (modelled on VisiBroker 4.0, §4.2.2).
 constexpr std::uint32_t kVendorHandshakeContextId = 0x45544552;  // 'ETER'
-/// Causal-trace context: Eternal's mechanisms stamp each replicated
-/// invocation (and its reply) with a 64-bit trace id so the span store
-/// (obs/spans.hpp) can stitch one tree across interception, Totem ordering,
-/// delivery and reply. ORBs ignore unknown context ids, so carriage is
-/// transparent to the application; it is attached only while a SpanStore is
-/// attached to the run's Recorder.
-constexpr std::uint32_t kTraceContextId = 0x45545243;  // 'ETRC'
 
 /// GIOP Request message.
 struct Request {
@@ -165,9 +158,9 @@ std::optional<Message> decode(BytesView data);
 
 /// In-place view of a framed message's header fields, used by Eternal's
 /// interceptor to discover ORB/POA-level state without copying anything.
-/// The views (and the service contexts has_context/trace_context read) point
-/// into the inspected buffer and are valid only while it is alive and
-/// unchanged; the scalar fields are plain values.
+/// The views (and the service contexts has_context reads) point into the
+/// inspected buffer and are valid only while it is alive and unchanged; the
+/// scalar fields are plain values.
 struct Inspection {
   MsgType type = MsgType::kRequest;
   ByteOrder order = ByteOrder::kLittle;
@@ -182,8 +175,6 @@ struct Inspection {
   BytesView body;                 ///< Request / Reply: the bytes after the header
 
   bool has_context(std::uint32_t context_id) const noexcept;
-  /// The kTraceContextId trace id carried, or 0 when absent or malformed.
-  std::uint64_t trace_context() const noexcept;
   /// Copies the service-context list out (Request / Reply only).
   ServiceContextList service_contexts() const;
 
@@ -226,11 +217,5 @@ bool set_request_id(std::span<std::uint8_t> framed, std::uint32_t request_id);
 /// A copy of `framed` in a fresh shared buffer with its request_id set as
 /// set_request_id does: copy-on-write for bytes others still reference.
 util::SharedSlice copy_with_request_id(BytesView framed, std::uint32_t request_id);
-
-/// Returns `framed` re-encoded with its kTraceContextId service context set
-/// (replaced if present) to the 8-byte little-endian `trace_id`. Only
-/// Request and Reply messages carry service contexts; any other (or
-/// malformed) input is returned unchanged.
-Bytes with_trace_context(BytesView framed, std::uint64_t trace_id);
 
 }  // namespace eternal::giop

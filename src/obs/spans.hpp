@@ -5,8 +5,10 @@
 // feed the store:
 //
 //   - the invocation path: each client invocation captured by the Interceptor
-//     gets a fresh trace id, carried across the wire in a GIOP service
-//     context (giop::kTraceContextId), and grows the tree
+//     gets a trace id derived from its operation identifier (client group,
+//     server group, op_seq; see derived_trace_id), which every later hop
+//     re-derives from the envelope it handles — nothing rides on the wire —
+//     and grows the tree
 //       invocation → order-wait → deliver@replica → execute → reply
 //     as the message moves through Totem ordering, replica delivery,
 //     duplicate suppression and the reply path;
@@ -181,7 +183,8 @@ class RecoveryProfiler {
 
 /// Bounded span ring + deterministic exporters. Attach to a Recorder via
 /// attach_spans(); call sites gate on Recorder::spans() != nullptr, so a
-/// detached system pays one pointer test and no wire-format change.
+/// detached system pays one pointer test. Attaching it changes what is
+/// observed, never what is sent.
 class SpanStore {
  public:
   explicit SpanStore(std::size_t capacity);

@@ -199,10 +199,9 @@ class Recorder {
  public:
   void attach_metrics(MetricsRegistry* metrics) noexcept { metrics_ = metrics; }
   void attach_trace(TraceBuffer* trace) noexcept { trace_ = trace; }
-  /// Attaches the causal span store (spans.hpp). Unlike metrics/trace this
-  /// is also a behavior switch: layers carry trace ids on the wire (GIOP
-  /// service context) only while a store is attached, so detached systems
-  /// keep byte-identical wire traffic.
+  /// Attaches the causal span store (spans.hpp). Like metrics/trace it only
+  /// observes: every layer derives trace ids from what it already handles,
+  /// so wire traffic is byte-identical with or without a store.
   void attach_spans(SpanStore* spans) noexcept { spans_ = spans; }
   /// Binds the virtual clock; the Simulator points this at its `now_`.
   void bind_clock(const util::TimePoint* now) noexcept { clock_ = now; }

@@ -211,7 +211,7 @@ TEST(AllocBudget, FrameAndEnvelopeEncodersAllocateOnce) {
 TEST(AllocBudget, GiopEncodeAllocatesOnceAndInspectNever) {
   giop::Request req;
   req.service_context.push_back({giop::kCodeSetsContextId, Bytes(8, 1)});
-  req.service_context.push_back({giop::kTraceContextId, Bytes(8, 2)});
+  req.service_context.push_back({giop::kVendorHandshakeContextId, Bytes(8, 2)});
   req.request_id = 42;
   req.object_key = util::bytes_of("some-object");
   req.operation = "transfer_funds";
@@ -219,16 +219,20 @@ TEST(AllocBudget, GiopEncodeAllocatesOnceAndInspectNever) {
   Bytes wire;
   EXPECT_EQ(allocs_of([&] { wire = giop::encode(req); }), 1u);
 
-  std::uint64_t trace = 0;
-  bool handshake = true;
+  std::uint64_t offer = 0;
+  bool handshake = false;
   EXPECT_EQ(allocs_of([&] {
               auto info = giop::inspect(wire);
-              trace = info->trace_context();
+              info->for_each_context([&](std::uint32_t id, util::BytesView data) {
+                if (id != giop::kVendorHandshakeContextId) return true;
+                for (std::uint8_t b : data) offer = offer << 8 | b;
+                return false;
+              });
               handshake = info->has_context(giop::kVendorHandshakeContextId);
             }),
             0u);
-  EXPECT_EQ(trace, 0x0202020202020202u);
-  EXPECT_FALSE(handshake);
+  EXPECT_EQ(offer, 0x0202020202020202u);
+  EXPECT_TRUE(handshake);
 
   giop::Reply reply;
   reply.request_id = 42;

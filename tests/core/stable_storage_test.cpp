@@ -4,6 +4,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <vector>
 
 #include "core/deployment.hpp"
 #include "core/stable_storage.hpp"
@@ -356,6 +358,56 @@ TEST(SegmentScan, ValidPrefixAndTornTail) {
     auto s = core::scan_segment_bytes(t);
     EXPECT_EQ(s.entries.size(), 1u) << "cut=" << cut;
     EXPECT_EQ(s.torn, cut != first_end) << "cut=" << cut;
+  }
+}
+
+util::Bytes file_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return util::Bytes(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+// append() writes each envelope straight into its segment entry. The segment
+// must hold, byte for byte, the entries framing encode_envelope's bytes, a
+// torn append must land a prefix of that same entry, and the entries must
+// load back as the messages appended.
+TEST(StableStorageSegment, EntriesFrameTheEncodedEnvelopeExactly) {
+  TempDir dir;
+  StableStorage storage(dir.path);
+  storage.set_sync_every(1);
+  const GroupDescriptor desc = sample_descriptor(GroupId{6});
+  MessageLog log;
+  storage.persist(desc, log);  // the base: generation 1
+
+  // Payload sizes on each side of the 4-byte alignment after the payload.
+  util::Bytes expected;
+  std::vector<core::Envelope> appended;
+  for (const std::size_t bytes : {0u, 1u, 2u, 3u, 4u, 5u, 150u}) {
+    core::Envelope msg = request_envelope(appended.size() + 1, bytes);
+    msg.client_group = GroupId{9};
+    msg.target_group = desc.id;
+    log.append(msg);
+    ASSERT_TRUE(storage.append(desc, log, msg));
+    const util::Bytes entry = segment_entry(1, core::encode_envelope(msg));
+    expected.insert(expected.end(), entry.begin(), entry.end());
+    appended.push_back(std::move(msg));
+  }
+  const std::filesystem::path seg = dir.path / "group-6.seg";
+  EXPECT_EQ(file_bytes(seg), expected);
+
+  storage.inject_faults(core::StorageFaultPlan{.torn_appends = 1});
+  const core::Envelope torn = request_envelope(99, 33);
+  EXPECT_FALSE(storage.append(desc, log, torn));
+  const util::Bytes entry = segment_entry(1, core::encode_envelope(torn));
+  expected.insert(expected.end(), entry.begin(),
+                  entry.begin() + static_cast<std::ptrdiff_t>(entry.size() / 2));
+  EXPECT_EQ(file_bytes(seg), expected);
+
+  const auto loaded = storage.load(desc.id);
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_EQ(loaded->messages.size(), appended.size());
+  for (std::size_t i = 0; i < appended.size(); ++i) {
+    EXPECT_EQ(core::encode_envelope(loaded->messages[i]), core::encode_envelope(appended[i]))
+        << "entry " << i;
   }
 }
 

@@ -170,8 +170,9 @@ TEST(Giop, LargeBodyRoundTrip) {
 TEST(Giop, SetRequestIdMatchesDecodeAndReencode) {
   Request plain = sample_request();
   plain.service_context.clear();
-  Request traced = sample_request();
-  traced.service_context.push_back(ServiceContext{kTraceContextId, Bytes(8, 0x42)});
+  Request handshake = sample_request();
+  handshake.service_context.push_back(
+      ServiceContext{kVendorHandshakeContextId, Bytes(8, 0x42)});
   Reply reply;
   reply.request_id = 351;
   reply.reply_status = ReplyStatus::kNoException;
@@ -181,7 +182,7 @@ TEST(Giop, SetRequestIdMatchesDecodeAndReencode) {
 
   for (const ByteOrder order : {ByteOrder::kBig, ByteOrder::kLittle}) {
     const std::vector<Bytes> originals = {encode(sample_request(), order), encode(plain, order),
-                                          encode(traced, order), encode(reply, order),
+                                          encode(handshake, order), encode(reply, order),
                                           encode(context_reply, order)};
     for (const Bytes& original : originals) {
       for (const std::uint8_t minor : {0, 1, 2}) {

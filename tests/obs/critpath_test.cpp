@@ -3,15 +3,19 @@
 // explicit residual must partition the end-to-end latency *exactly* — the
 // attribution is only trustworthy if nothing is double-counted and nothing
 // leaks — and every segment must be non-negative on the winner path. Also
-// covers the aggregate()/Windows collectors and the rule that the default
-// configuration (no span store) keeps all new instrumentation inert.
+// covers the aggregate()/Windows collectors, the rule that the default
+// configuration (no span store) keeps all new instrumentation inert, and the
+// rule that attaching a span store changes what is observed, never the run.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "core/deployment.hpp"
 #include "obs/critpath.hpp"
+#include "obs/spans.hpp"
 #include "support/counter_servant.hpp"
 #include "workload/drivers.hpp"
 
@@ -224,31 +228,149 @@ TEST(CritPath, DefaultConfigKeepsInstrumentationInert) {
 }
 
 TEST(CritPath, EnablingSpansIsLogicallyNeutral) {
-  // Turning the span store on adds trace contexts to the wire (documented),
-  // which shifts timing — but the logical outcome of a fixed sequence of
-  // invocations must be identical: same reply values, same final state.
+  // Spans only observe: every hop derives an invocation's trace id from the
+  // envelope it handles, so attaching the store adds nothing to the wire.
+  // The same seeded open-loop run over an active group and a warm-passive
+  // group (whose primary is killed mid-run, so a backup replays the log),
+  // both first contacted through the vendor handshake, must then be the
+  // same run with spans on or off: a byte-identical trace-event stream
+  // (every send, delivery and reply at the same virtual time), the same
+  // client round-trip histogram, and the same final state.
+  struct Outcome {
+    std::string events;
+    std::vector<std::uint64_t> rtt_counts;
+    std::uint64_t rtt_sum = 0;
+    std::uint64_t rtt_max = 0;
+    std::vector<std::int32_t> values;
+  };
   const auto run = [](std::size_t span_capacity) {
     SystemConfig cfg;
-    cfg.nodes = 3;
+    cfg.nodes = 5;
+    cfg.trace_capacity = 1u << 18;
     cfg.span_capacity = span_capacity;
     System sys(cfg);
-    std::shared_ptr<CounterServant> servant;
-    const GroupId group = deploy_counter(sys, 2, &servant);
-    sys.deploy_client("load", NodeId{3}, {group});
-    orb::ObjectRef ref = sys.client(NodeId{3}, group);
-    std::vector<std::int32_t> replies;
-    for (int i = 0; i < 20; ++i) {
-      bool done = false;
-      ref.invoke("inc", CounterServant::encode_i32(i), [&](const orb::ReplyOutcome& out) {
-        replies.push_back(CounterServant::decode_i32(out.body));
-        done = true;
-      });
-      EXPECT_TRUE(sys.run_until([&] { return done; }, Duration(1'000'000'000)));
-    }
-    replies.push_back(servant->value());
-    return replies;
+    std::vector<std::shared_ptr<CounterServant>> servants(6);
+    const auto factory = [&](NodeId n) {
+      servants[n.value] = std::make_shared<CounterServant>(sys.sim(), 0, kExec);
+      return servants[n.value];
+    };
+    FtProperties props;
+    props.style = ReplicationStyle::kActive;
+    props.initial_replicas = 2;
+    props.minimum_replicas = 1;
+    const GroupId active = sys.deploy("svc", "IDL:Svc:1.0", props, {NodeId{1}, NodeId{2}},
+                                      factory);
+    props.style = ReplicationStyle::kWarmPassive;
+    props.checkpoint_interval = Duration(20'000'000);
+    props.fault_monitoring_interval = Duration(5'000'000);
+    const GroupId passive = sys.deploy("ledger", "IDL:Ledger:1.0", props,
+                                       {NodeId{3}, NodeId{4}}, factory, {NodeId{4}, NodeId{3}});
+    sys.deploy_client("load", NodeId{5}, {active, passive});
+    OpenLoopDriver to_active(sys.sim(), sys.client(NodeId{5}, active), "inc",
+                             CounterServant::encode_i32(1), 300.0, 0xA11);
+    OpenLoopDriver to_passive(sys.sim(), sys.client(NodeId{5}, passive), "inc",
+                              CounterServant::encode_i32(2), 300.0, 0xB22);
+    to_active.start();
+    to_passive.start();
+    sys.run_for(Duration(60'000'000));
+    sys.kill_replica(NodeId{3}, passive);
+    sys.run_for(Duration(60'000'000));
+    to_active.stop();
+    to_passive.stop();
+    sys.run_for(Duration(100'000'000));
+    EXPECT_GT(to_active.completed(), 20u);
+    EXPECT_GT(to_passive.completed(), 20u);
+    EXPECT_EQ(to_active.in_flight() + to_passive.in_flight(), 0u);
+
+    Outcome out;
+    out.events = sys.trace()->to_json();
+    const obs::Histogram& rtt = sys.metrics().histogram("orb.reply_rtt_ns");
+    out.rtt_counts = rtt.counts();
+    out.rtt_sum = rtt.sum();
+    out.rtt_max = rtt.max();
+    for (std::uint32_t n : {1u, 2u, 4u}) out.values.push_back(servants[n]->value());
+    return out;
   };
-  EXPECT_EQ(run(0), run(1u << 14));
+  const Outcome off = run(0);
+  const Outcome on = run(1u << 14);
+  EXPECT_GT(off.rtt_sum, 0u);
+  EXPECT_EQ(off.events, on.events) << "a span-on run must not move a single event";
+  EXPECT_EQ(off.rtt_counts, on.rtt_counts);
+  EXPECT_EQ(off.rtt_sum, on.rtt_sum);
+  EXPECT_EQ(off.rtt_max, on.rtt_max);
+  EXPECT_EQ(off.values, on.values);
+}
+
+TEST(CritPath, HandshakesAndTheirDuplicatesOpenNoSpan) {
+  // Both replicas of an active client first contact several active servers
+  // at once, each through the vendor handshake, and both replicas of each
+  // server answer it, over a lossy ring: twins of handshakes, of their
+  // replies and of the invocations after them are ordered and suppressed as
+  // duplicates. Handshakes are untraced at every hop: no copy opens a span
+  // or marks a duplicate instant, while each application invocation grows
+  // its tree as usual.
+  SystemConfig cfg = spanful_config(1);
+  cfg.nodes = 4;
+  cfg.trace_capacity = 1u << 16;
+  System sys(cfg);
+  FtProperties props;
+  props.style = ReplicationStyle::kActive;
+  props.initial_replicas = 2;
+  props.minimum_replicas = 1;
+  const GroupId client = sys.deploy("app", "IDL:App:1.0", props, {NodeId{1}, NodeId{2}},
+                                    [](NodeId) { return std::make_shared<core::NullServant>(); });
+  constexpr int kServers = 6;
+  constexpr int kOps = 2;
+  std::vector<GroupId> servers;
+  std::vector<orb::ObjectRef> refs;
+  for (int i = 0; i < kServers; ++i) {
+    const GroupId server =
+        sys.deploy("svc" + std::to_string(i), "IDL:Svc:1.0", props, {NodeId{3}, NodeId{4}},
+                   [&](NodeId) { return std::make_shared<CounterServant>(sys.sim()); });
+    for (NodeId n : {NodeId{1}, NodeId{2}}) {
+      sys.bind_client(n, client, server);
+      refs.push_back(sys.client(n, server));
+    }
+    servers.push_back(server);
+  }
+  // Frame loss leaves a twin unaware, at its token visit, that its
+  // sibling's copy was ordered: both copies go out, and one is suppressed.
+  sys.ethernet().set_loss_probability(0.1);
+  int done = 0;
+  for (int op = 0; op < kOps; ++op) {
+    for (orb::ObjectRef& ref : refs) {
+      ref.invoke("inc", CounterServant::encode_i32(1),
+                 [&done](const orb::ReplyOutcome&) { ++done; });
+    }
+  }
+  ASSERT_TRUE(sys.run_until([&] { return done == kOps * 2 * kServers; },
+                            Duration(1'000'000'000)));
+  sys.run_for(Duration(50'000'000));
+
+  // A handshake is its connection's first operation: group op_seq 0.
+  constexpr std::uint64_t kHandshakeSeq = 0;
+  std::size_t handshake_dups = 0;
+  std::size_t invocation_dups = 0;
+  for (const obs::TraceEvent& ev : sys.trace()->snapshot()) {
+    if (ev.kind != "request_dup" && ev.kind != "reply_dup") continue;
+    (ev.seq == kHandshakeSeq ? handshake_dups : invocation_dups) += 1;
+  }
+  ASSERT_GT(handshake_dups, 0u) << "the scenario must suppress a handshake twin";
+  ASSERT_GT(invocation_dups, 0u);
+
+  std::set<obs::TraceId> handshakes;
+  for (GroupId server : servers) {
+    handshakes.insert(obs::derived_trace_id(client, server, kHandshakeSeq));
+  }
+  std::size_t roots = 0;
+  std::size_t dup_instants = 0;
+  for (const obs::Span& span : sys.spans()->snapshot()) {
+    EXPECT_EQ(handshakes.count(span.trace), 0u) << "a handshake opened " << span.name;
+    if (span.name == "invocation") roots += 1;
+    if (span.name == "request-dup" || span.name == "reply-dup") dup_instants += 1;
+  }
+  EXPECT_EQ(roots, static_cast<std::size_t>(kOps * kServers));
+  EXPECT_EQ(dup_instants, invocation_dups);
 }
 
 // ------------------------------------------------------- aggregate/Windows
