@@ -13,10 +13,6 @@ namespace {
 
 constexpr const char* kTag = "eternal";
 
-GroupId group_of_endpoint(const orb::Endpoint& e) {
-  return GroupId{e.host.value - orb::kGroupHostBase};
-}
-
 }  // namespace
 
 Mechanisms::Mechanisms(sim::Simulator& sim, NodeId node, interceptor::Interceptor& tap,
@@ -299,9 +295,8 @@ void Mechanisms::kill_replica(GroupId group) {
   if (r == nullptr || r->phase == Phase::kDead) return;
   const GroupEntry* entry = table_.find(group);
   if (entry != nullptr) tap_.orb().root_poa().deactivate(entry->desc.object_id);
-  // The replica process dies, and its ORB instance (and all per-connection
-  // ORB state) dies with it.
-  tap_.orb().reset_connections();
+  // The process's ORB connections die with it; co-hosted groups keep theirs.
+  reset_connections_of([group](GroupId g) { return g == group; });
   sim_.cancel(r->checkpoint_timer);
   set_phase(*r, Phase::kDead);
   r->pending.clear();
@@ -375,6 +370,13 @@ std::size_t Mechanisms::queued_messages(GroupId group) const {
 
 // --------------------------------------------------------- outbound capture
 
+void Mechanisms::reset_connections_of(const std::function<bool(GroupId)>& gone) {
+  tap_.orb().reset_connections([&](const orb::Endpoint& peer) {
+    if (const auto pair = orb::pair_of(peer)) return gone(pair->second);
+    return orb::is_group_endpoint(peer) && gone(client_group_for(orb::group_of(peer)));
+  });
+}
+
 GroupId Mechanisms::client_group_for(GroupId server_group) {
   auto it = client_binding_.find(server_group.value);
   if (it != client_binding_.end()) return GroupId{it->second};
@@ -428,7 +430,7 @@ void Mechanisms::capture_request(const orb::Endpoint& to, util::Bytes iiop,
     ETERNAL_LOG(kWarn, kTag, "captured request to non-group endpoint; dropped");
     return;
   }
-  const GroupId server_group = group_of_endpoint(to);
+  const GroupId server_group = orb::group_of(to);
   const GroupId client_group = client_group_for(server_group);
   if (client_group.value == 0) {
     stats_.outbound_unroutable += 1;
@@ -534,36 +536,30 @@ void Mechanisms::capture_request(const orb::Endpoint& to, util::Bytes iiop,
 
 void Mechanisms::capture_reply(const orb::Endpoint& to, util::Bytes iiop,
                                const giop::Inspection& info) {
-  // Handshake replies produced by the server-side ORB.
-  auto hs = handshake_flights_.find(std::make_pair(to, info.request_id));
-  if (hs != handshake_flights_.end() && !hs->second.empty()) {
-    const HandshakeFlight flight = hs->second.front();
-    hs->second.erase(hs->second.begin());
-    if (hs->second.empty()) handshake_flights_.erase(hs);
-    if (flight.replay) {
-      // The reply to an artificially re-injected handshake only confirms the
-      // ORB/POA-level synchronization; it is discarded (§4.2.2).
-      return;
-    }
-    Envelope e;
-    e.kind = EnvelopeKind::kReply;
-    e.client_group = group_of_endpoint(to);
-    e.target_group = flight.server_group;
-    e.op_seq = info.request_id;
-    e.payload = std::move(iiop);
-    RacedStream* const stream = raced_stream(e);
-    if (stream != nullptr && stream->delivered(e.op_seq)) {
-      stats_.replies_withdrawn += 1;
-      return;
-    }
-    multicast_copy(std::move(e), stream);
+  // A reply leaves the ORB toward the pair endpoint its request came in
+  // from, which names the local replica that answered.
+  const auto pair = orb::pair_of(to);
+  LocalReplica* r = pair ? local_replica(pair->second) : nullptr;
+  if (r == nullptr) {
+    stats_.replies_unmatched_dropped += 1;
     return;
   }
-
-  // Replies of a local replica's in-flight FOMs: requests answer a client
-  // group, fabricated state operations the Recovery Mechanisms' own
-  // endpoint.
-  capture_fom_reply(to, iiop, info);
+  if (!info.has_context(giop::kVendorHandshakeContextId)) {
+    return capture_fom_reply(*r, to, iiop, info);
+  }
+  // A handshake reply of the server-side ORB: the reply to a re-injected
+  // handshake only confirms the ORB/POA-level synchronization and is
+  // discarded (§4.2.2); a live one answers the client group, untraced.
+  if (auto replay = replayed_handshakes_.find({to, info.request_id});
+      replay != replayed_handshakes_.end()) {
+    replayed_handshakes_.erase(replay);
+    return;
+  }
+  exec::Reply reply;
+  reply.client_group = pair->first;
+  reply.op_seq = info.request_id;
+  reply.payload = std::move(iiop);
+  emit_reply(*r, reply);
 }
 
 }  // namespace eternal::core

@@ -58,12 +58,6 @@ namespace eternal::core {
 /// Creates the application servant for a replica of a group on this node.
 using ServantFactory = std::function<std::shared_ptr<orb::Servant>()>;
 
-/// Reserved endpoint representing Eternal's Recovery Mechanisms as the
-/// logical client of fabricated get_state/set_state invocations.
-inline orb::Endpoint recovery_endpoint(GroupId group) {
-  return orb::Endpoint{NodeId{0xFE000000 + group.value}, 2809};
-}
-
 /// Behaviour switches. The defaults implement the full paper; the ablation
 /// flags let the benchmarks disable individual recovery mechanisms to
 /// reproduce the failure modes of §4.2.1/§4.2.2 and the cost of §4.3.
@@ -444,10 +438,10 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
   /// injection as a FOM (handshakes bypass the engine: the ORB serves them
   /// without occupying the object), a get_state's barrier, or a discard.
   void admit(LocalReplica& r, const QueueItem& item);
-  /// Matches a captured servant reply against the replicas' in-flight FOMs:
-  /// a request's reply is sequenced through the in-order emitter, a state op
+  /// Matches a captured servant reply against `r`'s in-flight FOMs: a
+  /// request's reply is sequenced through the in-order emitter, a state op
   /// completes, and a reply matching nothing is dropped.
-  void capture_fom_reply(const orb::Endpoint& to, util::Bytes& iiop,
+  void capture_fom_reply(LocalReplica& r, const orb::Endpoint& to, util::Bytes& iiop,
                          const giop::Inspection& info);
   /// Multicasts a sequenced reply at its total-order position.
   void emit_reply(LocalReplica& r, exec::Reply& reply);
@@ -628,6 +622,10 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
   /// replicas, logs, duplicate filters, in-flight transfers — is dropped;
   /// other rings' state survives. On a single ring that is everything.
   void reset_ring_state(std::uint32_t ring);
+  /// Drops the ORB connections the deaths of the local replicas of the
+  /// groups `gone` selects end: a replica's server side (each pair naming it
+  /// the server) and client side (to the server groups bound to it).
+  void reset_connections_of(const std::function<bool(GroupId)>& gone);
 
   LocalReplica* local_replica(GroupId group);
   const LocalReplica* local_replica(GroupId group) const;
@@ -661,20 +659,9 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
 
   // Server-role handshake store: (server group, client endpoint) → request.
   std::map<std::pair<std::uint32_t, orb::Endpoint>, util::SharedSlice> server_handshakes_;
-  // Handshake dispatches in flight inside the local ORB.
-  struct HandshakeFlight {
-    GroupId server_group;
-    bool replay = false;  ///< reply must be discarded (recovery injection)
-  };
-  /// In-flight handshakes awaiting their server-ORB reply, keyed by the
-  /// (client endpoint, GIOP request id) the reply will be addressed with.
-  /// The value is a FIFO, not a single flight: one client group opening
-  /// connections to several server groups reuses the same endpoint AND the
-  /// same per-connection request id, so concurrently injected handshakes
-  /// (routine once independent rings deliver them back-to-back) share a
-  /// key. The ORB answers injections in order, so replies pop front.
-  std::map<std::pair<orb::Endpoint, std::uint32_t>, std::vector<HandshakeFlight>>
-      handshake_flights_;
+  /// Re-injected handshakes whose server-ORB reply is to be discarded, by
+  /// the (pair endpoint, GIOP request id) the reply is addressed with.
+  std::multiset<std::pair<orb::Endpoint, std::uint32_t>> replayed_handshakes_;
 
   // Duplicate-suppression windows (infrastructure-level state). Requests,
   // replies and set_states are raced by active replicas: (client, server)

@@ -105,6 +105,8 @@ void Mechanisms::reset_ring_state(std::uint32_t ring) {
   const auto on_ring = [this, ring](std::uint32_t gid) {
     return ring_of(GroupId{gid}) == ring;
   };
+  // The ring's processes die; other rings' groups keep their connections.
+  reset_connections_of([&](GroupId g) { return on_ring(g.value); });
   for (auto it = replicas_.begin(); it != replicas_.end();) {
     LocalReplica& replica = *it->second;
     if (!on_ring(replica.group.value)) {
@@ -118,21 +120,13 @@ void Mechanisms::reset_ring_state(std::uint32_t ring) {
     set_phase(replica, Phase::kDead);
     it = replicas_.erase(it);
   }
-  // The ORB's connection state is shared across rings; dropping it all is
-  // conservative (surviving rings' clients simply re-handshake) and the only
-  // safe option — per-connection translation state derived from this ring's
-  // history is gone.
-  tap_.orb().reset_connections();
   table_.drop_groups_if([&](GroupId g) { return on_ring(g.value); });
   std::erase_if(logs_, [&](const auto& kv) { return on_ring(kv.first); });
   std::erase_if(outbound_, [&](const auto& kv) { return on_ring(kv.first.second); });
   std::erase_if(server_handshakes_,
                 [&](const auto& kv) { return on_ring(kv.first.first); });
-  for (auto& [key, flights] : handshake_flights_) {
-    std::erase_if(flights,
-                  [&](const HandshakeFlight& f) { return on_ring(f.server_group.value); });
-  }
-  std::erase_if(handshake_flights_, [](const auto& kv) { return kv.second.empty(); });
+  std::erase_if(replayed_handshakes_,
+                [&](const auto& k) { return on_ring(orb::pair_of(k.first)->second.value); });
   std::erase_if(req_seen_, [&](const auto& kv) { return on_ring(kv.first.second); });
   std::erase_if(reply_seen_, [&](const auto& kv) { return on_ring(kv.first.second); });
   std::erase_if(get_state_seen_, [&](const auto& kv) { return on_ring(kv.first); });

@@ -106,7 +106,7 @@ void Mechanisms::admit(LocalReplica& r, const QueueItem& item) {
   // ---- decode: the agreed envelope becomes a GIOP request again.
   std::optional<giop::Inspection> info = giop::inspect(e.payload);
   if (!info) return;
-  const orb::Endpoint from = orb::group_endpoint(e.client_group);
+  const orb::Endpoint from = orb::pair_endpoint(e.client_group, r.group);
 
   obs::SpanStore* const spans = rec_.spans();
   if (spans != nullptr && item.span != 0) spans->end(item.span, sim_.now());
@@ -114,8 +114,6 @@ void Mechanisms::admit(LocalReplica& r, const QueueItem& item) {
   if (info->has_context(giop::kVendorHandshakeContextId)) {
     // Client-server handshakes are served inside the ORB; they never occupy
     // an admission slot (they do not make the application object busy).
-    handshake_flights_[std::make_pair(from, info->request_id)].push_back(
-        HandshakeFlight{r.group, /*replay=*/false});
     tap_.inject(from, e.payload);
     return;
   }
@@ -169,44 +167,42 @@ void Mechanisms::admit(LocalReplica& r, const QueueItem& item) {
   });
 }
 
-void Mechanisms::capture_fom_reply(const orb::Endpoint& to, util::Bytes& iiop,
-                                   const giop::Inspection& info) {
-  for (auto& [gid, replica] : replicas_) {
-    LocalReplica& r = *replica;
-    exec::Fom* fom = r.engine.match(to, info.request_id);
-    if (fom == nullptr) continue;
-    if (fom->kind != exec::FomKind::kRequest) return complete_state_op(r, iiop);
-
-    exec::Reply reply;
-    reply.client_group = fom->client_group;
-    reply.op_seq = fom->op_seq;
-    reply.trace = fom->trace;
-    reply.payload = std::move(iiop);
-
-    // ---- log: the operation's effect is on record (under active
-    // replication a zero-cost hop; passive logging happened at delivery).
-    fom->enter(exec::FomPhase::kLog, sim_.now());
-    if (obs::SpanStore* spans = rec_.spans(); spans != nullptr && reply.trace != 0) {
-      if (fom->exec_span != 0) spans->end(fom->exec_span, sim_.now());
-      const obs::SpanId parent = spans->find_named(reply.trace, "invocation");
-      const obs::SpanId log_span =
-          spans->begin(reply.trace, parent, node_, obs::Layer::kMech, "fom-log",
-                       sim_.now(), {{"pos", fom->position}});
-      spans->end(log_span, sim_.now());
-      // The reply parks in the sequencer from here until every earlier
-      // position has emitted; zero-length when it emits immediately.
-      reply.park_span = spans->begin(reply.trace, parent, node_, obs::Layer::kMech,
-                                     "reply-park", sim_.now(), {{"pos", fom->position}});
-    }
-    // ---- reply: built and handed to the sequencer; emitted now if this is
-    // the lowest outstanding position, parked otherwise.
-    fom->enter(exec::FomPhase::kReply, sim_.now());
-    r.engine.finish(fom->position, sim_.now(), std::move(reply),
-                    [this, &r](exec::Reply& out) { emit_reply(r, out); });
-    pump(r);
+void Mechanisms::capture_fom_reply(LocalReplica& r, const orb::Endpoint& to,
+                                   util::Bytes& iiop, const giop::Inspection& info) {
+  exec::Fom* fom = r.engine.match(to, info.request_id);
+  if (fom == nullptr) {
+    stats_.replies_unmatched_dropped += 1;
     return;
   }
-  stats_.replies_unmatched_dropped += 1;
+  if (fom->kind != exec::FomKind::kRequest) return complete_state_op(r, iiop);
+
+  exec::Reply reply;
+  reply.client_group = fom->client_group;
+  reply.op_seq = fom->op_seq;
+  reply.trace = fom->trace;
+  reply.payload = std::move(iiop);
+
+  // ---- log: the operation's effect is on record (under active
+  // replication a zero-cost hop; passive logging happened at delivery).
+  fom->enter(exec::FomPhase::kLog, sim_.now());
+  if (obs::SpanStore* spans = rec_.spans(); spans != nullptr && reply.trace != 0) {
+    if (fom->exec_span != 0) spans->end(fom->exec_span, sim_.now());
+    const obs::SpanId parent = spans->find_named(reply.trace, "invocation");
+    const obs::SpanId log_span =
+        spans->begin(reply.trace, parent, node_, obs::Layer::kMech, "fom-log",
+                     sim_.now(), {{"pos", fom->position}});
+    spans->end(log_span, sim_.now());
+    // The reply parks in the sequencer from here until every earlier
+    // position has emitted; zero-length when it emits immediately.
+    reply.park_span = spans->begin(reply.trace, parent, node_, obs::Layer::kMech,
+                                   "reply-park", sim_.now(), {{"pos", fom->position}});
+  }
+  // ---- reply: built and handed to the sequencer; emitted now if this is
+  // the lowest outstanding position, parked otherwise.
+  fom->enter(exec::FomPhase::kReply, sim_.now());
+  r.engine.finish(fom->position, sim_.now(), std::move(reply),
+                  [this, &r](exec::Reply& out) { emit_reply(r, out); });
+  pump(r);
 }
 
 void Mechanisms::emit_reply(LocalReplica& r, exec::Reply& reply) {
@@ -284,7 +280,8 @@ void Mechanisms::inject_state_op(LocalReplica& r, exec::Fom op, const std::strin
   request.object_key = util::bytes_of(object_id);
   request.operation = operation;
   request.body = std::move(body);
-  op.reply_to = recovery_endpoint(r.group);
+  // The Recovery Mechanisms are client group 0 of every server group.
+  op.reply_to = orb::pair_endpoint(GroupId{0}, r.group);
   r.engine.admit_barrier(op);
   tap_.inject(op.reply_to, giop::encode_shared(request));
 }

@@ -406,10 +406,10 @@ void Mechanisms::inject_stored_handshakes(GroupId group) {
     if (key.first != group.value) continue;
     std::optional<giop::Inspection> info = giop::inspect(handshake);
     if (!info) continue;
-    handshake_flights_[std::make_pair(key.second, info->request_id)].push_back(
-        HandshakeFlight{group, /*replay=*/true});
+    const orb::Endpoint from = orb::pair_endpoint(orb::group_of(key.second), group);
+    replayed_handshakes_.emplace(from, info->request_id);
     stats_.handshakes_injected += 1;
-    tap_.inject(key.second, handshake);
+    tap_.inject(from, handshake);
   }
 }
 

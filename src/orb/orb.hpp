@@ -224,6 +224,11 @@ class Orb : public MessageSink {
     client_conns_.clear();
     server_conns_.clear();
   }
+  /// The same for one process's share: drops the connections to the peers `gone` selects.
+  void reset_connections(const std::function<bool(const Endpoint&)>& gone) {
+    std::erase_if(client_conns_, [&](const auto& kv) { return gone(kv.first); });
+    std::erase_if(server_conns_, [&](const auto& kv) { return gone(kv.first); });
+  }
 
   /// Number of requests awaiting replies across all connections (tests/
   /// examples use this to detect the Fig. 4 "waits forever" condition).

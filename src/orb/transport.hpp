@@ -13,10 +13,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <unordered_map>
+#include <utility>
 
 #include "sim/simulator.hpp"
 #include "util/bytes.hpp"
@@ -46,6 +48,25 @@ inline Endpoint group_endpoint(util::GroupId group) {
 }
 inline bool is_group_endpoint(const Endpoint& e) noexcept {
   return e.host.value >= kGroupHostBase;
+}
+inline util::GroupId group_of(const Endpoint& group_endpoint) noexcept {
+  return util::GroupId{group_endpoint.host.value - kGroupHostBase};
+}
+
+/// The endpoint of the one ORB connection from `client` to `server`, the
+/// peer a server group's replicas see that client group as: the client id
+/// in the low 24 bits of a reserved host range, the server id in the port.
+/// An id that does not fit throws rather than alias another endpoint.
+constexpr std::uint32_t kPairHostBase = 0xFD000000;
+inline Endpoint pair_endpoint(util::GroupId client, util::GroupId server) {
+  if (client.value >= (1u << 24) || server.value > 0xFFFF)
+    throw std::out_of_range("pair_endpoint: group id does not fit");
+  return Endpoint{NodeId{kPairHostBase + client.value}, static_cast<std::uint16_t>(server.value)};
+}
+/// The (client, server) groups a pair endpoint names; nullopt for any other.
+inline std::optional<std::pair<util::GroupId, util::GroupId>> pair_of(const Endpoint& e) {
+  if (e.host.value - kPairHostBase >= (1u << 24)) return std::nullopt;
+  return std::pair{util::GroupId{e.host.value - kPairHostBase}, util::GroupId{e.port}};
 }
 
 /// Receives inbound IIOP messages (the ORB implements this).
