@@ -59,7 +59,6 @@ System::System(SystemConfig config)
     s.id = id;
     s.orb = std::make_unique<orb::Orb>(sim_, id, config_.orb);
     s.tap = std::make_unique<interceptor::Interceptor>(*s.orb);
-    s.tap->bind_recorder(sim_.recorder());
     s.orb->plug_transport(*s.tap);
     std::vector<Shim*> node_shims;
     std::vector<totem::TotemNode*> endpoints;

@@ -24,11 +24,7 @@ Mechanisms::Mechanisms(sim::Simulator& sim, NodeId node, interceptor::Intercepto
       totems_(std::move(rings)),
       placement_(placement),
       config_(config),
-      rec_(sim.recorder()),
-      ctr_req_dup_(rec_.counter("mech.duplicate_requests_suppressed")),
-      ctr_reply_dup_(rec_.counter("mech.duplicate_replies_suppressed")),
-      ctr_requests_injected_(rec_.counter("mech.requests_injected")),
-      ctr_state_transfers_(rec_.counter("mech.state_transfers_completed")) {
+      rec_(sim.recorder()) {
   if (totems_.empty()) {
     throw std::invalid_argument("Mechanisms: need at least one ring endpoint");
   }

@@ -699,13 +699,8 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
   std::unique_ptr<class StableStorage> storage_;
   std::set<std::uint32_t> pending_restores_;
 
-  // Observability (src/obs/): duplicate suppression is the hottest metered
-  // path, so its counters are resolved once at construction.
+  // Observability (src/obs/): trace events and spans; counts live in stats_.
   obs::Recorder& rec_;
-  obs::Counter& ctr_req_dup_;
-  obs::Counter& ctr_reply_dup_;
-  obs::Counter& ctr_requests_injected_;
-  obs::Counter& ctr_state_transfers_;
 
   std::uint64_t next_replica_nonce_ = 1;
   MechanismsStats stats_;

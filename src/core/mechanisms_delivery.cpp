@@ -145,7 +145,6 @@ void Mechanisms::deliver_request(const EnvelopeView& e, const util::SharedSlice&
   RacedStream& stream = req_seen_[std::make_pair(e.client_group.value, e.target_group.value)];
   if (!first_delivery(stream, e.target_group, e.op_seq, stats_.requests_withdrawn)) {
     stats_.duplicate_requests_suppressed += 1;
-    ctr_req_dup_.add();
     rec_.record(node_, obs::Layer::kMech, "request_dup", e.op_seq,
                 {{"client", e.client_group.value}, {"group", e.target_group.value}});
     if (obs::SpanStore* spans = rec_.spans()) {
@@ -261,7 +260,6 @@ void Mechanisms::deliver_reply(const EnvelopeView& e, const util::SharedSlice& d
   RacedStream& stream = reply_seen_[std::make_pair(e.client_group.value, e.target_group.value)];
   if (!first_delivery(stream, e.target_group, e.op_seq, stats_.replies_withdrawn)) {
     stats_.duplicate_replies_suppressed += 1;
-    ctr_reply_dup_.add();
     rec_.record(node_, obs::Layer::kMech, "reply_dup", e.op_seq,
                 {{"client", e.client_group.value}, {"group", e.target_group.value}});
     if (obs::SpanStore* spans = rec_.spans()) {

@@ -119,7 +119,6 @@ void Mechanisms::admit(LocalReplica& r, const QueueItem& item) {
   }
 
   stats_.requests_delivered += 1;
-  ctr_requests_injected_.add();
 
   exec::Fom& fom = r.engine.admit(e.client_group, e.op_seq, from,
                                   info->response_expected, sim_.now());

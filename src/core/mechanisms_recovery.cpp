@@ -27,7 +27,6 @@ void Mechanisms::finish_recovery(LocalReplica& r) {
   assign_role_after_recovery(r);
   stats_.state_transfers_completed += 1;
   stats_.recoveries_completed += 1;
-  ctr_state_transfers_.add();
   rec_.record(node_, obs::Layer::kMech, "recovered", r.id.value,
               {{"group", r.group.value},
                {"replica", r.id.value},

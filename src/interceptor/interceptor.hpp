@@ -11,7 +11,6 @@
 
 #include <cstdint>
 
-#include "obs/trace.hpp"
 #include "orb/orb.hpp"
 #include "orb/transport.hpp"
 
@@ -41,20 +40,9 @@ class Interceptor final : public orb::Transport {
   /// messages are dropped (the node is not yet part of the system).
   void divert_to(Diversion& diversion) { diversion_ = &diversion; }
 
-  /// Publishes interception counts through the observability recorder. The
-  /// interceptor sits on the per-message hot path, so it contributes
-  /// *metrics only* — cached counters, one add per message — and never
-  /// trace-buffer events, which would crowd out the protocol events the
-  /// InvariantChecker needs.
-  void bind_recorder(obs::Recorder& rec) {
-    ctr_captured_ = &rec.counter("intercept.captured");
-    ctr_injected_ = &rec.counter("intercept.injected");
-  }
-
   /// orb::Transport: the ORB's outbound path.
   void send(const orb::Endpoint& to, util::Bytes iiop) override {
     stats_.captured += 1;
-    if (ctr_captured_ != nullptr) ctr_captured_->add();
     if (diversion_ != nullptr) diversion_->on_outbound(to, std::move(iiop));
   }
 
@@ -63,7 +51,6 @@ class Interceptor final : public orb::Transport {
   /// until it dispatches the message; nothing is copied.
   void inject(const orb::Endpoint& from, util::SharedSlice iiop) {
     stats_.injected += 1;
-    if (ctr_injected_ != nullptr) ctr_injected_->add();
     orb_.on_message(from, std::move(iiop));
   }
 
@@ -74,8 +61,6 @@ class Interceptor final : public orb::Transport {
   orb::Orb& orb_;
   Diversion* diversion_ = nullptr;
   InterceptorStats stats_;
-  obs::Counter* ctr_captured_ = nullptr;
-  obs::Counter* ctr_injected_ = nullptr;
 };
 
 }  // namespace eternal::interceptor

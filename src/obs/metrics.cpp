@@ -74,10 +74,6 @@ Counter& MetricsRegistry::counter(std::string_view name) {
   return counters_[std::string(name)];
 }
 
-Gauge& MetricsRegistry::gauge(std::string_view name) {
-  return gauges_[std::string(name)];
-}
-
 Histogram& MetricsRegistry::histogram(std::string_view name,
                                       std::vector<std::uint64_t> bounds) {
   auto it = histograms_.find(std::string(name));
@@ -93,10 +89,6 @@ std::string MetricsRegistry::to_json() const {
   w.key("counters");
   w.begin_object();
   for (const auto& [name, c] : counters_) w.field(name, c.value());
-  w.end_object();
-  w.key("gauges");
-  w.begin_object();
-  for (const auto& [name, g] : gauges_) w.field(name, g.value());
   w.end_object();
   w.key("histograms");
   w.begin_object();

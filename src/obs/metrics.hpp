@@ -1,4 +1,4 @@
-// Low-overhead metrics: counters, gauges and fixed-bucket histograms, keyed
+// Low-overhead metrics: counters and fixed-bucket histograms, keyed
 // by static names.
 //
 // The registry hands out *stable references* — instruments live in a
@@ -26,17 +26,6 @@ class Counter {
 
  private:
   std::uint64_t value_ = 0;
-};
-
-/// Last-written instantaneous value (queue depths, backlog sizes).
-class Gauge {
- public:
-  void set(std::int64_t v) noexcept { value_ = v; }
-  void add(std::int64_t delta) noexcept { value_ += delta; }
-  std::int64_t value() const noexcept { return value_; }
-
- private:
-  std::int64_t value_ = 0;
 };
 
 /// Fixed-bucket histogram. Buckets are defined by ascending upper bounds;
@@ -88,14 +77,12 @@ class Histogram {
 class MetricsRegistry {
  public:
   Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
   /// Creates the histogram with `bounds` on first use; subsequent calls
   /// return the existing instrument (bounds argument ignored).
   Histogram& histogram(std::string_view name,
                        std::vector<std::uint64_t> bounds = {});
 
   const std::map<std::string, Counter>& counters() const noexcept { return counters_; }
-  const std::map<std::string, Gauge>& gauges() const noexcept { return gauges_; }
   const std::map<std::string, Histogram>& histograms() const noexcept {
     return histograms_;
   }
@@ -105,7 +92,6 @@ class MetricsRegistry {
 
  private:
   std::map<std::string, Counter> counters_;
-  std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
 };
 

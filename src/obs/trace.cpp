@@ -114,11 +114,6 @@ Counter& Recorder::sink_counter() {
   return sink;
 }
 
-Gauge& Recorder::sink_gauge() {
-  static Gauge sink;
-  return sink;
-}
-
 Histogram& Recorder::sink_histogram() {
   static Histogram sink({1});
   return sink;

@@ -229,9 +229,6 @@ class Recorder {
   Counter& counter(std::string_view name) {
     return metrics_ ? metrics_->counter(name) : sink_counter();
   }
-  Gauge& gauge(std::string_view name) {
-    return metrics_ ? metrics_->gauge(name) : sink_gauge();
-  }
   Histogram& histogram(std::string_view name,
                        std::vector<std::uint64_t> bounds = {}) {
     return metrics_ ? metrics_->histogram(name, std::move(bounds))
@@ -244,7 +241,6 @@ class Recorder {
 
  private:
   static Counter& sink_counter();
-  static Gauge& sink_gauge();
   static Histogram& sink_histogram();
 
   MetricsRegistry* metrics_ = nullptr;

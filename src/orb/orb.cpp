@@ -254,8 +254,6 @@ Orb::Orb(sim::Simulator& sim, NodeId node, OrbConfig config)
       node_(node),
       config_(config),
       rec_(sim.recorder()),
-      ctr_rid_discards_(rec_.counter("orb.replies_discarded_request_id")),
-      ctr_key_discards_(rec_.counter("orb.requests_discarded_unknown_key")),
       hist_rtt_(rec_.histogram("orb.reply_rtt_ns")),
       poa_(*this) {}
 
@@ -430,7 +428,6 @@ void Orb::handle_request(const Endpoint& from, const util::SharedSlice& message,
     auto it = sconn.short_to_full.find(key_chars(object_key));
     if (it == sconn.short_to_full.end()) {
       stats_.requests_discarded_unknown_key += 1;
-      ctr_key_discards_.add();
       rec_.record(node_, obs::Layer::kOrb, "request_discard", request.request_id,
                   {{"reason", "unknown_short_key"}});
       ETERNAL_LOG(kDebug, kTag,
@@ -487,7 +484,6 @@ void Orb::handle_reply(const Endpoint& from, const util::SharedSlice& message,
   auto conn_it = client_conns_.find(from);
   if (conn_it == client_conns_.end()) {
     stats_.replies_discarded_request_id += 1;
-    ctr_rid_discards_.add();
     rec_.record(node_, obs::Layer::kOrb, "reply_discard", reply.request_id,
                 {{"reason", "unknown_connection"}});
     return;
@@ -505,7 +501,6 @@ void Orb::handle_reply(const Endpoint& from, const util::SharedSlice& message,
     // The Fig. 4 failure mode: the reply is valid but its request_id matches
     // no outstanding request on this connection, so the ORB drops it.
     stats_.replies_discarded_request_id += 1;
-    ctr_rid_discards_.add();
     rec_.record(node_, obs::Layer::kOrb, "reply_discard", reply.request_id,
                 {{"reason", "no_matching_request"}});
     ETERNAL_LOG(kDebug, kTag,

@@ -307,11 +307,9 @@ class Orb : public MessageSink {
   NodeId node_;
   OrbConfig config_;
 
-  // Observability (src/obs/): reply-matching and the two discard symptoms
-  // (§4.2.1 request_id mismatch, §4.2.2 unknown short key) are metered.
+  // Observability (src/obs/): the request→reply latency histogram; the two
+  // discard symptoms (§4.2.1, §4.2.2) are counted in stats_ and traced.
   obs::Recorder& rec_;
-  obs::Counter& ctr_rid_discards_;
-  obs::Counter& ctr_key_discards_;
   obs::Histogram& hist_rtt_;
 
   Transport* transport_ = nullptr;

@@ -46,11 +46,6 @@ TotemNode::TotemNode(Simulator& sim, Ethernet& ethernet, NodeId node, TotemConfi
       config_(config),
       listener_(listener),
       rec_(sim.recorder()),
-      ctr_tokens_(rec_.counter("totem.tokens_handled")),
-      ctr_deliveries_(rec_.counter("totem.deliveries")),
-      ctr_retransmissions_(rec_.counter("totem.retransmissions")),
-      ctr_view_installs_(rec_.counter("totem.view_installs")),
-      ctr_gathers_(rec_.counter("totem.gathers")),
       hist_batch_msgs_(rec_.histogram("totem.batch_msgs", {1, 2, 4, 8, 16, 32, 64, 128})),
       hist_batch_bytes_(
           rec_.histogram("totem.batch_bytes", {64, 128, 256, 512, 1024, 1536})) {
@@ -364,7 +359,6 @@ void TotemNode::deliver_frame(const DataFrame& f) {
 
 void TotemNode::deliver(const Delivery& d) {
   stats_.deliveries += 1;
-  ctr_deliveries_.add();
   listener_->on_deliver(d);
 }
 
@@ -381,8 +375,7 @@ void TotemNode::handle_token(NodeId /*from*/, TokenFrame token) {
   if (state_ != State::kOperational) return;
   if (token.view != view_.id) return;
   if (token.target != node_) return;  // token is logically point-to-point
-  stats_.tokens_handled += 1;
-  ctr_tokens_.add();  // rotation volume is metered, never traced
+  stats_.tokens_handled += 1;  // rotation volume is counted, never traced
 
   // Drain rate: messages this member delivered since its previous token
   // visit (one ring rotation), smoothed. Sizes the backpressure budget.
@@ -621,7 +614,6 @@ void TotemNode::retransmit(DataFrame& held, const char* trace) {
   held.authoritative = held.seq <= delivered_up_to_;
   broadcast(encode_data_frame(node_, held, held.payload));
   stats_.retransmissions += 1;
-  ctr_retransmissions_.add();
   if (trace != nullptr)
     rec_.record(node_, obs::Layer::kTotem, trace, held.seq, {{"ring", held.ring_id}});
 }
@@ -685,7 +677,7 @@ void TotemNode::arm_token_timer() {
 void TotemNode::enter_gather() {
   if (state_ == State::kDown) return;
   state_ = State::kGather;
-  ctr_gathers_.add();
+  stats_.gathers += 1;
   // Multi-ring: a nonzero ring index rides along so reformation activity is
   // attributable to one ring of a sharded system (absent = ring 0 / classic
   // single ring; the bystander-isolation chaos verdict keys on this).
@@ -1001,7 +993,6 @@ void TotemNode::install_view(const InstallFrame& f) {
   last_stall_missing_ = 0;
   state_ = State::kOperational;
   stats_.view_changes += 1;
-  ctr_view_installs_.add();
   rec_.record(node_, obs::Layer::kTotem, "view_install", view_.id.value,
               {{"ring", view_.ring_id},
                {"members", view_.members.size()},

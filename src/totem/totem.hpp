@@ -121,6 +121,7 @@ struct TotemStats {
   std::uint64_t deliveries = 0;         ///< messages delivered to listener
   std::uint64_t view_changes = 0;
   std::uint64_t tokens_handled = 0;
+  std::uint64_t gathers = 0;            ///< entries into the gather state
   std::uint64_t output_holds = 0;       ///< idle visits that kept the token for local output
   std::uint64_t batches_sent = 0;       ///< Data frames carrying >= 2 messages
   std::uint64_t batched_messages = 0;   ///< messages that travelled inside a batch
@@ -334,16 +335,12 @@ class TotemNode : public sim::Station {
   std::unordered_map<NodeId, TimePoint> last_heard_;
   TotemStats stats_;
 
-  // Observability (src/obs/). Instruments are resolved once at construction
+  // Observability (src/obs/). Histograms are resolved once at construction
   // — against the registry the deploying System attached to the Simulator's
-  // Recorder, or a shared sink when running bare — so the token path pays
-  // one increment, never a name lookup. rec_ gates trace emission.
+  // Recorder, or a shared sink when running bare — so the send path pays
+  // one observation, never a name lookup. rec_ gates trace emission; counts
+  // live in stats_.
   obs::Recorder& rec_;
-  obs::Counter& ctr_tokens_;
-  obs::Counter& ctr_deliveries_;
-  obs::Counter& ctr_retransmissions_;
-  obs::Counter& ctr_view_installs_;
-  obs::Counter& ctr_gathers_;
   obs::Histogram& hist_batch_msgs_;   ///< messages per originated Data frame
   obs::Histogram& hist_batch_bytes_;  ///< payload bytes per originated Data frame
 };
