@@ -1,6 +1,8 @@
 // The point-to-point TCP fabric used by the unreplicated baseline.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "orb/transport.hpp"
 
 namespace eternal::orb {
@@ -83,6 +85,30 @@ TEST_F(TcpTest, GroupEndpointHelpers) {
   EXPECT_TRUE(is_group_endpoint(g));
   EXPECT_FALSE(is_group_endpoint(Endpoint{NodeId{3}, 2809}));
   EXPECT_EQ(g.host.value, kGroupHostBase + 7);
+  EXPECT_EQ(group_of(g).value, 7u);
+}
+
+TEST_F(TcpTest, PairEndpointNamesBothGroupsAndNeverAliases) {
+  using util::GroupId;
+  const Endpoint p = pair_endpoint(GroupId{3}, GroupId{9});
+  const auto groups = pair_of(p);
+  ASSERT_TRUE(groups.has_value());
+  EXPECT_EQ(groups->first.value, 3u);
+  EXPECT_EQ(groups->second.value, 9u);
+  EXPECT_NE(p, pair_endpoint(GroupId{9}, GroupId{3}));
+  EXPECT_FALSE(is_group_endpoint(p));
+  // Neither a group endpoint nor a plain host reads as a pair.
+  EXPECT_FALSE(pair_of(group_endpoint(GroupId{3})).has_value());
+  EXPECT_FALSE(pair_of(Endpoint{NodeId{3}, 9}).has_value());
+  // The largest ids that fit, and the recovery mechanisms' client group 0.
+  const auto top = pair_of(pair_endpoint(GroupId{(1u << 24) - 1}, GroupId{0xFFFF}));
+  ASSERT_TRUE(top.has_value());
+  EXPECT_EQ(top->first.value, (1u << 24) - 1);
+  EXPECT_EQ(top->second.value, 0xFFFFu);
+  EXPECT_EQ(pair_of(pair_endpoint(GroupId{0}, GroupId{5}))->first.value, 0u);
+  // An id that does not fit throws rather than truncate into another pair.
+  EXPECT_THROW(pair_endpoint(GroupId{1u << 24}, GroupId{1}), std::out_of_range);
+  EXPECT_THROW(pair_endpoint(GroupId{1}, GroupId{0x10000}), std::out_of_range);
 }
 
 }  // namespace
