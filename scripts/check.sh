@@ -76,6 +76,19 @@ python3 scripts/bench_gate.py --selftest >/dev/null
 python3 scripts/bench_gate.py --results build --baselines bench/baselines
 
 echo
+echo "== smoke results vs committed baselines (reported, not gated) =="
+# The gate above bounds drift; a change meant to keep behaviour should also
+# leave each file byte-identical. Reported so nobody diffs by hand.
+for baseline in bench/baselines/BENCH_*.json; do
+  name=$(basename "$baseline")
+  if cmp -s "build/$name" "$baseline"; then
+    echo "identical: $name"
+  else
+    echo "differs:   $name"
+  fi
+done
+
+echo
 echo "== source size (reported, not gated) =="
 # The design aim's two numbers, which every change reports as it moves them.
 printf 'src/ .cpp/.hpp lines: %s\n' \

@@ -70,9 +70,9 @@ void Mechanisms::record_phase(GroupId group, ReplicaId replica, const char* phas
 void Mechanisms::persist_log(GroupId group) {
   if (storage_ == nullptr) return;
   const GroupEntry* entry = table_.find(group);
-  auto log_it = logs_.find(group.value);
-  if (entry == nullptr || log_it == logs_.end()) return;
-  if (!storage_->persist(entry->desc, log_it->second)) {
+  const MessageLog* log = find_log(group);
+  if (entry == nullptr || log == nullptr) return;
+  if (!storage_->persist(entry->desc, *log)) {
     // The previous base record is still loadable (storage failure contract),
     // so recovery loses only what this compaction would have added.
     stats_.storage_persist_failures += 1;
@@ -87,9 +87,9 @@ void Mechanisms::persist_log(GroupId group) {
 void Mechanisms::persist_append(GroupId group, const RetainedEnvelope& message) {
   if (storage_ == nullptr) return;
   const GroupEntry* entry = table_.find(group);
-  auto log_it = logs_.find(group.value);
-  if (entry == nullptr || log_it == logs_.end()) return;
-  if (!storage_->append(entry->desc, log_it->second, message)) {
+  const MessageLog* log = find_log(group);
+  if (entry == nullptr || log == nullptr) return;
+  if (!storage_->append(entry->desc, *log, message)) {
     stats_.storage_append_failures += 1;
     ETERNAL_LOG(kWarn, kTag,
                 "node " << node_.value << ": stable-storage append failed for group "
@@ -112,7 +112,7 @@ std::vector<GroupDescriptor> Mechanisms::stored_groups() const {
 void Mechanisms::apply_stored_log(GroupId group) {
   auto record = storage_->load(group);
   if (!record) return;
-  MessageLog& log = logs_[group.value];
+  MessageLog& log = log_for(group);
   log.clear();
   if (record->checkpoint) log.set_checkpoint(*record->checkpoint);
   for (Envelope& d : record->deltas) log.set_checkpoint(std::move(d));
@@ -164,7 +164,8 @@ void Mechanisms::multicast_copy(Envelope&& e, RacedStream* stream) {
 RacedStream* Mechanisms::raced_stream(const Envelope& e) {
   const bool request = e.kind == EnvelopeKind::kRequest;
   if (!raced(request ? e.client_group : e.target_group)) return nullptr;
-  return &(request ? req_seen_ : reply_seen_)[{e.client_group.value, e.target_group.value}];
+  PairState& pair = pairs_[{e.client_group.value, e.target_group.value}];
+  return &ensure(request ? pair.requests : pair.replies);
 }
 
 bool Mechanisms::first_delivery(RacedStream& stream, GroupId group, std::uint64_t seq,
@@ -217,8 +218,7 @@ ReplicaId Mechanisms::launch_replica(GroupId group) {
   // ship a delta over it instead of the full state (a same-node relaunch
   // keeps its checkpoint+message log across the kill).
   if (config_.delta_chain_cap > 0) {
-    auto log_it = logs_.find(group.value);
-    if (log_it != logs_.end()) e.delta_base = log_it->second.tip_epoch();
+    if (const MessageLog* log = find_log(group)) e.delta_base = log->tip_epoch();
   }
   multicast(std::move(e));
   return id;
@@ -302,8 +302,8 @@ void Mechanisms::kill_replica(GroupId group) {
   r->engine.reset();
   // The dead process's local request ids are meaningless now; the group-
   // level counters and handshake material survive in the mechanisms.
-  for (auto& [key, conn] : outbound_) {
-    if (key.first == group.value) conn.group_to_local.clear();
+  for (auto& [key, pair] : client_pairs(group)) {
+    if (pair.client) pair.client->group_to_local.clear();
   }
   ETERNAL_LOG(kDebug, kTag,
               util::to_string(node_) << " replica of " << util::to_string(group) << " killed");
@@ -345,8 +345,8 @@ const Mechanisms::LocalReplica* Mechanisms::local_replica(GroupId group) const {
 }
 
 const MessageLog* Mechanisms::log_of(GroupId group) const {
-  auto it = logs_.find(group.value);
-  return it == logs_.end() ? nullptr : &it->second;
+  auto it = group_state_.find(group.value);
+  return it == group_state_.end() || !it->second.log ? nullptr : &*it->second.log;
 }
 
 bool Mechanisms::hosts_operational(GroupId group) const {
@@ -378,17 +378,6 @@ GroupId Mechanisms::client_group_for(GroupId server_group) {
   if (it != client_binding_.end()) return GroupId{it->second};
   if (replicas_.size() == 1) return GroupId{replicas_.begin()->first};
   return GroupId{0};
-}
-
-Mechanisms::OutboundConn& Mechanisms::outbound_conn(GroupId client_group,
-                                                    GroupId server_group) {
-  auto key = std::make_pair(client_group.value, server_group.value);
-  auto [it, inserted] = outbound_.try_emplace(key);
-  if (inserted) {
-    it->second.client_group = client_group;
-    it->second.server_group = server_group;
-  }
-  return it->second;
 }
 
 void Mechanisms::on_outbound(const orb::Endpoint& to, util::Bytes iiop) {
@@ -433,7 +422,8 @@ void Mechanisms::capture_request(const orb::Endpoint& to, util::Bytes iiop,
     ETERNAL_LOG(kWarn, kTag, "no client-group binding for outbound request; dropped");
     return;
   }
-  OutboundConn& conn = outbound_conn(client_group, server_group);
+  PairState& pair = pairs_[{client_group.value, server_group.value}];
+  OutboundConn& conn = ensure(pair.client);
   const bool is_handshake = info.has_context(giop::kVendorHandshakeContextId);
 
   // A recovering client replica's fresh ORB re-initiates the handshake the
@@ -463,8 +453,7 @@ void Mechanisms::capture_request(const orb::Endpoint& to, util::Bytes iiop,
   }
   // The reply retires the translation at its first delivery; a slow sibling
   // whose reply was delivered before it issued the request keeps none.
-  auto replies = reply_seen_.find(std::make_pair(client_group.value, server_group.value));
-  const bool answered = replies != reply_seen_.end() && replies->second.delivered(group_rid);
+  const bool answered = pair.replies && pair.replies->delivered(group_rid);
   if (!answered) conn.group_to_local.insert_or_assign(group_rid, info.request_id);
   if (!is_handshake) {
     rec_.record(node_, obs::Layer::kMech, "rid_translate", group_rid,
@@ -546,10 +535,12 @@ void Mechanisms::capture_reply(const orb::Endpoint& to, util::Bytes iiop,
   // A handshake reply of the server-side ORB: the reply to a re-injected
   // handshake only confirms the ORB/POA-level synchronization and is
   // discarded (§4.2.2); a live one answers the client group, untraced.
-  if (auto replay = replayed_handshakes_.find({to, info.request_id});
-      replay != replayed_handshakes_.end()) {
-    replayed_handshakes_.erase(replay);
-    return;
+  if (auto it = pairs_.find({pair->first.value, pair->second.value}); it != pairs_.end()) {
+    std::multiset<std::uint32_t>& replayed = it->second.replayed_handshakes;
+    if (auto replay = replayed.find(info.request_id); replay != replayed.end()) {
+      replayed.erase(replay);
+      return;
+    }
   }
   exec::Reply reply;
   reply.client_group = pair->first;

@@ -34,6 +34,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <ranges>
 #include <set>
 #include <unordered_map>
 
@@ -266,8 +267,9 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
 
   /// Request-id translations held here for replies not yet delivered.
   std::size_t pending_translations(GroupId client_group, GroupId server_group) const {
-    auto it = outbound_.find({client_group.value, server_group.value});
-    return it == outbound_.end() ? 0 : it->second.group_to_local.size();
+    auto it = pairs_.find({client_group.value, server_group.value});
+    return it == pairs_.end() || !it->second.client ? 0
+                                                    : it->second.client->group_to_local.size();
   }
 
   /// Registers an observer for group-table events (the Replication/Resource
@@ -385,8 +387,6 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
   // ---- client-role connection state (discovered from the wire) ----
   struct OutboundConn {
     static constexpr std::size_t kReplyCacheCap = 1024;
-    GroupId client_group;
-    GroupId server_group;
     std::uint64_t next_group_rid = 0;
     /// group rid → the local ORB's request id, for each invocation issued
     /// here whose reply has not been delivered yet: the first delivery of the
@@ -401,12 +401,68 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
     util::SeqMap<util::SharedSlice> reply_cache;
   };
 
+  /// One (client group, server group) connection (§4): the client role's
+  /// ORB-level state, the server role's stored handshake, and both
+  /// directions' duplicate filters (infrastructure-level state, §4.3). A
+  /// part is present once it exists here: a pair this node only served has
+  /// no client connection; a filter exists once a copy was created or
+  /// delivered.
+  struct PairState {
+    std::optional<OutboundConn> client;
+    std::optional<util::SharedSlice> server_handshake;  ///< re-injected on recovery
+    /// Request ids of re-injected handshakes whose server-ORB reply is dropped.
+    std::multiset<std::uint32_t> replayed_handshakes;
+    std::optional<RacedStream> requests;
+    std::optional<RacedStream> replies;
+  };
+  /// A recovering replica's record, kept at every node in total order and
+  /// dropped once idle().
+  struct Recoverer {
+    bool awaiting_get_state = false;  ///< the coordinator owes it a retrieval
+    /// Its advertised log tip (0 = none): the state source fabricates
+    /// _get_delta(since) instead of a full _get_state.
+    std::uint64_t delta_base = 0;
+    /// Verified extents of aborted lane attempts, by content digest: a
+    /// re-served transfer acks matching extents without re-shipping them.
+    std::map<std::uint64_t, Bytes> stash;
+    bool idle() const { return !awaiting_get_state && delta_base == 0 && stash.empty(); }
+  };
+  /// A group's state here besides its replica: the passive roles' log, the
+  /// state messages' duplicate filters, the epoch allocator of this node's
+  /// kGetState messages, and the recoverers by replica id.
+  struct GroupState {
+    std::optional<MessageLog> log;
+    SeqWindow get_states_seen;
+    RacedStream set_states_seen;
+    SeqWindow checkpoints_seen;
+    std::uint64_t epoch_floor = 0;
+    std::map<std::uint64_t, Recoverer> recoverers;
+  };
+
+  template <typename T>
+  static T& ensure(std::optional<T>& slot) { return slot ? *slot : slot.emplace(); }
+  /// The pairs naming `client` as their client group, in server order.
+  auto client_pairs(GroupId client) {
+    return std::ranges::subrange(pairs_.lower_bound({client.value, 0}),
+                                 pairs_.upper_bound({client.value, UINT32_MAX}));
+  }
+  MessageLog& log_for(GroupId group) { return ensure(group_state_[group.value].log); }
+  MessageLog* find_log(GroupId group) { return const_cast<MessageLog*>(log_of(group)); }
+  /// Applies `edit` to `subject`'s recoverer, if any; an idle one is erased.
+  void edit_recoverer(GroupId group, ReplicaId subject,
+                      const std::function<void(Recoverer&)>& edit);
+  /// At the group's coordinator: reissues each awaited retrieval.
+  void resend_get_states(const GroupEntry& entry);
+  /// True when this node is on `entry`'s backup list (a log and launch site).
+  bool backs_up(const GroupEntry& entry) const {
+    return std::ranges::find(entry.desc.backup_nodes, node_) != entry.desc.backup_nodes.end();
+  }
+
   // ---- outbound capture ----
   void capture_request(const orb::Endpoint& to, util::Bytes iiop,
                        const giop::Inspection& info);
   void capture_reply(const orb::Endpoint& to, util::Bytes iiop,
                      const giop::Inspection& info);
-  OutboundConn& outbound_conn(GroupId client_group, GroupId server_group);
   GroupId client_group_for(GroupId server_group);
   /// The causal trace id (obs/spans.hpp) of the invocation a request or
   /// reply belongs to, derived from its envelope header at every hop, so
@@ -654,44 +710,13 @@ class Mechanisms final : public interceptor::Diversion, public sim::BulkStation 
   std::unordered_map<std::uint32_t, std::unique_ptr<LocalReplica>> replicas_;  // by group
   std::unordered_map<std::uint32_t, ServantFactory> factories_;                // by group
   std::unordered_map<std::uint32_t, std::uint32_t> client_binding_;  // server → client group
-  std::map<std::pair<std::uint32_t, std::uint32_t>, OutboundConn> outbound_;  // (client, server)
-  std::unordered_map<std::uint32_t, MessageLog> logs_;  // by group (passive roles)
-
-  // Server-role handshake store: (server group, client endpoint) → request.
-  std::map<std::pair<std::uint32_t, orb::Endpoint>, util::SharedSlice> server_handshakes_;
-  /// Re-injected handshakes whose server-ORB reply is to be discarded, by
-  /// the (pair endpoint, GIOP request id) the reply is addressed with.
-  std::multiset<std::pair<orb::Endpoint, std::uint32_t>> replayed_handshakes_;
-
-  // Duplicate-suppression windows (infrastructure-level state). Requests,
-  // replies and set_states are raced by active replicas: (client, server)
-  // and group keyed streams whose first delivered copy withdraws the rest.
-  std::map<std::pair<std::uint32_t, std::uint32_t>, RacedStream> req_seen_;
-  std::map<std::pair<std::uint32_t, std::uint32_t>, RacedStream> reply_seen_;
-  std::unordered_map<std::uint32_t, SeqWindow> get_state_seen_;
-  std::unordered_map<std::uint32_t, RacedStream> set_state_seen_;
-  std::unordered_map<std::uint32_t, SeqWindow> checkpoint_seen_;
-
-  // Recovery coordination: group → subjects awaiting get_state dispatch.
-  std::unordered_map<std::uint32_t, std::set<std::uint64_t>> awaiting_get_state_;
-
-  // Epoch allocator for the kGetState messages this node originates.
-  std::unordered_map<std::uint32_t, std::uint64_t> epoch_floor_;
-
-  // Delta recovery: (group, replica) → the log tip epoch the recovering
-  // replica advertised in its kAddReplica (0 = no usable local base).
-  // Recorded at every node in total order, so the eventual state source
-  // fabricates _get_delta(since) instead of a full _get_state.
-  std::map<std::pair<std::uint32_t, std::uint64_t>, std::uint64_t> recovery_base_;
+  /// By (client, server): snapshots and handshake replay walk this order.
+  std::map<std::pair<std::uint32_t, std::uint32_t>, PairState> pairs_;
+  std::unordered_map<std::uint32_t, GroupState> group_state_;
 
   // ---- state transfers, by (group, epoch) ----
   std::map<TransferKey, OutgoingTransfer> outgoing_;
   std::map<TransferKey, Reassembly> incoming_;
-  /// Verified extents surviving an aborted lane attempt, keyed by content
-  /// digest: a re-served transfer (same or new sender) acks matching extents
-  /// without re-shipping them. (group, subject) → digest → bytes.
-  std::map<std::pair<std::uint32_t, std::uint64_t>, std::map<std::uint64_t, Bytes>>
-      bulk_stash_;
   sim::BulkLane* bulk_lane_ = nullptr;
   std::uint64_t next_transfer_nonce_ = 1;
 

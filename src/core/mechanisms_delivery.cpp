@@ -121,29 +121,17 @@ void Mechanisms::reset_ring_state(std::uint32_t ring) {
     it = replicas_.erase(it);
   }
   table_.drop_groups_if([&](GroupId g) { return on_ring(g.value); });
-  std::erase_if(logs_, [&](const auto& kv) { return on_ring(kv.first); });
-  std::erase_if(outbound_, [&](const auto& kv) { return on_ring(kv.first.second); });
-  std::erase_if(server_handshakes_,
-                [&](const auto& kv) { return on_ring(kv.first.first); });
-  std::erase_if(replayed_handshakes_,
-                [&](const auto& k) { return on_ring(orb::pair_of(k.first)->second.value); });
-  std::erase_if(req_seen_, [&](const auto& kv) { return on_ring(kv.first.second); });
-  std::erase_if(reply_seen_, [&](const auto& kv) { return on_ring(kv.first.second); });
-  std::erase_if(get_state_seen_, [&](const auto& kv) { return on_ring(kv.first); });
-  std::erase_if(set_state_seen_, [&](const auto& kv) { return on_ring(kv.first); });
-  std::erase_if(checkpoint_seen_, [&](const auto& kv) { return on_ring(kv.first); });
-  std::erase_if(awaiting_get_state_, [&](const auto& kv) { return on_ring(kv.first); });
-  std::erase_if(epoch_floor_, [&](const auto& kv) { return on_ring(kv.first); });
-  std::erase_if(recovery_base_, [&](const auto& kv) { return on_ring(kv.first.first); });
+  // A pair's state lives on its server group's ring.
+  std::erase_if(group_state_, [&](const auto& kv) { return on_ring(kv.first); });
+  std::erase_if(pairs_, [&](const auto& kv) { return on_ring(kv.first.second); });
   sweep_transfers([&](const TransferView& v) { return v.ring == ring; }, Sweep::kForget);
-  std::erase_if(bulk_stash_, [&](const auto& kv) { return on_ring(kv.first.first); });
 }
 
 // ------------------------------------------------------------------ routing
 
 void Mechanisms::deliver_request(const EnvelopeView& e, const util::SharedSlice& delivered) {
-  RacedStream& stream = req_seen_[std::make_pair(e.client_group.value, e.target_group.value)];
-  if (!first_delivery(stream, e.target_group, e.op_seq, stats_.requests_withdrawn)) {
+  PairState& pair = pairs_[{e.client_group.value, e.target_group.value}];
+  if (!first_delivery(ensure(pair.requests), e.target_group, e.op_seq, stats_.requests_withdrawn)) {
     stats_.duplicate_requests_suppressed += 1;
     rec_.record(node_, obs::Layer::kMech, "request_dup", e.op_seq,
                 {{"client", e.client_group.value}, {"group", e.target_group.value}});
@@ -165,15 +153,10 @@ void Mechanisms::deliver_request(const EnvelopeView& e, const util::SharedSlice&
   // (hosting a replica, or designated as a backup/launch site) remember each
   // client's handshake message so it can be re-injected into future server
   // replicas; everyone else relies on the piggybacked transfer.
-  const bool stakeholder =
-      local_replica(e.target_group) != nullptr ||
-      std::find(entry->desc.backup_nodes.begin(), entry->desc.backup_nodes.end(), node_) !=
-          entry->desc.backup_nodes.end();
+  const bool stakeholder = local_replica(e.target_group) != nullptr || backs_up(*entry);
   std::optional<giop::Inspection> info = giop::inspect(e.payload);
   if (stakeholder && info && info->has_context(giop::kVendorHandshakeContextId)) {
-    server_handshakes_[std::make_pair(e.target_group.value,
-                                      orb::group_endpoint(e.client_group))] =
-        delivered.sub(e.payload);
+    pair.server_handshake = delivered.sub(e.payload);
     stats_.handshakes_stored += 1;
   }
 
@@ -187,61 +170,43 @@ void Mechanisms::deliver_request(const EnvelopeView& e, const util::SharedSlice&
   const bool passive = entry->desc.properties.style != ReplicationStyle::kActive;
 
   if (LocalReplica* r = local_replica(e.target_group)) {
+    const RetainedEnvelope kept(e, delivered);
     switch (r->phase) {
-      case Phase::kOperational: {
+      case Phase::kOperational:
+      case Phase::kRecovering: {
         // The passive primary's node maintains the same checkpoint+message
         // log as every other log-keeping site, so a total failure can be
-        // restored from *any* surviving stakeholder (§3.3).
-        const RetainedEnvelope kept(e, delivered);
-        if (passive) {
-          log_message(kept);
-        }
+        // restored from *any* surviving stakeholder (§3.3). Paper §3.3 /
+        // §5.1(i)-(ii): normal messages for a recovering replica are kept,
+        // in receipt order, for delivery after the replica's state is
+        // restored; for passive styles the log alone keeps them, which both
+        // serves the replay after recovery AND keeps this node's log
+        // gap-free should it have to restore the whole group from it later.
+        const bool recovering = r->phase == Phase::kRecovering;
+        if (passive) log_message(kept);
+        if (recovering) stats_.enqueued_during_recovery += 1;
+        if (passive && recovering) return;
         trace_enqueue(*r, e);
         QueueItem item{QueueItem::Kind::kRequest, kept};
         if (trace != 0) {
           item.trace = trace;
-          item.span = spans->begin(trace, spans->find_named(trace, "invocation"),
-                                   node_, obs::Layer::kMech, "deliver", sim_.now(),
-                                   {{"replica", r->id.value}});
+          item.span = spans->begin(trace, spans->find_named(trace, "invocation"), node_,
+                                   obs::Layer::kMech, "deliver", sim_.now(),
+                                   {{"replica", r->id.value},
+                                    obs::when(recovering, {"recovering", 1})});
         }
         r->pending.push_back(std::move(item));
-        pump(*r);
-        return;
-      }
-      case Phase::kRecovering: {
-        // Paper §3.3 / §5.1(i)-(ii): normal messages for a recovering
-        // replica are kept, in receipt order, for delivery after the
-        // replica's state is restored. For passive styles they go straight
-        // into the checkpoint+message log — which both serves the replay
-        // after recovery AND keeps this node's log gap-free should it have
-        // to restore the whole group from it later.
-        if (passive) {
-          log_message(RetainedEnvelope(e, delivered));
-        } else {
-          trace_enqueue(*r, e);
-          QueueItem item{QueueItem::Kind::kRequest, RetainedEnvelope(e, delivered)};
-          if (trace != 0) {
-            item.trace = trace;
-            item.span = spans->begin(trace, spans->find_named(trace, "invocation"),
-                                     node_, obs::Layer::kMech, "deliver", sim_.now(),
-                                     {{"replica", r->id.value}, {"recovering", 1}});
-          }
-          r->pending.push_back(std::move(item));
-        }
-        stats_.enqueued_during_recovery += 1;
+        if (!recovering) pump(*r);
         return;
       }
       case Phase::kBackup:
-      case Phase::kReplaying: {
-        log_message(RetainedEnvelope(e, delivered));
+      case Phase::kReplaying:
+        log_message(kept);
         return;
-      }
       case Phase::kDead:
         // The process is gone, but a passive log-keeping site must not
         // develop a gap: keep logging until the replacement takes over.
-        if (passive) {
-          log_message(RetainedEnvelope(e, delivered));
-        }
+        if (passive) log_message(kept);
         return;
     }
     return;
@@ -249,16 +214,14 @@ void Mechanisms::deliver_request(const EnvelopeView& e, const util::SharedSlice&
 
   // Cold-passive log role: this node keeps the checkpoint+message log for a
   // group whose servant is not loaded here (§3.3).
-  if (passive &&
-      std::find(entry->desc.backup_nodes.begin(), entry->desc.backup_nodes.end(), node_) !=
-          entry->desc.backup_nodes.end()) {
+  if (passive && backs_up(*entry)) {
     log_message(RetainedEnvelope(e, delivered));
   }
 }
 
 void Mechanisms::deliver_reply(const EnvelopeView& e, const util::SharedSlice& delivered) {
-  RacedStream& stream = reply_seen_[std::make_pair(e.client_group.value, e.target_group.value)];
-  if (!first_delivery(stream, e.target_group, e.op_seq, stats_.replies_withdrawn)) {
+  PairState& pair = pairs_[{e.client_group.value, e.target_group.value}];
+  if (!first_delivery(ensure(pair.replies), e.target_group, e.op_seq, stats_.replies_withdrawn)) {
     stats_.duplicate_replies_suppressed += 1;
     rec_.record(node_, obs::Layer::kMech, "reply_dup", e.op_seq,
                 {{"client", e.client_group.value}, {"group", e.target_group.value}});
@@ -282,13 +245,10 @@ void Mechanisms::deliver_reply(const EnvelopeView& e, const util::SharedSlice& d
   const bool hosts_client = local_replica(e.client_group) != nullptr;
   const bool log_role_for_client =
       client_entry != nullptr &&
-      client_entry->desc.properties.style != ReplicationStyle::kActive &&
-      std::find(client_entry->desc.backup_nodes.begin(),
-                client_entry->desc.backup_nodes.end(),
-                node_) != client_entry->desc.backup_nodes.end();
+      client_entry->desc.properties.style != ReplicationStyle::kActive && backs_up(*client_entry);
   if (!hosts_client && !log_role_for_client) return;
 
-  OutboundConn& conn = outbound_conn(e.client_group, e.target_group);
+  OutboundConn& conn = ensure(pair.client);
   // This is the reply's only delivery: its request-id translation retires.
   const std::optional<std::uint32_t> local_rid = conn.group_to_local.take(e.op_seq);
   const util::SharedSlice reply = delivered.sub(e.payload);
@@ -337,7 +297,7 @@ void Mechanisms::deliver_reply(const EnvelopeView& e, const util::SharedSlice& d
 // ----------------------------------------------------------- queue delivery
 
 void Mechanisms::log_message(const RetainedEnvelope& e) {
-  MessageLog& log = logs_[e.target_group.value];
+  MessageLog& log = log_for(e.target_group);
   log.append(e);
   stats_.messages_logged += 1;
   persist_append(e.target_group, log.messages().back());
@@ -358,7 +318,7 @@ void Mechanisms::deliver_control(const Envelope& e) {
   // total order so whichever member ends up serving the retrieval makes the
   // same delta-vs-full decision.
   if (e.control_op == ControlOp::kAddReplica && e.delta_base != 0) {
-    recovery_base_[{e.target_group.value, e.subject.value}] = e.delta_base;
+    group_state_[e.target_group.value].recoverers[e.subject.value].delta_base = e.delta_base;
   }
   std::vector<TableEvent> events = table_.apply_control(e);
 
@@ -389,7 +349,8 @@ void Mechanisms::react(const std::vector<TableEvent>& events) {
         }
         break;
       case TableEvent::Kind::kReplicaAdded: {
-        awaiting_get_state_[event.group.value].insert(event.replica.value);
+        group_state_[event.group.value].recoverers[event.replica.value].awaiting_get_state =
+            true;
         // Profiler boundary B: the totally-ordered add announcement reaches
         // the recovering replica's own node — fault detection + relaunch is
         // over, the quiesce/enqueue window begins.
@@ -421,15 +382,15 @@ void Mechanisms::react(const std::vector<TableEvent>& events) {
           }
         }
         // Transfers tied to the removed replica go: the sends it sourced,
-        // and every send, reassembly and stashed extent serving it (a
-        // relaunch gets a fresh replica id).
+        // and every send and reassembly serving it, with its recoverer
+        // record (a relaunch gets a fresh replica id).
         sweep_transfers([&](const TransferView& v) {
           return v.key.first == event.group.value &&
                  (v.subject == event.replica || (v.outgoing && source_died));
         }, Sweep::kAbort);
-        bulk_stash_.erase({event.group.value, event.replica.value});
-        awaiting_get_state_[event.group.value].erase(event.replica.value);
-        recovery_base_.erase({event.group.value, event.replica.value});
+        if (auto gs = group_state_.find(event.group.value); gs != group_state_.end()) {
+          gs->second.recoverers.erase(event.replica.value);
+        }
         // The removed replica may have been the state source of an ongoing
         // recovery — for a state larger than one Totem fragment, the only
         // one; the (possibly new) coordinator re-issues the retrieval for
@@ -442,12 +403,7 @@ void Mechanisms::react(const std::vector<TableEvent>& events) {
         record_phase(event.group, event.replica, "dead");
         const GroupEntry* entry = table_.find(event.group);
         if (entry != nullptr) {
-          const auto coord = entry->coordinator();
-          if (coord && *coord == node_) {
-            for (std::uint64_t subject : awaiting_get_state_[event.group.value]) {
-              send_get_state(event.group, ReplicaId{subject});
-            }
-          }
+          resend_get_states(*entry);
           // A passive group with no operational member re-evaluates
           // log-based restoration as dead members clear out of the table.
           if (entry->desc.properties.style != ReplicationStyle::kActive &&
@@ -461,22 +417,17 @@ void Mechanisms::react(const std::vector<TableEvent>& events) {
         promote_local(event.group);
         break;
       case TableEvent::Kind::kReplicaOperational: {
-        awaiting_get_state_[event.group.value].erase(event.replica.value);
-        recovery_base_.erase({event.group.value, event.replica.value});
+        edit_recoverer(event.group, event.replica, [](Recoverer& rc) {
+          rc.awaiting_get_state = false;
+          rc.delta_base = 0;
+        });
         LocalReplica* r = local_replica(event.group);
         if (r != nullptr && r->id == event.replica) maybe_start_checkpoint_timer(*r);
         // The group's first state source since it had none: the coordinator
         // retries recoveries stranded meanwhile (their source died
         // mid-transfer). With another source alive, each has a server.
         const GroupEntry* entry = table_.find(event.group);
-        if (entry != nullptr && entry->operational_order.size() == 1) {
-          const auto coord = entry->coordinator();
-          if (coord && *coord == node_) {
-            for (std::uint64_t subject : awaiting_get_state_[event.group.value]) {
-              send_get_state(event.group, ReplicaId{subject});
-            }
-          }
-        }
+        if (entry != nullptr && entry->operational_order.size() == 1) resend_get_states(*entry);
         break;
       }
       case TableEvent::Kind::kLaunchDirective: {
@@ -488,6 +439,25 @@ void Mechanisms::react(const std::vector<TableEvent>& events) {
       }
     }
     for (const auto& observer : event_observers_) observer(event);
+  }
+}
+
+void Mechanisms::edit_recoverer(GroupId group, ReplicaId subject,
+                                const std::function<void(Recoverer&)>& edit) {
+  auto gs = group_state_.find(group.value);
+  if (gs == group_state_.end()) return;
+  auto it = gs->second.recoverers.find(subject.value);
+  if (it == gs->second.recoverers.end()) return;
+  edit(it->second);
+  if (it->second.idle()) gs->second.recoverers.erase(it);
+}
+
+void Mechanisms::resend_get_states(const GroupEntry& entry) {
+  const auto coord = entry.coordinator();
+  auto gs = group_state_.find(entry.desc.id.value);
+  if (!coord || *coord != node_ || gs == group_state_.end()) return;
+  for (const auto& [subject, rc] : gs->second.recoverers) {
+    if (rc.awaiting_get_state) send_get_state(entry.desc.id, ReplicaId{subject});
   }
 }
 

@@ -56,7 +56,7 @@ void Mechanisms::pump(LocalReplica& r) {
   // Passive backups never execute queued requests; anything a freshly
   // recovered backup accumulated belongs in the message log (§3.3).
   if (r.phase == Phase::kBackup && !r.pending.empty()) {
-    MessageLog& log = logs_[r.group.value];
+    MessageLog& log = log_for(r.group);
     for (QueueItem& item : r.pending) {
       if (item.kind == QueueItem::Kind::kRequest) {
         log.append(std::move(item.env));
@@ -244,14 +244,14 @@ void Mechanisms::inject_get_state(LocalReplica& r, const EnvelopeHeader& e) {
   std::uint64_t since = 0;
   if (config_.delta_chain_cap > 0) {
     if (e.subject.value == 0) {
-      auto log_it = logs_.find(r.group.value);
-      if (log_it != logs_.end() && log_it->second.checkpoint().has_value() &&
-          log_it->second.chain_length() < config_.delta_chain_cap) {
-        since = log_it->second.tip_epoch();
+      const MessageLog* log = find_log(r.group);
+      if (log != nullptr && log->checkpoint().has_value() &&
+          log->chain_length() < config_.delta_chain_cap) {
+        since = log->tip_epoch();
       }
-    } else {
-      auto base = recovery_base_.find({r.group.value, e.subject.value});
-      if (base != recovery_base_.end()) since = base->second;
+    } else if (auto gs = group_state_.find(r.group.value); gs != group_state_.end()) {
+      auto rc = gs->second.recoverers.find(e.subject.value);
+      if (rc != gs->second.recoverers.end()) since = rc->second.delta_base;
     }
   }
 

@@ -109,7 +109,7 @@ void Mechanisms::promote_local(GroupId group) {
       // Live delta checkpoints the backup could not apply leave its servant
       // behind the log tip; feed it the missing base/chain entries before
       // the logged messages replay (fast path: already at the tip).
-      MessageLog& log = logs_[group.value];
+      MessageLog& log = log_for(group);
       if (r->applied_epoch < log.tip_epoch()) fill_restore_queue(*r, log, r->applied_epoch);
       apply_next_restore(*r);
       replay_next(*r);  // waits for the restore chain
@@ -175,7 +175,7 @@ void Mechanisms::cold_restart(GroupId group) {
   // enqueued at an orphaned recovery that precede the restored state's
   // get_state cut are covered by it (the chain tip is the newest state this
   // log reconstructs).
-  MessageLog& log = logs_[group.value];
+  MessageLog& log = log_for(group);
   if (log.checkpoint().has_value()) {
     auto cut = r->recovery_cuts.find(log.tip_epoch());
     if (cut != r->recovery_cuts.end()) {
@@ -195,7 +195,7 @@ void Mechanisms::replay_next(LocalReplica& r) {
   // Read through the log without consuming it; the entries stay until the
   // next checkpoint's mark truncates them. Replayed requests take the same
   // admission path as live ones, so the engine's window paces the replay.
-  MessageLog& log = logs_[r.group.value];
+  MessageLog& log = log_for(r.group);
   while (r.phase == Phase::kReplaying) {
     if (r.replay_cursor >= log.messages().size()) {
       if (!r.engine.idle()) return;  // resumes when the last FOM retires

@@ -49,7 +49,7 @@ constexpr const char* kTag = "eternal";
 void Mechanisms::send_get_state(GroupId group, ReplicaId subject) {
   GroupEntry* entry = table_.find_mutable(group);
   if (entry == nullptr) return;
-  std::uint64_t& floor = epoch_floor_[group.value];
+  std::uint64_t& floor = group_state_[group.value].epoch_floor;
   const std::uint64_t epoch = std::max(entry->next_epoch, floor);
   floor = epoch + 1;
 
@@ -67,7 +67,7 @@ void Mechanisms::send_get_state(GroupId group, ReplicaId subject) {
 }
 
 void Mechanisms::deliver_get_state(const Envelope& e) {
-  if (!get_state_seen_[e.target_group.value].test_and_insert(e.op_seq)) return;
+  if (!group_state_[e.target_group.value].get_states_seen.test_and_insert(e.op_seq)) return;
   ETERNAL_LOG(kTrace, kTag,
               util::to_string(node_) << " delivered get_state epoch " << e.op_seq << " of "
                                      << util::to_string(e.target_group));
@@ -82,14 +82,11 @@ void Mechanisms::deliver_get_state(const Envelope& e) {
   // state must stop here. The mark is created even on an as-yet-empty log —
   // messages logged after this point are NOT covered.
   if (entry->desc.properties.style != ReplicationStyle::kActive) {
-    const bool log_keeper =
-        local_replica(e.target_group) != nullptr ||
-        std::find(entry->desc.backup_nodes.begin(), entry->desc.backup_nodes.end(),
-                  node_) != entry->desc.backup_nodes.end();
-    if (log_keeper) logs_[e.target_group.value].mark(e.op_seq);
-  } else {
-    auto log_it = logs_.find(e.target_group.value);
-    if (log_it != logs_.end()) log_it->second.mark(e.op_seq);
+    if (local_replica(e.target_group) != nullptr || backs_up(*entry)) {
+      log_for(e.target_group).mark(e.op_seq);
+    }
+  } else if (MessageLog* log = find_log(e.target_group)) {
+    log->mark(e.op_seq);
   }
 
   LocalReplica* r = local_replica(e.target_group);
@@ -118,7 +115,7 @@ void Mechanisms::deliver_get_state(const Envelope& e) {
     // A promoted primary still replaying its log: the retrieval joins the
     // log at its totally-ordered position and is served after the replayed
     // messages it follows.
-    logs_[e.target_group.value].append(e);
+    log_for(e.target_group).append(e);
     return;
   }
   if (r->phase != Phase::kOperational) return;
@@ -172,7 +169,7 @@ void Mechanisms::publish_state(LocalReplica& r, const exec::Fom& op, util::Bytes
   // small one is raced and the first delivered copy withdraws the others.
   RacedStream* stream = nullptr;
   if (!checkpoint && raced(r.group)) {
-    stream = &set_state_seen_[r.group.value];
+    stream = &group_state_[r.group.value].set_states_seen;
     const ReplicaInfo* primary = table_.find(r.group)->primary();
     const bool fragmented = encoded_size(e) > totem_for(r.group).fragment_capacity();
     if (stream->delivered(e.op_seq) ||
@@ -199,8 +196,8 @@ void Mechanisms::publish_state(LocalReplica& r, const exec::Fom& op, util::Bytes
 }
 
 void Mechanisms::deliver_set_state(Envelope e) {
-  if (!first_delivery(set_state_seen_[e.target_group.value], e.target_group, e.op_seq,
-                      stats_.set_states_withdrawn)) {
+  if (!first_delivery(group_state_[e.target_group.value].set_states_seen, e.target_group,
+                      e.op_seq, stats_.set_states_withdrawn)) {
     return;
   }
   ETERNAL_LOG(kTrace, kTag,
@@ -208,7 +205,6 @@ void Mechanisms::deliver_set_state(Envelope e) {
                                      << util::to_string(e.subject) << " ("
                                      << e.payload.size() << "B app state)");
   react(table_.apply_state_transfer(e));
-  awaiting_get_state_[e.target_group.value].erase(e.subject.value);
 
   // This epoch's state has landed (whatever path carried it): lane
   // transfers still working the same subject at this or an older epoch are
@@ -219,7 +215,10 @@ void Mechanisms::deliver_set_state(Envelope e) {
     return v.outgoing ? v.key.second == e.op_seq
                       : v.subject == e.subject && v.key.second <= e.op_seq;
   }, Sweep::kAbort);
-  bulk_stash_.erase({e.target_group.value, e.subject.value});
+  edit_recoverer(e.target_group, e.subject, [](Recoverer& rc) {
+    rc.awaiting_get_state = false;
+    rc.stash.clear();
+  });
 
   LocalReplica* r = local_replica(e.target_group);
   if (r == nullptr) return;
@@ -261,12 +260,12 @@ void Mechanisms::deliver_set_state(Envelope e) {
     // The transferred state supersedes this node's logged prefix: for a
     // passive replica the recovery set_state is, log-wise, a checkpoint
     // (messages before the get_state cut must not be replayed on top).
-    auto log_it = logs_.find(e.target_group.value);
+    MessageLog* const log = find_log(e.target_group);
     if (e.delta_base != 0) {
       // The source shipped only the changes since our advertised log tip.
       // The full state is our logged base + chained deltas + this one,
       // applied as a restore chain.
-      if (log_it == logs_.end() || !log_it->second.set_checkpoint(e)) {
+      if (log == nullptr || !log->set_checkpoint(e)) {
         stats_.state_transfer_failures += 1;
         ETERNAL_LOG(kWarn, kTag,
                     util::to_string(node_)
@@ -275,10 +274,10 @@ void Mechanisms::deliver_set_state(Envelope e) {
         return;
       }
       persist_log(e.target_group);
-      fill_restore_queue(*r, log_it->second, 0);
+      fill_restore_queue(*r, *log, 0);
     } else {
-      if (log_it != logs_.end()) {
-        log_it->second.set_checkpoint(e);
+      if (log != nullptr) {
+        log->set_checkpoint(e);
         persist_log(e.target_group);
       }
       r->restore_queue.push_back({std::move(e), exec::FomKind::kSetState});
@@ -299,14 +298,12 @@ void Mechanisms::deliver_set_state(Envelope e) {
 }
 
 void Mechanisms::deliver_checkpoint(Envelope e) {
-  if (!checkpoint_seen_[e.target_group.value].test_and_insert(e.op_seq)) return;
+  if (!group_state_[e.target_group.value].checkpoints_seen.test_and_insert(e.op_seq)) return;
   react(table_.apply_state_transfer(e));
 
   const GroupEntry* entry = table_.find(e.target_group);
   if (entry == nullptr) return;
-  const bool log_role =
-      std::find(entry->desc.backup_nodes.begin(), entry->desc.backup_nodes.end(), node_) !=
-      entry->desc.backup_nodes.end();
+  const bool log_role = backs_up(*entry);
 
   LocalReplica* r = local_replica(e.target_group);
 
@@ -316,7 +313,7 @@ void Mechanisms::deliver_checkpoint(Envelope e) {
   // the existing base; one the chain cannot absorb is ignored — the log
   // stays restorable from its older base plus the retained messages.
   if (r != nullptr || log_role) {
-    if (logs_[e.target_group.value].set_checkpoint(e)) {
+    if (log_for(e.target_group).set_checkpoint(e)) {
       if (e.delta_base != 0) stats_.delta_checkpoints_applied += 1;
       persist_log(e.target_group);
     } else {
@@ -402,14 +399,13 @@ void Mechanisms::apply_next_restore(LocalReplica& r) {
 
 void Mechanisms::inject_stored_handshakes(GroupId group) {
   if (!config_.replay_handshakes) return;
-  for (const auto& [key, handshake] : server_handshakes_) {
-    if (key.first != group.value) continue;
-    std::optional<giop::Inspection> info = giop::inspect(handshake);
+  for (auto& [key, pair] : pairs_) {
+    if (key.second != group.value || !pair.server_handshake) continue;
+    std::optional<giop::Inspection> info = giop::inspect(*pair.server_handshake);
     if (!info) continue;
-    const orb::Endpoint from = orb::pair_endpoint(orb::group_of(key.second), group);
-    replayed_handshakes_.emplace(from, info->request_id);
+    pair.replayed_handshakes.insert(info->request_id);
     stats_.handshakes_injected += 1;
-    tap_.inject(from, handshake);
+    tap_.inject(orb::pair_endpoint(GroupId{key.first}, group), *pair.server_handshake);
   }
 }
 
@@ -420,14 +416,15 @@ void Mechanisms::install_orb_state(GroupId group, BytesView blob) {
     return;
   }
   for (const ClientConnState& cs : state->client_conns) {
-    OutboundConn& conn = outbound_conn(group, cs.server_group);
+    OutboundConn& conn = ensure(pairs_[{group.value, cs.server_group.value}].client);
     conn.next_group_rid = cs.next_group_request_id;
     conn.handshake_done = cs.handshake_done;
     conn.handshake_request = cs.handshake_request;
     conn.handshake_reply = util::SharedSlice::copy_of(cs.handshake_reply);
   }
   for (const ServerConnState& ss : state->server_conns) {
-    server_handshakes_[std::make_pair(group.value, ss.client)] =
+    if (!orb::is_group_endpoint(ss.client)) continue;  // only a group is a client
+    pairs_[{orb::group_of(ss.client).value, group.value}].server_handshake =
         util::SharedSlice::copy_of(ss.handshake_request);
   }
 }
@@ -439,30 +436,32 @@ void Mechanisms::install_infra_state(GroupId group, BytesView blob) {
     return;
   }
   for (const auto& rf : state->requests_seen) {
-    req_seen_[std::make_pair(rf.client_group.value, group.value)].restore(rf.seen);
+    ensure(pairs_[{rf.client_group.value, group.value}].requests).restore(rf.seen);
   }
   for (const auto& rf : state->replies_seen) {
-    reply_seen_[std::make_pair(group.value, rf.server_group.value)].restore(rf.seen);
+    ensure(pairs_[{group.value, rf.server_group.value}].replies).restore(rf.seen);
   }
 }
 
 Bytes Mechanisms::build_orb_snapshot(GroupId group) {
   OrbLevelState state;
-  for (const auto& [key, conn] : outbound_) {
-    if (key.first != group.value) continue;
+  for (const auto& [key, pair] : client_pairs(group)) {
+    if (!pair.client) continue;
+    const OutboundConn& conn = *pair.client;
     ClientConnState cs;
-    cs.server_group = conn.server_group;
+    cs.server_group = GroupId{key.second};
     cs.next_group_request_id = conn.next_group_rid;
     cs.handshake_done = conn.handshake_done;
     cs.handshake_request = conn.handshake_request;
     cs.handshake_reply = conn.handshake_reply;
     state.client_conns.push_back(std::move(cs));
   }
-  for (const auto& [key, handshake] : server_handshakes_) {
-    if (key.first != group.value) continue;
+  // The ORB names each client by its group endpoint.
+  for (const auto& [key, pair] : pairs_) {
+    if (key.second != group.value || !pair.server_handshake) continue;
     ServerConnState ss;
-    ss.client = key.second;
-    ss.handshake_request = handshake;
+    ss.client = orb::group_endpoint(GroupId{key.first});
+    ss.handshake_request = *pair.server_handshake;
     state.server_conns.push_back(std::move(ss));
   }
   return encode_orb_state(state);
@@ -470,15 +469,15 @@ Bytes Mechanisms::build_orb_snapshot(GroupId group) {
 
 InfraLevelState Mechanisms::build_infra_snapshot(GroupId group) {
   InfraLevelState state;
-  for (const auto& [key, stream] : req_seen_) {
-    if (key.second != group.value) continue;
+  for (const auto& [key, pair] : pairs_) {
+    if (key.second != group.value || !pair.requests) continue;
     state.requests_seen.push_back(
-        InfraLevelState::RequestsFrom{GroupId{key.first}, stream.window()});
+        InfraLevelState::RequestsFrom{GroupId{key.first}, pair.requests->window()});
   }
-  for (const auto& [key, stream] : reply_seen_) {
-    if (key.first != group.value) continue;
+  for (const auto& [key, pair] : client_pairs(group)) {
+    if (!pair.replies) continue;
     state.replies_seen.push_back(
-        InfraLevelState::RepliesFrom{GroupId{key.second}, stream.window()});
+        InfraLevelState::RepliesFrom{GroupId{key.second}, pair.replies->window()});
   }
   return state;
 }
@@ -518,7 +517,7 @@ void Mechanisms::sweep_transfers(const std::function<bool(const TransferView&)>&
     if (counted) (re.lane() ? stats_.bulk_transfers_aborted : stats_.state_chunk_aborts) += 1;
     if (how == Sweep::kStash && re.lane()) {
       // The verified extents become the resume source of the next attempt.
-      auto& stash = bulk_stash_[{it->first.first, re.subject.value}];
+      auto& stash = group_state_[it->first.first].recoverers[re.subject.value].stash;
       for (std::size_t i = 0; i < re.parts.size(); ++i) {
         if (!re.parts[i].empty()) stash[re.digests[i]] = std::move(re.parts[i]);
       }
@@ -799,8 +798,9 @@ void Mechanisms::deliver_bulk_descriptor(const Envelope& e) {
   // Only the recoverer assembles; everyone else needs just the marker.
   LocalReplica* r = local_replica(e.target_group);
   if (r == nullptr || r->id != e.subject || r->phase != Phase::kRecovering) return;
-  if (set_state_seen_[e.target_group.value].delivered(e.op_seq)) return;  // already applied
-  if (incoming_.count(key) > 0) return;  // first descriptor wins
+  GroupState& gs = group_state_[e.target_group.value];
+  if (gs.set_states_seen.delivered(e.op_seq)) return;  // already applied
+  if (incoming_.count(key) > 0) return;                // first descriptor wins
 
   // A newer-epoch attempt supersedes stalled older ones for us; bank their
   // verified extents for the resume pre-fill below.
@@ -827,11 +827,12 @@ void Mechanisms::deliver_bulk_descriptor(const Envelope& e) {
   // match makes this sound across senders — only byte-identical slices at
   // identical offsets are reused, and the ack tells the (new) sender to skip
   // them.
-  auto st = bulk_stash_.find({key.first, e.subject.value});
-  if (st != bulk_stash_.end()) {
+  auto rc = gs.recoverers.find(e.subject.value);
+  if (rc != gs.recoverers.end() && !rc->second.stash.empty()) {
+    const std::map<std::uint64_t, Bytes>& stash = rc->second.stash;
     for (std::size_t i = 0; i < re.parts.size(); ++i) {
-      auto hit = st->second.find(re.digests[i]);
-      if (hit == st->second.end()) continue;
+      auto hit = stash.find(re.digests[i]);
+      if (hit == stash.end()) continue;
       const std::uint64_t offset = static_cast<std::uint64_t>(i) * re.extent_bytes;
       const std::uint64_t expected =
           std::min<std::uint64_t>(re.extent_bytes, re.total_bytes - offset);
@@ -937,7 +938,8 @@ void Mechanisms::deliver_bulk_marker(const Envelope& e) {
     sim_.cancel(out->second.retry_timer);
     outgoing_.erase(out);
   }
-  if (set_state_seen_[e.target_group.value].delivered(e.op_seq)) return;  // duplicate epoch
+  RacedStream& set_states = group_state_[e.target_group.value].set_states_seen;
+  if (set_states.delivered(e.op_seq)) return;  // duplicate epoch
 
   // The recoverer substitutes the reassembled inner envelope; every other
   // node synthesizes a skeleton carrying the marker's metadata. Both run
@@ -987,10 +989,10 @@ void Mechanisms::deliver_bulk_marker(const Envelope& e) {
     // replica recovering. Protocol-unreachable — the marker follows the last
     // verified ack — so this trades a visible stall for silent corruption.
     if (!incomplete_at_recoverer) stats_.state_transfer_failures += 1;
-    first_delivery(set_state_seen_[e.target_group.value], e.target_group, e.op_seq,
-                   stats_.set_states_withdrawn);
+    first_delivery(set_states, e.target_group, e.op_seq, stats_.set_states_withdrawn);
     react(table_.apply_state_transfer(skeleton));
-    awaiting_get_state_[e.target_group.value].erase(e.subject.value);
+    edit_recoverer(e.target_group, e.subject,
+                   [](Recoverer& rc) { rc.awaiting_get_state = false; });
     return;
   }
   deliver_set_state(std::move(skeleton));

@@ -70,10 +70,6 @@ const std::vector<std::uint64_t>& Histogram::default_latency_bounds() {
   return bounds;
 }
 
-Counter& MetricsRegistry::counter(std::string_view name) {
-  return counters_[std::string(name)];
-}
-
 Histogram& MetricsRegistry::histogram(std::string_view name,
                                       std::vector<std::uint64_t> bounds) {
   auto it = histograms_.find(std::string(name));
@@ -86,10 +82,6 @@ Histogram& MetricsRegistry::histogram(std::string_view name,
 std::string MetricsRegistry::to_json() const {
   JsonWriter w;
   w.begin_object();
-  w.key("counters");
-  w.begin_object();
-  for (const auto& [name, c] : counters_) w.field(name, c.value());
-  w.end_object();
   w.key("histograms");
   w.begin_object();
   for (const auto& [name, h] : histograms_) {

@@ -1,5 +1,5 @@
-// Low-overhead metrics: counters and fixed-bucket histograms, keyed
-// by static names.
+// Low-overhead metrics: fixed-bucket histograms, keyed by static names.
+// Counts live in each layer's *Stats struct, not here.
 //
 // The registry hands out *stable references* — instruments live in a
 // std::map whose nodes never move — so hot paths (the Totem token handler,
@@ -17,16 +17,6 @@
 #include <vector>
 
 namespace eternal::obs {
-
-/// Monotonically increasing event count.
-class Counter {
- public:
-  void add(std::uint64_t delta = 1) noexcept { value_ += delta; }
-  std::uint64_t value() const noexcept { return value_; }
-
- private:
-  std::uint64_t value_ = 0;
-};
 
 /// Fixed-bucket histogram. Buckets are defined by ascending upper bounds;
 /// an observation lands in the first bucket whose bound is >= the value
@@ -76,13 +66,11 @@ class Histogram {
 /// time, not on hot paths.
 class MetricsRegistry {
  public:
-  Counter& counter(std::string_view name);
   /// Creates the histogram with `bounds` on first use; subsequent calls
   /// return the existing instrument (bounds argument ignored).
   Histogram& histogram(std::string_view name,
                        std::vector<std::uint64_t> bounds = {});
 
-  const std::map<std::string, Counter>& counters() const noexcept { return counters_; }
   const std::map<std::string, Histogram>& histograms() const noexcept {
     return histograms_;
   }
@@ -91,7 +79,6 @@ class MetricsRegistry {
   std::string to_json() const;
 
  private:
-  std::map<std::string, Counter> counters_;
   std::map<std::string, Histogram> histograms_;
 };
 

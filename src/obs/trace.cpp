@@ -109,11 +109,6 @@ std::string_view TraceBuffer::intern(std::string_view name) {
   return *it;
 }
 
-Counter& Recorder::sink_counter() {
-  static Counter sink;
-  return sink;
-}
-
 Histogram& Recorder::sink_histogram() {
   static Histogram sink({1});
   return sink;

@@ -189,7 +189,7 @@ class TraceBuffer {
 };
 
 /// The handle the Simulator hands to every layer. Cheap when detached:
-/// tracing() is one pointer test, and counter() returns a shared sink
+/// tracing() is one pointer test, and histogram() returns a shared sink
 /// instrument so call sites cache a reference once and never branch.
 ///
 /// record() takes its fields inline and drops them when detached, so call
@@ -225,10 +225,7 @@ class Recorder {
   }
 
   /// Returns the named instrument, or a process-wide sink when no registry
-  /// is attached — so hot paths can cache `Counter&` unconditionally.
-  Counter& counter(std::string_view name) {
-    return metrics_ ? metrics_->counter(name) : sink_counter();
-  }
+  /// is attached — so hot paths can cache `Histogram&` unconditionally.
   Histogram& histogram(std::string_view name,
                        std::vector<std::uint64_t> bounds = {}) {
     return metrics_ ? metrics_->histogram(name, std::move(bounds))
@@ -240,7 +237,6 @@ class Recorder {
   SpanStore* spans() const noexcept { return spans_; }
 
  private:
-  static Counter& sink_counter();
   static Histogram& sink_histogram();
 
   MetricsRegistry* metrics_ = nullptr;

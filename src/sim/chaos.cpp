@@ -84,8 +84,7 @@ void ChaosScript::fire(const Action& action) {
   rec.record(util::NodeId{0}, obs::Layer::kSim, "chaos", fired_,
              {obs::Field::text_field("scenario", rec.intern(scenario_)),
               obs::Field::text_field("action", rec.intern(action.name))});
-  sim_.recorder().counter("chaos." + scenario_ + ".actions").add();
-  sim_.recorder().counter("chaos.action." + action.name).add();
+  fired_by_name_[action.name] += 1;
   action.fn();
 }
 

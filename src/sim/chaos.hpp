@@ -7,12 +7,12 @@
 // faults (bound by the caller as lambdas, keeping this layer free of any
 // dependency on core). Every fired action is recorded as a trace event
 // (layer kSim, kind "chaos") so fault injections are visible in the same
-// stream the InvariantChecker replays, and counted per scenario and per
-// action name in the metrics registry — the per-scenario counters the
-// chaos bench matrix reports.
+// stream the InvariantChecker replays, and counted by the script, in total
+// and per action name.
 #pragma once
 
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -24,8 +24,7 @@ namespace eternal::sim {
 
 class ChaosScript {
  public:
-  /// `scenario` names the script in trace events and metric names
-  /// (counter "chaos.<scenario>.actions" plus "chaos.action.<name>").
+  /// `scenario` names the script in trace events.
   ChaosScript(Simulator& sim, std::string scenario);
 
   const std::string& scenario() const noexcept { return scenario_; }
@@ -72,6 +71,11 @@ class ChaosScript {
 
   /// Actions fired so far.
   std::uint64_t fired() const noexcept { return fired_; }
+  /// Actions named `action` fired so far.
+  std::uint64_t fired(const std::string& action) const {
+    auto it = fired_by_name_.find(action);
+    return it == fired_by_name_.end() ? 0 : it->second;
+  }
   std::size_t planned() const noexcept { return actions_.size(); }
 
  private:
@@ -88,6 +92,7 @@ class ChaosScript {
   std::vector<Action> actions_;
   bool armed_ = false;
   std::uint64_t fired_ = 0;
+  std::map<std::string, std::uint64_t> fired_by_name_;
 };
 
 }  // namespace eternal::sim

@@ -247,5 +247,41 @@ TEST(MultiTier, RecoveredMiddleReplicaRejoinsBothRoles) {
       Duration(300'000'000)));
 }
 
+TEST(MultiTier, RecoveredClientReplicaHandshakeIsAnsweredLocally) {
+  // §4.2.2, client side: the relaunched middle replica's fresh ORB opens its
+  // connection to the backend again, handshake first. The group already
+  // negotiated it, so the Mechanisms answer the handshake from the stored
+  // reply instead of sending it to the backend, and the replica's first
+  // nested call after recovery goes through on the restored connection.
+  TierRig rig(ReplicationStyle::kActive);
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(rig.invoke(1));
+  const core::Mechanisms& node2 = rig.sys->mech(NodeId{2});
+  EXPECT_EQ(node2.stats().handshakes_answered_locally, 0u);
+  const std::uint64_t served = rig.sys->orb(NodeId{3}).stats().handshakes_served;
+
+  rig.sys->kill_replica(NodeId{2}, rig.middle);
+  ASSERT_TRUE(rig.sys->run_until(
+      [&] {
+        const auto* e = rig.sys->mech(NodeId{1}).groups().find(rig.middle);
+        return e != nullptr && e->members.size() == 1;
+      },
+      Duration(300'000'000)));
+  rig.sys->relaunch_replica(NodeId{2}, rig.middle);
+  ASSERT_TRUE(rig.sys->run_until([&] { return node2.hosts_operational(rig.middle); },
+                                 Duration(500'000'000)));
+  ASSERT_EQ(rig.middle_servants[2]->answered(), 0u);  // the fresh servant
+
+  std::int32_t result = 0;
+  ASSERT_TRUE(rig.invoke(1, &result));
+  EXPECT_EQ(result, 3);
+  ASSERT_TRUE(rig.sys->run_until([&] { return rig.middle_servants[2]->answered() == 1; },
+                                 Duration(300'000'000)));
+  EXPECT_GE(node2.stats().handshakes_answered_locally, 1u);
+  EXPECT_EQ(rig.sys->orb(NodeId{3}).stats().handshakes_served, served)
+      << "the backend never saw the re-negotiation";
+  EXPECT_EQ(rig.backend_servant->value(), 3);
+  EXPECT_EQ(rig.sys->orb(NodeId{2}).outstanding_requests(), 0u);
+}
+
 }  // namespace
 }  // namespace eternal

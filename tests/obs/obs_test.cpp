@@ -358,13 +358,14 @@ TEST(Histogram, PercentileEdgeCases) {
 
 TEST(MetricsRegistry, HandsOutStableReferences) {
   MetricsRegistry reg;
-  Counter& a = reg.counter("x");
-  reg.counter("a");  // map growth must not move existing instruments
-  reg.counter("z");
-  Counter& b = reg.counter("x");
+  Histogram& a = reg.histogram("x");
+  reg.histogram("a");  // map growth must not move existing instruments
+  reg.histogram("z");
+  Histogram& b = reg.histogram("x");
   EXPECT_EQ(&a, &b);
-  a.add(3);
-  EXPECT_EQ(b.value(), 3u);
+  a.observe(3);
+  EXPECT_EQ(b.count(), 1u);
+  EXPECT_EQ(b.sum(), 3u);
 }
 
 TEST(MetricsRegistry, HistogramBoundsFixedAtFirstUse) {
@@ -378,14 +379,13 @@ TEST(MetricsRegistry, HistogramBoundsFixedAtFirstUse) {
 
 TEST(MetricsRegistry, ToJsonRoundTrips) {
   MetricsRegistry reg;
-  reg.counter("totem.deliveries").add(41);
   Histogram& h = reg.histogram("rtt_ns", {10, 20});
   h.observe(5);
   h.observe(15);
   h.observe(500);
 
   const JsonValue doc = parse_json(reg.to_json());
-  EXPECT_EQ(doc.at("counters").at("totem.deliveries").number, 41.0);
+  EXPECT_FALSE(doc.has("counters"));  // counts live in the layers' Stats
   const JsonValue& rtt = doc.at("histograms").at("rtt_ns");
   EXPECT_EQ(rtt.at("count").number, 3.0);
   EXPECT_EQ(rtt.at("sum").number, 520.0);
@@ -693,7 +693,7 @@ TEST(InvariantChecker, RefusesToVouchForTruncatedBuffer) {
 
 TEST(BenchResultWriter, EmitsSchemaOneDocuments) {
   MetricsRegistry reg;
-  reg.counter("totem.deliveries").add(123);
+  reg.histogram("rtt_ns", {10}).observe(123);
 
   bench::BenchResultWriter out("throughput");
   out.row().col("replicas", std::uint64_t{1}).col("style", "active").col(
@@ -710,7 +710,7 @@ TEST(BenchResultWriter, EmitsSchemaOneDocuments) {
   EXPECT_EQ(rows[0].at("replicas").number, 1.0);
   EXPECT_EQ(rows[0].at("style").string, "active");
   EXPECT_DOUBLE_EQ(rows[1].at("invocations_per_s").number, 1800.5);
-  EXPECT_EQ(doc.at("metrics").at("counters").at("totem.deliveries").number, 123.0);
+  EXPECT_EQ(doc.at("metrics").at("histograms").at("rtt_ns").at("sum").number, 123.0);
 }
 
 TEST(BenchResultWriter, WritesParseableFile) {

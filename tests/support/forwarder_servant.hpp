@@ -19,6 +19,8 @@ class ForwarderServant : public orb::Servant {
       : backend_(std::move(backend)), forward_op_(std::move(forward_op)) {}
 
   std::uint64_t forwarded() const noexcept { return forwarded_; }
+  /// Forwarded calls whose backend reply reached this replica's ORB.
+  std::uint64_t answered() const noexcept { return answered_; }
 
   void invoke(orb::ServerRequestPtr request) override {
     // Checkpointable interface: the middle tier's own application state is
@@ -34,7 +36,8 @@ class ForwarderServant : public orb::Servant {
     }
     ++forwarded_;
     util::Bytes args(request->args().begin(), request->args().end());
-    backend_.invoke(forward_op_, std::move(args), [request](const orb::ReplyOutcome& out) {
+    backend_.invoke(forward_op_, std::move(args), [this, request](const orb::ReplyOutcome& out) {
+      ++answered_;
       if (out.status == giop::ReplyStatus::kNoException) {
         request->reply(out.body);
       } else {
@@ -47,6 +50,7 @@ class ForwarderServant : public orb::Servant {
   orb::ObjectRef backend_;
   std::string forward_op_;
   std::uint64_t forwarded_ = 0;
+  std::uint64_t answered_ = 0;
 };
 
 }  // namespace eternal::test_support
